@@ -211,6 +211,8 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     if frames.shape[1] != spec.n:
         raise ValueError(f"frame length {frames.shape[1]} != code length {spec.n}")
+    if not np.isfinite(frames).all():
+        raise ValueError("channel log-ratios must be finite (no NaN or inf)")
     values = kernel.from_llr(frames)
     num_frames = frames.shape[0]
 

@@ -45,15 +45,13 @@ def butterfly_transform(bits) -> np.ndarray:
     n = x.shape[-1]
     if n < 2 or n & (n - 1):
         raise ValueError(f"block length must be a power of 2 >= 2, got {n}")
-    x = (x.astype(np.uint8) & 1).copy()
-    m = n.bit_length() - 1
-    for l in range(m):
-        stride = 1 << (m - 1 - l)
-        step = stride * 2
-        for start in range(0, n, step):
-            top = slice(start, start + stride)
-            bot = slice(start + stride, start + step)
-            x[..., top] ^= x[..., bot]
+    x = np.ascontiguousarray(x.astype(np.uint8) & 1)
+    stride = n // 2
+    while stride:
+        # (..., blocks, top/bottom half, stride): a view of x, so x is updated
+        v = x.reshape(*x.shape[:-1], n // (2 * stride), 2, stride)
+        v[..., 0, :] ^= v[..., 1, :]
+        stride //= 2
     return x
 
 

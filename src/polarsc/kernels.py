@@ -72,8 +72,8 @@ def g_llr(la, lb, us):
     """Log-domain conditioned combine: la * (-1)**us + lb."""
     la = np.asarray(la, dtype=np.float64)
     lb = np.asarray(lb, dtype=np.float64)
-    us = np.asarray(us)
-    return clip_llr(np.where(us == 0, la + lb, lb - la))
+    # The sign is computed in float: 1 - 2*us in uint8 wraps to 255.
+    return clip_llr(lb + (1.0 - 2.0 * np.asarray(us)) * la)
 
 
 class Kernel(Enum):

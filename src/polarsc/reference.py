@@ -1,13 +1,14 @@
-"""Golden-model successive cancellation decoder.
+"""Golden-model successive cancellation decoder on the tree register file.
 
-Decodes phase by phase: the soft decision value for phase i is obtained by
-re-evaluating only the stages whose inputs changed (the recursive
-predecessor-calling order unrolled), deciding the bit, and promoting it
-into the partial-sum wires that later g computations read.  Every cycle
-simulator must reproduce this decoder's output bit for bit.
-
-All entry points accept a batch of frames; control flow is identical
-across a batch, so frames vectorize cleanly.
+Like the paper's pipelined tree, the decoder keeps ``2n - 1`` soft values:
+level ``l`` holds ``2**l`` of them, level ``m`` the channel values in
+bit-reversed order, so stage ``l`` reads the two contiguous halves of level
+``l + 1``.  Each phase recomputes the stages ``graph.activation_stages``
+names, decides one bit at level 0, and folds it into the left-sibling
+partial sums that g reads; the root's partial sum is the codeword in
+bit-reversed order.  Every cycle simulator must reproduce this decoder's
+output bit for bit.  Levels are laid out ``(2**l, batch)``: one kernel call
+serves every frame.
 """
 
 from __future__ import annotations
@@ -20,52 +21,48 @@ from .kernels import Kernel
 
 
 def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
-               force_bits: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+               force_bits: np.ndarray | None = None) -> tuple:
     """Run SC decoding over a (batch, n) array of kernel-domain values.
 
     When ``force_bits`` is given, each phase's raw decision is compared to
     the forced bit, the mismatch is counted, and the forced bit is what
     propagates (genie mode, used for code construction).  Returns the
-    decided bits and, in genie mode, the per-position error counts.
+    decided bits, their codewords, and the genie mode's per-position
+    error counts (else None).
     """
-    n, m = spec.n, spec.m
-    batch = values.shape[0]
+    n, m, batch = spec.n, spec.m, values.shape[0]
     perm = bit_reverse_permutation(m)
 
-    stage = [np.empty((batch, n), dtype=np.float64) for _ in range(m)]
-    stage.append(np.array(values, dtype=np.float64, copy=True))
-    psum = [np.zeros((batch, n), dtype=np.uint8) for _ in range(m)]
-
-    u_hat = np.zeros((batch, n), dtype=np.uint8)
-    err_counts = np.zeros(n, dtype=np.int64) if force_bits is not None else None
+    soft = [None] * m + [values.T[perm]]
+    left = [None] * (m + 1)  # left[l]: partial sum of the last decided level-l block
+    forced = None if force_bits is None else force_bits.T
+    u_hat = np.empty((n, batch), dtype=np.uint8)
+    err_counts = np.zeros(n, dtype=np.int64) if forced is not None else None
 
     for i in range(n):
         for l in graph.activation_stages(i, m):
-            top, bot, out = graph.butterfly_slices(i, l, m)
-            a = stage[l + 1][:, top]
-            b = stage[l + 1][:, bot]
+            src, h = soft[l + 1], 1 << l
             if graph.stage_uses_g(i, l):
-                stage[l][:, out] = kernel.g(a, b, psum[l][:, top])
+                soft[l] = kernel.g(src[:h], src[h:], left[l])
             else:
-                stage[l][:, out] = kernel.f(a, b)
+                soft[l] = kernel.f(src[:h], src[h:])
 
-        row = perm[i]
-        if force_bits is None and spec.frozen_mask[i]:
+        if forced is None and spec.frozen_mask[i]:
             bits = np.zeros(batch, dtype=np.uint8)
         else:
-            bits = kernel.hard_decision(stage[0][:, row])
-        if force_bits is not None:
-            err_counts[i] = int(np.count_nonzero(bits != force_bits[:, i]))
-            bits = force_bits[:, i]
-        u_hat[:, i] = bits
+            bits = kernel.hard_decision(soft[0][0])
+        if forced is not None:
+            err_counts[i] = int(np.count_nonzero(bits != forced[i]))
+            bits = forced[i]
+        u_hat[i] = bits
 
-        psum[0][:, row] = bits
-        for l in graph.completed_block_levels(i, m):
-            tops, bots = graph.psum_block_slices(i, l, m)
-            psum[l][:, tops] = psum[l - 1][:, tops] ^ psum[l - 1][:, bots]
-            psum[l][:, bots] = psum[l - 1][:, bots]
+        cur, l = bits[None, :], 0
+        while (i >> l) & 1:
+            cur = np.concatenate((left[l] ^ cur, cur))
+            l += 1
+        left[l] = cur
 
-    return u_hat, err_counts
+    return u_hat.T, left[m][perm].T, err_counts
 
 
 def decode_batch(frames, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
@@ -74,14 +71,16 @@ def decode_batch(frames, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np
     Returns
     -------
     (u_hat, c_hat)
-        Decided input blocks and their re-encoded codewords, both
+        Decided input blocks and the codewords they encode, both
         ``(batch, n)`` uint8 arrays.
     """
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     if frames.shape[1] != spec.n:
         raise ValueError(f"frame length {frames.shape[1]} != code length {spec.n}")
-    u_hat, _ = _sc_decode(frames, spec, kernel)
-    return u_hat, encode(u_hat, spec)
+    if not np.isfinite(frames).all():
+        raise ValueError("channel values must be finite (no NaN or inf)")
+    u_hat, c_hat, _ = _sc_decode(frames, spec, kernel)
+    return u_hat, c_hat
 
 
 def decode(channel_soft, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
@@ -113,8 +112,8 @@ def genie_error_counts(n: int, noise_sigma: float, trials: int, seed: int,
         c = encode(u, spec)
         y = bpsk_modulate(c) + noise_sigma * rng.standard_normal((todo, n))
         llr = awgn_llr(y, noise_sigma)
-        _, errs = _sc_decode(Kernel.LLR_EXACT.from_llr(llr), spec,
-                             Kernel.LLR_EXACT, force_bits=u)
+        _, _, errs = _sc_decode(Kernel.LLR_EXACT.from_llr(llr), spec,
+                                Kernel.LLR_EXACT, force_bits=u)
         counts += errs
         done += todo
     return counts

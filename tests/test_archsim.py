@@ -159,3 +159,13 @@ def test_simulate_validates_shapes():
     with pytest.raises(ValueError):
         simulate(ArchitectureConfig(kind=ArchKind.LINE, n=4), np.zeros((1, 4)),
                  spec, Kernel.LLR_EXACT)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_simulate_rejects_non_finite(bad):
+    spec = construct_frozen_bec(8, 4, 0.5)
+    llr = np.full((3, 8), 2.0)
+    llr[2, 0] = bad
+    for cfg in configs_for(8):
+        with pytest.raises(ValueError, match="finite"):
+            simulate(cfg, llr, spec, Kernel.LLR_MINSUM)

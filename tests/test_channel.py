@@ -131,3 +131,16 @@ def test_monotonicity_flags():
     report.points[1] = BerPoint(ebn0_db=2.0, noise_sigma=0.9, frames=10000,
                                 bit_errors=150, frame_errors=40)
     assert monotonicity_flags(report) == []
+
+
+def test_campaign_counts_golden_n64():
+    # recorded from the graph-row decoder the reference decoder replaced
+    spec = construct_frozen_bec(64, 32, 0.5)
+    stop = CampaignStop(max_frames=512, min_frame_errors=513)
+    want = {Kernel.LR_EXACT: [(512, 1612, 162), (512, 279, 30)],
+            Kernel.LLR_EXACT: [(512, 1612, 162), (512, 279, 30)],
+            Kernel.LLR_MINSUM: [(512, 1577, 158), (512, 260, 27)]}
+    for kernel, counts in want.items():
+        report = run_campaign(spec, kernel, [1.0, 2.5], stop, seed=3)
+        assert [(p.frames, p.bit_errors, p.frame_errors)
+                for p in report.points] == counts, kernel

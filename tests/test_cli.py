@@ -180,6 +180,18 @@ def test_decode_llr_input_format(tmp_path, capsys):
     assert out.read_text().strip() == "".join(map(str, u))
 
 
+def test_decode_nan_line_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(construct_frozen_bec(8, 4, 0.5).to_json())
+    llr_file = tmp_path / "llr.txt"
+    llr_file.write_text("1 2 3 nan 5 6 7 8\n")
+    code, out, err = run_cli(capsys, "decode", "--spec", str(spec_path), "--in",
+                             str(llr_file), "--kernel", "llr_exact")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"arch": "tree", "n": 8, "bogus": 1}))

@@ -59,6 +59,32 @@ def test_butterfly_is_involution(n, rng):
     assert np.array_equal(butterfly_transform(butterfly_transform(blocks)), blocks)
 
 
+def butterfly_loop(x):
+    """Reference: the butterfly one top/bottom block pair at a time."""
+    x = (np.asarray(x).astype(np.uint8) & 1).copy()
+    n = x.shape[-1]
+    m = n.bit_length() - 1
+    for l in range(m):
+        stride = 1 << (m - 1 - l)
+        for start in range(0, n, 2 * stride):
+            x[..., start: start + stride] ^= x[..., start + stride: start + 2 * stride]
+    return x
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_butterfly_equals_blockwise_loop(m, rng):
+    n = 1 << m
+    single = rng.integers(0, 2, size=n, dtype=np.uint8)
+    batch = rng.integers(0, 2, size=(3, 5, n), dtype=np.uint8)
+    assert np.array_equal(butterfly_transform(single), butterfly_loop(single))
+    assert np.array_equal(butterfly_transform(batch), butterfly_loop(batch))
+    # strided input, and the input left untouched
+    columns = np.asfortranarray(batch[0])
+    before = columns.copy()
+    assert np.array_equal(butterfly_transform(columns), butterfly_loop(columns))
+    assert np.array_equal(columns, before)
+
+
 def test_butterfly_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         butterfly_transform(np.zeros(6, dtype=np.uint8))

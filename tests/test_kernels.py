@@ -86,6 +86,22 @@ def test_g_llr_values_and_cross_domain(rng):
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+def test_g_llr_bit_identical_to_select_form(rng):
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, LLR_CLIP, -LLR_CLIP,
+                        2 * LLR_CLIP, -2 * LLR_CLIP, 39.999, -39.999])
+    k = special.size
+    la = rng.uniform(-60, 60, size=(512, 256))
+    lb = rng.uniform(-60, 60, size=(512, 256))
+    us = rng.integers(0, 2, size=(512, 256), dtype=np.uint8)
+    # every pair of special values, once under each partial sum
+    la[: 2 * k, :k] = special
+    lb[: 2 * k, :k] = np.tile(special, 2)[:, None]
+    us[:k, :k], us[k: 2 * k, :k] = 0, 1
+    select = np.clip(np.where(us == 0, la + lb, lb - la), -LLR_CLIP, LLR_CLIP)
+    got = g_llr(la, lb, us)
+    assert np.array_equal(got.view(np.int64), select.view(np.int64))
+
+
 def test_clipping_keeps_values_finite():
     assert g_llr(LLR_CLIP, LLR_CLIP, 0) == LLR_CLIP
     assert g_llr(LLR_CLIP, -LLR_CLIP, 1) == -LLR_CLIP

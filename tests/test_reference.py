@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from polarsc import (CodeSpec, Kernel, construct_frozen_bec, decode, decode_batch,
-                     encode, genie_error_counts)
+from polarsc import (ArchitectureConfig, ArchKind, CodeSpec, Kernel, LLR_CLIP,
+                     construct_frozen_bec, decode, decode_batch, encode,
+                     genie_error_counts, simulate)
 from polarsc.kernels import g_llr
 
 from conftest import oracle_phase_decision, random_frames
@@ -89,3 +90,53 @@ def test_genie_counts_reproducible_and_sized():
     assert a.max() <= 400
     # the all-f chain is the least reliable position at this noise level
     assert a[0] == a.max()
+
+
+def edge_case_llrs(n, count, rng):
+    """Noisy log-ratios with exact zeros, saturated values and values past
+    the clip, so ties and saturation reach every stage."""
+    llr = rng.normal(scale=4.0, size=(count, n))
+    pick = rng.random(size=llr.shape)
+    llr[pick < 0.15] = 0.0
+    llr[(pick >= 0.15) & (pick < 0.25)] = LLR_CLIP
+    llr[(pick >= 0.25) & (pick < 0.35)] = -LLR_CLIP
+    llr[(pick >= 0.35) & (pick < 0.4)] = -3 * LLR_CLIP
+    llr[-1] = 0.0  # an all-tie frame
+    return llr
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("m", range(1, 11))
+def test_decode_batch_equals_fft_and_line_machines(m, kernel):
+    # fft keeps one register per graph node and line its own tree registers;
+    # neither shares the reference decoder's loop
+    n = 1 << m
+    rng = np.random.default_rng(1000 + 10 * m + KERNELS.index(kernel))
+    for k in (0, n, int(rng.integers(1, n + 1))):
+        frozen = tuple(sorted(rng.choice(n, size=n - k, replace=False).tolist()))
+        spec = CodeSpec(m=m, frozen=frozen)
+        llr = edge_case_llrs(n, 6, rng)
+        u_hat, c_hat = decode_batch(kernel.from_llr(llr), spec, kernel)
+        assert np.array_equal(c_hat, encode(u_hat, spec))
+        for kind in (ArchKind.FFT_LIKE, ArchKind.LINE):
+            got = simulate(ArchitectureConfig(kind=kind, n=n), llr, spec, kernel)
+            assert np.array_equal(got.decoded, u_hat), (kind, k)
+
+
+def test_genie_counts_golden_n64():
+    # recorded from the graph-row decoder this one replaced
+    assert genie_error_counts(64, 0.9, trials=600, seed=7).tolist() == [
+        312, 316, 293, 317, 283, 286, 290, 212, 336, 311, 266, 188, 253, 135, 102, 26,
+        299, 255, 262, 123, 219, 112, 78, 16, 195, 64, 53, 6, 34, 4, 1, 0,
+        305, 234, 198, 80, 193, 66, 44, 1, 145, 35, 25, 4, 19, 3, 0, 0,
+        102, 16, 13, 0, 10, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_decode_rejects_non_finite(kernel, bad):
+    spec = construct_frozen_bec(8, 4, 0.5)
+    values = kernel.from_llr(np.full((2, 8), 3.0))
+    values[1, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        decode_batch(values, spec, kernel)
