@@ -13,8 +13,7 @@ from .complexity import (EXAMPLE_COSTS, ComplexityReport, CostParams,
                          complexity_tree, cycles_per_vector, node_processor_count,
                          overlap_structural_pe_count, register_count, table_report,
                          throughput)
-from .kernels import (LLR_CLIP, Kernel, decide, f_llr_exact, f_lr, f_minsum, g_llr,
-                      g_lr)
+from .kernels import LLR_CLIP, Kernel, f_llr_exact, f_lr, f_minsum, g_llr, g_lr
 from .reference import decode, decode_batch, genie_error_counts
 from .schedule import (ArchKind, ArchitectureConfig, ControlBits, LivenessReport,
                        Schedule, ScheduleEntry, build_schedule, check_no_conflict,
@@ -32,7 +31,7 @@ __all__ = [
     "build_schedule", "butterfly_transform", "check_no_conflict",
     "complexity_fft_like", "complexity_line", "complexity_overlap",
     "complexity_tree", "construct_frozen_bec", "construct_frozen_mc",
-    "cycles_per_vector", "decide", "decode", "decode_batch",
+    "cycles_per_vector", "decode", "decode_batch",
     "derive_control_bits", "ebn0_db_from_sigma", "encode", "f_llr_exact", "f_lr",
     "f_minsum", "g_llr", "g_lr", "genie_error_counts", "monotonicity_flags",
     "node_processor_count", "overlap_structural_pe_count", "register_count",

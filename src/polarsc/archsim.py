@@ -8,11 +8,13 @@ budget (``SEMI_PARALLEL``), and the overlapped machine decoding several
 vectors on duplicated stage instances (``VECTOR_OVERLAP``).
 
 Every machine executes its schedule one clock cycle at a time, moving
-values through explicitly modeled registers and broadcasting each decided
-bit into the partial-sum blocks its enable bits select.  Control flow is
-data independent, so a machine can carry a whole batch of frames through
-one schedule pass; the per-frame arithmetic is unchanged and the decoded
-output of every machine is bit-identical to the reference decoder.
+values through explicitly modeled registers; the tree-shaped machines
+latch each decided bit into a bank of ``n - 1`` partial-sum sites
+(``graph.site_id``) through ``graph.psum_enable``.  Control flow is data
+independent, so one schedule pass carries a whole batch of frames, and
+occupancy and PE counts come from the schedule, not the arithmetic loop.
+The decoded output of every machine is bit-identical to the reference
+decoder.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import graph
 from .codespec import CodeSpec, bit_reverse_permutation
 from .kernels import Kernel
 from .schedule import (ArchKind, ArchitectureConfig, Schedule, build_schedule,
-                       stage_instance_name)
+                       check_no_conflict)
 
 
 class SimulationError(RuntimeError):
@@ -51,18 +53,6 @@ class SimResult:
     schedule: Schedule | None = None
 
 
-def _sites_by_phase(n: int) -> list:
-    """Per-phase stage-grouped partial-sum site indices to latch."""
-    m = n.bit_length() - 1
-    out = []
-    for i in range(n):
-        by_stage: dict = {}
-        for l, q in graph.enabled_sites(i, m):
-            by_stage.setdefault(l, []).append(q)
-        out.append([(l, np.array(sorted(qs))) for l, qs in sorted(by_stage.items())])
-    return out
-
-
 def _contiguous_range(active: tuple) -> tuple[int, int]:
     q0, q1 = active[0], active[-1] + 1
     if list(active) != list(range(q0, q1)):
@@ -70,42 +60,35 @@ def _contiguous_range(active: tuple) -> tuple[int, int]:
     return q0, q1
 
 
-def _run_tree_like(sched: Schedule, cfg: ArchitectureConfig, channel_values: list,
-                   spec: CodeSpec, kernel: Kernel) -> tuple[list, list, Counter]:
+def _run_tree_like(sched: Schedule, cfg: ArchitectureConfig, channel: list,
+                   spec: CodeSpec, kernel: Kernel) -> list:
     """Execute a tree/line/semi/overlap schedule over per-slot register sets.
 
-    ``channel_values`` holds one (batch, n) array per vector slot.  Tree
-    position (l, q) owns register R[l][q] and a partial-sum block; PE
-    (l, q) reads R[l+1][2q] and R[l+1][2q+1] (the channel registers at the
-    outermost stage) and writes R[l][q].
+    ``channel`` holds one (batch, n) array per vector slot; the decided bits
+    come back the same way.  Tree position (l, q) owns register R[l][q] and
+    partial-sum site ``graph.site_id(l, q)``; PE (l, q) reads R[l+1][2q] and
+    R[l+1][2q+1] (level m holds the channel values) and writes R[l][q].
     """
+    violations = check_no_conflict(sched, cfg)
+    if violations:
+        raise SimulationError("; ".join(violations))
     n, m = cfg.n, cfg.m
-    batch = channel_values[0].shape[0]
-    slots = sched.vectors
-    regs = [[np.zeros((batch, 1 << l)) for l in range(m)] for _ in range(slots)]
-    psums = [[np.zeros((batch, 1 << l), dtype=np.uint8) for l in range(m)]
-             for _ in range(slots)]
-    decided = [np.zeros((batch, n), dtype=np.uint8) for _ in range(slots)]
-    sites = _sites_by_phase(n)
-
-    occupancy = [[] for _ in range(sched.total_cycles)]
-    pe_counts: Counter = Counter()
-    instance_owner: dict = {}
+    batch = channel[0].shape[0]
+    regs = [[np.zeros((batch, 1 << l)) for l in range(m)] + [c] for c in channel]
+    psum = [np.zeros((batch, graph.num_sites(n)), dtype=np.uint8) for _ in channel]
+    decided = [np.zeros((batch, n), dtype=np.uint8) for _ in channel]
+    enable = graph.psum_enable(m)
 
     for e in sched.sorted_entries():
-        key = (e.cycle, e.stage, e.copy)
-        if instance_owner.setdefault(key, e.vector) != e.vector:
-            raise SimulationError(
-                f"CC{e.cycle}: {e.stage_instance} double-booked"
-            )
         l, v = e.stage, e.vector
         q0, q1 = _contiguous_range(e.active)
-        src = regs[v][l + 1] if l + 1 < m else channel_values[v]
+        src = regs[v][l + 1]
         a = src[:, 2 * q0: 2 * q1: 2]
         b = src[:, 2 * q0 + 1: 2 * q1: 2]
         if e.function == "g":
-            us = psums[v][l][:, q0:q1].copy()
-            psums[v][l][:, q0:q1] = 0
+            sites = slice(graph.site_id(l, q0), graph.site_id(l, q1))
+            us = psum[v][:, sites].copy()
+            psum[v][:, sites] = 0
             out = kernel.g(a, b, us)
         else:
             out = kernel.f(a, b)
@@ -118,42 +101,28 @@ def _run_tree_like(sched: Schedule, cfg: ArchitectureConfig, channel_values: lis
             else:
                 bits = kernel.hard_decision(regs[v][0][:, 0])
             decided[v][:, i] = bits
-            for sl, qs in sites[i]:
-                psums[v][sl][:, qs] ^= bits[:, None]
+            psum[v][:, enable[i]] ^= bits[:, None]
 
-        occupancy[e.cycle - 1].append((e.stage_instance, e.vector_tag, e.active))
-        for q in e.active:
-            if cfg.kind is ArchKind.LINE:
-                name = f"P_{q}"
-            elif cfg.kind is ArchKind.SEMI_PARALLEL:
-                name = f"P_{q - q0}"
-            elif cfg.kind is ArchKind.PIPELINED_TREE:
-                name = f"P_{l},{q}"
-            else:
-                name = f"{stage_instance_name(l, e.copy)}:P_{q}"
-            pe_counts[name] += batch
-
-    return decided, occupancy, pe_counts
+    return decided
 
 
-def _run_fft_like(sched: Schedule, cfg: ArchitectureConfig, values: np.ndarray,
-                  spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, list, Counter]:
+def _run_fft_like(sched: Schedule, cfg: ArchitectureConfig, channel: list,
+                  spec: CodeSpec, kernel: Kernel) -> list:
     """Execute the unrolled-graph machine: one register per graph node.
 
-    Each node's value is computed exactly once per vector and reread from
-    its register by later cycles.  Partial sums are kept per stage as the
-    already-decided butterfly wires.
+    ``channel`` holds the single slot's (batch, n) values.  Each node's value
+    is computed exactly once per vector and reread from its register by
+    later cycles.  Partial sums are kept per stage as the already-decided
+    butterfly wires.
     """
     n, m = cfg.n, cfg.m
+    values, = channel
     batch = values.shape[0]
     perm = bit_reverse_permutation(m)
     node = [np.zeros((batch, n)) for _ in range(m)]
     node.append(values)
     psum = [np.zeros((batch, n), dtype=np.uint8) for _ in range(m)]
     decided = np.zeros((batch, n), dtype=np.uint8)
-
-    occupancy = [[] for _ in range(sched.total_cycles)]
-    pe_counts: Counter = Counter()
 
     for e in sched.sorted_entries():
         l, i = e.stage, e.phase
@@ -178,15 +147,16 @@ def _run_fft_like(sched: Schedule, cfg: ArchitectureConfig, values: np.ndarray,
                 psum[lev][:, tops] = psum[lev - 1][:, tops] ^ psum[lev - 1][:, bots]
                 psum[lev][:, bots] = psum[lev - 1][:, bots]
 
-        occupancy[e.cycle - 1].append((e.stage_instance, e.vector_tag, e.active))
-        for row in e.active:
-            pe_counts[f"N_{l},{row}"] += batch
-
-    return decided, occupancy, pe_counts
+    return [decided]
 
 
 def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) -> SimResult:
     """Run one machine over a batch of channel log-ratio frames.
+
+    Frames run in groups of ``schedule.vectors`` (one, except on the
+    overlapped machine, whose last partial group runs a shorter schedule),
+    all full groups batched through one schedule pass; groups run back to
+    back, so the run length is the sum of the group schedules.
 
     Parameters
     ----------
@@ -214,60 +184,29 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     if not np.isfinite(frames).all():
         raise ValueError("channel log-ratios must be finite (no NaN or inf)")
     values = kernel.from_llr(frames)
-    num_frames = frames.shape[0]
 
-    if cfg.kind is ArchKind.VECTOR_OVERLAP:
-        return _simulate_overlap(cfg, values, spec, kernel, num_frames)
-
+    run = _run_fft_like if cfg.kind is ArchKind.FFT_LIKE else _run_tree_like
     sched = build_schedule(cfg)
-    if cfg.kind is ArchKind.FFT_LIKE:
-        decoded, occupancy, pe_counts = _run_fft_like(sched, cfg, values, spec, kernel)
-    else:
-        slots, occupancy, pe_counts = _run_tree_like(sched, cfg, [values], spec, kernel)
-        decoded = slots[0]
-    return SimResult(decoded=decoded, total_cycles=num_frames * sched.total_cycles,
-                     period_cycles=sched.total_cycles, occupancy=occupancy,
-                     pe_activations=pe_counts, schedule=sched)
-
-
-def _simulate_overlap(cfg: ArchitectureConfig, values: np.ndarray, spec: CodeSpec,
-                      kernel: Kernel, num_frames: int) -> SimResult:
-    """Overlapped decoding in groups of P staggered vectors.
-
-    Full groups share one schedule and run batched; a trailing partial
-    group runs the same machine with idle slots.  Groups are processed
-    back to back, so the run length is the sum of the group schedules.
-    """
-    p = cfg.overlap_p
-    full_groups, rem = divmod(num_frames, p)
-    decoded = np.zeros((num_frames, cfg.n), dtype=np.uint8)
-    total_cycles = 0
-    occupancy: list = []
+    slots = sched.vectors
+    groups, tail = divmod(len(values), slots)
+    head = groups * slots
+    decoded = np.empty(values.shape, dtype=np.uint8)
+    total_cycles = groups * sched.total_cycles
     pe_counts: Counter = Counter()
-    period = None
-    sched = None
-
-    if full_groups:
-        sched = build_schedule(cfg)
-        grouped = values[: full_groups * p].reshape(full_groups, p, cfg.n)
-        channel = [np.ascontiguousarray(grouped[:, v, :]) for v in range(p)]
-        slots, occupancy, pe_counts = _run_tree_like(sched, cfg, channel, spec, kernel)
-        for v in range(p):
-            decoded[v: full_groups * p: p] = slots[v]
-        total_cycles = full_groups * sched.total_cycles
-        period = sched.total_cycles
-
-    if rem:
-        tail = build_schedule(cfg, vectors=rem)
-        channel = [values[full_groups * p + v][None, :] for v in range(rem)]
-        slots, tail_occ, tail_counts = _run_tree_like(tail, cfg, channel, spec, kernel)
-        for v in range(rem):
-            decoded[full_groups * p + v] = slots[v][0]
-        total_cycles += tail.total_cycles
-        pe_counts.update(tail_counts)
-        if period is None:
-            period, occupancy, sched = tail.total_cycles, tail_occ, tail
-
+    if groups:
+        grouped = values[:head].reshape(groups, slots, cfg.n)
+        bits = run(sched, cfg, [grouped[:, s] for s in range(slots)], spec, kernel)
+        decoded[:head] = np.stack(bits, axis=1).reshape(head, cfg.n)
+        pe_counts = sched.pe_activations(groups)
+    if tail:
+        tail_sched = build_schedule(cfg, vectors=tail)
+        bits = run(tail_sched, cfg, [values[head + s][None] for s in range(tail)],
+                   spec, kernel)
+        decoded[head:] = np.concatenate(bits)
+        total_cycles += tail_sched.total_cycles
+        pe_counts.update(tail_sched.pe_activations())
+        if not groups:
+            sched = tail_sched
     return SimResult(decoded=decoded, total_cycles=total_cycles,
-                     period_cycles=period, occupancy=occupancy,
+                     period_cycles=sched.total_cycles, occupancy=sched.occupancy(),
                      pe_activations=pe_counts, schedule=sched)

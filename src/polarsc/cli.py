@@ -46,8 +46,9 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _effective(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Merge config-file values and CLI flags; flags win, then --seed."""
+def _effective(args: argparse.Namespace, keys: list[str], required=()) -> dict:
+    """Merge config-file values and CLI flags; flags win, then --seed.
+    Every key in ``required`` must end up with a value."""
     cfg = _load_config(getattr(args, "config", None))
     unknown = set(cfg) - set(keys)
     if unknown:
@@ -59,7 +60,19 @@ def _effective(args: argparse.Namespace, keys: list[str]) -> dict:
             merged[key] = val
     if getattr(args, "seed", None) is not None:
         merged["seed"] = args.seed
+    for key in required:
+        if merged.get(key) is None:
+            raise ValueError(f"missing setting {key!r} "
+                             f"(pass --{key.replace('_', '-')} or set it in --config)")
     return merged
+
+
+def _choice(table: dict, setting: str, name):
+    """Look up a named choice such as an arch or a kernel."""
+    if name not in table:
+        raise ValueError(f"unknown {setting} {name!r} "
+                         f"(choose one of: {', '.join(sorted(table))})")
+    return table[name]
 
 
 def _write(path: str | None, text: str):
@@ -111,7 +124,7 @@ def _bits_text(blocks: np.ndarray) -> str:
 
 def _cmd_construct(args) -> int:
     cfg = _effective(args, ["n", "k", "method", "design_erasure", "sigma",
-                            "trials", "seed"])
+                            "trials", "seed"], required=["n", "k"])
     method = cfg.get("method", "bec")
     if method == "bec":
         spec = construct_frozen_bec(cfg["n"], cfg["k"], cfg.get("design_erasure", 0.5))
@@ -146,7 +159,7 @@ def _cmd_decode(args) -> int:
 
 
 def _make_arch_config(cfg: dict) -> ArchitectureConfig:
-    kind = _ARCHS[cfg["arch"]]
+    kind = _choice(_ARCHS, "arch", cfg["arch"])
     kwargs = {}
     if kind is ArchKind.SEMI_PARALLEL:
         kwargs["pe_count"] = cfg.get("pe_count") or cfg["n"] // 4
@@ -156,7 +169,7 @@ def _make_arch_config(cfg: dict) -> ArchitectureConfig:
 
 
 def _cmd_schedule(args) -> int:
-    cfg = _effective(args, ["arch", "n", "P", "pe_count"])
+    cfg = _effective(args, ["arch", "n", "P", "pe_count"], required=["arch", "n"])
     sched = build_schedule(_make_arch_config(cfg))
     _write(args.output, sched.to_csv())
     print(f"config_sha256: {_config_hash(cfg)}", file=sys.stderr)
@@ -165,12 +178,13 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _effective(args, ["arch", "n", "P", "pe_count", "kernel", "frames",
-                            "random_frames", "ebn0_db", "seed"])
+                            "random_frames", "ebn0_db", "seed"],
+                     required=["arch"] if args.spec else ["arch", "n"])
     spec = _load_spec(args.spec) if args.spec else construct_frozen_bec(
         cfg["n"], cfg["n"] // 2, 0.5)
     cfg["n"] = spec.n
     arch = _make_arch_config(cfg)
-    kernel = _KERNELS[cfg.get("kernel", "llr_exact")]
+    kernel = _choice(_KERNELS, "kernel", cfg.get("kernel", "llr_exact"))
 
     if cfg.get("frames"):
         llr = _read_llr_lines(cfg["frames"], spec.n)
@@ -218,7 +232,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    cfg = _effective(args, ["n", "P", "costs", "t_np", "format"])
+    cfg = _effective(args, ["n", "P", "costs", "t_np", "format"], required=["n"])
     costs = CostParams()
     if cfg.get("costs"):
         with open(cfg["costs"]) as fh:
@@ -236,7 +250,7 @@ def _cmd_complexity(args) -> int:
 
 def _cmd_ber_sweep(args) -> int:
     cfg = _effective(args, ["points_db", "kernels", "max_frames",
-                            "min_frame_errors", "seed", "format"])
+                            "min_frame_errors", "seed", "format"], required=["points_db"])
     spec = _load_spec(args.spec)
     points = cfg["points_db"]
     if isinstance(points, str):
@@ -248,8 +262,8 @@ def _cmd_ber_sweep(args) -> int:
                         min_frame_errors=cfg.get("min_frame_errors", 100))
     seed = cfg.get("seed", 0)
 
-    reports = {name: run_campaign(spec, _KERNELS[name], points, stop, seed=seed)
-               for name in kernels}
+    kernels = [_choice(_KERNELS, "kernel", name) for name in kernels]
+    reports = {k.value: run_campaign(spec, k, points, stop, seed=seed) for k in kernels}
     if cfg.get("format", "csv") == "json":
         doc = {"_meta": {"config_sha256": _config_hash(cfg)},
                "campaigns": {name: json.loads(rep.to_json())

@@ -13,11 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .schedule import stage_duplication_count
-
-#: Illustrative cost profile used by the demos and CLI defaults.  The unit
-#: prices are not measurements; pick your own for real area estimates.
-EXAMPLE_COSTS = None  # set below, after the dataclass exists
+from .schedule import ArchKind, stage_duplication_count
 
 
 @dataclass(frozen=True)
@@ -37,6 +33,8 @@ class CostParams:
                 raise ValueError(f"{name} must be nonnegative")
 
 
+#: Illustrative cost profile used by the demos and CLI defaults.  The unit
+#: prices are not measurements; pick your own for real area estimates.
 EXAMPLE_COSTS = CostParams()
 
 
@@ -89,50 +87,53 @@ def overlap_structural_pe_count(n: int, p_vectors: int) -> int:
     return sum(stage_duplication_count(l, p_vectors) << l for l in range(m))
 
 
-def node_processor_count(kind: str, n: int, p_vectors: int = 1) -> float:
+def node_processor_count(kind: ArchKind | str, n: int, p_vectors: int = 1) -> float:
     """Node-processor-equivalent count per machine (PE = 2 node processors)."""
     _check_n(n)
+    kind = ArchKind(kind)
     m = n.bit_length() - 1
-    if kind == "fft":
+    if kind is ArchKind.FFT_LIKE:
         return n * m
-    if kind == "tree":
+    if kind is ArchKind.PIPELINED_TREE:
         return 2 * n - 2
-    if kind == "line":
+    if kind is ArchKind.LINE:
         return n
-    if kind == "overlap":
+    if kind is ArchKind.VECTOR_OVERLAP:
         half = (p_vectors + 1) / 2.0
         return 2.0 * (n + half * (math.log2(half) - 1.0))
-    raise ValueError(f"unknown machine kind {kind!r}")
+    raise ValueError(f"no node-processor model for machine kind {kind.value!r}")
 
 
-def register_count(kind: str, n: int, p_vectors: int = 1) -> int:
+def register_count(kind: ArchKind | str, n: int, p_vectors: int = 1) -> int:
     _check_n(n)
+    kind = ArchKind(kind)
     m = n.bit_length() - 1
-    if kind == "fft":
+    if kind is ArchKind.FFT_LIKE:
         return n * (1 + m)
-    if kind in ("tree", "line"):
+    if kind in (ArchKind.PIPELINED_TREE, ArchKind.LINE):
         return 2 * n - 1
-    if kind == "overlap":
+    if kind is ArchKind.VECTOR_OVERLAP:
         return p_vectors * (2 * n - 1)
-    raise ValueError(f"unknown machine kind {kind!r}")
+    raise ValueError(f"no register model for machine kind {kind.value!r}")
 
 
-def cycles_per_vector(kind: str, n: int, pe_count: int | None = None) -> int:
+def cycles_per_vector(kind: ArchKind | str, n: int, pe_count: int | None = None) -> int:
     """Clock cycles to decode one vector on the single-vector machines."""
     _check_n(n)
+    kind = ArchKind(kind)
     base = 2 * n - 2
-    if kind == "semi":
+    if kind is ArchKind.SEMI_PARALLEL:
         if pe_count == n // 2:
             return base
         if pe_count == n // 4:
             return 2 * n
         raise ValueError(f"semi-parallel pe_count must be n/4 or n/2, got {pe_count}")
-    if kind in ("fft", "tree", "line"):
+    if kind in (ArchKind.FFT_LIKE, ArchKind.PIPELINED_TREE, ArchKind.LINE):
         return base
-    raise ValueError(f"unknown single-vector machine kind {kind!r}")
+    raise ValueError(f"{kind.value!r} is not a single-vector machine")
 
 
-def throughput(kind: str, n: int, p_vectors: int = 1, t_np: float = 1.0,
+def throughput(kind: ArchKind | str, n: int, p_vectors: int = 1, t_np: float = 1.0,
                pe_count: int | None = None) -> dict:
     """Exact and limiting throughput in bits per second.
 
@@ -143,7 +144,8 @@ def throughput(kind: str, n: int, p_vectors: int = 1, t_np: float = 1.0,
     if t_np <= 0:
         raise ValueError(f"t_np must be > 0, got {t_np}")
     _check_n(n)
-    if kind == "overlap":
+    kind = ArchKind(kind)
+    if kind is ArchKind.VECTOR_OVERLAP:
         exact = p_vectors * n / ((2 * n - 2) * t_np)
         approx = p_vectors / (2 * t_np)
     else:
@@ -192,22 +194,22 @@ def table_report(n: int, p_vectors: int, p: CostParams | None = None) -> Complex
     p = p or EXAMPLE_COSTS
     rows = []
     for kind, label, total in (
-        ("fft", "FFT-like", complexity_fft_like(n, p)),
-        ("tree", "Pipe. Tree", complexity_tree(n, p)),
-        ("line", "Line", complexity_line(n, p)),
-        ("overlap", "Overlap.", complexity_overlap(n, p_vectors, p)),
+        (ArchKind.FFT_LIKE, "FFT-like", complexity_fft_like(n, p)),
+        (ArchKind.PIPELINED_TREE, "Pipe. Tree", complexity_tree(n, p)),
+        (ArchKind.LINE, "Line", complexity_line(n, p)),
+        (ArchKind.VECTOR_OVERLAP, "Overlap.", complexity_overlap(n, p_vectors, p)),
     ):
         t = throughput(kind, n, p_vectors, p.t_np)
         row = {
             "arch": label,
-            "kind": kind,
+            "kind": kind.value,
             "node_processors": node_processor_count(kind, n, p_vectors),
             "registers": register_count(kind, n, p_vectors),
             "throughput_exact": t["exact"],
             "throughput_approx": t["approx"],
             "total_cost": total,
         }
-        if kind == "overlap":
+        if kind is ArchKind.VECTOR_OVERLAP:
             half = p_vectors / 2.0
             row["node_processors_approx"] = (
                 n + half * math.log2(half) if p_vectors > 1 else float(n)

@@ -12,6 +12,8 @@ decoder, the schedule builder and the cycle simulators.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def bit_reverse(i: int, m: int) -> int:
     """Reverse the m-bit binary representation of i."""
@@ -141,3 +143,14 @@ def enabled_sites(i: int, m: int) -> list[tuple[int, int]]:
                 break
             q = (q - 1) & rev
     return sites
+
+
+def psum_enable(m: int) -> np.ndarray:
+    """Boolean (n, n - 1) matrix, True at [i, site_id(l, q)] for every
+    site (l, q) in ``enabled_sites(i, m)``: the sites bit i latches into."""
+    n = 1 << m
+    enable = np.zeros((n, num_sites(n)), dtype=bool)
+    for i in range(n):
+        for l, q in enabled_sites(i, m):
+            enable[i, site_id(l, q)] = True
+    return enable

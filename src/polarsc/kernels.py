@@ -116,9 +116,3 @@ class Kernel(Enum):
         threshold = 1.0 if self is Kernel.LR_EXACT else 0.0
         return np.where(value > threshold, 0, 1).astype(np.uint8)
 
-
-def decide(soft, index: int, spec, kernel: Kernel = Kernel.LLR_EXACT):
-    """Decision for phase ``index``: frozen positions force 0."""
-    if spec.frozen_mask[index]:
-        return np.zeros_like(np.asarray(soft), dtype=np.uint8)
-    return kernel.hard_decision(soft)

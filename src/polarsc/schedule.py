@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -144,6 +145,37 @@ class Schedule:
         counts: dict = {}
         for l, _ in seen:
             counts[l] = counts.get(l, 0) + 1
+        return counts
+
+    def occupancy(self) -> list:
+        """Per cycle, the (stage instance, vector tag, active indices) it runs."""
+        out = [[] for _ in range(self.total_cycles)]
+        for e in self.sorted_entries():
+            out[e.cycle - 1].append((e.stage_instance, e.vector_tag, e.active))
+        return out
+
+    def pe_activations(self, frames: int = 1) -> Counter:
+        """Activations per processing element over ``frames`` runs of the schedule.
+
+        PEs are named ``N_l,row`` (graph node), ``P_l,q`` (tree), ``P_q``
+        (line), ``P_{q - q0}`` (semi-parallel lane, q0 the first active
+        index) and ``<stage instance>:P_q`` (overlap, e.g. ``S_0d:P_0``).
+        """
+        counts: Counter = Counter()
+        for e in self.sorted_entries():
+            l, q0 = e.stage, e.active[0]
+            for q in e.active:
+                if self.kind is ArchKind.FFT_LIKE:
+                    name = f"N_{l},{q}"
+                elif self.kind is ArchKind.PIPELINED_TREE:
+                    name = f"P_{l},{q}"
+                elif self.kind is ArchKind.LINE:
+                    name = f"P_{q}"
+                elif self.kind is ArchKind.SEMI_PARALLEL:
+                    name = f"P_{q - q0}"
+                else:
+                    name = f"{e.stage_instance}:P_{q}"
+                counts[name] += frames
         return counts
 
     def to_csv(self) -> str:
@@ -401,11 +433,7 @@ def derive_control_bits(spec: CodeSpec) -> ControlBits:
     block, which is exactly the sub-mask family of the reversed low bits
     of i.
     """
-    n, m = spec.n, spec.m
-    sched = build_schedule(ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=n))
+    sched = build_schedule(ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=spec.n))
     fg = tuple((e.cycle, e.stage, e.function) for e in sched.sorted_entries())
-    enable = np.zeros((n, graph.num_sites(n)), dtype=np.uint8)
-    for i in range(n):
-        for l, q in graph.enabled_sites(i, m):
-            enable[i, graph.site_id(l, q)] = 1
-    return ControlBits(n=n, fg_select=fg, psum_enable=enable)
+    return ControlBits(n=spec.n, fg_select=fg,
+                       psum_enable=graph.psum_enable(spec.m).astype(np.uint8))

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,44 @@ def test_fft_every_node_computed_once():
                    Kernel.LLR_EXACT)
     assert sum(res.pe_activations.values()) == n * 3
     assert all(v == 1 for v in res.pe_activations.values())
+
+
+def _semi(n, pe):
+    return ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=n, pe_count=pe)
+
+
+def _overlap(n, p):
+    return ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=p)
+
+
+# Recorded from the simulator that counted these inside its arithmetic loop.
+# The occupancy digest is the sha256 prefix of json.dumps(res.occupancy).
+@pytest.mark.parametrize("cfg, frames, total, period, occupancy_sha, pes", [
+    (_semi(16, 4), 3, 96, 32, "228f9be4a68213c8",
+     {"P_0": 96, "P_1": 48, "P_2": 24, "P_3": 24}),
+    (_semi(16, 8), 3, 90, 30, "e27c5d162e66617c",
+     {"P_0": 90, "P_1": 42, "P_2": 18, "P_3": 18, "P_4": 6, "P_5": 6, "P_6": 6,
+      "P_7": 6}),
+    # two full groups plus a one-vector tail
+    (_overlap(8, 3), 7, 46, 16, "9dc6ed0ad15b4a63",
+     {"S_0:P_0": 36, "S_0d:P_0": 20, "S_1:P_0": 28, "S_1:P_1": 28, "S_2:P_0": 14,
+      "S_2:P_1": 14, "S_2:P_2": 14, "S_2:P_3": 14}),
+    # one full group plus a two-vector tail
+    (_overlap(16, 5), 7, 66, 35, "5637f1dacd207084",
+     {"S_0:P_0": 56, "S_0d2:P_0": 21, "S_0d:P_0": 35, "S_1:P_0": 45, "S_1:P_1": 45,
+      "S_1d:P_0": 11, "S_1d:P_1": 11, "S_2:P_0": 28, "S_2:P_1": 28, "S_2:P_2": 28,
+      "S_2:P_3": 28, "S_3:P_0": 14, "S_3:P_1": 14, "S_3:P_2": 14, "S_3:P_3": 14,
+      "S_3:P_4": 14, "S_3:P_5": 14, "S_3:P_6": 14, "S_3:P_7": 14}),
+])
+def test_schedule_statistics_pinned(cfg, frames, total, period, occupancy_sha, pes):
+    spec = construct_frozen_bec(cfg.n, cfg.n // 2, 0.5)
+    _, llr = random_frames(spec, frames, sigma=1.0, seed=11)
+    res = simulate(cfg, llr, spec, Kernel.LLR_MINSUM)
+    assert (res.total_cycles, res.period_cycles) == (total, period)
+    assert len(res.occupancy) == period
+    digest = hashlib.sha256(json.dumps(res.occupancy).encode()).hexdigest()
+    assert digest[:16] == occupancy_sha
+    assert dict(res.pe_activations) == pes
 
 
 def test_double_booked_schedule_raises_at_runtime():

@@ -203,3 +203,22 @@ def test_bad_config_exits_2(tmp_path, capsys):
 def test_usage_error_exits_2(capsys):
     assert main(["schedule", "--arch", "not-an-arch", "--n", "8"]) == 2
     assert main(["decode", "--spec", "/nonexistent.json", "--in", "x"]) == 2
+
+
+def test_missing_setting_names_the_flag(capsys):
+    code, _, err = run_cli(capsys, "complexity")
+    assert code == 2
+    assert err.strip() == "error: missing setting 'n' (pass --n or set it in --config)"
+    code, _, err = run_cli(capsys, "schedule", "--n", "8")
+    assert code == 2
+    assert err.strip() == ("error: missing setting 'arch' "
+                           "(pass --arch or set it in --config)")
+
+
+def test_unknown_arch_in_config_lists_choices(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"arch": "foo"}))
+    code, _, err = run_cli(capsys, "schedule", "--config", str(cfg), "--n", "8")
+    assert code == 2
+    assert err.strip() == ("error: unknown arch 'foo' "
+                           "(choose one of: fft, line, overlap, semi, tree)")

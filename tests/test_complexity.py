@@ -103,6 +103,21 @@ def test_cycles_per_vector_model():
         assert cycles_per_vector("semi", n, pe_count=n // 2) == 2 * n - 2
 
 
+def test_models_take_arch_kinds_and_reject_unknown_ones():
+    for kind in ArchKind:
+        assert throughput(kind, 8, 3, pe_count=2) == throughput(kind.value, 8, 3,
+                                                                pe_count=2)
+    assert register_count(ArchKind.LINE, 8) == register_count("line", 8)
+    assert node_processor_count(ArchKind.FFT_LIKE, 8) == node_processor_count("fft", 8)
+    for model in (node_processor_count, register_count, cycles_per_vector):
+        with pytest.raises(ValueError):
+            model("foo", 8)
+    with pytest.raises(ValueError):
+        cycles_per_vector("overlap", 8)
+    with pytest.raises(ValueError):
+        register_count(ArchKind.SEMI_PARALLEL, 8)
+
+
 def test_throughput_consistent_with_simulated_cycles():
     n = 16
     spec = construct_frozen_bec(n, 8, 0.5)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from polarsc import (CodeSpec, Kernel, decide, f_llr_exact, f_lr, f_minsum, g_llr,
-                     g_lr)
+from polarsc import Kernel, f_llr_exact, f_lr, f_minsum, g_llr, g_lr
 from polarsc.kernels import LLR_CLIP
 
 
@@ -108,19 +107,13 @@ def test_clipping_keeps_values_finite():
     assert np.isfinite(f_llr_exact(LLR_CLIP, LLR_CLIP))
 
 
-def test_decide_frozen_forces_zero():
-    spec = CodeSpec(m=2, frozen=(0,))
-    assert decide(-100.0, 0, spec, Kernel.LLR_EXACT) == 0
-
-
-def test_decide_threshold_and_boundary():
-    spec = CodeSpec(m=2, frozen=())
-    assert decide(0.5, 1, spec, Kernel.LLR_EXACT) == 0
-    assert decide(-0.5, 1, spec, Kernel.LLR_EXACT) == 1
+def test_hard_decision_threshold_and_boundary():
+    assert Kernel.LLR_EXACT.hard_decision(0.5) == 0
+    assert Kernel.LLR_EXACT.hard_decision(-0.5) == 1
     # the boundary itself decides 1: strict inequality for the 0 branch
-    assert decide(0.0, 1, spec, Kernel.LLR_EXACT) == 1
-    assert decide(1.0, 1, spec, Kernel.LR_EXACT) == 1
-    assert decide(1.5, 1, spec, Kernel.LR_EXACT) == 0
+    assert Kernel.LLR_EXACT.hard_decision(0.0) == 1
+    assert Kernel.LR_EXACT.hard_decision(1.0) == 1
+    assert Kernel.LR_EXACT.hard_decision(1.5) == 0
 
 
 def test_kernel_domain_conversion():

@@ -3,7 +3,7 @@ import importlib.resources
 import numpy as np
 import pytest
 
-from polarsc import CodeSpec, construct_frozen_bec
+from polarsc import CodeSpec, construct_frozen_bec, graph
 from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, ScheduleEntry,
                               build_schedule, check_no_conflict,
                               derive_control_bits, register_liveness,
@@ -239,16 +239,14 @@ def test_control_bits_last_bit_feeds_nothing():
 
 
 def test_control_bits_agree_with_simulator_broadcast():
-    # the machines latch decisions through the same enable sets the
-    # control-bit matrix encodes; check the two representations agree
-    from polarsc.archsim import _sites_by_phase
-
+    # the machines latch each decision through the enable matrix into a
+    # site bank indexed by graph.site_id; decoding the matrix back through
+    # site_id must give the (l, q) sites of the butterfly connectivity
     for n in (4, 16, 32):
-        bits = derive_control_bits(CodeSpec(m=n.bit_length() - 1, frozen=()))
-        per_phase = _sites_by_phase(n)
+        m = n.bit_length() - 1
+        bits = derive_control_bits(CodeSpec(m=m, frozen=()))
         for i in range(n):
-            flattened = sorted((l, int(q)) for l, qs in per_phase[i] for q in qs)
-            assert flattened == bits.sites_for_bit(i)
+            assert bits.sites_for_bit(i) == sorted(graph.enabled_sites(i, m))
 
 
 def test_architecture_config_validation():
