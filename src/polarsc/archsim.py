@@ -7,14 +7,17 @@ PEs with tree-shaped registers (``LINE``), the line with a reduced PE
 budget (``SEMI_PARALLEL``), and the overlapped machine decoding several
 vectors on duplicated stage instances (``VECTOR_OVERLAP``).
 
-Every machine executes its schedule one clock cycle at a time, moving
-values through explicitly modeled registers; the tree-shaped machines
-latch each decided bit into a bank of ``n - 1`` partial-sum sites
-(``graph.site_id``) through ``graph.psum_enable``.  Control flow is data
-independent, so one schedule pass carries a whole batch of frames, and
-occupancy and PE counts come from the schedule, not the arithmetic loop.
-The decoded output of every machine is bit-identical to the reference
-decoder.
+The machines run the same data-independent activation sequence and differ
+only in how their schedules map it onto hardware, so one executor runs all
+five on the tree register file: ``2**l`` registers per stage plus the
+channel, and a bank of ``n - 1`` partial-sum sites (``graph.site_id``)
+into which each decided bit latches through ``graph.psum_enable``.  The
+unrolled graph's one register per graph node is a property of its
+schedule (every node written once, after its inputs), checked in the
+tests.  Control flow is data independent, so one schedule pass carries a
+whole batch of frames, and occupancy and PE counts come from the schedule,
+not the arithmetic loop.  The decoded output of every machine is
+bit-identical to the reference decoder.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graph
-from .codespec import CodeSpec, bit_reverse_permutation
+from .codespec import CodeSpec
 from .kernels import Kernel
 from .schedule import (ArchKind, ArchitectureConfig, Schedule, build_schedule,
                        check_no_conflict)
@@ -53,16 +56,23 @@ class SimResult:
     schedule: Schedule | None = None
 
 
-def _contiguous_range(active: tuple) -> tuple[int, int]:
-    q0, q1 = active[0], active[-1] + 1
-    if list(active) != list(range(q0, q1)):
-        raise SimulationError(f"non-contiguous activation {active}")
+def _tree_range(sched: Schedule, e) -> tuple[int, int]:
+    """Tree positions [q0, q1) an entry activates.
+
+    Unrolled-graph entries name graph rows; the stage-l row r is tree
+    position ``r >> (m - l)``.  The other machines name positions directly.
+    """
+    shift = sched.m - e.stage if sched.kind is ArchKind.FFT_LIKE else 0
+    q = [r >> shift for r in e.active]
+    q0, q1 = q[0], q[-1] + 1
+    if q != list(range(q0, q1)):
+        raise SimulationError(f"non-contiguous activation {e.active}")
     return q0, q1
 
 
 def _run_tree_like(sched: Schedule, cfg: ArchitectureConfig, channel: list,
                    spec: CodeSpec, kernel: Kernel) -> list:
-    """Execute a tree/line/semi/overlap schedule over per-slot register sets.
+    """Execute any machine's schedule over per-slot tree register sets.
 
     ``channel`` holds one (batch, n) array per vector slot; the decided bits
     come back the same way.  Tree position (l, q) owns register R[l][q] and
@@ -81,7 +91,7 @@ def _run_tree_like(sched: Schedule, cfg: ArchitectureConfig, channel: list,
 
     for e in sched.sorted_entries():
         l, v = e.stage, e.vector
-        q0, q1 = _contiguous_range(e.active)
+        q0, q1 = _tree_range(sched, e)
         src = regs[v][l + 1]
         a = src[:, 2 * q0: 2 * q1: 2]
         b = src[:, 2 * q0 + 1: 2 * q1: 2]
@@ -104,50 +114,6 @@ def _run_tree_like(sched: Schedule, cfg: ArchitectureConfig, channel: list,
             psum[v][:, enable[i]] ^= bits[:, None]
 
     return decided
-
-
-def _run_fft_like(sched: Schedule, cfg: ArchitectureConfig, channel: list,
-                  spec: CodeSpec, kernel: Kernel) -> list:
-    """Execute the unrolled-graph machine: one register per graph node.
-
-    ``channel`` holds the single slot's (batch, n) values.  Each node's value
-    is computed exactly once per vector and reread from its register by
-    later cycles.  Partial sums are kept per stage as the already-decided
-    butterfly wires.
-    """
-    n, m = cfg.n, cfg.m
-    values, = channel
-    batch = values.shape[0]
-    perm = bit_reverse_permutation(m)
-    node = [np.zeros((batch, n)) for _ in range(m)]
-    node.append(values)
-    psum = [np.zeros((batch, n), dtype=np.uint8) for _ in range(m)]
-    decided = np.zeros((batch, n), dtype=np.uint8)
-
-    for e in sched.sorted_entries():
-        l, i = e.stage, e.phase
-        top, bot, out = graph.butterfly_slices(i, l, m)
-        a = node[l + 1][:, top]
-        b = node[l + 1][:, bot]
-        if e.function == "g":
-            node[l][:, out] = kernel.g(a, b, psum[l][:, top])
-        else:
-            node[l][:, out] = kernel.f(a, b)
-
-        if l == 0:
-            row = perm[i]
-            if spec.frozen_mask[i]:
-                bits = np.zeros(batch, dtype=np.uint8)
-            else:
-                bits = kernel.hard_decision(node[0][:, row])
-            decided[:, i] = bits
-            psum[0][:, row] = bits
-            for lev in graph.completed_block_levels(i, m):
-                tops, bots = graph.psum_block_slices(i, lev, m)
-                psum[lev][:, tops] = psum[lev - 1][:, tops] ^ psum[lev - 1][:, bots]
-                psum[lev][:, bots] = psum[lev - 1][:, bots]
-
-    return [decided]
 
 
 def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) -> SimResult:
@@ -185,7 +151,6 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
         raise ValueError("channel log-ratios must be finite (no NaN or inf)")
     values = kernel.from_llr(frames)
 
-    run = _run_fft_like if cfg.kind is ArchKind.FFT_LIKE else _run_tree_like
     sched = build_schedule(cfg)
     slots = sched.vectors
     groups, tail = divmod(len(values), slots)
@@ -195,13 +160,14 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     pe_counts: Counter = Counter()
     if groups:
         grouped = values[:head].reshape(groups, slots, cfg.n)
-        bits = run(sched, cfg, [grouped[:, s] for s in range(slots)], spec, kernel)
+        bits = _run_tree_like(sched, cfg, [grouped[:, s] for s in range(slots)],
+                              spec, kernel)
         decoded[:head] = np.stack(bits, axis=1).reshape(head, cfg.n)
         pe_counts = sched.pe_activations(groups)
     if tail:
         tail_sched = build_schedule(cfg, vectors=tail)
-        bits = run(tail_sched, cfg, [values[head + s][None] for s in range(tail)],
-                   spec, kernel)
+        tail_values = [values[head + s][None] for s in range(tail)]
+        bits = _run_tree_like(tail_sched, cfg, tail_values, spec, kernel)
         decoded[head:] = np.concatenate(bits)
         total_cycles += tail_sched.total_cycles
         pe_counts.update(tail_sched.pe_activations())

@@ -1,4 +1,4 @@
-"""Index arithmetic for the m-stage butterfly decoding graph.
+"""Index arithmetic for the m-stage butterfly decoding graph and its tree.
 
 The decoding graph for a length ``n = 2**m`` code has ``m`` stages of ``n``
 node rows each.  Stage ``m - 1`` sits next to the channel values and pairs
@@ -6,8 +6,15 @@ adjacent rows; stage ``l`` pairs rows at stride ``2**(m - 1 - l)``; stage 0
 feeds the bit decisions.  Estimated input bit ``i`` emerges on row
 ``bit_reverse(i, m)`` of stage 0.
 
-Everything here is small integer/slice arithmetic shared by the reference
-decoder, the schedule builder and the cycle simulators.
+Every decoder and machine holds the graph on the tree of ``2n - 1``
+values: stage ``l`` has ``2**l`` tree positions, and the stage-``l`` row
+``fix + z * 2**(m - l)`` (``fix`` below ``2**(m - l)``, see ``stage_fix``)
+sits at tree position ``z = row >> (m - l)``, so the rows that differ only
+in ``fix`` share one register.  Tree position ``(l, q)`` owns the
+partial-sum site ``site_id(l, q)``.
+
+Everything here is small integer arithmetic shared by the reference
+decoder, the schedule builder and the cycle simulator.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ def bit_reverse(i: int, m: int) -> int:
 
 
 def reversed_low_bits(i: int, l: int) -> int:
-    """Reverse the lowest l bits of i (0 for l == 0)."""
+    """Reverse the lowest l bits of i (0 for l == 0); elementwise on arrays."""
     return bit_reverse(i & ((1 << l) - 1), l)
 
 
@@ -58,48 +65,6 @@ def stage_fix(i: int, l: int, m: int) -> int:
     for p in range(m - l):
         fix |= ((i >> (m - 1 - p)) & 1) << p
     return fix
-
-
-def butterfly_slices(i: int, l: int, m: int) -> tuple[slice, slice, slice]:
-    """Row slices (top inputs, bottom inputs, outputs) for stage l, phase i.
-
-    Top/bottom slices address stage ``l + 1`` values (or channel values when
-    ``l == m - 1``); the output slice addresses the stage-l rows written
-    this activation.  All three are strided slices over the row axis.
-    """
-    step = 1 << (m - l)
-    pair = 1 << (m - 1 - l)
-    fix = stage_fix(i, l, m)
-    top_fix = fix & ~pair
-    top = slice(top_fix, None, step)
-    bot = slice(top_fix + pair, None, step)
-    out = bot if stage_uses_g(i, l) else top
-    return top, bot, out
-
-
-def psum_block_slices(i: int, l: int, m: int) -> tuple[slice, slice]:
-    """Row slices (tops, bottoms) for promoting decided bits to level l.
-
-    After phase i ends a complete 2**l block of decisions, the level-l
-    partial-sum wires over the block's rows are the stride-``2**(m - l)``
-    butterfly of the level-(l-1) wires.  Pairing happens at row bit
-    ``m - l``.
-    """
-    step = 1 << (m - l)
-    fix = stage_fix(i, l, m)
-    return slice(fix, None, 2 * step), slice(fix + step, None, 2 * step)
-
-
-def completed_block_levels(i: int, m: int) -> range:
-    """Levels whose decision block completes at phase i (1-based levels).
-
-    Level l completes when i ends in l one-bits; levels above m - 1 are
-    never needed because no g reads them.
-    """
-    ones = 0
-    while ones < m - 1 and (i >> ones) & 1:
-        ones += 1
-    return range(1, ones + 1)
 
 
 def single_vector_ops(n: int) -> list[tuple[int, str, int]]:
@@ -147,10 +112,12 @@ def enabled_sites(i: int, m: int) -> list[tuple[int, int]]:
 
 def psum_enable(m: int) -> np.ndarray:
     """Boolean (n, n - 1) matrix, True at [i, site_id(l, q)] for every
-    site (l, q) in ``enabled_sites(i, m)``: the sites bit i latches into."""
-    n = 1 << m
-    enable = np.zeros((n, num_sites(n)), dtype=bool)
-    for i in range(n):
-        for l, q in enabled_sites(i, m):
-            enable[i, site_id(l, q)] = True
-    return enable
+    site (l, q) in ``enabled_sites(i, m)``: the sites bit i latches into.
+
+    Built a stage at a time over the whole column of bit indices: bit l of
+    i is clear and q is a sub-mask of ``reversed_low_bits(i, l)``.
+    """
+    i = np.arange(1 << m)[:, None]
+    return np.hstack([((i >> l) & 1 == 0)
+                      & (np.arange(1 << l) & ~reversed_low_bits(i, l) == 0)
+                      for l in range(m)])

@@ -1,4 +1,5 @@
-"""Shared helpers: frame generation and the exhaustive decision oracle."""
+"""Shared helpers: frame generation, the exhaustive decision oracle and the
+recursive SC oracle."""
 
 import numpy as np
 import pytest
@@ -37,6 +38,23 @@ def oracle_phase_decision(llr, prefix_bits, i, spec):
     if spec.frozen_mask[i]:
         return 0
     return 0 if totals[0] > totals[1] else 1
+
+
+def recursive_sc(values, frozen_mask, kernel):
+    """Textbook recursive SC (Arikan 2009) on kernel-domain values
+    (batch, n) with the package kernels; returns (u_hat, c_hat)."""
+    batch, n = values.shape
+    if n == 1:
+        u = np.zeros((batch, 1), dtype=np.uint8)
+        if not frozen_mask[0]:
+            u[:, 0] = kernel.hard_decision(values[:, 0])
+        return u, u
+    a, b = values[:, 0::2], values[:, 1::2]
+    u0, x0 = recursive_sc(kernel.f(a, b), frozen_mask[:n // 2], kernel)
+    u1, x1 = recursive_sc(kernel.g(a, b, x0), frozen_mask[n // 2:], kernel)
+    x = np.empty((batch, n), dtype=np.uint8)
+    x[:, 0::2], x[:, 1::2] = x0 ^ x1, x1
+    return np.hstack([u0, u1]), x
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from polarsc import (ArchitectureConfig, ArchKind, CodeSpec, Kernel, LLR_CLIP,
                      genie_error_counts, simulate)
 from polarsc.kernels import g_llr
 
-from conftest import oracle_phase_decision, random_frames
+from conftest import oracle_phase_decision, random_frames, recursive_sc
 
 KERNELS = [Kernel.LR_EXACT, Kernel.LLR_EXACT, Kernel.LLR_MINSUM]
 
@@ -108,8 +108,8 @@ def edge_case_llrs(n, count, rng):
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("m", range(1, 11))
 def test_decode_batch_equals_fft_and_line_machines(m, kernel):
-    # fft keeps one register per graph node and line its own tree registers;
-    # neither shares the reference decoder's loop
+    # both machines run the simulator's executor, which shares no code with
+    # the reference decoder's loop
     n = 1 << m
     rng = np.random.default_rng(1000 + 10 * m + KERNELS.index(kernel))
     for k in (0, n, int(rng.integers(1, n + 1))):
@@ -121,6 +121,50 @@ def test_decode_batch_equals_fft_and_line_machines(m, kernel):
         for kind in (ArchKind.FFT_LIKE, ArchKind.LINE):
             got = simulate(ArchitectureConfig(kind=kind, n=n), llr, spec, kernel)
             assert np.array_equal(got.decoded, u_hat), (kind, k)
+
+
+def oracle_machines(n):
+    cfgs = [ArchitectureConfig(kind=kind, n=n)
+            for kind in (ArchKind.FFT_LIKE, ArchKind.PIPELINED_TREE, ArchKind.LINE)]
+    cfgs += [ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=n, pe_count=pe)
+             for pe in (n // 4, n // 2) if pe >= 1]
+    cfgs += [ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=p)
+             for p in sorted({1, 3, n - 1}) if p < n]
+    return cfgs
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("m", range(1, 9))
+def test_recursive_oracle_matches_reference_and_machines(m, kernel):
+    # the textbook recursion shares no index scheme with the tree decoder
+    # or the machines' executor
+    n = 1 << m
+    rng = np.random.default_rng(2000 + 10 * m + KERNELS.index(kernel))
+    for k in (0, 1, int(rng.integers(1, n + 1)), n):
+        frozen = tuple(sorted(rng.choice(n, size=n - k, replace=False).tolist()))
+        spec = CodeSpec(m=m, frozen=frozen)
+        llr = edge_case_llrs(n, 5, rng)
+        values = kernel.from_llr(llr)
+        u_ref, c_ref = recursive_sc(values, spec.frozen_mask, kernel)
+        u_hat, c_hat = decode_batch(values, spec, kernel)
+        assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref), k
+        for cfg in oracle_machines(n):
+            got = simulate(cfg, llr, spec, kernel)
+            assert np.array_equal(got.decoded, u_ref), (cfg, k)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("kernel", [Kernel.LLR_EXACT, Kernel.LR_EXACT])
+def test_recursive_oracle_matches_exhaustive_oracle(n, kernel, rng):
+    for _ in range(25):
+        k = int(rng.integers(0, n + 1))
+        frozen = tuple(sorted(rng.choice(n, size=n - k, replace=False).tolist()))
+        spec = CodeSpec(m=n.bit_length() - 1, frozen=frozen)
+        _, llr = random_frames(spec, 1, sigma=1.0 + rng.random(),
+                               seed=int(rng.integers(1 << 30)))
+        u_hat, _ = recursive_sc(kernel.from_llr(llr), spec.frozen_mask, kernel)
+        for i in range(n):
+            assert u_hat[0, i] == oracle_phase_decision(llr[0], u_hat[0, :i], i, spec)
 
 
 def test_genie_counts_golden_n64():
