@@ -85,7 +85,7 @@ def _run_tree_like(sched: Schedule, cfg: ArchitectureConfig, channel: list,
     n, m = cfg.n, cfg.m
     batch = channel[0].shape[0]
     regs = [[np.zeros((batch, 1 << l)) for l in range(m)] + [c] for c in channel]
-    psum = [np.zeros((batch, graph.num_sites(n)), dtype=np.uint8) for _ in channel]
+    psum = [np.zeros((batch, n - 1), dtype=np.uint8) for _ in channel]
     decided = [np.zeros((batch, n), dtype=np.uint8) for _ in channel]
     enable = graph.psum_enable(m)
 
@@ -119,10 +119,11 @@ def _run_tree_like(sched: Schedule, cfg: ArchitectureConfig, channel: list,
 def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) -> SimResult:
     """Run one machine over a batch of channel log-ratio frames.
 
-    Frames run in groups of ``schedule.vectors`` (one, except on the
-    overlapped machine, whose last partial group runs a shorter schedule),
-    all full groups batched through one schedule pass; groups run back to
-    back, so the run length is the sum of the group schedules.
+    Frames run in groups of ``P = cfg.overlap_p or 1``, all full groups
+    batched through one schedule pass and the leftover frames as one
+    shorter group; groups run back to back, so the run length is the sum
+    of the group schedules.  Only the schedules that run are built; the
+    period is the first one (the full group's when there are no frames).
 
     Parameters
     ----------
@@ -151,28 +152,25 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
         raise ValueError("channel log-ratios must be finite (no NaN or inf)")
     values = kernel.from_llr(frames)
 
-    sched = build_schedule(cfg)
-    slots = sched.vectors
-    groups, tail = divmod(len(values), slots)
-    head = groups * slots
+    p = cfg.overlap_p or 1
+    groups, tail = divmod(len(values), p)
     decoded = np.empty(values.shape, dtype=np.uint8)
-    total_cycles = groups * sched.total_cycles
+    total_cycles = 0
     pe_counts: Counter = Counter()
-    if groups:
-        grouped = values[:head].reshape(groups, slots, cfg.n)
+    period = None
+    for start, count, slots in ((0, groups, p), (groups * p, 1, tail)):
+        if not count * slots:
+            continue
+        sched = build_schedule(cfg, vectors=slots)
+        run = slice(start, start + count * slots)
+        grouped = values[run].reshape(count, slots, cfg.n)
         bits = _run_tree_like(sched, cfg, [grouped[:, s] for s in range(slots)],
                               spec, kernel)
-        decoded[:head] = np.stack(bits, axis=1).reshape(head, cfg.n)
-        pe_counts = sched.pe_activations(groups)
-    if tail:
-        tail_sched = build_schedule(cfg, vectors=tail)
-        tail_values = [values[head + s][None] for s in range(tail)]
-        bits = _run_tree_like(tail_sched, cfg, tail_values, spec, kernel)
-        decoded[head:] = np.concatenate(bits)
-        total_cycles += tail_sched.total_cycles
-        pe_counts.update(tail_sched.pe_activations())
-        if not groups:
-            sched = tail_sched
+        decoded[run] = np.stack(bits, axis=1).reshape(-1, cfg.n)
+        total_cycles += count * sched.total_cycles
+        pe_counts.update(sched.pe_activations(count))
+        period = period or sched
+    sched = period or build_schedule(cfg)
     return SimResult(decoded=decoded, total_cycles=total_cycles,
                      period_cycles=sched.total_cycles, occupancy=sched.occupancy(),
                      pe_activations=pe_counts, schedule=sched)

@@ -112,6 +112,8 @@ def _read_llr_lines(path: str, n: int) -> np.ndarray:
             vals = [float(tok) for tok in line.split()]
             if len(vals) != n:
                 raise ValueError(f"{path}:{ln}: expected {n} values, got {len(vals)}")
+            if not np.isfinite(vals).all():
+                raise ValueError(f"{path}:{ln}: values must be finite (no NaN or inf)")
             rows.append(vals)
     if not rows:
         raise ValueError(f"{path}: no value lines found")

@@ -8,9 +8,10 @@ feeds the bit decisions.  Estimated input bit ``i`` emerges on row
 
 Every decoder and machine holds the graph on the tree of ``2n - 1``
 values: stage ``l`` has ``2**l`` tree positions, and the stage-``l`` row
-``fix + z * 2**(m - l)`` (``fix`` below ``2**(m - l)``, see ``stage_fix``)
-sits at tree position ``z = row >> (m - l)``, so the rows that differ only
-in ``fix`` share one register.  Tree position ``(l, q)`` owns the
+``fix + z * 2**(m - l)`` (``fix`` below ``2**(m - l)``) sits at tree
+position ``z = row >> (m - l)``, so the rows that differ only in ``fix``
+share one register.  Phase ``i`` activates the stage-``l`` rows with
+``fix = bit_reverse(i >> l, m - l)``.  Tree position ``(l, q)`` owns the
 partial-sum site ``site_id(l, q)``.
 
 Everything here is small integer arithmetic shared by the reference
@@ -54,19 +55,6 @@ def stage_uses_g(i: int, l: int) -> bool:
     return bool((i >> l) & 1)
 
 
-def stage_fix(i: int, l: int, m: int) -> int:
-    """Fixed low-row-bit pattern of the stage-l rows active during phase i.
-
-    The active rows are ``fix + z * 2**(m - l)`` for ``z`` in ``[0, 2**l)``;
-    the fixed part encodes bits ``m - 1 .. l`` of the phase in reversed
-    order.
-    """
-    fix = 0
-    for p in range(m - l):
-        fix |= ((i >> (m - 1 - p)) & 1) << p
-    return fix
-
-
 def single_vector_ops(n: int) -> list[tuple[int, str, int]]:
     """Per-clock stage activations decoding one vector: (stage, fn, phase).
 
@@ -84,10 +72,6 @@ def single_vector_ops(n: int) -> list[tuple[int, str, int]]:
 def site_id(l: int, q: int) -> int:
     """Linear id of the partial-sum site attached to tree position (l, q)."""
     return (1 << l) - 1 + q
-
-
-def num_sites(n: int) -> int:
-    return n - 1
 
 
 def enabled_sites(i: int, m: int) -> list[tuple[int, int]]:

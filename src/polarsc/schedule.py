@@ -1,12 +1,11 @@
 """Clock-by-clock schedules for the decoder architectures.
 
 A schedule is a list of stage activations, one entry per (cycle, stage
-instance, vector).  The single-vector machines run the same 2n - 2 step
-sequence; the semi-parallel machine splits oversized stage activations
-into consecutive cycles; the vector-overlapping machine staggers several
-vectors across duplicated stage instances, admitting one new vector per
-cycle and giving older vectors priority when a stage instance is
-contended.
+instance, vector).  Every machine runs the same 2n - 2 step sequence per
+vector, laid out by one greedy builder: the vector-overlapping machine
+staggers P vectors across duplicated stage instances, and the
+single-vector machines are the same builder at P = 1, where every stage
+has one instance.
 """
 
 from __future__ import annotations
@@ -161,21 +160,20 @@ class Schedule:
         (line), ``P_{q - q0}`` (semi-parallel lane, q0 the first active
         index) and ``<stage instance>:P_q`` (overlap, e.g. ``S_0d:P_0``).
         """
-        counts: Counter = Counter()
+        name = {
+            ArchKind.FFT_LIKE: lambda e: (f"N_{e.stage},", 0),
+            ArchKind.PIPELINED_TREE: lambda e: (f"P_{e.stage},", 0),
+            ArchKind.LINE: lambda e: ("P_", 0),
+            ArchKind.SEMI_PARALLEL: lambda e: ("P_", e.active[0]),
+            ArchKind.VECTOR_OVERLAP: lambda e: (f"{e.stage_instance}:P_", 0),
+        }[self.kind]
+        names = []
         for e in self.sorted_entries():
-            l, q0 = e.stage, e.active[0]
-            for q in e.active:
-                if self.kind is ArchKind.FFT_LIKE:
-                    name = f"N_{l},{q}"
-                elif self.kind is ArchKind.PIPELINED_TREE:
-                    name = f"P_{l},{q}"
-                elif self.kind is ArchKind.LINE:
-                    name = f"P_{q}"
-                elif self.kind is ArchKind.SEMI_PARALLEL:
-                    name = f"P_{q - q0}"
-                else:
-                    name = f"{e.stage_instance}:P_{q}"
-                counts[name] += frames
+            prefix, offset = name(e)
+            names += [f"{prefix}{q - offset}" for q in e.active]
+        counts = Counter(names)
+        for pe in counts:
+            counts[pe] *= frames
         return counts
 
     def to_csv(self) -> str:
@@ -189,89 +187,64 @@ class Schedule:
         return buf.getvalue()
 
 
-def _node_rows(i: int, l: int, m: int) -> tuple:
-    """Graph rows updated by a stage-l activation at phase i."""
-    n = 1 << m
-    step = 1 << (m - l)
-    return tuple(range(graph.stage_fix(i, l, m), n, step))
+def _steps(cfg: ArchitectureConfig) -> list:
+    """One vector's clocked steps ``(stage, fn, phase, active)``, in order.
 
-
-def _build_single_vector(cfg: ArchitectureConfig) -> Schedule:
+    The semi-parallel machine splits a ``graph.single_vector_ops`` entry
+    wider than its PE budget into ``pe_count``-wide steps.  The unrolled
+    graph names graph rows (see ``graph``), the others tree positions.
+    """
     n, m = cfg.n, cfg.m
-    entries = []
-    cycle = 0
+    width = cfg.pe_count or n
+    lanes = [[tuple(range(s, min(s + width, 1 << l))) for s in range(0, 1 << l, width)]
+             for l in range(m)]
+    steps = []
     for l, fn, phase in graph.single_vector_ops(n):
         if cfg.kind is ArchKind.FFT_LIKE:
-            groups = [_node_rows(phase, l, m)]
-        elif cfg.kind is ArchKind.SEMI_PARALLEL and (1 << l) > cfg.pe_count:
-            width = cfg.pe_count
-            groups = [tuple(range(s, min(s + width, 1 << l)))
-                      for s in range(0, 1 << l, width)]
+            fix = graph.bit_reverse(phase >> l, m - l)
+            steps.append((l, fn, phase, tuple(range(fix, n, 1 << (m - l)))))
         else:
-            groups = [tuple(range(1 << l))]
-        for active in groups:
-            cycle += 1
-            entries.append(ScheduleEntry(cycle=cycle, stage=l, copy=0, function=fn,
-                                         vector=0, phase=phase, active=active))
-    return Schedule(kind=cfg.kind, n=n, vectors=1, total_cycles=cycle,
-                    entries=entries)
+            for active in lanes[l]:
+                steps.append((l, fn, phase, active))
+    return steps
 
 
-def _build_overlap(cfg: ArchitectureConfig, vectors: int | None = None) -> Schedule:
-    """Greedy overlapped schedule: one admission per cycle, oldest first.
+def build_schedule(cfg: ArchitectureConfig, vectors: int | None = None) -> Schedule:
+    """Schedule one group of ``vectors`` vectors (default P = ``cfg.overlap_p or 1``).
 
-    Each vector runs the single-vector activation sequence with no internal
-    slack; when several vectors want the same stage in one cycle they fill
-    its instances in admission order, and a vector that finds every
-    instance taken stalls for a cycle.  With the duplication counts in use
-    the small parallelism degrees run stall-free.
+    Each cycle admits at most one new vector.  Vectors claim the
+    ``stage_duplication_count(l, P)`` copies of their next step's stage
+    oldest first, and a vector that finds every copy taken stalls a cycle.
     """
-    n, m, p = cfg.n, cfg.m, cfg.overlap_p
+    p = cfg.overlap_p or 1
     vectors = p if vectors is None else vectors
     if not 1 <= vectors <= p:
-        raise ValueError(f"vectors must satisfy 1 <= v <= P, got {vectors}")
-    ops = graph.single_vector_ops(n)
+        raise ValueError(f"vectors must satisfy 1 <= v <= P = {p}, got {vectors}")
+    steps = _steps(cfg)
+    last, m = len(steps), cfg.m
     copies = [stage_duplication_count(l, p) for l in range(m)]
 
     entries = []
     pos = [0] * vectors
-    admitted = 0
-    finished = 0
-    cycle = 0
+    admitted = finished = cycle = 0
     while finished < vectors:
         cycle += 1
         claimed = [0] * m
-
-        def try_place(v):
-            l, fn, phase = ops[pos[v]]
-            if claimed[l] >= copies[l]:
-                return False
+        for v in range(min(admitted + 1, vectors)):
+            if pos[v] == last:
+                continue
+            l, fn, phase, active = steps[pos[v]]
+            if claimed[l] == copies[l]:
+                continue
             entries.append(ScheduleEntry(cycle=cycle, stage=l, copy=claimed[l],
                                          function=fn, vector=v, phase=phase,
-                                         active=tuple(range(1 << l))))
+                                         active=active))
             claimed[l] += 1
             pos[v] += 1
-            return True
-
-        for v in range(admitted):
-            if pos[v] < len(ops) and try_place(v) and pos[v] == len(ops):
-                finished += 1
-        if admitted < vectors and try_place(admitted):
-            admitted += 1
-            if pos[admitted - 1] == len(ops):
-                finished += 1
-
-    return Schedule(kind=cfg.kind, n=n, vectors=vectors, total_cycles=cycle,
-                    entries=entries, overlap_p=p)
-
-
-def build_schedule(cfg: ArchitectureConfig, vectors: int | None = None) -> Schedule:
-    """Build the activation schedule for one vector (or one overlap group)."""
-    if cfg.kind is ArchKind.VECTOR_OVERLAP:
-        return _build_overlap(cfg, vectors)
-    if vectors not in (None, 1):
-        raise ValueError("only the vector-overlap machine schedules several vectors")
-    return _build_single_vector(cfg)
+            admitted += v == admitted
+            finished += pos[v] == last
+    return Schedule(kind=cfg.kind, n=cfg.n, vectors=vectors, total_cycles=cycle,
+                    entries=entries, overlap_p=cfg.overlap_p)
 
 
 def check_no_conflict(s: Schedule, cfg: ArchitectureConfig) -> list:

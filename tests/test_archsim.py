@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from polarsc import Kernel, construct_frozen_bec, decode_batch, simulate
+from polarsc import Kernel, archsim, construct_frozen_bec, decode_batch, simulate
 from polarsc.archsim import SimulationError, _run_tree_like
 from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, ScheduleEntry,
                               build_schedule)
@@ -75,6 +75,25 @@ def test_overlap_group_cycles_and_tail():
     # two full groups of 16 cycles plus a single-vector tail of 14
     assert res.period_cycles == 16
     assert res.total_cycles == 2 * 16 + 14
+
+
+def test_simulate_builds_only_the_groups_that_run(monkeypatch):
+    n, p = 16, 11
+    spec = construct_frozen_bec(n, 8, 0.5)
+    cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=p)
+    built = []
+
+    def spy(cfg, vectors=None):
+        built.append(vectors)
+        return build_schedule(cfg, vectors)
+
+    monkeypatch.setattr(archsim, "build_schedule", spy)
+    for frames, expected in ((3, [3]), (25, [p, 3]), (0, [None])):
+        built.clear()
+        _, llr = random_frames(spec, frames, sigma=1.0, seed=frames)
+        res = simulate(cfg, llr, spec, Kernel.LLR_MINSUM)
+        assert built == expected, frames
+        assert res.schedule.vectors == (3 if frames == 3 else p)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7])

@@ -2,6 +2,7 @@ import importlib.resources
 import json
 
 import numpy as np
+import pytest
 
 from polarsc import CodeSpec, construct_frozen_bec, encode
 from polarsc.cli import main
@@ -190,6 +191,21 @@ def test_decode_nan_line_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["decode", "--kernel", "llr_exact", "--in"],
+    ["simulate", "--arch", "line", "--frames"],
+])
+def test_inf_line_exits_2(tmp_path, capsys, command):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(construct_frozen_bec(8, 4, 0.5).to_json())
+    llr_file = tmp_path / "llr.txt"
+    llr_file.write_text("1 2 3 4 5 6 7 8\ninf 1 -2 3 4 5 6 7\n")
+    code, out, err = run_cli(capsys, *command, str(llr_file), "--spec", str(spec_path))
+    assert code == 2
+    assert out == ""
+    assert f"{llr_file}:2: values must be finite" in err
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

@@ -2,8 +2,10 @@ import importlib.resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarsc import CodeSpec, construct_frozen_bec, graph
+from polarsc import CodeSpec, construct_frozen_bec, cycles_per_vector, graph
 from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, ScheduleEntry,
                               build_schedule, check_no_conflict,
                               derive_control_bits, register_liveness,
@@ -125,6 +127,51 @@ def test_overlap_stalls_pinned():
     assert stalls == OVERLAP_STALLS
     assert sum(map(len, stalls.values())) == 64
     assert sum(sum(s.values()) for s in stalls.values()) == 1512
+
+
+@st.composite
+def configs(draw):
+    n = 1 << draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(ArchKind))
+    if kind is ArchKind.SEMI_PARALLEL:
+        pe_count = draw(st.sampled_from([w for w in (n // 4, n // 2) if w]))
+        return ArchitectureConfig(kind=kind, n=n, pe_count=pe_count)
+    if kind is ArchKind.VECTOR_OVERLAP:
+        return ArchitectureConfig(kind=kind, n=n, overlap_p=draw(st.integers(1, n - 1)))
+    return ArchitectureConfig(kind=kind, n=n)
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.data())
+def test_every_schedule_replays_the_single_vector_sequence(data):
+    cfg = data.draw(configs())
+    vectors = data.draw(st.integers(1, cfg.overlap_p or 1))
+    sched = build_schedule(cfg, vectors)
+    fft = cfg.kind is ArchKind.FFT_LIKE
+    for v in range(vectors):
+        steps = []
+        for e in sorted((e for e in sched.entries if e.vector == v),
+                        key=lambda e: e.cycle):
+            if steps and steps[-1][:3] == (e.stage, e.function, e.phase):
+                steps[-1][3].extend(e.active)
+            else:
+                steps.append((e.stage, e.function, e.phase, list(e.active)))
+        assert [step[:3] for step in steps] == graph.single_vector_ops(cfg.n)
+        for l, _, _, active in steps:
+            # the unrolled graph names rows; row r is tree position r >> (m - l)
+            positions = sorted(q >> (cfg.m - l) if fft else q for q in active)
+            assert positions == list(range(1 << l))
+    assert check_no_conflict(sched, cfg) == []
+    if cfg.kind is not ArchKind.VECTOR_OVERLAP:
+        assert sched.total_cycles == cycles_per_vector(cfg.kind, cfg.n, cfg.pe_count)
+
+
+def test_vectors_outside_one_to_p_raise():
+    ov = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=8, overlap_p=3)
+    line = ArchitectureConfig(kind=ArchKind.LINE, n=8)
+    for cfg, vectors in ((ov, 0), (ov, 4), (line, 0), (line, 2)):
+        with pytest.raises(ValueError):
+            build_schedule(cfg, vectors)
 
 
 def test_stage_duplication_counts():
