@@ -29,6 +29,6 @@ print(f"\nchannel: Eb/N0 = 2.0 dB  (sigma = {sigma:.4f})")
 print("first 8 received log-ratios:", np.round(llr[:8], 2))
 
 for kernel in Kernel:
-    u_hat, c_hat = decode(kernel.from_llr(llr), spec, kernel)
+    u_hat, c_hat = decode(llr, spec, kernel)
     status = "exact" if np.array_equal(u_hat, u) else "has bit errors"
     print(f"{kernel.value:>11}: decoded message {status}")

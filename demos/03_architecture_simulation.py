@@ -18,7 +18,7 @@ llr = awgn_llr(bpsk_modulate(encode(u, spec)) + sigma * rng.standard_normal((fra
                sigma)
 
 kernel = Kernel.LLR_MINSUM
-reference, _ = decode_batch(kernel.from_llr(llr), spec, kernel)
+reference, _ = decode_batch(llr, spec, kernel)
 
 machines = [
     ("unrolled graph", ArchitectureConfig(kind=ArchKind.FFT_LIKE, n=n)),

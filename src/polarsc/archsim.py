@@ -130,8 +130,8 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     cfg : ArchitectureConfig
         Machine kind and parallelism.
     frames : array-like, shape (num_frames, n) or (n,)
-        Channel log-likelihood ratios; they are converted into the chosen
-        kernel's domain before entering the channel registers.
+        Channel log-likelihood ratios; ``kernel.from_llr`` rejects NaN/inf
+        and maps them into the kernel's domain for the channel registers.
     spec : CodeSpec
         Code definition; must match the configured length.
     kernel : Kernel
@@ -145,12 +145,9 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     """
     if cfg.n != spec.n:
         raise ValueError(f"config length {cfg.n} != code length {spec.n}")
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    if frames.shape[1] != spec.n:
-        raise ValueError(f"frame length {frames.shape[1]} != code length {spec.n}")
-    if not np.isfinite(frames).all():
-        raise ValueError("channel log-ratios must be finite (no NaN or inf)")
-    values = kernel.from_llr(frames)
+    values = np.atleast_2d(kernel.from_llr(frames))
+    if values.shape[1] != spec.n:
+        raise ValueError(f"frame length {values.shape[1]} != code length {spec.n}")
 
     p = cfg.overlap_p or 1
     groups, tail = divmod(len(values), p)

@@ -149,13 +149,22 @@ class BerReport:
         return json.dumps(doc, indent=2)
 
 
-def _point_rng(seed: int, point_idx: int, frame_base: int) -> np.random.Generator:
-    entropy = (int(seed), int(point_idx), int(frame_base))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=entropy)))
+def _noisy_frames(spec: CodeSpec, sigma: float, count: int, *entropy) -> tuple:
+    """Draw ``count`` random messages and their channel log-ratios.
+
+    One Philox stream keyed on ``entropy`` supplies the information bits,
+    then the noise.  Returns the ``(count, n)`` input blocks and log-ratios.
+    """
+    seq = np.random.SeedSequence(entropy=tuple(int(e) for e in entropy))
+    rng = np.random.Generator(np.random.Philox(seq))
+    u = np.zeros((count, spec.n), dtype=np.uint8)
+    u[:, spec.info_indices] = rng.integers(0, 2, size=(count, spec.k), dtype=np.uint8)
+    y = bpsk_modulate(encode(u, spec)) + sigma * rng.standard_normal((count, spec.n))
+    return u, awgn_llr(y, sigma)
 
 
 def run_campaign(spec: CodeSpec, kernel: Kernel, points_db, stop: CampaignStop | None = None,
-                 seed: int = 0, batch: int = _RNG_BLOCK) -> BerReport:
+                 seed: int = 0) -> BerReport:
     """Measure bit and frame error rates over a list of Eb/N0 points.
 
     Random information bits are encoded, sent through the Gaussian channel
@@ -175,12 +184,9 @@ def run_campaign(spec: CodeSpec, kernel: Kernel, points_db, stop: CampaignStop |
         sigma = sigma_from_ebn0_db(ebn0_db, rate)
         frames = bit_errors = frame_errors = 0
         while frames < stop.max_frames and frame_errors < stop.min_frame_errors:
-            todo = min(batch, stop.max_frames - frames)
-            rng = _point_rng(seed, point_idx, frames)
-            u = np.zeros((todo, spec.n), dtype=np.uint8)
-            u[:, info] = rng.integers(0, 2, size=(todo, spec.k), dtype=np.uint8)
-            y = bpsk_modulate(encode(u, spec)) + sigma * rng.standard_normal((todo, spec.n))
-            u_hat, _ = decode_batch(kernel.from_llr(awgn_llr(y, sigma)), spec, kernel)
+            todo = min(_RNG_BLOCK, stop.max_frames - frames)
+            u, llr = _noisy_frames(spec, sigma, todo, seed, point_idx, frames)
+            u_hat, _ = decode_batch(llr, spec, kernel)
             wrong = u_hat[:, info] != u[:, info]
             bit_errors += int(wrong.sum())
             frame_errors += int(wrong.any(axis=1).sum())

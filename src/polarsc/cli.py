@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage/config error, 3 internal consistency error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -155,7 +156,7 @@ def _cmd_decode(args) -> int:
         llr = (1.0 - 2.0 * c.astype(np.float64)) * LLR_CLIP
     else:
         llr = _read_llr_lines(args.input, spec.n)
-    u_hat, _ = decode_batch(kernel.from_llr(llr), spec, kernel)
+    u_hat, _ = decode_batch(llr, spec, kernel)
     _write(args.output, _bits_text(u_hat))
     return 0
 
@@ -240,8 +241,7 @@ def _cmd_complexity(args) -> int:
         with open(cfg["costs"]) as fh:
             costs = CostParams(**json.load(fh))
     if cfg.get("t_np"):
-        costs = CostParams(c_np=costs.c_np, c_r=costs.c_r, c_mux=costs.c_mux,
-                           c_us=costs.c_us, t_np=cfg["t_np"])
+        costs = dataclasses.replace(costs, t_np=cfg["t_np"])
     report = table_report(cfg["n"], cfg.get("P", 1), costs)
     if cfg.get("format", "text") == "json":
         _write(args.output, report.to_json(meta={"config_sha256": _config_hash(cfg)}) + "\n")
@@ -272,16 +272,10 @@ def _cmd_ber_sweep(args) -> int:
                              for name, rep in reports.items()}}
         _write(args.output, json.dumps(doc, indent=2) + "\n")
     else:
-        lines = ["kernel,ebn0_db,frames,bit_errors,frame_errors,ber,fer,"
-                 "fer_ci95_halfwidth"]
-        for name, rep in reports.items():
-            for row in rep.to_rows():
-                lines.append(",".join([name] + [repr(row[c]) if isinstance(row[c], float)
-                                                else str(row[c])
-                                                for c in ("ebn0_db", "frames",
-                                                          "bit_errors", "frame_errors",
-                                                          "ber", "fer",
-                                                          "fer_ci95_halfwidth")]))
+        tables = {name: rep.to_csv().splitlines() for name, rep in reports.items()}
+        header = next(iter(tables.values()))[0]
+        lines = [f"kernel,{header}"] + [f"{name},{row}" for name, rows in tables.items()
+                                        for row in rows[1:]]
         _write(args.output, "\n".join(lines) + "\n")
     print(f"config_sha256: {_config_hash(cfg)}", file=sys.stderr)
     return 0

@@ -83,10 +83,6 @@ class Kernel(Enum):
     LLR_EXACT = "llr_exact"
     LLR_MINSUM = "llr_minsum"
 
-    @property
-    def is_ratio_domain(self) -> bool:
-        return self is Kernel.LR_EXACT
-
     def f(self, a, b):
         if self is Kernel.LR_EXACT:
             return f_lr(a, b)
@@ -100,8 +96,16 @@ class Kernel(Enum):
         return g_llr(a, b, us)
 
     def from_llr(self, llr) -> np.ndarray:
-        """Convert channel log-ratios into this kernel's domain."""
-        llr = clip_llr(np.asarray(llr, dtype=np.float64))
+        """Convert channel log-ratios into this kernel's domain.
+
+        Every decoder entry point takes channel log-ratios and converts
+        them here, so this is where bad input fails: NaN or inf raises
+        ValueError before the clip to ``+/-LLR_CLIP`` could hide it.
+        """
+        llr = np.asarray(llr, dtype=np.float64)
+        if not np.isfinite(llr).all():
+            raise ValueError("channel log-ratios must be finite (no NaN or inf)")
+        llr = clip_llr(llr)
         if self is Kernel.LR_EXACT:
             return np.exp(llr)
         return llr

@@ -8,7 +8,8 @@ names, decides one bit at level 0, and folds it into the left-sibling
 partial sums that g reads; the root's partial sum is the codeword in
 bit-reversed order.  Every cycle simulator must reproduce this decoder's
 output bit for bit.  Levels are laid out ``(2**l, batch)``: one kernel call
-serves every frame.
+serves every frame.  The public entry points take channel log-ratios and
+convert them once, through ``Kernel.from_llr``, into the kernel's domain.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import graph
-from .codespec import CodeSpec, bit_reverse_permutation, encode
+from .codespec import CodeSpec, bit_reverse_permutation
 from .kernels import Kernel
+
+_GENIE_BLOCK = 512  # frames per random stream; part of the reproducibility contract
 
 
 def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
@@ -65,8 +68,11 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
     return u_hat.T, left[m][perm].T, err_counts
 
 
-def decode_batch(frames, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a (batch, n) array of kernel-domain channel values.
+def decode_batch(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a (batch, n) array of channel log-likelihood ratios.
+
+    ``kernel.from_llr`` rejects NaN/inf and maps the frames into the
+    kernel's domain.
 
     Returns
     -------
@@ -74,46 +80,34 @@ def decode_batch(frames, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np
         Decided input blocks and the codewords they encode, both
         ``(batch, n)`` uint8 arrays.
     """
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    if frames.shape[1] != spec.n:
-        raise ValueError(f"frame length {frames.shape[1]} != code length {spec.n}")
-    if not np.isfinite(frames).all():
-        raise ValueError("channel values must be finite (no NaN or inf)")
-    u_hat, c_hat, _ = _sc_decode(frames, spec, kernel)
+    values = np.atleast_2d(kernel.from_llr(llr))
+    if values.shape[1] != spec.n:
+        raise ValueError(f"frame length {values.shape[1]} != code length {spec.n}")
+    u_hat, c_hat, _ = _sc_decode(values, spec, kernel)
     return u_hat, c_hat
 
 
-def decode(channel_soft, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Decode one frame of kernel-domain channel values."""
-    u_hat, c_hat = decode_batch(np.asarray(channel_soft)[None, :], spec, kernel)
+def decode(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Decode one frame of channel log-likelihood ratios."""
+    u_hat, c_hat = decode_batch(np.asarray(llr)[None, :], spec, kernel)
     return u_hat[0], c_hat[0]
 
 
-def genie_error_counts(n: int, noise_sigma: float, trials: int, seed: int,
-                       batch: int = 512) -> np.ndarray:
+def genie_error_counts(n: int, noise_sigma: float, trials: int, seed: int) -> np.ndarray:
     """Per-position first-error counts under genie-corrected decoding.
 
     Random full-rate blocks are encoded, sent as antipodal symbols through
     Gaussian noise, and decoded with every decision corrected to the true
     bit after its error is recorded.
     """
-    from .channel import awgn_llr, bpsk_modulate
+    from .channel import _noisy_frames
 
-    m = n.bit_length() - 1
-    spec = CodeSpec(m=m, frozen=())
+    spec = CodeSpec(m=n.bit_length() - 1, frozen=())
     counts = np.zeros(n, dtype=np.int64)
-    done = 0
-    while done < trials:
-        todo = min(batch, trials - done)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=(seed, done)))
-        )
-        u = rng.integers(0, 2, size=(todo, n), dtype=np.uint8)
-        c = encode(u, spec)
-        y = bpsk_modulate(c) + noise_sigma * rng.standard_normal((todo, n))
-        llr = awgn_llr(y, noise_sigma)
+    for done in range(0, trials, _GENIE_BLOCK):
+        u, llr = _noisy_frames(spec, noise_sigma, min(_GENIE_BLOCK, trials - done),
+                               seed, done)
         _, _, errs = _sc_decode(Kernel.LLR_EXACT.from_llr(llr), spec,
                                 Kernel.LLR_EXACT, force_bits=u)
         counts += errs
-        done += todo
     return counts

@@ -110,7 +110,6 @@ class Schedule:
     vectors: int
     total_cycles: int
     entries: list = field(default_factory=list)
-    overlap_p: int | None = None
 
     @property
     def m(self) -> int:
@@ -244,7 +243,7 @@ def build_schedule(cfg: ArchitectureConfig, vectors: int | None = None) -> Sched
             admitted += v == admitted
             finished += pos[v] == last
     return Schedule(kind=cfg.kind, n=cfg.n, vectors=vectors, total_cycles=cycle,
-                    entries=entries, overlap_p=cfg.overlap_p)
+                    entries=entries)
 
 
 def check_no_conflict(s: Schedule, cfg: ArchitectureConfig) -> list:

@@ -77,7 +77,7 @@ def test_criterion_3_oracle_equivalence():
                    ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n,
                                       overlap_p=3)]
         for kernel in Kernel:
-            expected, _ = decode_batch(kernel.from_llr(llr), spec, kernel)
+            expected, _ = decode_batch(llr, spec, kernel)
             for cfg in configs:
                 decoded = simulate(cfg, llr, spec, kernel).decoded
                 mismatches = int((decoded != expected).sum())

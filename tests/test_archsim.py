@@ -30,7 +30,7 @@ def configs_for(n):
 def test_all_machines_match_reference(n, kernel):
     spec = construct_frozen_bec(n, max(1, n // 2), 0.5)
     _, llr = random_frames(spec, 64, sigma=0.9, seed=100 + n)
-    expected, _ = decode_batch(kernel.from_llr(llr), spec, kernel)
+    expected, _ = decode_batch(llr, spec, kernel)
     for cfg in configs_for(n):
         result = simulate(cfg, llr, spec, kernel)
         assert np.array_equal(result.decoded, expected), (cfg.kind, kernel)
@@ -204,8 +204,7 @@ def test_double_booked_schedule_raises_at_runtime():
         ScheduleEntry(cycle=1, stage=1, copy=0, function="f", vector=1, phase=0,
                       active=(0, 1)),
     ]
-    bad = Schedule(kind=cfg.kind, n=n, vectors=2, total_cycles=1, entries=entries,
-                   overlap_p=2)
+    bad = Schedule(kind=cfg.kind, n=n, vectors=2, total_cycles=1, entries=entries)
     channel = [np.zeros((1, n)), np.zeros((1, n))]
     with pytest.raises(SimulationError):
         _run_tree_like(bad, cfg, channel, spec, Kernel.LLR_EXACT)

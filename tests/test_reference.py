@@ -18,7 +18,7 @@ def test_noiseless_frames_decode_exactly(n, kernel, rng):
     u = np.zeros((20, n), dtype=np.uint8)
     u[:, spec.info_indices] = rng.integers(0, 2, size=(20, spec.k), dtype=np.uint8)
     llr = 5.0 * (1.0 - 2.0 * encode(u, spec).astype(np.float64))
-    u_hat, c_hat = decode_batch(kernel.from_llr(llr), spec, kernel)
+    u_hat, c_hat = decode_batch(llr, spec, kernel)
     assert np.array_equal(u_hat, u)
     assert np.array_equal(c_hat, encode(u, spec))
 
@@ -45,7 +45,7 @@ def test_phase_decisions_match_exhaustive_oracle(n, kernel, rng):
             spec = CodeSpec(m=n.bit_length() - 1, frozen=frozen)
         _, llr = random_frames(spec, 1, sigma=1.0 + rng.random(), seed=int(rng.integers(1 << 30)))
         llr = llr[0]
-        u_hat, _ = decode(kernel.from_llr(llr), spec, kernel)
+        u_hat, _ = decode(llr, spec, kernel)
         for i in range(n):
             assert u_hat[i] == oracle_phase_decision(llr, u_hat[:i], i, spec), (
                 n, trial, i)
@@ -56,8 +56,8 @@ def test_lr_and_llr_kernels_agree(rng):
     for n, count in ((16, 400), (64, 350), (256, 250)):
         spec = construct_frozen_bec(n, n // 2, 0.5)
         _, llr = random_frames(spec, count, sigma=1.0, seed=int(rng.integers(1 << 30)))
-        u_lr, _ = decode_batch(Kernel.LR_EXACT.from_llr(llr), spec, Kernel.LR_EXACT)
-        u_llr, _ = decode_batch(Kernel.LLR_EXACT.from_llr(llr), spec, Kernel.LLR_EXACT)
+        u_lr, _ = decode_batch(llr, spec, Kernel.LR_EXACT)
+        u_llr, _ = decode_batch(llr, spec, Kernel.LLR_EXACT)
         assert np.array_equal(u_lr, u_llr)
 
 
@@ -116,7 +116,7 @@ def test_decode_batch_equals_fft_and_line_machines(m, kernel):
         frozen = tuple(sorted(rng.choice(n, size=n - k, replace=False).tolist()))
         spec = CodeSpec(m=m, frozen=frozen)
         llr = edge_case_llrs(n, 6, rng)
-        u_hat, c_hat = decode_batch(kernel.from_llr(llr), spec, kernel)
+        u_hat, c_hat = decode_batch(llr, spec, kernel)
         assert np.array_equal(c_hat, encode(u_hat, spec))
         for kind in (ArchKind.FFT_LIKE, ArchKind.LINE):
             got = simulate(ArchitectureConfig(kind=kind, n=n), llr, spec, kernel)
@@ -146,7 +146,7 @@ def test_recursive_oracle_matches_reference_and_machines(m, kernel):
         llr = edge_case_llrs(n, 5, rng)
         values = kernel.from_llr(llr)
         u_ref, c_ref = recursive_sc(values, spec.frozen_mask, kernel)
-        u_hat, c_hat = decode_batch(values, spec, kernel)
+        u_hat, c_hat = decode_batch(llr, spec, kernel)
         assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref), k
         for cfg in oracle_machines(n):
             got = simulate(cfg, llr, spec, kernel)
@@ -179,8 +179,11 @@ def test_genie_counts_golden_n64():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_decode_rejects_non_finite(kernel, bad):
+    # the check sits in from_llr, before the clip that would turn inf into 40
     spec = construct_frozen_bec(8, 4, 0.5)
-    values = kernel.from_llr(np.full((2, 8), 3.0))
-    values[1, 5] = bad
+    llr = np.full((2, 8), 3.0)
+    llr[1, 5] = bad
     with pytest.raises(ValueError, match="finite"):
-        decode_batch(values, spec, kernel)
+        kernel.from_llr(llr)
+    with pytest.raises(ValueError, match="finite"):
+        decode_batch(llr, spec, kernel)

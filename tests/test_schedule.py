@@ -226,8 +226,7 @@ def test_check_no_conflict_flags_double_booking():
         ScheduleEntry(cycle=1, stage=0, copy=0, function="f", vector=1, phase=0,
                       active=(0,)),
     ]
-    bad = Schedule(kind=cfg.kind, n=8, vectors=2, total_cycles=1, entries=entries,
-                   overlap_p=3)
+    bad = Schedule(kind=cfg.kind, n=8, vectors=2, total_cycles=1, entries=entries)
     violations = check_no_conflict(bad, cfg)
     assert len(violations) == 1 and "claimed by" in violations[0]
 
