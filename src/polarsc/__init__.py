@@ -15,16 +15,15 @@ from .complexity import (EXAMPLE_COSTS, ComplexityReport, CostParams,
                          throughput)
 from .kernels import LLR_CLIP, Kernel, f_llr_exact, f_lr, f_minsum, g_llr, g_lr
 from .reference import decode, decode_batch, genie_error_counts
-from .schedule import (ArchKind, ArchitectureConfig, ControlBits, LivenessReport,
-                       Schedule, ScheduleEntry, build_schedule, check_no_conflict,
-                       derive_control_bits, register_liveness,
-                       stage_duplication_count)
+from .schedule import (ArchKind, ArchitectureConfig, LivenessReport, Schedule,
+                       ScheduleEntry, build_schedule, check_no_conflict,
+                       register_liveness, stage_duplication_count)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArchKind", "ArchitectureConfig", "BerPoint", "BerReport", "CampaignStop",
-    "ChannelConfig", "CodeSpec", "ComplexityReport", "ControlBits", "CostParams",
+    "ChannelConfig", "CodeSpec", "ComplexityReport", "CostParams",
     "EXAMPLE_COSTS", "Kernel", "LLR_CLIP", "LivenessReport", "Schedule",
     "ScheduleEntry", "SimResult", "SimulationError", "awgn_llr",
     "bec_erasure_profile", "bit_reverse_permutation", "bpsk_modulate",
@@ -32,7 +31,7 @@ __all__ = [
     "complexity_fft_like", "complexity_line", "complexity_overlap",
     "complexity_tree", "construct_frozen_bec", "construct_frozen_mc",
     "cycles_per_vector", "decode", "decode_batch",
-    "derive_control_bits", "ebn0_db_from_sigma", "encode", "f_llr_exact", "f_lr",
+    "ebn0_db_from_sigma", "encode", "f_llr_exact", "f_lr",
     "f_minsum", "g_llr", "g_lr", "genie_error_counts", "monotonicity_flags",
     "node_processor_count", "overlap_structural_pe_count", "register_count",
     "register_liveness", "run_campaign", "sigma_from_ebn0_db",

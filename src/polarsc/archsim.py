@@ -23,7 +23,7 @@ bit-identical to the reference decoder.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,18 +42,24 @@ class SimulationError(RuntimeError):
 class SimResult:
     """Outcome of one simulation run.
 
-    ``total_cycles`` covers the whole run; ``period_cycles`` is one vector
-    (or one full overlap group), whose occupancy trace and schedule repeat
+    ``total_cycles`` covers the whole run; ``schedule`` is one period, one
+    vector (or one full overlap group), whose occupancy trace repeats
     across the run.  ``pe_activations`` counts work done by each processing
     resource over the entire run.
     """
 
     decoded: np.ndarray
     total_cycles: int
-    period_cycles: int
-    occupancy: list
-    pe_activations: Counter = field(default_factory=Counter)
-    schedule: Schedule | None = None
+    pe_activations: Counter
+    schedule: Schedule
+
+    @property
+    def period_cycles(self) -> int:
+        return self.schedule.total_cycles
+
+    @property
+    def occupancy(self) -> list:
+        return self.schedule.occupancy()
 
 
 def _tree_range(sched: Schedule, e) -> tuple[int, int]:
@@ -141,7 +147,8 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     -------
     SimResult
         Decoded blocks (bit-identical to the reference decoder), cycle
-        counts, one period of occupancy trace, and PE activation counts.
+        counts, PE activation counts, and the schedule of one period, from
+        which ``period_cycles`` and the ``occupancy`` trace are read.
     """
     if cfg.n != spec.n:
         raise ValueError(f"config length {cfg.n} != code length {spec.n}")
@@ -167,7 +174,5 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
         total_cycles += count * sched.total_cycles
         pe_counts.update(sched.pe_activations(count))
         period = period or sched
-    sched = period or build_schedule(cfg)
     return SimResult(decoded=decoded, total_cycles=total_cycles,
-                     period_cycles=sched.total_cycles, occupancy=sched.occupancy(),
-                     pe_activations=pe_counts, schedule=sched)
+                     pe_activations=pe_counts, schedule=period or build_schedule(cfg))

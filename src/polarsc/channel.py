@@ -74,11 +74,11 @@ class CampaignStop:
     min_frame_errors: int = 100
 
 
-def wilson_halfwidth(errors: int, total: int, z: float = _WILSON_Z) -> float:
+def wilson_halfwidth(errors: int, total: int) -> float:
     """Half-width of the Wilson 95% interval for a binomial proportion."""
     if total <= 0:
         return 0.0
-    p = errors / total
+    p, z = errors / total, _WILSON_Z
     denom = 1.0 + z * z / total
     return float(z * np.sqrt(p * (1.0 - p) / total + z * z / (4.0 * total * total)) / denom)
 

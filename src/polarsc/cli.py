@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from .archsim import SimulationError, simulate
-from .channel import (CampaignStop, awgn_llr, bpsk_modulate, run_campaign,
-                      sigma_from_ebn0_db)
+from .channel import (CampaignStop, _noisy_frames, awgn_llr, bpsk_modulate,
+                      run_campaign, sigma_from_ebn0_db)
 from .codespec import CodeSpec, construct_frozen_bec, construct_frozen_mc, encode
 from .complexity import CostParams, table_report
 from .kernels import LLR_CLIP, Kernel
@@ -193,20 +193,12 @@ def _cmd_simulate(args) -> int:
         llr = _read_llr_lines(cfg["frames"], spec.n)
         message = None
     else:
-        count = cfg.get("random_frames", 1)
-        seed = cfg.get("seed", 0)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        message = np.zeros((count, spec.n), dtype=np.uint8)
-        message[:, spec.info_indices] = rng.integers(
-            0, 2, size=(count, spec.k), dtype=np.uint8)
-        y = bpsk_modulate(encode(message, spec))
         ebn0 = cfg.get("ebn0_db")
-        if ebn0 is not None:
-            sigma = sigma_from_ebn0_db(ebn0, spec.k / spec.n)
-            y = y + sigma * rng.standard_normal(y.shape)
-        else:
-            sigma = 1.0  # noiseless frame, unit-sigma log ratios
-        llr = awgn_llr(y, sigma)
+        sigma = 1.0 if ebn0 is None else sigma_from_ebn0_db(ebn0, spec.k / spec.n)
+        message, llr = _noisy_frames(spec, sigma, cfg.get("random_frames", 1),
+                                     cfg.get("seed", 0))
+        if ebn0 is None:  # noiseless frames, unit-sigma log ratios
+            llr = awgn_llr(bpsk_modulate(encode(message, spec)), 1.0)
 
     result = simulate(arch, llr, spec, kernel)
     print(f"cycles: {result.total_cycles}")

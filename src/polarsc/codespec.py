@@ -107,17 +107,20 @@ class CodeSpec:
         return cls(m=int(doc["m"]), frozen=tuple(doc["frozen"]))
 
 
-def encode(u, spec: CodeSpec, check_frozen: bool = True) -> np.ndarray:
+def encode(u, spec: CodeSpec) -> np.ndarray:
     """Encode input block(s) u into codeword block(s).
 
     The input is permuted into bit-reversed order and pushed through the
-    XOR butterfly network.  Frozen positions of u must be 0.
+    XOR butterfly network.  Every entry of u must be 0 or 1, and its frozen
+    positions 0.
     """
     u = np.asarray(u)
     if u.shape[-1] != spec.n:
         raise ValueError(f"input length {u.shape[-1]} != code length {spec.n}")
-    u = u.astype(np.uint8) & 1
-    if check_frozen and spec.frozen and np.any(u[..., list(spec.frozen)]):
+    if np.any((u != 0) & (u != 1)):
+        raise ValueError("input bits must be 0 or 1")
+    u = u.astype(np.uint8)
+    if spec.frozen and np.any(u[..., list(spec.frozen)]):
         raise ValueError("frozen positions must be 0")
     perm = bit_reverse_permutation(spec.m)
     return butterfly_transform(u[..., perm])

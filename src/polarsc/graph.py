@@ -14,8 +14,10 @@ share one register.  Phase ``i`` activates the stage-``l`` rows with
 ``fix = bit_reverse(i >> l, m - l)``.  Tree position ``(l, q)`` owns the
 partial-sum site ``site_id(l, q)``.
 
-Everything here is small integer arithmetic shared by the reference
-decoder, the schedule builder and the cycle simulator.
+``single_vector_ops`` is the one control sequence: the reference decoder
+and every schedule replay it, and every decided bit latches through
+``psum_enable``.  Everything here is small integer arithmetic shared by the
+reference decoder, the schedule builder and the cycle simulator.
 """
 
 from __future__ import annotations
@@ -37,35 +39,21 @@ def reversed_low_bits(i: int, l: int) -> int:
     return bit_reverse(i & ((1 << l) - 1), l)
 
 
-def activation_stages(i: int, m: int) -> range:
-    """Stages recomputed for phase i, from the channel side inward.
-
-    Phase 0 touches every stage; phase i > 0 touches stages
-    ``ntz(i)`` down to 0, where ``ntz`` counts trailing zero bits.
-    """
-    if i == 0:
-        top = m - 1
-    else:
-        top = (i & -i).bit_length() - 1
-    return range(top, -1, -1)
-
-
-def stage_uses_g(i: int, l: int) -> bool:
-    """Phase i applies g at stage l when bit l of i is set, f otherwise."""
-    return bool((i >> l) & 1)
-
-
 def single_vector_ops(n: int) -> list[tuple[int, str, int]]:
-    """Per-clock stage activations decoding one vector: (stage, fn, phase).
+    """The SC control sequence for one vector: (stage, fn, phase) per step.
 
-    One entry per clock cycle; ``2 * n - 2`` entries total.  Stage l is
-    activated ``2**(m - l)`` times, alternating f and g.
+    Phase ``i`` recomputes stages ``ntz(i)`` down to 0 (every stage for
+    phase 0), where ``ntz`` counts trailing zero bits, and applies g at
+    stage ``l`` iff bit ``l`` of ``i`` is set, f otherwise.  ``2 * n - 2``
+    steps in all: stage l is activated ``2**(m - l)`` times, alternating f
+    and g.
     """
     m = n.bit_length() - 1
     ops = []
     for i in range(n):
-        for l in activation_stages(i, m):
-            ops.append((l, "g" if stage_uses_g(i, l) else "f", i))
+        top = (i & -i).bit_length() - 1 if i else m - 1
+        for l in range(top, -1, -1):
+            ops.append((l, "g" if (i >> l) & 1 else "f", i))
     return ops
 
 

@@ -3,13 +3,14 @@
 Like the paper's pipelined tree, the decoder keeps ``2n - 1`` soft values:
 level ``l`` holds ``2**l`` of them, level ``m`` the channel values in
 bit-reversed order, so stage ``l`` reads the two contiguous halves of level
-``l + 1``.  Each phase recomputes the stages ``graph.activation_stages``
-names, decides one bit at level 0, and folds it into the left-sibling
-partial sums that g reads; the root's partial sum is the codeword in
-bit-reversed order.  Every cycle simulator must reproduce this decoder's
-output bit for bit.  Levels are laid out ``(2**l, batch)``: one kernel call
-serves every frame.  The public entry points take channel log-ratios and
-convert them once, through ``Kernel.from_llr``, into the kernel's domain.
+``l + 1``.  The decoder replays ``graph.single_vector_ops``, the control
+sequence every machine's schedule replays too; after each stage-0 step it
+decides that phase's bit and folds it into the left-sibling partial sums
+that g reads; the root's partial sum is the codeword in bit-reversed
+order.  Every cycle simulator must reproduce this decoder's output bit for
+bit.  Levels are laid out ``(2**l, batch)``: one kernel call serves every
+frame.  The public entry points take channel log-ratios and convert them
+once, through ``Kernel.from_llr``, into the kernel's domain.
 """
 
 from __future__ import annotations
@@ -42,13 +43,14 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
     u_hat = np.empty((n, batch), dtype=np.uint8)
     err_counts = np.zeros(n, dtype=np.int64) if forced is not None else None
 
-    for i in range(n):
-        for l in graph.activation_stages(i, m):
-            src, h = soft[l + 1], 1 << l
-            if graph.stage_uses_g(i, l):
-                soft[l] = kernel.g(src[:h], src[h:], left[l])
-            else:
-                soft[l] = kernel.f(src[:h], src[h:])
+    for l, fn, i in graph.single_vector_ops(n):
+        src, h = soft[l + 1], 1 << l
+        if fn == "g":
+            soft[l] = kernel.g(src[:h], src[h:], left[l])
+        else:
+            soft[l] = kernel.f(src[:h], src[h:])
+        if l:
+            continue
 
         if forced is None and spec.frozen_mask[i]:
             bits = np.zeros(batch, dtype=np.uint8)

@@ -1,11 +1,12 @@
 """Clock-by-clock schedules for the decoder architectures.
 
 A schedule is a list of stage activations, one entry per (cycle, stage
-instance, vector).  Every machine runs the same 2n - 2 step sequence per
-vector, laid out by one greedy builder: the vector-overlapping machine
-staggers P vectors across duplicated stage instances, and the
-single-vector machines are the same builder at P = 1, where every stage
-has one instance.
+instance, vector).  Every machine replays ``graph.single_vector_ops``, the
+same 2n - 2 step control sequence the reference decoder runs, per vector,
+and latches decided bits through ``graph.psum_enable``.  One greedy
+builder lays the steps out: the vector-overlapping machine staggers P
+vectors across duplicated stage instances, and the single-vector machines
+are the same builder at P = 1, where every stage has one instance.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from . import graph
-from .codespec import CodeSpec
 
 
 class ArchKind(Enum):
@@ -371,41 +369,3 @@ def register_liveness(s: Schedule) -> LivenessReport:
                 f"CC{r.overwrite_cycle} before its last read"
             )
     return LivenessReport(records=records, problems=problems)
-
-
-@dataclass
-class ControlBits:
-    """Control signals steering one decode on the tree-shaped machines.
-
-    ``fg_select`` gives, per clock cycle, the activated stage and whether
-    it applies f or g.  ``psum_enable[i, j]`` is 1 when decision bit i must
-    be latched into partial-sum site j; site j = 2**l - 1 + q is the block
-    attached to tree position (l, q).
-    """
-
-    n: int
-    fg_select: tuple
-    psum_enable: np.ndarray
-
-    def sites_for_bit(self, i: int) -> list:
-        m = self.n.bit_length() - 1
-        out = []
-        for l in range(m):
-            for q in range(1 << l):
-                if self.psum_enable[i, graph.site_id(l, q)]:
-                    out.append((l, q))
-        return out
-
-
-def derive_control_bits(spec: CodeSpec) -> ControlBits:
-    """Derive f/g selects and the partial-sum enable matrix for a code size.
-
-    The enable matrix comes from the butterfly connectivity: bit i reaches
-    the stage-l sites whose next conditioned combine covers its decision
-    block, which is exactly the sub-mask family of the reversed low bits
-    of i.
-    """
-    sched = build_schedule(ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=spec.n))
-    fg = tuple((e.cycle, e.stage, e.function) for e in sched.sorted_entries())
-    return ControlBits(n=spec.n, fg_select=fg,
-                       psum_enable=graph.psum_enable(spec.m).astype(np.uint8))

@@ -4,7 +4,8 @@ recursive SC oracle."""
 import numpy as np
 import pytest
 
-from polarsc import awgn_llr, bpsk_modulate, encode
+from polarsc import (awgn_llr, bit_reverse_permutation, bpsk_modulate,
+                     butterfly_transform, encode)
 
 
 def random_frames(spec, count, sigma, seed):
@@ -32,7 +33,7 @@ def oracle_phase_decision(llr, prefix_bits, i, spec):
         if tail:
             completions = (np.arange(1 << tail)[:, None] >> np.arange(tail)) & 1
             blocks[:, i + 1:] = completions.astype(np.uint8)
-        cw = encode(blocks, spec, check_frozen=False)
+        cw = butterfly_transform(blocks[:, bit_reverse_permutation(spec.m)])
         weights = np.exp(((1.0 - 2.0 * cw) * llr / 2.0).sum(axis=1))
         totals.append(weights.sum())
     if spec.frozen_mask[i]:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources
 import json
 
@@ -90,6 +91,20 @@ def test_simulate_noiseless_line_prints_cycles(capsys, tmp_path):
     assert doc["total_cycles"] == 14
     assert len(doc["occupancy"]) == 14
     assert "config_sha256" in doc["_meta"]
+
+
+def test_simulate_noisy_overlap_output_pinned(tmp_path, capsys):
+    # sha256 of stdout and of the trace, recorded before the random frames
+    # were drawn through channel._noisy_frames: the draw must not move
+    trace = tmp_path / "trace.json"
+    code, out, _ = run_cli(capsys, "simulate", "--arch", "overlap", "--n", "16",
+                           "--P", "3", "--random-frames", "5", "--seed", "7",
+                           "--ebn0-db", "1.0", "--trace", str(trace))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8be54d436350bf15f3a5e399b6f8e28bcbd39d9a2471c0beee4f79d759b87922")
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+        "bd68bf8fbe37739f0254ec5fd3ad7ef5da7992151f05c30b73f6e86455464939")
 
 
 def test_simulate_from_llr_file(tmp_path, capsys):

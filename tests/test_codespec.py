@@ -136,6 +136,13 @@ def test_encode_validates_frozen_and_length():
         encode(np.array([1, 0, 0, 0], dtype=np.uint8), spec)
     with pytest.raises(ValueError):
         encode(np.zeros(8, dtype=np.uint8), spec)
+    # non-binary entries are rejected, not masked to their low bit
+    free = CodeSpec(m=2, frozen=())
+    for u in ([2, 0, 0, 0], [-1, 0, 0, 0], [0.7, 0, 0, 0]):
+        with pytest.raises(ValueError):
+            encode(np.array(u), free)
+    with pytest.raises(ValueError):
+        encode(np.array([2, 0, 0, 0]), spec)  # a 2 on the frozen position
 
 
 def test_bec_profile_n2():

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarsc import CodeSpec, construct_frozen_bec, cycles_per_vector, graph
+from polarsc import cycles_per_vector, graph
 from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, ScheduleEntry,
                               build_schedule, check_no_conflict,
-                              derive_control_bits, register_liveness,
-                              stage_duplication_count)
+                              register_liveness, stage_duplication_count)
 
 # Published 14-cycle grid for one n=8 vector: stage row -> {cycle: f/g}.
 SINGLE_VECTOR_GRID_N8 = {
@@ -293,9 +292,8 @@ def test_liveness_rejects_other_kinds():
 
 
 def test_control_bits_fg_alternate_per_stage():
-    bits = derive_control_bits(construct_frozen_bec(8, 4, 0.5))
     per_stage = {}
-    for _, stage, fn in bits.fg_select:
+    for stage, fn, _ in graph.single_vector_ops(8):
         per_stage.setdefault(stage, []).append(fn)
     assert per_stage[2] == ["f", "g"]
     assert per_stage[1] == ["f", "g", "f", "g"]
@@ -303,43 +301,30 @@ def test_control_bits_fg_alternate_per_stage():
 
 
 def test_control_bits_n2():
-    bits = derive_control_bits(CodeSpec(m=1, frozen=()))
-    assert bits.psum_enable.shape == (2, 1)
-    assert bits.sites_for_bit(0) == [(0, 0)]
-    assert bits.sites_for_bit(1) == []
+    assert graph.psum_enable(1).shape == (2, 1)
+    assert graph.enabled_sites(0, 1) == [(0, 0)]
+    assert graph.enabled_sites(1, 1) == []
 
 
 def test_control_bits_accumulate_published_partial_sum():
     # the site at tree position (1, 0) latches bits 4 and 5 between its
     # second f pass and second g pass, holding their XOR for the g
-    bits = derive_control_bits(CodeSpec(m=3, frozen=()))
-    site = 2 ** 1 - 1 + 0
-    window = [i for i in (4, 5, 6, 7) if bits.psum_enable[i, site]]
+    enable = graph.psum_enable(3)
+    window = [i for i in (4, 5, 6, 7) if enable[i, graph.site_id(1, 0)]]
     assert window == [4, 5]
     # bit 4 also seeds the stage-0 site for the next decision's g;
     # bit 5, decided on a bottom row, fans out to both mid-stage sites
-    assert bits.sites_for_bit(4) == [(0, 0), (1, 0)]
-    assert bits.sites_for_bit(5) == [(1, 0), (1, 1)]
+    assert sorted(graph.enabled_sites(4, 3)) == [(0, 0), (1, 0)]
+    assert sorted(graph.enabled_sites(5, 3)) == [(1, 0), (1, 1)]
     # bit 0 reaches one site per stage along its all-zeros row
-    assert bits.sites_for_bit(0) == [(0, 0), (1, 0), (2, 0)]
+    assert sorted(graph.enabled_sites(0, 3)) == [(0, 0), (1, 0), (2, 0)]
 
 
 def test_control_bits_last_bit_feeds_nothing():
-    bits = derive_control_bits(CodeSpec(m=4, frozen=()))
-    assert not bits.psum_enable[15].any()
+    enable = graph.psum_enable(4)
+    assert not enable[15].any()
     # every other bit feeds at least one site
-    assert all(bits.psum_enable[i].any() for i in range(15))
-
-
-def test_control_bits_agree_with_simulator_broadcast():
-    # the machines latch each decision through the enable matrix into a
-    # site bank indexed by graph.site_id; decoding the matrix back through
-    # site_id must give the (l, q) sites of the butterfly connectivity
-    for n in (4, 16, 32):
-        m = n.bit_length() - 1
-        bits = derive_control_bits(CodeSpec(m=m, frozen=()))
-        for i in range(n):
-            assert bits.sites_for_bit(i) == sorted(graph.enabled_sites(i, m))
+    assert all(enable[i].any() for i in range(15))
 
 
 @pytest.mark.parametrize("m", range(1, 11))
