@@ -22,6 +22,8 @@ reference decoder, the schedule builder and the cycle simulator.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -39,14 +41,15 @@ def reversed_low_bits(i: int, l: int) -> int:
     return bit_reverse(i & ((1 << l) - 1), l)
 
 
-def single_vector_ops(n: int) -> list[tuple[int, str, int]]:
+@lru_cache(maxsize=32)
+def single_vector_ops(n: int) -> tuple[tuple[int, str, int], ...]:
     """The SC control sequence for one vector: (stage, fn, phase) per step.
 
     Phase ``i`` recomputes stages ``ntz(i)`` down to 0 (every stage for
     phase 0), where ``ntz`` counts trailing zero bits, and applies g at
     stage ``l`` iff bit ``l`` of ``i`` is set, f otherwise.  ``2 * n - 2``
     steps in all: stage l is activated ``2**(m - l)`` times, alternating f
-    and g.
+    and g.  Computed once per n; the tuple is shared by every caller.
     """
     m = n.bit_length() - 1
     ops = []
@@ -54,7 +57,7 @@ def single_vector_ops(n: int) -> list[tuple[int, str, int]]:
         top = (i & -i).bit_length() - 1 if i else m - 1
         for l in range(top, -1, -1):
             ops.append((l, "g" if (i >> l) & 1 else "f", i))
-    return ops
+    return tuple(ops)
 
 
 def site_id(l: int, q: int) -> int:

@@ -1,6 +1,6 @@
 """Clock-by-clock schedules for the decoder architectures.
 
-A schedule is a list of stage activations, one entry per (cycle, stage
+A schedule is a tuple of stage activations, one entry per (cycle, stage
 instance, vector).  Every machine replays ``graph.single_vector_ops``, the
 same 2n - 2 step control sequence the reference decoder runs, per vector,
 and latches decided bits through ``graph.psum_enable``.  One greedy
@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import graph
@@ -82,7 +82,7 @@ def stage_instance_name(l: int, copy: int) -> str:
     return f"S_{l}d{copy}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleEntry:
     cycle: int
     stage: int
@@ -101,13 +101,19 @@ class ScheduleEntry:
         return f"y_{self.vector + 1}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Schedule:
+    """One group's activations.  Immutable: ``entries`` is stored as a tuple,
+    so a schedule shared by cached simulator programs cannot be edited."""
+
     kind: ArchKind
     n: int
     vectors: int
     total_cycles: int
-    entries: list = field(default_factory=list)
+    entries: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     @property
     def m(self) -> int:
@@ -143,6 +149,14 @@ class Schedule:
             counts[l] = counts.get(l, 0) + 1
         return counts
 
+    def stall_cycles(self) -> list:
+        """Per vector, the cycles between its first and last step in which
+        it ran no step."""
+        cycles = [set() for _ in range(self.vectors)]
+        for e in self.entries:
+            cycles[e.vector].add(e.cycle)
+        return [max(c) - min(c) + 1 - len(c) if c else 0 for c in cycles]
+
     def occupancy(self) -> list:
         """Per cycle, the (stage instance, vector tag, active indices) it runs."""
         out = [[] for _ in range(self.total_cycles)]
@@ -150,8 +164,8 @@ class Schedule:
             out[e.cycle - 1].append((e.stage_instance, e.vector_tag, e.active))
         return out
 
-    def pe_activations(self, frames: int = 1) -> Counter:
-        """Activations per processing element over ``frames`` runs of the schedule.
+    def pe_activations(self) -> Counter:
+        """Activations per processing element over one run of the schedule.
 
         PEs are named ``N_l,row`` (graph node), ``P_l,q`` (tree), ``P_q``
         (line), ``P_{q - q0}`` (semi-parallel lane, q0 the first active
@@ -168,10 +182,7 @@ class Schedule:
         for e in self.sorted_entries():
             prefix, offset = name(e)
             names += [f"{prefix}{q - offset}" for q in e.active]
-        counts = Counter(names)
-        for pe in counts:
-            counts[pe] *= frames
-        return counts
+        return Counter(names)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -195,11 +206,12 @@ def _steps(cfg: ArchitectureConfig) -> list:
     width = cfg.pe_count or n
     lanes = [[tuple(range(s, min(s + width, 1 << l))) for s in range(0, 1 << l, width)]
              for l in range(m)]
+    rows = tuple(range(n))  # the row slices below share these int objects
     steps = []
     for l, fn, phase in graph.single_vector_ops(n):
         if cfg.kind is ArchKind.FFT_LIKE:
             fix = graph.bit_reverse(phase >> l, m - l)
-            steps.append((l, fn, phase, tuple(range(fix, n, 1 << (m - l)))))
+            steps.append((l, fn, phase, rows[fix::1 << (m - l)]))
         else:
             for active in lanes[l]:
                 steps.append((l, fn, phase, active))

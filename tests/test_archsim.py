@@ -1,11 +1,15 @@
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarsc import Kernel, archsim, construct_frozen_bec, decode_batch, simulate
+from polarsc import CodeSpec, Kernel, archsim, construct_frozen_bec, decode_batch, simulate
 from polarsc.archsim import SimulationError, _run_tree_like
+from polarsc.kernels import LLR_CLIP
 from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, ScheduleEntry,
                               build_schedule)
 
@@ -77,10 +81,10 @@ def test_overlap_group_cycles_and_tail():
     assert res.total_cycles == 2 * 16 + 14
 
 
-def test_simulate_builds_only_the_groups_that_run(monkeypatch):
-    n, p = 16, 11
-    spec = construct_frozen_bec(n, 8, 0.5)
-    cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=p)
+def _spy_on_builds(monkeypatch):
+    """Empty the program cache and record the ``vectors`` argument of every
+    schedule build, the first step of compiling a program."""
+    archsim._programs.clear()
     built = []
 
     def spy(cfg, vectors=None):
@@ -88,12 +92,85 @@ def test_simulate_builds_only_the_groups_that_run(monkeypatch):
         return build_schedule(cfg, vectors)
 
     monkeypatch.setattr(archsim, "build_schedule", spy)
+    return built
+
+
+def test_simulate_builds_only_the_groups_that_run(monkeypatch):
+    n, p = 16, 11
+    spec = construct_frozen_bec(n, 8, 0.5)
+    cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=p)
     for frames, expected in ((3, [3]), (25, [p, 3]), (0, [None])):
-        built.clear()
+        built = _spy_on_builds(monkeypatch)
         _, llr = random_frames(spec, frames, sigma=1.0, seed=frames)
         res = simulate(cfg, llr, spec, Kernel.LLR_MINSUM)
         assert built == expected, frames
         assert res.schedule.vectors == (3 if frames == 3 else p)
+
+
+def test_simulate_compiles_each_group_schedule_once(monkeypatch):
+    n, p = 16, 11
+    spec = construct_frozen_bec(n, 8, 0.5)
+    cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=p)
+    built = _spy_on_builds(monkeypatch)
+    for seed in (1, 2):
+        _, llr = random_frames(spec, 25, sigma=1.0, seed=seed)
+        expected, _ = decode_batch(llr, spec, Kernel.LLR_MINSUM)
+        res = simulate(cfg, llr, spec, Kernel.LLR_MINSUM)
+        assert np.array_equal(res.decoded, expected)
+    assert built == [p, 3]
+
+
+def test_cached_schedule_is_immutable_and_counts_are_fresh():
+    spec = construct_frozen_bec(8, 4, 0.5)
+    cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=8, overlap_p=3)
+    _, llr = random_frames(spec, 7, sigma=1.0, seed=9)
+    first = simulate(cfg, llr, spec, Kernel.LLR_MINSUM)
+    second = simulate(cfg, llr, spec, Kernel.LLR_MINSUM)
+    assert first.schedule is second.schedule
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.schedule.total_cycles = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.schedule.entries = ()
+    with pytest.raises(AttributeError):
+        first.schedule.entries.append(first.schedule.entries[0])
+    assert first.pe_activations == second.pe_activations
+    assert first.pe_activations is not second.pe_activations
+    first.pe_activations["S_0:P_0"] += 1
+    assert simulate(cfg, llr, spec, Kernel.LLR_MINSUM).pe_activations == \
+        second.pe_activations
+
+
+@st.composite
+def _frozen_sets(draw, n):
+    """Codes of length n with k = 0, 1, n or a random number of information bits."""
+    k = draw(st.one_of(st.sampled_from([0, 1, n]), st.integers(0, n)), label="k")
+    info = draw(st.permutations(range(n)), label="order")[:k]
+    return CodeSpec(m=n.bit_length() - 1, frozen=tuple(set(range(n)) - set(info)))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@settings(deadline=None, derandomize=True, max_examples=15)
+@given(data=st.data())
+def test_frozen_phase_skip_matches_reference(m, data):
+    n = 1 << m
+    spec = data.draw(_frozen_sets(n), label="spec")
+    kernel = data.draw(st.sampled_from(ALL_KERNELS), label="kernel")
+    frames = data.draw(st.integers(1, 7), label="frames")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    llr = rng.normal(0.0, 4.0, (frames, n))
+    special = rng.random((frames, n)) < 0.3
+    llr[special] = rng.choice([0.0, -0.0, LLR_CLIP, -LLR_CLIP, 1e3, -1e3],
+                              size=int(special.sum()))
+    machines = [ArchitectureConfig(kind=kind, n=n)
+                for kind in (ArchKind.FFT_LIKE, ArchKind.PIPELINED_TREE, ArchKind.LINE)]
+    machines += [ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=n, pe_count=pe)
+                 for pe in sorted({n // 4, n // 2} - {0})]
+    machines.append(ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n,
+                                       overlap_p=data.draw(st.integers(1, n - 1),
+                                                           label="P")))
+    expected, _ = decode_batch(llr, spec, kernel)
+    for cfg in machines:
+        assert np.array_equal(simulate(cfg, llr, spec, kernel).decoded, expected), cfg
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7])

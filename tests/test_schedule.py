@@ -128,6 +128,26 @@ def test_overlap_stalls_pinned():
     assert sum(sum(s.values()) for s in stalls.values()) == 1512
 
 
+def test_single_vector_machines_never_stall():
+    for n in (2, 4, 8, 16, 64):
+        cfgs = [ArchitectureConfig(kind=kind, n=n)
+                for kind in (ArchKind.FFT_LIKE, ArchKind.PIPELINED_TREE, ArchKind.LINE)]
+        cfgs += [ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=n, pe_count=pe)
+                 for pe in sorted({n // 4, n // 2} - {0})]
+        for cfg in cfgs:
+            assert build_schedule(cfg).stall_cycles() == [0], cfg
+
+
+def test_overlap_stall_cycles():
+    cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=8, overlap_p=5)
+    assert build_schedule(cfg).stall_cycles() == [0, 0, 0, 0, 1]
+    for n in (2, 4, 8, 16, 32, 64):
+        for p in range(1, n):
+            cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=p)
+            stalled = sum(build_schedule(cfg).stall_cycles()) > 0
+            assert stalled == (p in OVERLAP_STALLS.get(n, {})), (n, p)
+
+
 @st.composite
 def configs(draw):
     n = 1 << draw(st.integers(1, 8))
@@ -155,7 +175,7 @@ def test_every_schedule_replays_the_single_vector_sequence(data):
                 steps[-1][3].extend(e.active)
             else:
                 steps.append((e.stage, e.function, e.phase, list(e.active)))
-        assert [step[:3] for step in steps] == graph.single_vector_ops(cfg.n)
+        assert tuple(step[:3] for step in steps) == graph.single_vector_ops(cfg.n)
         for l, _, _, active in steps:
             # the unrolled graph names rows; row r is tree position r >> (m - l)
             positions = sorted(q >> (cfg.m - l) if fft else q for q in active)
