@@ -2,9 +2,9 @@
 cycle-accurate architecture simulation, cost models, and channel campaigns."""
 
 from .archsim import SimResult, SimulationError, simulate
-from .channel import (BerPoint, BerReport, CampaignStop, ChannelConfig, awgn_llr,
-                      bpsk_modulate, ebn0_db_from_sigma, monotonicity_flags,
-                      run_campaign, sigma_from_ebn0_db, wilson_halfwidth)
+from .channel import (BerPoint, BerReport, CampaignStop, awgn_llr, bpsk_modulate,
+                      monotonicity_flags, run_campaign, sigma_from_ebn0_db,
+                      wilson_halfwidth)
 from .codespec import (CodeSpec, bec_erasure_profile, bit_reverse_permutation,
                        butterfly_transform, construct_frozen_bec,
                        construct_frozen_mc, encode)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchKind", "ArchitectureConfig", "BerPoint", "BerReport", "CampaignStop",
-    "ChannelConfig", "CodeSpec", "ComplexityReport", "CostParams",
+    "CodeSpec", "ComplexityReport", "CostParams",
     "EXAMPLE_COSTS", "Kernel", "LLR_CLIP", "LivenessReport", "Schedule",
     "ScheduleEntry", "SimResult", "SimulationError", "awgn_llr",
     "bec_erasure_profile", "bit_reverse_permutation", "bpsk_modulate",
@@ -31,7 +31,7 @@ __all__ = [
     "complexity_fft_like", "complexity_line", "complexity_overlap",
     "complexity_tree", "construct_frozen_bec", "construct_frozen_mc",
     "cycles_per_vector", "decode", "decode_batch",
-    "ebn0_db_from_sigma", "encode", "f_llr_exact", "f_lr",
+    "encode", "f_llr_exact", "f_lr",
     "f_minsum", "g_llr", "g_lr", "genie_error_counts", "monotonicity_flags",
     "node_processor_count", "overlap_structural_pe_count", "register_count",
     "register_liveness", "run_campaign", "sigma_from_ebn0_db",

@@ -17,20 +17,31 @@ schedule (every node written once, after its inputs), checked in the
 tests.
 
 Control never depends on the frames, so a schedule is built, checked and
-lowered once per ``(config, group size)`` into a program: one integer
-record per activation in cycle order, the bank sites each decided bit
-latches into, and one run's PE activation counts.  Programs are cached
-for as long as their config lives.  ``simulate`` runs the cached
-programs, one pass carrying a whole batch of frames, and scales the
-counts by the batch; a hand-built schedule given to ``_run_tree_like`` is
-checked and compiled anew, uncached.  The decoded output of every machine
-is bit-identical to the reference decoder.
+lowered once per ``(config, group size)`` into a program: the op list one
+vector slot replays, in cycle order, the bank sites each decided bit
+latches into, and one run's PE activation counts.  Slots share no
+registers or sites, so only the order within a slot decides the bits, and
+every slot of a schedule must replay the same op list.  Programs are
+cached for as long as their config lives.  ``simulate`` runs one op list
+once over all its frames, whatever the group size, and takes cycles and
+PE counts from the programs of the groups the frames fill; a hand-built
+schedule given to ``_run_tree_like`` is checked and compiled anew,
+uncached.
+
+An activation at stage ``l`` in phase ``i`` feeds only the decisions of
+phases ``[i, i + 2**l)``.  When all of them are frozen (a rate-0
+subtree) the activation is dead: its bits are 0 whatever it computes, so
+it does no arithmetic, though a dead g still clears the partial-sum sites
+it reads.  Dead activations still take their cycles and PEs: cycle, PE
+and occupancy figures come from the schedule alone.  The decoded output
+of every machine is bit-identical to the reference decoder.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
 import numpy as np
@@ -107,11 +118,12 @@ def _enable_sites(m: int) -> np.ndarray:
 class _Program:
     """A schedule lowered for the executor.
 
-    ``ops`` is an int32 array with one row ``(stage, slot, q0, q1, is_g,
-    site0, site1, phase)`` per entry in cycle order: the entry's tree
-    positions [q0, q1) and, for g, the partial-sum sites [site0, site1) it
-    reads.  ``pe_counts`` is one run's ``Schedule.pe_activations``;
-    holding ``enable`` keeps the shared site arrays alive with the program.
+    ``ops`` is an int32 array with one row ``(stage, q0, q1, is_g, site0,
+    site1, phase)`` per step of one vector slot, in cycle order: the step's
+    tree positions [q0, q1) and, for g, the partial-sum sites [site0, site1)
+    it reads.  Every slot of ``schedule`` replays these rows.
+    ``pe_counts`` is one run's ``Schedule.pe_activations``; holding
+    ``enable`` keeps the shared site arrays alive with the program.
     """
 
     schedule: Schedule
@@ -121,16 +133,24 @@ class _Program:
 
 
 def _compile(sched: Schedule, cfg: ArchitectureConfig) -> _Program:
-    """Check a schedule against ``cfg`` and lower it to a ``_Program``."""
+    """Check a schedule against ``cfg`` and lower it to a ``_Program``.
+
+    Raises ``SimulationError`` on a resource conflict, a non-contiguous
+    activation, or slots that replay different op lists.
+    """
     violations = check_no_conflict(sched, cfg)
     if violations:
         raise SimulationError("; ".join(violations))
-    ops = []
+    slots: dict = {v: [] for v in range(sched.vectors)}
     for e in sched.sorted_entries():
         q0, q1 = _tree_range(sched, e)
-        ops.append((e.stage, e.vector, q0, q1, e.function == "g",
-                    graph.site_id(e.stage, q0), graph.site_id(e.stage, q1), e.phase))
-    ops = np.array(ops, dtype=np.int32)
+        slots.setdefault(e.vector, []).append(
+            (e.stage, q0, q1, e.function == "g",
+             graph.site_id(e.stage, q0), graph.site_id(e.stage, q1), e.phase))
+    first, *rest = slots.values()
+    if any(ops != first for ops in rest):
+        raise SimulationError("vector slots replay different op lists")
+    ops = np.array(first, dtype=np.int32)
     ops.flags.writeable = False
     return _Program(schedule=sched, ops=ops, pe_counts=sched.pe_activations(),
                     enable=_enable_sites(cfg.m))
@@ -150,65 +170,72 @@ def _program(cfg: ArchitectureConfig, vectors: int | None) -> _Program:
     return programs[vectors]
 
 
-def _execute(prog: _Program, channel: list, spec: CodeSpec, kernel: Kernel) -> list:
-    """Run a program over per-slot tree register sets.
+def _execute(prog: _Program, channel: np.ndarray, spec: CodeSpec, kernel: Kernel) -> np.ndarray:
+    """Run a program's op list once over a (batch, n) array of channel values.
 
-    ``channel`` holds one (batch, n) array per vector slot; the decided bits
-    come back the same way.  Tree position (l, q) owns register R[l][q] and
-    partial-sum site ``graph.site_id(l, q)``; PE (l, q) reads R[l+1][2q] and
-    R[l+1][2q+1] (level m holds the channel values) and writes R[l][q].
-    Registers, sites and decisions are laid out ``(position, batch)``, as in
-    the reference decoder.  A frozen phase decides 0, which latches nothing,
-    so it is skipped.
+    Returns the (batch, n) decided bits.  Tree position (l, q) owns register
+    R[l][q] and partial-sum site ``graph.site_id(l, q)``; PE (l, q) reads
+    R[l+1][2q] and R[l+1][2q+1] (level m holds the channel values) and
+    writes R[l][q].  Registers, sites and decisions are laid out
+    ``(position, batch)``, as in the reference decoder.  Dead steps (see
+    the module docstring) are dropped, except that a dead g still clears
+    its sites; a live stage-0 step serves an information bit.
     """
     n, m = spec.n, spec.m
-    batch = channel[0].shape[0]
-    regs = [[np.zeros((1 << l, batch)) for l in range(m)] + [np.ascontiguousarray(c.T)]
-            for c in channel]
-    psum = [np.zeros((n - 1, batch), dtype=np.uint8) for _ in channel]
-    decided = [np.zeros((n, batch), dtype=np.uint8) for _ in channel]
-    frozen = spec.frozen_mask.tolist()
+    batch = channel.shape[0]
+    regs = [np.zeros((1 << l, batch)) for l in range(m)] + [np.ascontiguousarray(channel.T)]
+    psum = np.zeros((n - 1, batch), dtype=np.uint8)
+    decided = np.zeros((n, batch), dtype=np.uint8)
     enable = prog.enable
     f, g, decide = kernel.f, kernel.g, kernel.hard_decision
 
-    for l, v, q0, q1, is_g, s0, s1, phase in prog.ops.tolist():
-        src = regs[v][l + 1]
+    # frozen_before[i]: frozen phases below i.  The stage-l step of phase i
+    # feeds phases [i, i + 2**l), so it is dead when all of them are frozen.
+    frozen_before = list(accumulate(spec.frozen_mask.tolist(), initial=0))
+    for l, q0, q1, is_g, s0, s1, phase in prog.ops.tolist():
+        if frozen_before[phase + (1 << l)] - frozen_before[phase] == 1 << l:
+            if is_g:
+                psum[s0:s1] = 0
+            continue
+        src = regs[l + 1]
         a = src[2 * q0: 2 * q1: 2]
         b = src[2 * q0 + 1: 2 * q1: 2]
         if is_g:
-            sites = psum[v][s0:s1]
+            sites = psum[s0:s1]
             out = g(a, b, sites)  # a new array: the sites can clear after it
             sites[:] = 0
         else:
             out = f(a, b)
-        regs[v][l][q0:q1] = out
-        if l == 0 and not frozen[phase]:
+        regs[l][q0:q1] = out
+        if l == 0:
             bits = decide(out[0])
-            decided[v][phase] = bits
-            psum[v][enable[phase]] ^= bits
+            decided[phase] = bits
+            psum[enable[phase]] ^= bits
 
-    return [d.T for d in decided]
+    return decided.T
 
 
-def _run_tree_like(sched: Schedule, cfg: ArchitectureConfig, channel: list,
-                   spec: CodeSpec, kernel: Kernel) -> list:
+def _run_tree_like(sched: Schedule, cfg: ArchitectureConfig, channel: np.ndarray,
+                   spec: CodeSpec, kernel: Kernel) -> np.ndarray:
     """Check, compile (uncached) and execute a schedule, for example a
-    hand-built one; ``simulate`` runs cached programs instead."""
+    hand-built one, over a (batch, n) array; ``simulate`` runs cached
+    programs instead."""
     return _execute(_compile(sched, cfg), channel, spec, kernel)
 
 
 def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) -> SimResult:
     """Run one machine over a batch of channel log-ratio frames.
 
-    Frames run in groups of ``P = cfg.overlap_p or 1``, all full groups
-    batched through one schedule pass and the leftover frames as one
-    shorter group; groups run back to back, so the run length is the sum
-    of the group schedules.  Each group size's schedule is built, checked
-    and compiled into a program on first use and cached for as long as
-    ``cfg`` lives, so later calls with the same config reuse it and scale
-    its one-run PE counts by the group count; only the programs that run
-    are compiled.  The period is the first group's schedule (the full
-    group's when there are no frames).
+    Frames run in groups of ``P = cfg.overlap_p or 1``: all full groups,
+    then the leftover frames as one shorter group.  Groups run back to back,
+    so the run length is the sum of the group schedules.  Each group size's
+    schedule is built, checked and compiled into a program on first use and
+    cached for as long as ``cfg`` lives; only the programs of the groups
+    that run are compiled.  Cycle and PE counts add up the programs'
+    one-run figures, once per group.  Every slot of every group replays the
+    same op list, so the datapath runs that list once over all the frames,
+    skipping dead activations.  The period is the first group's schedule
+    (the full group's when there are no frames).
 
     Parameters
     ----------
@@ -238,21 +265,14 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
 
     p = cfg.overlap_p or 1
     groups, tail = divmod(len(values), p)
-    decoded = np.empty(values.shape, dtype=np.uint8)
+    runs = [(count, _program(cfg, slots))
+            for count, slots in ((groups, p), (1, tail)) if count * slots]
     total_cycles = 0
     pe_counts: Counter = Counter()
-    period = None
-    for start, count, slots in ((0, groups, p), (groups * p, 1, tail)):
-        if not count * slots:
-            continue
-        prog = _program(cfg, slots)
-        run = slice(start, start + count * slots)
-        grouped = values[run].reshape(count, slots, cfg.n)
-        bits = _execute(prog, [grouped[:, s] for s in range(slots)], spec, kernel)
-        decoded[run] = np.stack(bits, axis=1).reshape(-1, cfg.n)
+    for count, prog in runs:
         total_cycles += count * prog.schedule.total_cycles
         pe_counts.update({pe: c * count for pe, c in prog.pe_counts.items()})
-        period = period or prog.schedule
-    return SimResult(decoded=decoded, total_cycles=total_cycles,
-                     pe_activations=pe_counts,
-                     schedule=period or _program(cfg, None).schedule)
+    period = runs[0][1] if runs else _program(cfg, None)
+    return SimResult(decoded=_execute(period, values, spec, kernel),
+                     total_cycles=total_cycles, pe_activations=pe_counts,
+                     schedule=period.schedule)

@@ -43,29 +43,6 @@ def sigma_from_ebn0_db(ebn0_db: float, rate: float) -> float:
     return float(1.0 / np.sqrt(2.0 * rate * ebn0))
 
 
-def ebn0_db_from_sigma(sigma: float, rate: float) -> float:
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    return float(10.0 * np.log10(1.0 / (2.0 * rate * sigma * sigma)))
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Gaussian channel operating point for one code rate."""
-
-    noise_sigma: float
-    rate: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.noise_sigma <= 0:
-            raise ValueError(f"noise_sigma must be > 0, got {self.noise_sigma}")
-
-    @property
-    def ebn0_db(self) -> float:
-        return ebn0_db_from_sigma(self.noise_sigma, self.rate)
-
-
 @dataclass(frozen=True)
 class CampaignStop:
     """Stop a point once enough frame errors or frames have accumulated."""

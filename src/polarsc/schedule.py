@@ -138,17 +138,6 @@ class Schedule:
                 out[e.phase] = e.cycle
         return out
 
-    def stage_activation_counts(self, vector: int = 0) -> dict:
-        """stage -> number of activations for one vector (splits merged)."""
-        seen = set()
-        for e in self.entries:
-            if e.vector == vector:
-                seen.add((e.stage, e.phase))
-        counts: dict = {}
-        for l, _ in seen:
-            counts[l] = counts.get(l, 0) + 1
-        return counts
-
     def stall_cycles(self) -> list:
         """Per vector, the cycles between its first and last step in which
         it ran no step."""

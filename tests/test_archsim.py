@@ -169,8 +169,15 @@ def test_frozen_phase_skip_matches_reference(m, data):
                                        overlap_p=data.draw(st.integers(1, n - 1),
                                                            label="P")))
     expected, _ = decode_batch(llr, spec, kernel)
+    rate_one = CodeSpec(m=m, frozen=())
     for cfg in machines:
-        assert np.array_equal(simulate(cfg, llr, spec, kernel).decoded, expected), cfg
+        res = simulate(cfg, llr, spec, kernel)
+        assert np.array_equal(res.decoded, expected), cfg
+        # dead activations still take their cycles and PEs
+        full = simulate(cfg, llr, rate_one, kernel)
+        assert res.total_cycles == full.total_cycles, cfg
+        assert res.pe_activations == full.pe_activations, cfg
+        assert res.occupancy == full.occupancy, cfg
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7])
@@ -282,9 +289,35 @@ def test_double_booked_schedule_raises_at_runtime():
                       active=(0, 1)),
     ]
     bad = Schedule(kind=cfg.kind, n=n, vectors=2, total_cycles=1, entries=entries)
-    channel = [np.zeros((1, n)), np.zeros((1, n))]
+    channel = np.zeros((2, n))
     with pytest.raises(SimulationError):
         _run_tree_like(bad, cfg, channel, spec, Kernel.LLR_EXACT)
+
+
+def test_slots_replaying_different_op_lists_raise_at_compile():
+    n = 4
+    cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=2)
+    entries = [
+        ScheduleEntry(cycle=1, stage=1, copy=0, function="f", vector=0, phase=0,
+                      active=(0, 1)),
+        ScheduleEntry(cycle=2, stage=1, copy=0, function="g", vector=1, phase=2,
+                      active=(0, 1)),
+    ]
+    bad = Schedule(kind=cfg.kind, n=n, vectors=2, total_cycles=2, entries=entries)
+    with pytest.raises(SimulationError, match="different op lists"):
+        archsim._compile(bad, cfg)
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS)
+@pytest.mark.parametrize("cfg", configs_for(8), ids=lambda cfg: cfg.kind.value)
+def test_dead_g_still_clears_its_sites(cfg, kernel):
+    # Phase 1 is frozen, so its stage-0 g is dead.  It must still clear the
+    # site holding bit 0, which phase 3's g reads back as bit 2 (frozen, 0).
+    spec = CodeSpec(m=3, frozen=(1, 2, 4, 5, 6, 7))
+    llr = np.array([[6.0, 8.0, -10.0, 8.0, -4.0, 4.0, -2.0, 1.0]])  # a noisy u = 1001 0000
+    expected, _ = decode_batch(llr, spec, kernel)
+    assert expected.tolist() == [[1, 0, 0, 1, 0, 0, 0, 0]]
+    assert np.array_equal(simulate(cfg, llr, spec, kernel).decoded, expected)
 
 
 def test_simulate_validates_shapes():

@@ -124,10 +124,13 @@ def test_encode_matches_permuted_matrix_oracle(m, rng):
 
 
 def test_encode_is_linear(rng):
-    spec = CodeSpec(m=5, frozen=())
-    u = rng.integers(0, 2, size=32, dtype=np.uint8)
-    v = rng.integers(0, 2, size=32, dtype=np.uint8)
-    assert np.array_equal(encode(u ^ v, spec), encode(u, spec) ^ encode(v, spec))
+    for m in range(1, 9):
+        n = 1 << m
+        for _ in range(5):
+            spec = CodeSpec(m=m, frozen=tuple(np.flatnonzero(rng.random(n) < rng.random())))
+            u, v = rng.integers(0, 2, size=(2, 8, n), dtype=np.uint8)
+            u[:, spec.frozen_mask] = v[:, spec.frozen_mask] = 0
+            assert np.array_equal(encode(u ^ v, spec), encode(u, spec) ^ encode(v, spec)), spec
 
 
 def test_encode_validates_frozen_and_length():
