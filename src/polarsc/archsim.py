@@ -4,51 +4,49 @@ Five machines are modeled: the fully unrolled graph with one node
 processor per graph node (``FFT_LIKE``), the resource-shared tree of
 ``n - 1`` processing elements (``PIPELINED_TREE``), the line of ``n / 2``
 PEs with tree-shaped registers (``LINE``), the line with a reduced PE
-budget (``SEMI_PARALLEL``), and the overlapped machine decoding several
-vectors on duplicated stage instances (``VECTOR_OVERLAP``).
+budget of any power of two (``SEMI_PARALLEL``), and the overlapped machine
+decoding several vectors on duplicated stage instances
+(``VECTOR_OVERLAP``).
 
 The machines run the same data-independent activation sequence and differ
-only in how their schedules map it onto hardware, so one executor runs all
-five on the tree register file: ``2**l`` registers per stage plus the
-channel, and a bank of ``n - 1`` partial-sum sites (``graph.site_id``)
-into which each decided bit latches through ``graph.psum_enable``.  The
-unrolled graph's one register per graph node is a property of its
-schedule (every node written once, after its inputs), checked in the
-tests.
+only in how their schedules map it onto hardware, so their datapath is the
+reference decoder's loop, ``reference._sc_decode``, on the tree register
+file.  A schedule entry activates the natural tree positions ``[q0, q1)``
+of its stage; the loop stores position ``q`` of level ``l`` at
+``bit_reverse(q, l)``, so an aligned lane of power-of-two width ``w``
+becomes the positions ``bit_reverse(q0, l)::2**l // w``.  The unrolled
+graph's one register per graph node is a property of its schedule (every
+node written once, after its inputs), checked in the tests.
 
 Control never depends on the frames, so a schedule is built, checked and
-lowered once per ``(config, group size)`` into a program: the op list one
-vector slot replays, in cycle order, the bank sites each decided bit
-latches into, and one run's PE activation counts.  Slots share no
-registers or sites, so only the order within a slot decides the bits, and
-every slot of a schedule must replay the same op list.  Programs are
-cached for as long as their config lives.  ``simulate`` runs one op list
-once over all its frames, whatever the group size, and takes cycles and
-PE counts from the programs of the groups the frames fill; a hand-built
-schedule given to ``_run_tree_like`` is checked and compiled anew,
-uncached.
+lowered once per ``(config, group size)`` into a program: the loop's rows
+one vector slot replays, in cycle order, and one run's PE activation
+counts.  Slots share no registers, so only the order within a slot decides
+the bits, and every slot of a schedule must replay the same rows.
+Programs are cached for as long as their config lives.  ``simulate`` runs
+one program's rows once over all its frames, whatever the group size, and
+takes cycles and PE counts from the programs of the groups the frames
+fill; a hand-built schedule given to ``_run_tree_like`` is checked and
+compiled anew, uncached.
 
-An activation at stage ``l`` in phase ``i`` feeds only the decisions of
-phases ``[i, i + 2**l)``.  When all of them are frozen (a rate-0
-subtree) the activation is dead: its bits are 0 whatever it computes, so
-it does no arithmetic, though a dead g still clears the partial-sum sites
-it reads.  Dead activations still take their cycles and PEs: cycle, PE
-and occupancy figures come from the schedule alone.  The decoded output
-of every machine is bit-identical to the reference decoder.
+The loop skips dead activations, those that feed only frozen phases.  They
+still take their cycles and PEs: cycle, PE and occupancy figures come from
+the schedule alone.  The decoded output of every machine is bit-identical
+to the reference decoder.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from weakref import WeakKeyDictionary, WeakValueDictionary
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from . import graph
 from .codespec import CodeSpec
 from .kernels import Kernel
+from .reference import _sc_decode
 from .schedule import (ArchKind, ArchitectureConfig, Schedule, build_schedule,
                        check_no_conflict)
 
@@ -81,79 +79,55 @@ class SimResult:
         return self.schedule.occupancy()
 
 
-def _tree_range(sched: Schedule, e) -> tuple[int, int]:
-    """Tree positions [q0, q1) an entry activates.
+def _lane(sched: Schedule, e) -> tuple[int, int]:
+    """The ``(start, stride)`` of the loop positions an entry activates.
 
     Unrolled-graph entries name graph rows; the stage-l row r is tree
     position ``r >> (m - l)``.  The other machines name positions directly.
+    The positions must form an aligned lane ``[q0, q0 + w)``, ``w`` a power
+    of two dividing ``q0``; only the ends and the width are checked.
     """
     shift = sched.m - e.stage if sched.kind is ArchKind.FFT_LIKE else 0
-    q = [r >> shift for r in e.active]
-    q0, q1 = q[0], q[-1] + 1
-    if q != list(range(q0, q1)):
-        raise SimulationError(f"non-contiguous activation {e.active}")
-    return q0, q1
-
-
-# m -> per-bit site arrays, shared by the live programs of one code length
-# and freed with the last of them, so a finished simulation leaves no
-# long-lived arrays behind.
-_sites: WeakValueDictionary = WeakValueDictionary()
-
-
-def _enable_sites(m: int) -> np.ndarray:
-    """Object array holding, per decided bit i, the read-only int array of
-    site indices it latches into (row i of ``graph.psum_enable(m)``)."""
-    sites = _sites.get(m)
-    if sites is None:
-        sites = _sites[m] = np.empty(1 << m, dtype=object)
-        for i, row in enumerate(graph.psum_enable(m)):
-            sites[i] = np.flatnonzero(row)
-            sites[i].flags.writeable = False
-        sites.flags.writeable = False
-    return sites
+    q0, w = e.active[0] >> shift, len(e.active)
+    if w & (w - 1) or q0 % w or (e.active[-1] >> shift) != q0 + w - 1:
+        raise SimulationError(f"activation {e.active} is not an aligned lane")
+    return graph.bit_reverse(q0, e.stage), (1 << e.stage) // w
 
 
 @dataclass(frozen=True, eq=False)
 class _Program:
-    """A schedule lowered for the executor.
+    """A schedule lowered for ``reference._sc_decode``.
 
-    ``ops`` is an int32 array with one row ``(stage, q0, q1, is_g, site0,
-    site1, phase)`` per step of one vector slot, in cycle order: the step's
-    tree positions [q0, q1) and, for g, the partial-sum sites [site0, site1)
-    it reads.  Every slot of ``schedule`` replays these rows.
-    ``pe_counts`` is one run's ``Schedule.pe_activations``; holding
-    ``enable`` keeps the shared site arrays alive with the program.
+    ``ops`` is an int32 array with one row ``(stage, is_g, phase, start,
+    stride)`` per step of one vector slot, in cycle order.  Every slot of
+    ``schedule`` replays these rows.  ``pe_counts`` is one run's
+    ``Schedule.pe_activations``.
     """
 
     schedule: Schedule
     ops: np.ndarray
     pe_counts: Counter
-    enable: np.ndarray
 
 
 def _compile(sched: Schedule, cfg: ArchitectureConfig) -> _Program:
     """Check a schedule against ``cfg`` and lower it to a ``_Program``.
 
-    Raises ``SimulationError`` on a resource conflict, a non-contiguous
-    activation, or slots that replay different op lists.
+    Raises ``SimulationError`` on a resource conflict, an activation that
+    is not an aligned lane, or slots that replay different op lists.
     """
     violations = check_no_conflict(sched, cfg)
     if violations:
         raise SimulationError("; ".join(violations))
     slots: dict = {v: [] for v in range(sched.vectors)}
     for e in sched.sorted_entries():
-        q0, q1 = _tree_range(sched, e)
         slots.setdefault(e.vector, []).append(
-            (e.stage, q0, q1, e.function == "g",
-             graph.site_id(e.stage, q0), graph.site_id(e.stage, q1), e.phase))
+            (e.stage, e.function == "g", e.phase, *_lane(sched, e)))
     first, *rest = slots.values()
     if any(ops != first for ops in rest):
         raise SimulationError("vector slots replay different op lists")
     ops = np.array(first, dtype=np.int32)
     ops.flags.writeable = False
-    return _Program(schedule=sched, ops=ops, pe_counts=sched.pe_activations(),
-                    enable=_enable_sites(cfg.m))
+    return _Program(schedule=sched, ops=ops, pe_counts=sched.pe_activations())
 
 
 # cfg -> {vectors: _Program}.  Weak keys free a config's programs with the
@@ -170,57 +144,12 @@ def _program(cfg: ArchitectureConfig, vectors: int | None) -> _Program:
     return programs[vectors]
 
 
-def _execute(prog: _Program, channel: np.ndarray, spec: CodeSpec, kernel: Kernel) -> np.ndarray:
-    """Run a program's op list once over a (batch, n) array of channel values.
-
-    Returns the (batch, n) decided bits.  Tree position (l, q) owns register
-    R[l][q] and partial-sum site ``graph.site_id(l, q)``; PE (l, q) reads
-    R[l+1][2q] and R[l+1][2q+1] (level m holds the channel values) and
-    writes R[l][q].  Registers, sites and decisions are laid out
-    ``(position, batch)``, as in the reference decoder.  Dead steps (see
-    the module docstring) are dropped, except that a dead g still clears
-    its sites; a live stage-0 step serves an information bit.
-    """
-    n, m = spec.n, spec.m
-    batch = channel.shape[0]
-    regs = [np.zeros((1 << l, batch)) for l in range(m)] + [np.ascontiguousarray(channel.T)]
-    psum = np.zeros((n - 1, batch), dtype=np.uint8)
-    decided = np.zeros((n, batch), dtype=np.uint8)
-    enable = prog.enable
-    f, g, decide = kernel.f, kernel.g, kernel.hard_decision
-
-    # frozen_before[i]: frozen phases below i.  The stage-l step of phase i
-    # feeds phases [i, i + 2**l), so it is dead when all of them are frozen.
-    frozen_before = list(accumulate(spec.frozen_mask.tolist(), initial=0))
-    for l, q0, q1, is_g, s0, s1, phase in prog.ops.tolist():
-        if frozen_before[phase + (1 << l)] - frozen_before[phase] == 1 << l:
-            if is_g:
-                psum[s0:s1] = 0
-            continue
-        src = regs[l + 1]
-        a = src[2 * q0: 2 * q1: 2]
-        b = src[2 * q0 + 1: 2 * q1: 2]
-        if is_g:
-            sites = psum[s0:s1]
-            out = g(a, b, sites)  # a new array: the sites can clear after it
-            sites[:] = 0
-        else:
-            out = f(a, b)
-        regs[l][q0:q1] = out
-        if l == 0:
-            bits = decide(out[0])
-            decided[phase] = bits
-            psum[enable[phase]] ^= bits
-
-    return decided.T
-
-
 def _run_tree_like(sched: Schedule, cfg: ArchitectureConfig, channel: np.ndarray,
                    spec: CodeSpec, kernel: Kernel) -> np.ndarray:
-    """Check, compile (uncached) and execute a schedule, for example a
-    hand-built one, over a (batch, n) array; ``simulate`` runs cached
-    programs instead."""
-    return _execute(_compile(sched, cfg), channel, spec, kernel)
+    """Check, compile (uncached) and run a schedule, for example a
+    hand-built one, over a (batch, n) array of kernel-domain values;
+    ``simulate`` runs cached programs instead."""
+    return _sc_decode(channel, spec, kernel, _compile(sched, cfg).ops.tolist())[0]
 
 
 def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) -> SimResult:
@@ -233,8 +162,8 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     cached for as long as ``cfg`` lives; only the programs of the groups
     that run are compiled.  Cycle and PE counts add up the programs'
     one-run figures, once per group.  Every slot of every group replays the
-    same op list, so the datapath runs that list once over all the frames,
-    skipping dead activations.  The period is the first group's schedule
+    same op list, so the reference loop runs that list once over all the
+    frames, skipping dead activations.  The period is the first group's schedule
     (the full group's when there are no frames).
 
     Parameters
@@ -273,6 +202,7 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
         total_cycles += count * prog.schedule.total_cycles
         pe_counts.update({pe: c * count for pe, c in prog.pe_counts.items()})
     period = runs[0][1] if runs else _program(cfg, None)
-    return SimResult(decoded=_execute(period, values, spec, kernel),
+    decoded, _, _ = _sc_decode(values, spec, kernel, period.ops.tolist())
+    return SimResult(decoded=decoded,
                      total_cycles=total_cycles, pe_activations=pe_counts,
                      schedule=period.schedule)

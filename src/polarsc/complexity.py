@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .schedule import ArchKind, stage_duplication_count
+from .schedule import ArchKind, ArchitectureConfig, stage_duplication_count
 
 
 @dataclass(frozen=True)
@@ -118,18 +118,20 @@ def register_count(kind: ArchKind | str, n: int, p_vectors: int = 1) -> int:
 
 
 def cycles_per_vector(kind: ArchKind | str, n: int, pe_count: int | None = None) -> int:
-    """Clock cycles to decode one vector on the single-vector machines."""
+    """Clock cycles to decode one vector on the single-vector machines.
+
+    A semi-parallel budget of ``P = 2**p`` PEs takes ``2n + (n/P)(m - p - 2)``
+    cycles (Leroux et al., IEEE Trans. Signal Process. 2013): ``2n - 2`` at
+    ``P = n/2`` and ``2n`` at ``P = n/4``.
+    """
     _check_n(n)
     kind = ArchKind(kind)
-    base = 2 * n - 2
     if kind is ArchKind.SEMI_PARALLEL:
-        if pe_count == n // 2:
-            return base
-        if pe_count == n // 4:
-            return 2 * n
-        raise ValueError(f"semi-parallel pe_count must be n/4 or n/2, got {pe_count}")
+        ArchitectureConfig(kind=kind, n=n, pe_count=pe_count)  # rejects other budgets
+        m, p = n.bit_length() - 1, pe_count.bit_length() - 1
+        return 2 * n + (n // pe_count) * (m - p - 2)
     if kind in (ArchKind.FFT_LIKE, ArchKind.PIPELINED_TREE, ArchKind.LINE):
-        return base
+        return 2 * n - 2
     raise ValueError(f"{kind.value!r} is not a single-vector machine")
 
 

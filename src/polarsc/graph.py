@@ -11,20 +11,18 @@ values: stage ``l`` has ``2**l`` tree positions, and the stage-``l`` row
 ``fix + z * 2**(m - l)`` (``fix`` below ``2**(m - l)``) sits at tree
 position ``z = row >> (m - l)``, so the rows that differ only in ``fix``
 share one register.  Phase ``i`` activates the stage-``l`` rows with
-``fix = bit_reverse(i >> l, m - l)``.  Tree position ``(l, q)`` owns the
-partial-sum site ``site_id(l, q)``.
+``fix = bit_reverse(i >> l, m - l)``.  The decoder stores tree position
+``q`` of level ``l`` at index ``bit_reverse(q, l)`` (see ``reference``).
 
 ``single_vector_ops`` is the one control sequence: the reference decoder
-and every schedule replay it, and every decided bit latches through
-``psum_enable``.  Everything here is small integer arithmetic shared by the
-reference decoder, the schedule builder and the cycle simulator.
+and every schedule replay it.  Everything here is small integer arithmetic
+shared by the reference decoder, the schedule builder and the cycle
+simulator.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
 
 
 def bit_reverse(i: int, m: int) -> int:
@@ -37,7 +35,7 @@ def bit_reverse(i: int, m: int) -> int:
 
 
 def reversed_low_bits(i: int, l: int) -> int:
-    """Reverse the lowest l bits of i (0 for l == 0); elementwise on arrays."""
+    """Reverse the lowest l bits of i (0 for l == 0)."""
     return bit_reverse(i & ((1 << l) - 1), l)
 
 
@@ -60,13 +58,16 @@ def single_vector_ops(n: int) -> tuple[tuple[int, str, int], ...]:
     return tuple(ops)
 
 
-def site_id(l: int, q: int) -> int:
-    """Linear id of the partial-sum site attached to tree position (l, q)."""
-    return (1 << l) - 1 + q
+@lru_cache(maxsize=32)
+def full_width_ops(n: int) -> tuple[tuple[int, bool, int, int, int], ...]:
+    """``single_vector_ops(n)`` as the rows ``reference._sc_decode`` runs:
+    ``(stage, is_g, phase, 0, 1)``, each computing a whole level."""
+    return tuple((l, fn == "g", i, 0, 1) for l, fn, i in single_vector_ops(n))
 
 
 def enabled_sites(i: int, m: int) -> list[tuple[int, int]]:
-    """Partial-sum sites (l, q) that must latch decision bit i.
+    """Tree positions (l, q) whose g partial sum decision bit i feeds: the
+    partial-sum sites of a hardware machine that must latch bit i.
 
     Bit i reaches the stage-l sites only when bit l of i is clear; the site
     indices are the sub-masks of the reversed low l bits of i.
@@ -83,16 +84,3 @@ def enabled_sites(i: int, m: int) -> list[tuple[int, int]]:
                 break
             q = (q - 1) & rev
     return sites
-
-
-def psum_enable(m: int) -> np.ndarray:
-    """Boolean (n, n - 1) matrix, True at [i, site_id(l, q)] for every
-    site (l, q) in ``enabled_sites(i, m)``: the sites bit i latches into.
-
-    Built a stage at a time over the whole column of bit indices: bit l of
-    i is clear and q is a sub-mask of ``reversed_low_bits(i, l)``.
-    """
-    i = np.arange(1 << m)[:, None]
-    return np.hstack([((i >> l) & 1 == 0)
-                      & (np.arange(1 << l) & ~reversed_low_bits(i, l) == 0)
-                      for l in range(m)])

@@ -2,11 +2,11 @@
 
 A schedule is a tuple of stage activations, one entry per (cycle, stage
 instance, vector).  Every machine replays ``graph.single_vector_ops``, the
-same 2n - 2 step control sequence the reference decoder runs, per vector,
-and latches decided bits through ``graph.psum_enable``.  One greedy
-builder lays the steps out: the vector-overlapping machine staggers P
-vectors across duplicated stage instances, and the single-vector machines
-are the same builder at P = 1, where every stage has one instance.
+same 2n - 2 step control sequence the reference decoder runs, per vector.
+One greedy builder lays the steps out: the vector-overlapping machine
+staggers P vectors across duplicated stage instances, and the
+single-vector machines are the same builder at P = 1, where every stage
+has one instance.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class ArchKind(Enum):
 class ArchitectureConfig:
     """Which machine to build and with what parallelism.
 
-    ``pe_count`` applies to the semi-parallel machine only (supported
-    budgets: n/4 and n/2).  ``overlap_p`` is the number of simultaneously
+    ``pe_count`` applies to the semi-parallel machine only: any power of
+    two from 1 to n/2.  ``overlap_p`` is the number of simultaneously
     decoded vectors for the overlapping machine, at most n - 1.
     """
 
@@ -46,9 +46,10 @@ class ArchitectureConfig:
         if self.n < 2 or self.n & (self.n - 1):
             raise ValueError(f"n must be a power of 2 >= 2, got {self.n}")
         if self.kind is ArchKind.SEMI_PARALLEL:
-            if self.pe_count not in (self.n // 4, self.n // 2) or self.pe_count < 1:
+            pe = self.pe_count
+            if pe is None or not 1 <= pe <= self.n // 2 or pe & (pe - 1):
                 raise ValueError(
-                    f"semi-parallel pe_count must be n/4 or n/2, got {self.pe_count}"
+                    f"semi-parallel pe_count must be a power of 2 in [1, n/2], got {pe}"
                 )
         elif self.pe_count is not None:
             raise ValueError("pe_count only applies to the semi-parallel machine")

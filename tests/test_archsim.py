@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarsc import CodeSpec, Kernel, archsim, construct_frozen_bec, decode_batch, simulate
+from polarsc import (CodeSpec, Kernel, archsim, construct_frozen_bec, cycles_per_vector,
+                     decode_batch, graph, simulate)
 from polarsc.archsim import SimulationError, _run_tree_like
 from polarsc.kernels import LLR_CLIP
 from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, ScheduleEntry,
                               build_schedule)
 
-from conftest import random_frames
+from conftest import random_frames, recursive_sc
 
 ALL_KERNELS = [Kernel.LR_EXACT, Kernel.LLR_EXACT, Kernel.LLR_MINSUM]
 
@@ -168,7 +169,9 @@ def test_frozen_phase_skip_matches_reference(m, data):
     machines.append(ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n,
                                        overlap_p=data.draw(st.integers(1, n - 1),
                                                            label="P")))
-    expected, _ = decode_batch(llr, spec, kernel)
+    expected, c_hat = decode_batch(llr, spec, kernel)
+    u_ref, c_ref = recursive_sc(kernel.from_llr(llr), spec.frozen_mask, kernel)
+    assert np.array_equal(expected, u_ref) and np.array_equal(c_hat, c_ref)
     rate_one = CodeSpec(m=m, frozen=())
     for cfg in machines:
         res = simulate(cfg, llr, spec, kernel)
@@ -178,6 +181,34 @@ def test_frozen_phase_skip_matches_reference(m, data):
         assert res.total_cycles == full.total_cycles, cfg
         assert res.pe_activations == full.pe_activations, cfg
         assert res.occupancy == full.occupancy, cfg
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+@settings(deadline=None, derandomize=True, max_examples=8)
+@given(data=st.data())
+def test_every_accepted_config_decodes_like_the_oracle(m, data):
+    # every kind at every PE budget the config accepts, and a drawn P: the
+    # single-vector machines take the modelled cycles per frame
+    n = 1 << m
+    spec = data.draw(_frozen_sets(n), label="spec")
+    kernel = data.draw(st.sampled_from(ALL_KERNELS), label="kernel")
+    frames = data.draw(st.integers(1, 7), label="frames")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    llr = rng.normal(0.0, 3.0, (frames, n))
+    machines = [ArchitectureConfig(kind=kind, n=n)
+                for kind in (ArchKind.FFT_LIKE, ArchKind.PIPELINED_TREE, ArchKind.LINE)]
+    machines += [ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=n, pe_count=1 << p)
+                 for p in range(m)]
+    machines.append(ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n,
+                                       overlap_p=data.draw(st.integers(1, n - 1),
+                                                           label="P")))
+    u_ref, _ = recursive_sc(kernel.from_llr(llr), spec.frozen_mask, kernel)
+    for cfg in machines:
+        res = simulate(cfg, llr, spec, kernel)
+        assert np.array_equal(res.decoded, u_ref), cfg
+        if cfg.kind is not ArchKind.VECTOR_OVERLAP:
+            assert res.total_cycles == frames * cycles_per_vector(cfg.kind, n,
+                                                                  cfg.pe_count), cfg
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7])
@@ -308,15 +339,48 @@ def test_slots_replaying_different_op_lists_raise_at_compile():
         archsim._compile(bad, cfg)
 
 
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_program_rows_compute_the_entry_positions(n):
+    # decoded bits cannot tell which lane computes which positions, so check
+    # the lowering itself: level index p holds tree position bit_reverse(p, l)
+    m = n.bit_length() - 1
+    cfgs = configs_for(n) + [ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=n,
+                                                pe_count=1 << p) for p in range(m)]
+    for cfg in cfgs:
+        prog = archsim._program(cfg, None)
+        entries = [e for e in prog.schedule.sorted_entries() if e.vector == 0]
+        assert len(entries) == len(prog.ops)
+        for e, (l, is_g, phase, start, stride) in zip(entries, prog.ops.tolist()):
+            shift = m - l if cfg.kind is ArchKind.FFT_LIKE else 0
+            positions = sorted(graph.bit_reverse(p, l)
+                               for p in range(start, 1 << l, stride))
+            assert positions == [r >> shift for r in e.active], (cfg, e)
+            assert (l, is_g, phase) == (e.stage, e.function == "g", e.phase)
+
+
+@pytest.mark.parametrize("active", [(1, 2), (0, 1, 2), (0, 2)])
+def test_unaligned_lane_raises_at_compile(active):
+    # a lane must be [q0, q0 + w) with w a power of two dividing q0
+    cfg = ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8)
+    entries = [ScheduleEntry(cycle=1, stage=2, copy=0, function="f", vector=0,
+                             phase=0, active=active)]
+    bad = Schedule(kind=cfg.kind, n=8, vectors=1, total_cycles=1, entries=entries)
+    with pytest.raises(SimulationError, match="aligned lane"):
+        archsim._compile(bad, cfg)
+
+
 @pytest.mark.parametrize("kernel", ALL_KERNELS)
 @pytest.mark.parametrize("cfg", configs_for(8), ids=lambda cfg: cfg.kind.value)
 def test_dead_g_still_clears_its_sites(cfg, kernel):
-    # Phase 1 is frozen, so its stage-0 g is dead.  It must still clear the
-    # site holding bit 0, which phase 3's g reads back as bit 2 (frozen, 0).
+    # Phase 1 is frozen, so its stage-0 g is dead and decides 0.  The
+    # partial sums it folds, its sites, must leave no stale bit for phase 3:
+    # phase 3's g reads the sum of bit 2 (frozen, 0) alone, not bit 0.
     spec = CodeSpec(m=3, frozen=(1, 2, 4, 5, 6, 7))
     llr = np.array([[6.0, 8.0, -10.0, 8.0, -4.0, 4.0, -2.0, 1.0]])  # a noisy u = 1001 0000
     expected, _ = decode_batch(llr, spec, kernel)
     assert expected.tolist() == [[1, 0, 0, 1, 0, 0, 0, 0]]
+    u_ref, _ = recursive_sc(kernel.from_llr(llr), spec.frozen_mask, kernel)
+    assert np.array_equal(u_ref, expected)
     assert np.array_equal(simulate(cfg, llr, spec, kernel).decoded, expected)
 
 

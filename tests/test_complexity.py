@@ -101,6 +101,10 @@ def test_cycles_per_vector_model():
         assert cycles_per_vector("tree", n) == 2 * n - 2
         assert cycles_per_vector("semi", n, pe_count=n // 4) == 2 * n
         assert cycles_per_vector("semi", n, pe_count=n // 2) == 2 * n - 2
+        assert cycles_per_vector("semi", n, pe_count=1) == n * (n.bit_length() - 1)
+    for pe_count in (None, 0, 3, 8):
+        with pytest.raises(ValueError):
+            cycles_per_vector("semi", 8, pe_count=pe_count)
 
 
 def test_models_take_arch_kinds_and_reject_unknown_ones():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -108,8 +110,8 @@ def edge_case_llrs(n, count, rng):
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("m", range(1, 11))
 def test_decode_batch_equals_fft_and_line_machines(m, kernel):
-    # both machines run the simulator's executor, which shares no code with
-    # the reference decoder's loop
+    # both machines lower their schedules onto the reference decoder's loop;
+    # this checks the lowering, the recursive oracle below checks the loop
     n = 1 << m
     rng = np.random.default_rng(1000 + 10 * m + KERNELS.index(kernel))
     for k in (0, n, int(rng.integers(1, n + 1))):
@@ -187,3 +189,36 @@ def test_decode_rejects_non_finite(kernel, bad):
         kernel.from_llr(llr)
     with pytest.raises(ValueError, match="finite"):
         decode_batch(llr, spec, kernel)
+
+
+def _golden_specs(m):
+    n = 1 << m
+    yield CodeSpec(m=m, frozen=tuple(range(n)))
+    for k in sorted({1, n // 2, n}):
+        yield construct_frozen_bec(n, k, 0.5)
+
+
+def _decode_digests(kernel):
+    """sha256 of every u_hat and c_hat that decode_batch returns for m = 1..10,
+    k in {0, 1, n/2, n}, on edge-case and on Gaussian frames."""
+    u_sha, c_sha = hashlib.sha256(), hashlib.sha256()
+    for m in range(1, 11):
+        rng = np.random.default_rng(3000 + m)
+        for spec in _golden_specs(m):
+            _, gaussian = random_frames(spec, 6, sigma=0.8, seed=m)
+            for llr in (edge_case_llrs(spec.n, 6, rng), gaussian):
+                u_hat, c_hat = decode_batch(llr, spec, kernel)
+                u_sha.update(u_hat.tobytes())
+                c_sha.update(c_hat.tobytes())
+    return u_sha.hexdigest()[:16], c_sha.hexdigest()[:16]
+
+
+# Recorded from the decoder whose loop ran no rate-0 skip and shared no code
+# with the machines.
+@pytest.mark.parametrize("kernel, digests", [
+    (Kernel.LR_EXACT, ("32eeca4d0df183a3", "dc40ddca5633d1aa")),
+    (Kernel.LLR_EXACT, ("b8db281347999b72", "0afb1c77fe73cd74")),
+    (Kernel.LLR_MINSUM, ("345170a9ad993e7b", "38be15eef242f1cc")),
+])
+def test_decode_batch_golden_digests(kernel, digests):
+    assert _decode_digests(kernel) == digests

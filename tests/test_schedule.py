@@ -134,7 +134,7 @@ def test_single_vector_machines_never_stall():
         cfgs = [ArchitectureConfig(kind=kind, n=n)
                 for kind in (ArchKind.FFT_LIKE, ArchKind.PIPELINED_TREE, ArchKind.LINE)]
         cfgs += [ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=n, pe_count=pe)
-                 for pe in sorted({n // 4, n // 2} - {0})]
+                 for pe in (1 << p for p in range(n.bit_length() - 1))]
         for cfg in cfgs:
             assert build_schedule(cfg).stall_cycles() == [0], cfg
 
@@ -328,16 +328,13 @@ def test_control_bits_fg_alternate_per_stage():
 
 
 def test_control_bits_n2():
-    assert graph.psum_enable(1).shape == (2, 1)
-    assert graph.enabled_sites(0, 1) == [(0, 0)]
-    assert graph.enabled_sites(1, 1) == []
+    assert [graph.enabled_sites(i, 1) for i in range(2)] == [[(0, 0)], []]
 
 
 def test_control_bits_accumulate_published_partial_sum():
     # the site at tree position (1, 0) latches bits 4 and 5 between its
     # second f pass and second g pass, holding their XOR for the g
-    enable = graph.psum_enable(3)
-    window = [i for i in (4, 5, 6, 7) if enable[i, graph.site_id(1, 0)]]
+    window = [i for i in (4, 5, 6, 7) if (1, 0) in graph.enabled_sites(i, 3)]
     assert window == [4, 5]
     # bit 4 also seeds the stage-0 site for the next decision's g;
     # bit 5, decided on a bottom row, fans out to both mid-stage sites
@@ -348,26 +345,15 @@ def test_control_bits_accumulate_published_partial_sum():
 
 
 def test_control_bits_last_bit_feeds_nothing():
-    enable = graph.psum_enable(4)
-    assert not enable[15].any()
+    assert graph.enabled_sites(15, 4) == []
     # every other bit feeds at least one site
-    assert all(enable[i].any() for i in range(15))
-
-
-@pytest.mark.parametrize("m", range(1, 11))
-def test_psum_enable_matches_enabled_sites(m):
-    n = 1 << m
-    expected = np.zeros((n, n - 1), dtype=bool)
-    for i in range(n):
-        for l, q in graph.enabled_sites(i, m):
-            expected[i, graph.site_id(l, q)] = True
-    got = graph.psum_enable(m)
-    assert got.dtype == bool and np.array_equal(got, expected)
+    assert all(graph.enabled_sites(i, 4) for i in range(15))
 
 
 def test_architecture_config_validation():
-    with pytest.raises(ValueError):
-        ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=8, pe_count=3)
+    for pe_count in (0, 3, 6, 8):
+        with pytest.raises(ValueError):
+            ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=8, pe_count=pe_count)
     with pytest.raises(ValueError):
         ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=8, overlap_p=8)
     with pytest.raises(ValueError):
