@@ -98,14 +98,14 @@ def _lane(sched: Schedule, e) -> tuple[int, int]:
 class _Program:
     """A schedule lowered for ``reference._sc_decode``.
 
-    ``ops`` is an int32 array with one row ``(stage, is_g, phase, start,
-    stride)`` per step of one vector slot, in cycle order.  Every slot of
-    ``schedule`` replays these rows.  ``pe_counts`` is one run's
-    ``Schedule.pe_activations``.
+    ``ops`` holds one row ``(stage, is_g, phase, start, stride)`` per step of
+    one vector slot, in cycle order, as a tuple of tuples like
+    ``graph.full_width_ops``.  Every slot of ``schedule`` replays these
+    rows.  ``pe_counts`` is one run's ``Schedule.pe_activations``.
     """
 
     schedule: Schedule
-    ops: np.ndarray
+    ops: tuple[tuple[int, bool, int, int, int], ...]
     pe_counts: Counter
 
 
@@ -125,9 +125,7 @@ def _compile(sched: Schedule, cfg: ArchitectureConfig) -> _Program:
     first, *rest = slots.values()
     if any(ops != first for ops in rest):
         raise SimulationError("vector slots replay different op lists")
-    ops = np.array(first, dtype=np.int32)
-    ops.flags.writeable = False
-    return _Program(schedule=sched, ops=ops, pe_counts=sched.pe_activations())
+    return _Program(schedule=sched, ops=tuple(first), pe_counts=sched.pe_activations())
 
 
 # cfg -> {vectors: _Program}.  Weak keys free a config's programs with the
@@ -149,7 +147,7 @@ def _run_tree_like(sched: Schedule, cfg: ArchitectureConfig, channel: np.ndarray
     """Check, compile (uncached) and run a schedule, for example a
     hand-built one, over a (batch, n) array of kernel-domain values;
     ``simulate`` runs cached programs instead."""
-    return _sc_decode(channel, spec, kernel, _compile(sched, cfg).ops.tolist())[0]
+    return _sc_decode(channel, spec, kernel, _compile(sched, cfg).ops)[0]
 
 
 def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) -> SimResult:
@@ -202,7 +200,7 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
         total_cycles += count * prog.schedule.total_cycles
         pe_counts.update({pe: c * count for pe, c in prog.pe_counts.items()})
     period = runs[0][1] if runs else _program(cfg, None)
-    decoded, _, _ = _sc_decode(values, spec, kernel, period.ops.tolist())
+    decoded, _, _ = _sc_decode(values, spec, kernel, period.ops)
     return SimResult(decoded=decoded,
                      total_cycles=total_cycles, pe_activations=pe_counts,
                      schedule=period.schedule)

@@ -3,9 +3,10 @@
 Every subcommand reads an optional JSON config document (``--config``);
 explicit flags override config values and ``--seed`` overrides any seed.
 Machine-readable JSON outputs embed a ``_meta`` block echoing the sha256
-of the effective config for reproducibility.  Schedule CSV output carries
-no metadata so it can be compared byte for byte against golden files; its
-config hash goes to stderr instead.
+of the effective config and the polarsc and numpy versions, for
+reproducibility.  Schedule CSV output carries no metadata so it can be
+compared byte for byte against golden files; its config hash goes to
+stderr instead.
 
 Exit codes: 0 success, 2 usage/config error, 3 internal consistency error.
 """
@@ -20,6 +21,7 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from .archsim import SimulationError, simulate
 from .channel import (CampaignStop, _noisy_frames, awgn_llr, bpsk_modulate,
                       run_campaign, sigma_from_ebn0_db)
@@ -35,6 +37,12 @@ _ARCHS = {a.value: a for a in ArchKind}
 
 def _config_hash(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _meta(cfg: dict) -> dict:
+    """The ``_meta`` block of a JSON output."""
+    return {"config_sha256": _config_hash(cfg), "polarsc_version": __version__,
+            "numpy_version": np.__version__}
 
 
 def _load_config(path: str | None) -> dict:
@@ -163,11 +171,14 @@ def _cmd_decode(args) -> int:
 
 def _make_arch_config(cfg: dict) -> ArchitectureConfig:
     kind = _choice(_ARCHS, "arch", cfg["arch"])
+    # Only an absent budget takes the default: an explicit 0 must fail the
+    # config check.
+    pe_count, p = cfg.get("pe_count"), cfg.get("P")
     kwargs = {}
     if kind is ArchKind.SEMI_PARALLEL:
-        kwargs["pe_count"] = cfg.get("pe_count") or cfg["n"] // 4
+        kwargs["pe_count"] = max(1, cfg["n"] // 4) if pe_count is None else pe_count
     if kind is ArchKind.VECTOR_OVERLAP:
-        kwargs["overlap_p"] = cfg.get("P") or 1
+        kwargs["overlap_p"] = 1 if p is None else p
     return ArchitectureConfig(kind=kind, n=cfg["n"], **kwargs)
 
 
@@ -210,7 +221,7 @@ def _cmd_simulate(args) -> int:
         print(f"decoded_equal_message: {matches}/{len(message)}")
     if args.trace:
         doc = {
-            "_meta": {"config_sha256": _config_hash(cfg)},
+            "_meta": _meta(cfg),
             "arch": cfg["arch"],
             "n": spec.n,
             "total_cycles": result.total_cycles,
@@ -236,7 +247,7 @@ def _cmd_complexity(args) -> int:
         costs = dataclasses.replace(costs, t_np=cfg["t_np"])
     report = table_report(cfg["n"], cfg.get("P", 1), costs)
     if cfg.get("format", "text") == "json":
-        _write(args.output, report.to_json(meta={"config_sha256": _config_hash(cfg)}) + "\n")
+        _write(args.output, report.to_json(meta=_meta(cfg)) + "\n")
     else:
         _write(args.output, report.to_text())
     return 0
@@ -259,7 +270,7 @@ def _cmd_ber_sweep(args) -> int:
     kernels = [_choice(_KERNELS, "kernel", name) for name in kernels]
     reports = {k.value: run_campaign(spec, k, points, stop, seed=seed) for k in kernels}
     if cfg.get("format", "csv") == "json":
-        doc = {"_meta": {"config_sha256": _config_hash(cfg)},
+        doc = {"_meta": _meta(cfg),
                "campaigns": {name: json.loads(rep.to_json())
                              for name, rep in reports.items()}}
         _write(args.output, json.dumps(doc, indent=2) + "\n")

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import bit_reverse
-
 
 def bit_reverse_permutation(m: int) -> np.ndarray:
     """Permutation array reversing the m-bit representation of each index.
@@ -32,7 +30,10 @@ def bit_reverse_permutation(m: int) -> np.ndarray:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return np.array([bit_reverse(i, m) for i in range(1 << m)], dtype=np.int64)
+    perm = np.zeros(1, dtype=np.int64)
+    for _ in range(m):  # one more bit: i -> 2*perm[i], i + len(perm) -> 2*perm[i] + 1
+        perm = np.concatenate((2 * perm, 2 * perm + 1))
+    return perm
 
 
 def butterfly_transform(bits) -> np.ndarray:

@@ -9,6 +9,17 @@ Values are plain floats (or numpy arrays); the kernel choice fixes the
 domain.  Log-domain magnitudes are clipped to ``LLR_CLIP`` and ratio-domain
 values to the matching ``exp(+/-LLR_CLIP)`` range, which keeps every
 intermediate finite without moving any decision threshold.
+
+Each rule is written once, as an in-place stage op: ``f_into(a, b, out,
+scratch)`` or ``g_into(a, b, us, out, scratch)`` writes its result into
+``out`` through ufunc ``out=`` arguments, using ``scratch`` (a float array of
+``out``'s shape) for its one temporary.  ``out`` may be a strided view, and
+must not overlap the inputs.  The ops allocate nothing and check nothing:
+the decoder loop (``reference._sc_decode``) calls them on its preallocated
+level arrays through ``Kernel.f_into``/``Kernel.g_into``.  The public
+functions ``f_lr``, ``g_lr``, ``f_llr_exact``, ``f_minsum`` and ``g_llr``
+are thin wrappers that convert their inputs, allocate ``out`` and call the
+same op; the ratio-domain wrappers reject non-positive ratios there.
 """
 
 from __future__ import annotations
@@ -22,31 +33,99 @@ LR_MAX = float(np.exp(LLR_CLIP))
 LR_MIN = float(np.exp(-LLR_CLIP))
 
 
+def _const(value, dtype=np.float64) -> np.ndarray:
+    """A read-only 0-d operand: a ufunc converts no Python scalar per call."""
+    arr = np.array(value, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+_ZERO, _ONE = _const(0.0), _const(1.0)
+_LLR_LO, _LLR_HI = _const(-LLR_CLIP), _const(LLR_CLIP)
+_LR_LO, _LR_HI = _const(LR_MIN), _const(LR_MAX)
+_SIGN_SHIFT = _const(63, np.uint64)  # to the sign bit of a float64 viewed as uint64
+
+
 def clip_llr(x):
     return np.clip(x, -LLR_CLIP, LLR_CLIP)
 
 
-def clip_lr(x):
-    return np.clip(x, LR_MIN, LR_MAX)
+def _f_lr_into(a, b, out, scratch):
+    np.multiply(a, b, out=out)
+    np.add(_ONE, out, out=out)
+    np.add(a, b, out=scratch)
+    np.divide(out, scratch, out=out)
+    np.minimum(out, _LR_HI, out=out)
+    np.maximum(out, _LR_LO, out=out)
+
+
+def _g_lr_into(a, b, us, out, scratch):
+    np.multiply(a, b, out=out)        # us == 0
+    np.divide(b, a, out=scratch)      # us == 1
+    # Select bit patterns without a masked loop: keep the difference only
+    # where us is 1, then flip those bits of out.
+    o, d = out.view(np.uint64), scratch.view(np.uint64)
+    np.bitwise_xor(d, o, out=d)
+    np.multiply(d, us, out=d)
+    np.bitwise_xor(o, d, out=o)
+    np.minimum(out, _LR_HI, out=out)
+    np.maximum(out, _LR_LO, out=out)
+
+
+def _f_llr_exact_into(la, lb, out, scratch):
+    np.add(la, lb, out=out)
+    np.logaddexp(out, _ZERO, out=out)
+    np.logaddexp(la, lb, out=scratch)
+    np.subtract(out, scratch, out=out)
+    np.minimum(out, _LLR_HI, out=out)
+    np.maximum(out, _LLR_LO, out=out)
+
+
+def _f_minsum_into(la, lb, out, scratch):
+    np.abs(la, out=out)
+    np.abs(lb, out=scratch)
+    np.minimum(out, scratch, out=out)
+    # The product's sign is sign(la) * sign(lb), kept even when it rounds to 0.
+    np.multiply(la, lb, out=scratch)
+    np.copysign(out, scratch, out=out)
+
+
+def _g_llr_into(la, lb, us, out, scratch):
+    flip = scratch.view(np.uint64)
+    np.left_shift(us, _SIGN_SHIFT, out=flip)
+    np.bitwise_xor(flip, la.view(np.uint64), out=flip)  # (-1)**us * la, exactly
+    np.add(lb, scratch, out=out)
+    np.minimum(out, _LLR_HI, out=out)
+    np.maximum(out, _LLR_LO, out=out)
+
+
+def _apply(op, a, b, *us):
+    """Run a stage op on the inputs as float arrays (partial sums as 0/1
+    uint8) and freshly allocated ``out`` and scratch arrays; a 0-d result
+    comes back as a numpy scalar."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    us = [(np.asarray(u) != 0).view(np.uint8) for u in us]
+    shape = np.broadcast_shapes(a.shape, b.shape, *(u.shape for u in us))
+    out = np.empty(shape)
+    op(a, b, *us, out, np.empty(shape))
+    return out[()]
+
+
+def _positive_ratios(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if np.any(a <= 0) or np.any(b <= 0):
+        raise ValueError("likelihood ratios must be strictly positive")
+    return a, b
 
 
 def f_lr(a, b):
     """Ratio-domain pair combine: (1 + ab) / (a + b). Symmetric."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if np.any(a <= 0) or np.any(b <= 0):
-        raise ValueError("likelihood ratios must be strictly positive")
-    return clip_lr((1.0 + a * b) / (a + b))
+    return _apply(_f_lr_into, *_positive_ratios(a, b))
 
 
 def g_lr(a, b, us):
     """Ratio-domain conditioned combine: a**(1 - 2*us) * b."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if np.any(a <= 0) or np.any(b <= 0):
-        raise ValueError("likelihood ratios must be strictly positive")
-    us = np.asarray(us)
-    return clip_lr(np.where(us == 0, a * b, b / a))
+    return _apply(_g_lr_into, *_positive_ratios(a, b), us)
 
 
 def f_llr_exact(la, lb):
@@ -56,24 +135,17 @@ def f_llr_exact(la, lb):
     ratio-domain f, which equals 2*atanh(tanh(la/2)*tanh(lb/2)) and stays
     finite at saturated inputs.
     """
-    la = np.asarray(la, dtype=np.float64)
-    lb = np.asarray(lb, dtype=np.float64)
-    return clip_llr(np.logaddexp(la + lb, 0.0) - np.logaddexp(la, lb))
+    return _apply(_f_llr_exact_into, la, lb)
 
 
 def f_minsum(la, lb):
     """Min-sum approximation of the log-domain f: sign product, min magnitude."""
-    la = np.asarray(la, dtype=np.float64)
-    lb = np.asarray(lb, dtype=np.float64)
-    return np.sign(la) * np.sign(lb) * np.minimum(np.abs(la), np.abs(lb))
+    return _apply(_f_minsum_into, la, lb)
 
 
 def g_llr(la, lb, us):
     """Log-domain conditioned combine: la * (-1)**us + lb."""
-    la = np.asarray(la, dtype=np.float64)
-    lb = np.asarray(lb, dtype=np.float64)
-    # The sign is computed in float: 1 - 2*us in uint8 wraps to 255.
-    return clip_llr(lb + (1.0 - 2.0 * np.asarray(us)) * la)
+    return _apply(_g_llr_into, la, lb, us)
 
 
 class Kernel(Enum):
@@ -95,6 +167,26 @@ class Kernel(Enum):
             return g_lr(a, b, us)
         return g_llr(a, b, us)
 
+    @property
+    def f_into(self):
+        """This kernel's in-place f, ``f_into(a, b, out, scratch)``."""
+        if self is Kernel.LR_EXACT:
+            return _f_lr_into
+        if self is Kernel.LLR_EXACT:
+            return _f_llr_exact_into
+        return _f_minsum_into
+
+    @property
+    def g_into(self):
+        """This kernel's in-place g, ``g_into(a, b, us, out, scratch)``; ``us``
+        is a uint8 array of partial sums, each 0 or 1."""
+        return _g_lr_into if self is Kernel.LR_EXACT else _g_llr_into
+
+    @property
+    def threshold(self) -> np.ndarray:
+        """The 0-d decision threshold: ratio 1, log-ratio 0."""
+        return _ONE if self is Kernel.LR_EXACT else _ZERO
+
     def from_llr(self, llr) -> np.ndarray:
         """Convert channel log-ratios into this kernel's domain.
 
@@ -111,12 +203,9 @@ class Kernel(Enum):
         return llr
 
     def hard_decision(self, value) -> np.ndarray:
-        """0 when the soft value favors bit 0 strictly, else 1.
+        """0 when the soft value is above ``threshold``, else 1.
 
-        The threshold sits at ratio 1 (log-ratio 0); the boundary itself
-        decides 1.
+        The boundary itself decides 1.  The decoder loop applies the same
+        rule in place, ``np.less_equal(value, threshold, out=bits)``.
         """
-        value = np.asarray(value)
-        threshold = 1.0 if self is Kernel.LR_EXACT else 0.0
-        return np.where(value > threshold, 0, 1).astype(np.uint8)
-
+        return np.less_equal(value, self.threshold).astype(np.uint8)

@@ -6,12 +6,20 @@ bit-reversed order, so stage ``l`` reads the two halves of level ``l + 1``.
 ``_sc_decode`` is the one SC loop: the reference decoder runs it on the
 full-width rows of ``graph.single_vector_ops``, and every machine on the
 rows its schedule lowers to (see ``archsim``).  After each stage-0 step it
-decides that phase's bit and folds it into the left-sibling partial sums
-that g reads; the root's partial sum is the codeword in bit-reversed
-order.  An activation whose phases are all frozen (a rate-0 subtree) is
-skipped.  Levels are laid out ``(2**l, batch)``: one kernel call serves
-every frame.  The public entry points take channel log-ratios and convert
-them once, through ``Kernel.from_llr``, into the kernel's domain.
+decides that phase's bit and folds it into the partial sums that g reads.
+An activation whose phases are all frozen (a rate-0 subtree) is skipped.
+Levels are laid out ``(2**l, batch)``: one kernel call serves every frame.
+
+Like the paper's decoders, the loop updates O(n) memory in place and
+allocates nothing per step.  The kernels' in-place stage ops
+(``Kernel.f_into``/``Kernel.g_into``) write into the level arrays, or
+strided views of them for a machine's lane, and share one ``(n/2, batch)``
+scratch array.  All partial sums live in one ``(n, batch)`` uint8 array in
+block layout: each decision goes into its phase's row, and each fold is
+an in-place XOR of a block's right half into its left half.  After the
+last phase that array is the codeword in bit-reversed order.  The public
+entry points take channel log-ratios and convert them once, through
+``Kernel.from_llr``, into the kernel's domain.
 """
 
 from __future__ import annotations
@@ -34,9 +42,18 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel, ops,
     ``ops`` lists rows ``(stage, is_g, phase, start, stride)`` in order.  A
     row computes positions ``start::stride`` of level ``stage`` from the
     same positions and ``2**stage + start::stride`` of the level above, and
-    a g also from ``left[stage][start::stride]``.  The stage-``l`` row of
-    phase ``i`` feeds only phases ``[i, i + 2**l)``; when all of them are
-    frozen it is dead and skipped, and a dead stage-0 row decides 0.
+    a g also from the same positions of the left sibling's partial sum.
+    The stage-``l`` row of phase ``i`` feeds only phases ``[i, i + 2**l)``;
+    when all of them are frozen it is dead and skipped, and a dead stage-0
+    row decides 0.
+
+    Partial sums live in one ``(n, batch)`` buffer ``x`` in block layout:
+    phase ``i`` decides into row ``i``, and once phase ``i`` closes a
+    level-``l`` block ``[b, b + 2h)`` (``h = 2**l``) the fold
+    ``x[b:b+h] ^= x[b+h:b+2h]`` turns the block into its level-``l + 1``
+    partial sum, so a g at stage ``l`` of phase ``i`` reads the left sibling
+    block ``x[i-h:i]``.  At the end ``x`` holds the codeword in bit-reversed
+    order.
 
     When ``force_bits`` is given, each phase's raw decision is compared to
     the forced bit, the mismatch is counted, and the forced bit is what
@@ -48,10 +65,14 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel, ops,
     perm = bit_reverse_permutation(m)
 
     soft = [np.empty((1 << l, batch)) for l in range(m)] + [values.T[perm]]
-    left = [None] * (m + 1)  # left[l]: partial sum of the last decided level-l block
+    scratch = np.empty((n // 2, batch))  # the stage ops' temporaries
+    x = np.zeros((n, batch), dtype=np.uint8)
+    bits, root, threshold = x.view(bool), soft[0][0], kernel.threshold
+    f_into, g_into = kernel.f_into, kernel.g_into
     forced = None if force_bits is None else force_bits.T
     u_hat = np.empty((n, batch), dtype=np.uint8)
     err_counts = np.zeros(n, dtype=np.int64) if forced is not None else None
+    miss = np.empty(batch, dtype=bool)  # genie mode: raw decision != forced bit
     # frozen_before[i]: frozen phases below i (none count in genie mode)
     frozen = spec.frozen_mask.tolist() if forced is None else [0] * n
     frozen_before = list(accumulate(frozen, initial=0))
@@ -60,31 +81,29 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel, ops,
         h = 1 << l
         dead = frozen_before[i + h] - frozen_before[i] == h
         if not dead:
-            src = soft[l + 1]
-            a, b = src[start:h:stride], src[h + start::stride]
+            src, out = soft[l + 1], soft[l][start::stride]
+            a, b, tmp = src[start:h:stride], src[h + start::stride], scratch[:len(out)]
             if is_g:
-                soft[l][start::stride] = kernel.g(a, b, left[l][start::stride])
+                g_into(a, b, x[i - h + start:i:stride], out, tmp)
             else:
-                soft[l][start::stride] = kernel.f(a, b)
+                f_into(a, b, out, tmp)
         if l:
             continue
 
-        if dead:
-            bits = np.zeros(batch, dtype=np.uint8)
-        else:
-            bits = kernel.hard_decision(soft[0][0])
+        if not dead:  # a dead row keeps the 0 that x starts with
+            np.less_equal(root, threshold, out=bits[i])  # Kernel.hard_decision
         if forced is not None:
-            err_counts[i] = int(np.count_nonzero(bits != forced[i]))
-            bits = forced[i]
-        u_hat[i] = bits
+            err_counts[i] = np.count_nonzero(np.not_equal(x[i], forced[i], out=miss))
+            x[i] = forced[i]
+        u_hat[i] = x[i]
 
-        cur, l = bits[None, :], 0
-        while (i >> l) & 1:
-            cur = np.concatenate((left[l] ^ cur, cur))
+        while (i >> l) & 1:  # phase i closes the level-l block [lo, i]: fold it
+            h = 1 << l
+            lo = i + 1 - 2 * h
+            x[lo:lo + h] ^= x[lo + h:i + 1]
             l += 1
-        left[l] = cur
 
-    return u_hat.T, left[m][perm].T, err_counts
+    return u_hat.T, x[perm].T, err_counts
 
 
 def decode_batch(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:

@@ -350,7 +350,7 @@ def test_program_rows_compute_the_entry_positions(n):
         prog = archsim._program(cfg, None)
         entries = [e for e in prog.schedule.sorted_entries() if e.vector == 0]
         assert len(entries) == len(prog.ops)
-        for e, (l, is_g, phase, start, stride) in zip(entries, prog.ops.tolist()):
+        for e, (l, is_g, phase, start, stride) in zip(entries, prog.ops):
             shift = m - l if cfg.kind is ArchKind.FFT_LIKE else 0
             positions = sorted(graph.bit_reverse(p, l)
                                for p in range(start, 1 << l, stride))

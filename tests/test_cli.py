@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from polarsc import CodeSpec, construct_frozen_bec, encode
+import polarsc
+from polarsc import (ArchitectureConfig, ArchKind, CodeSpec, build_schedule,
+                     construct_frozen_bec, encode)
 from polarsc.cli import main
 
 
@@ -13,6 +15,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_meta(doc):
+    meta = doc["_meta"]
+    assert set(meta) == {"config_sha256", "polarsc_version", "numpy_version"}
+    assert len(meta["config_sha256"]) == 64
+    assert meta["polarsc_version"] == polarsc.__version__
+    assert meta["numpy_version"] == np.__version__
 
 
 def test_construct_emits_spec_json(tmp_path, capsys):
@@ -90,12 +100,13 @@ def test_simulate_noiseless_line_prints_cycles(capsys, tmp_path):
     doc = json.loads(trace.read_text())
     assert doc["total_cycles"] == 14
     assert len(doc["occupancy"]) == 14
-    assert "config_sha256" in doc["_meta"]
+    assert_meta(doc)
 
 
 def test_simulate_noisy_overlap_output_pinned(tmp_path, capsys):
     # sha256 of stdout and of the trace, recorded before the random frames
-    # were drawn through channel._noisy_frames: the draw must not move
+    # were drawn through channel._noisy_frames: the draw must not move.  The
+    # trace is hashed without its _meta block, which names the versions.
     trace = tmp_path / "trace.json"
     code, out, _ = run_cli(capsys, "simulate", "--arch", "overlap", "--n", "16",
                            "--P", "3", "--random-frames", "5", "--seed", "7",
@@ -103,8 +114,12 @@ def test_simulate_noisy_overlap_output_pinned(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "8be54d436350bf15f3a5e399b6f8e28bcbd39d9a2471c0beee4f79d759b87922")
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
-        "bd68bf8fbe37739f0254ec5fd3ad7ef5da7992151f05c30b73f6e86455464939")
+    doc = json.loads(trace.read_text())
+    assert_meta(doc)
+    assert doc.pop("_meta")["config_sha256"] == (
+        "42f8558b26cd5f870160d79aebe46b1516f408ea077aaeee95381dd58397c401")
+    assert hashlib.sha256((json.dumps(doc, indent=2) + "\n").encode()).hexdigest() == (
+        "6c13c175c23fe248aa1a6feedd86e8cfcb21e9e183ddcc7b05cc4976105dae58")
 
 
 def test_simulate_from_llr_file(tmp_path, capsys):
@@ -133,6 +148,7 @@ def test_complexity_text_and_json(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     rows = {r["kind"]: r for r in doc["rows"]}
     assert rows["tree"]["registers"] == 15
+    assert_meta(doc)
 
 
 def test_ber_sweep_runs_and_is_deterministic(tmp_path, capsys):
@@ -253,3 +269,48 @@ def test_unknown_arch_in_config_lists_choices(tmp_path, capsys):
     assert code == 2
     assert err.strip() == ("error: unknown arch 'foo' "
                            "(choose one of: fft, line, overlap, semi, tree)")
+
+
+def test_ber_sweep_json_meta(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(construct_frozen_bec(8, 4, 0.5).to_json())
+    out = tmp_path / "sweep.json"
+    code, _, _ = run_cli(capsys, "ber-sweep", "--spec", str(spec_path), "--points-db",
+                         "2.0", "--max-frames", "16", "--format", "json", "-o", str(out))
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert_meta(doc)
+    assert set(doc["campaigns"]) == {"llr_exact"}
+
+
+@pytest.mark.parametrize("command", [
+    ["schedule", "--arch", "semi", "--n", "8", "--pe-count", "0"],
+    ["schedule", "--arch", "overlap", "--n", "8", "--P", "0"],
+    ["simulate", "--arch", "semi", "--n", "8", "--pe-count", "0"],
+    ["simulate", "--arch", "overlap", "--n", "8", "--P", "0"],
+])
+def test_explicit_zero_budget_exits_2(capsys, command):
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2
+    assert out == ""
+    assert "got 0" in err
+
+
+def test_zero_budget_in_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"arch": "semi", "n": 8, "pe_count": 0}))
+    code, _, err = run_cli(capsys, "schedule", "--config", str(cfg))
+    assert code == 2
+    assert "got 0" in err
+
+
+def test_semi_default_budget_at_n2(capsys):
+    # the n // 4 default is 0 at n = 2; the default budget is at least one PE
+    code, out, err = run_cli(capsys, "simulate", "--arch", "semi", "--n", "2",
+                             "--random-frames", "1")
+    assert code == 0, err
+    assert "decoded_equal_message: 1/1" in out
+    code, out, _ = run_cli(capsys, "schedule", "--arch", "semi", "--n", "8")
+    assert code == 0
+    assert out == build_schedule(ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=8,
+                                                    pe_count=2)).to_csv()

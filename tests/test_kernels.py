@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polarsc import Kernel, f_llr_exact, f_lr, f_minsum, g_llr, g_lr
-from polarsc.kernels import LLR_CLIP
+from polarsc.kernels import LLR_CLIP, LR_MAX, LR_MIN
 
 
 def test_f_lr_erasure_absorbs():
@@ -25,6 +25,16 @@ def test_lr_domain_rejects_nonpositive():
         f_lr(-1.0, 2.0)
     with pytest.raises(ValueError):
         g_lr(1.0, 0.0, 0)
+    good = np.array([[0.5, 2.0], [1.0, 3.0]])
+    for bad in (np.array([[0.5, 2.0], [1.0, 0.0]]), -good):
+        for f in (f_lr, Kernel.LR_EXACT.f):
+            for args in ((bad, good), (good, bad)):
+                with pytest.raises(ValueError, match="strictly positive"):
+                    f(*args)
+        for g in (g_lr, Kernel.LR_EXACT.g):
+            for args in ((bad, good, 1), (good, bad, 0)):
+                with pytest.raises(ValueError, match="strictly positive"):
+                    g(*args)
 
 
 def test_g_lr_multiply_or_divide():
@@ -122,3 +132,71 @@ def test_kernel_domain_conversion():
     np.testing.assert_allclose(Kernel.LLR_EXACT.from_llr(llr), llr)
     big = Kernel.LLR_MINSUM.from_llr(np.array([1e9]))
     assert big[0] == LLR_CLIP
+
+
+# Reference forms of the rules, one allocating numpy expression each: the
+# stage ops must match them bit for bit.
+FORMULA_F = {
+    Kernel.LR_EXACT: lambda a, b: np.clip((1.0 + a * b) / (a + b), LR_MIN, LR_MAX),
+    Kernel.LLR_EXACT: lambda a, b: np.clip(np.logaddexp(a + b, 0.0) - np.logaddexp(a, b),
+                                           -LLR_CLIP, LLR_CLIP),
+    Kernel.LLR_MINSUM: lambda a, b: np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b)),
+}
+FORMULA_G = {
+    Kernel.LR_EXACT: lambda a, b, us: np.clip(np.where(us == 0, a * b, b / a), LR_MIN, LR_MAX),
+    Kernel.LLR_EXACT: lambda a, b, us: np.clip(b + (1.0 - 2.0 * us) * a, -LLR_CLIP, LLR_CLIP),
+}
+FORMULA_G[Kernel.LLR_MINSUM] = FORMULA_G[Kernel.LLR_EXACT]
+LOG_SPECIALS = [0.0, -0.0, 1e-300, -1e-300, LLR_CLIP, -LLR_CLIP, 2.5, -39.5]
+LR_SPECIALS = [LR_MIN, LR_MAX, 1.0, 0.5, 2.0, np.exp(39.5), np.exp(-2.5), 1.0 + 1e-15]
+ROWS, COLS = 16, 12
+
+
+def stage_operands(rng, kernel):
+    """(ROWS, COLS) operands: every pair of special values, once under each
+    partial sum, then random values."""
+    specials = LR_SPECIALS if kernel is Kernel.LR_EXACT else LOG_SPECIALS
+    a = rng.uniform(-45, 45, size=(ROWS, COLS))
+    b = rng.uniform(-45, 45, size=(ROWS, COLS))
+    if kernel is Kernel.LR_EXACT:
+        a, b = np.exp(a), np.exp(b)
+    us = rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)
+    pa, pb = np.meshgrid(specials, specials)
+    k = pa.size
+    a.flat[:2 * k], b.flat[:2 * k] = np.tile(pa.ravel(), 2), np.tile(pb.ravel(), 2)
+    us.flat[:k], us.flat[k:2 * k] = 0, 1
+    return a, b, us
+
+
+def lane(values, start, stride, fill):
+    """Place ``values`` at rows ``start::stride`` of a larger array, as a
+    machine's lane row sits in a level; returns (the array, the view)."""
+    level = np.full((values.shape[0] * stride, values.shape[1]), fill, dtype=values.dtype)
+    view = level[start::stride]
+    view[...] = values
+    return level, view
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+@pytest.mark.parametrize("start, stride", [(0, 1), (1, 2), (3, 4)])
+def test_stage_ops_match_public_functions(rng, kernel, start, stride):
+    a, b, us = stage_operands(rng, kernel)
+    want_f, want_g = kernel.f(a, b), kernel.g(a, b, us)
+    assert np.array_equal(want_f, FORMULA_F[kernel](a, b))
+    assert np.array_equal(want_g, FORMULA_G[kernel](a, b, us))
+    # the loop's operands: positions start::stride of the two halves of a level
+    src, _ = lane(np.concatenate((a, b)), start, stride, np.nan)
+    rows = ROWS * stride
+    a_view, b_view = src[start:rows:stride], src[rows + start::stride]
+    _, us_view = lane(us, start, stride, 1)
+    for op, args, want in ((kernel.f_into, (a_view, b_view), want_f),
+                           (kernel.g_into, (a_view, b_view, us_view), want_g)):
+        level, out = lane(np.zeros((ROWS, COLS)), start, stride, np.nan)
+        op(*args, out, np.empty((ROWS, COLS)))
+        assert np.array_equal(out, want)
+        assert np.array_equal(kernel.hard_decision(out), kernel.hard_decision(want))
+        others = np.ones(rows, dtype=bool)
+        others[start::stride] = False
+        assert np.isnan(level[others]).all()  # only the lane's positions are written
+    assert np.array_equal(a_view, a) and np.array_equal(b_view, b)  # inputs untouched
+    assert np.array_equal(us_view, us)

@@ -6,7 +6,9 @@ import pytest
 from polarsc import (ArchitectureConfig, ArchKind, CodeSpec, Kernel, LLR_CLIP,
                      construct_frozen_bec, decode, decode_batch, encode,
                      genie_error_counts, simulate)
+from polarsc import graph
 from polarsc.kernels import g_llr
+from polarsc.reference import _sc_decode
 
 from conftest import oracle_phase_decision, random_frames, recursive_sc
 
@@ -167,6 +169,22 @@ def test_recursive_oracle_matches_exhaustive_oracle(n, kernel, rng):
         u_hat, _ = recursive_sc(kernel.from_llr(llr), spec.frozen_mask, kernel)
         for i in range(n):
             assert u_hat[0, i] == oracle_phase_decision(llr[0], u_hat[0, :i], i, spec)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("m", range(1, 9))
+def test_genie_mode_returns_the_forced_codeword(m, kernel, rng):
+    # genie mode propagates the forced bits, so the partial-sum buffer must
+    # fold them into their codeword whatever the raw decisions were
+    n = 1 << m
+    spec = CodeSpec(m=m, frozen=())
+    u = rng.integers(0, 2, size=(40, n), dtype=np.uint8)
+    llr = rng.normal(0.0, 4.0, size=(40, n))  # independent of u: many wrong decisions
+    u_hat, c_hat, errs = _sc_decode(kernel.from_llr(llr), spec, kernel,
+                                    graph.full_width_ops(n), force_bits=u)
+    assert np.array_equal(u_hat, u)
+    assert np.array_equal(c_hat, encode(u, spec))
+    assert errs.shape == (n,) and 0 < errs.sum() <= u.size
 
 
 def test_genie_counts_golden_n64():
