@@ -29,7 +29,9 @@ takes cycles and PE counts from the programs of the groups the frames
 fill; a hand-built schedule given to ``_run_tree_like`` is checked and
 compiled anew, uncached.
 
-The loop skips dead activations, those that feed only frozen phases.  They
+The loop skips dead activations, those that feed only frozen phases, and
+with the min-sum kernel it decides a tie-free rate-1 subtree by hard
+decision and skips the rest of its activations.  Skipped activations
 still take their cycles and PEs: cycle, PE and occupancy figures come from
 the schedule alone.  The decoded output of every machine is bit-identical
 to the reference decoder.
@@ -46,7 +48,7 @@ import numpy as np
 from . import graph
 from .codespec import CodeSpec
 from .kernels import Kernel
-from .reference import _sc_decode
+from .reference import _kernel_frames, _sc_decode
 from .schedule import (ArchKind, ArchitectureConfig, Schedule, build_schedule,
                        check_no_conflict)
 
@@ -161,16 +163,17 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     that run are compiled.  Cycle and PE counts add up the programs'
     one-run figures, once per group.  Every slot of every group replays the
     same op list, so the reference loop runs that list once over all the
-    frames, skipping dead activations.  The period is the first group's schedule
-    (the full group's when there are no frames).
+    frames, skipping the activations it prunes.  The period is the first
+    group's schedule (the full group's when there are no frames).
 
     Parameters
     ----------
     cfg : ArchitectureConfig
         Machine kind and parallelism.
     frames : array-like, shape (num_frames, n) or (n,)
-        Channel log-likelihood ratios; ``kernel.from_llr`` rejects NaN/inf
-        and maps them into the kernel's domain for the channel registers.
+        Channel log-likelihood ratios; any other shape raises ValueError,
+        and ``kernel.from_llr`` rejects NaN/inf and maps them into the
+        kernel's domain for the channel registers.
     spec : CodeSpec
         Code definition; must match the configured length.
     kernel : Kernel
@@ -186,9 +189,7 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     """
     if cfg.n != spec.n:
         raise ValueError(f"config length {cfg.n} != code length {spec.n}")
-    values = np.atleast_2d(kernel.from_llr(frames))
-    if values.shape[1] != spec.n:
-        raise ValueError(f"frame length {values.shape[1]} != code length {spec.n}")
+    values = _kernel_frames(frames, spec, kernel)
 
     p = cfg.overlap_p or 1
     groups, tail = divmod(len(values), p)

@@ -183,6 +183,17 @@ class Kernel(Enum):
         return _g_lr_into if self is Kernel.LR_EXACT else _g_llr_into
 
     @property
+    def rate1_is_hard_decision(self) -> bool:
+        """Whether SC on a rate-1 subtree whose inputs hold no ``+/-0.0``
+        returns their hard decision.  True for min-sum: its f,
+        ``copysign(min(|a|, |b|), a*b)``, is non-zero with the sign product,
+        so given the left child's hard decision its g is ``b + sign(b)*|a|``,
+        and by induction each child decides its own inputs' signs.  The
+        exact kernels' f can round to 0 on small inputs, so they run in full.
+        """
+        return self is Kernel.LLR_MINSUM
+
+    @property
     def threshold(self) -> np.ndarray:
         """The 0-d decision threshold: ratio 1, log-ratio 0."""
         return _ONE if self is Kernel.LR_EXACT else _ZERO
@@ -206,6 +217,8 @@ class Kernel(Enum):
         """0 when the soft value is above ``threshold``, else 1.
 
         The boundary itself decides 1.  The decoder loop applies the same
-        rule in place, ``np.less_equal(value, threshold, out=bits)``.
+        rule in place, ``np.less_equal(value, threshold, out=bits)``, to
+        each phase's root value, and to a whole tree level when a rate-1
+        subtree is decided at once (see ``rate1_is_hard_decision``).
         """
         return np.less_equal(value, self.threshold).astype(np.uint8)

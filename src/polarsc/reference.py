@@ -7,8 +7,13 @@ bit-reversed order, so stage ``l`` reads the two halves of level ``l + 1``.
 full-width rows of ``graph.single_vector_ops``, and every machine on the
 rows its schedule lowers to (see ``archsim``).  After each stage-0 step it
 decides that phase's bit and folds it into the partial sums that g reads.
-An activation whose phases are all frozen (a rate-0 subtree) is skipped.
-Levels are laid out ``(2**l, batch)``: one kernel call serves every frame.
+As in simplified SC, it prunes the tree by the frozen set: an activation
+whose phases are all frozen (a rate-0 subtree) is skipped, and with a
+kernel whose ``rate1_is_hard_decision`` holds (min-sum), a subtree whose
+phases all carry information (rate-1) is decided at once by the hard
+decision of its soft values, unless one of them is an exact zero.  Both
+give SC's own decisions.  Levels are laid out ``(2**l, batch)``: one
+kernel call serves every frame.
 
 Like the paper's decoders, the loop updates O(n) memory in place and
 allocates nothing per step.  The kernels' in-place stage ops
@@ -17,13 +22,15 @@ strided views of them for a machine's lane, and share one ``(n/2, batch)``
 scratch array.  All partial sums live in one ``(n, batch)`` uint8 array in
 block layout: each decision goes into its phase's row, and each fold is
 an in-place XOR of a block's right half into its left half.  After the
-last phase that array is the codeword in bit-reversed order.  The public
-entry points take channel log-ratios and convert them once, through
-``Kernel.from_llr``, into the kernel's domain.
+last phase that array is the codeword in bit-reversed order, and one more
+pass of every fold turns it back into the decided bits.  The public entry
+points check the shape of their channel log-ratios and convert them once,
+through ``Kernel.from_llr``, into the kernel's domain.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -33,6 +40,29 @@ from .codespec import CodeSpec, bit_reverse_permutation
 from .kernels import Kernel
 
 _GENIE_BLOCK = 512  # frames per random stream; part of the reproducibility contract
+
+
+@lru_cache(maxsize=32)
+def _phase_tables(spec: CodeSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-code lookups for ``_sc_decode``.
+
+    ``frozen_before[i]`` counts the frozen phases below ``i``.  ``rate1[i]``
+    is ``L >= 1`` when ``[i, i + 2**L)`` is a maximal rate-1 node (every
+    phase an information bit, and not so for its parent), else 0.
+    """
+    frozen_before = tuple(accumulate(spec.frozen_mask.tolist(), initial=0))
+    rate1 = [0] * spec.n
+
+    def visit(lo: int, l: int) -> None:
+        size = 1 << l
+        if frozen_before[lo + size] == frozen_before[lo]:
+            rate1[lo] = l
+        elif l:
+            visit(lo, l - 1)
+            visit(lo + size // 2, l - 1)
+
+    visit(0, spec.m)
+    return frozen_before, tuple(rate1)
 
 
 def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel, ops,
@@ -52,8 +82,17 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel, ops,
     level-``l`` block ``[b, b + 2h)`` (``h = 2**l``) the fold
     ``x[b:b+h] ^= x[b+h:b+2h]`` turns the block into its level-``l + 1``
     partial sum, so a g at stage ``l`` of phase ``i`` reads the left sibling
-    block ``x[i-h:i]``.  At the end ``x`` holds the codeword in bit-reversed
-    order.
+    block ``x[i-h:i]``.  A fold whose right half is all frozen XORs zeros
+    and is skipped.  At the end ``x`` is the butterfly transform of the
+    decided bits in block layout: gathered in bit-reversed order it is the
+    codeword, and since the transform is its own inverse, ``m`` more
+    passes of every fold turn it back into the decided bits.
+
+    Where ``kernel.rate1_is_hard_decision``, a maximal rate-1 node
+    ``[i, i + 2**L)`` (``L >= 1``) is decided at its first row below stage
+    ``L``: if level ``L`` holds no ``+/-0.0`` in any frame, its hard
+    decision is the node's partial sum, in the level's storage order, and
+    the node's remaining rows are skipped; otherwise they run as usual.
 
     When ``force_bits`` is given, each phase's raw decision is compared to
     the forced bit, the mismatch is counted, and the forced bit is what
@@ -70,14 +109,36 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel, ops,
     bits, root, threshold = x.view(bool), soft[0][0], kernel.threshold
     f_into, g_into = kernel.f_into, kernel.g_into
     forced = None if force_bits is None else force_bits.T
-    u_hat = np.empty((n, batch), dtype=np.uint8)
     err_counts = np.zeros(n, dtype=np.int64) if forced is not None else None
     miss = np.empty(batch, dtype=bool)  # genie mode: raw decision != forced bit
-    # frozen_before[i]: frozen phases below i (none count in genie mode)
-    frozen = spec.frozen_mask.tolist() if forced is None else [0] * n
-    frozen_before = list(accumulate(frozen, initial=0))
+    if forced is None:
+        frozen_before, rate1 = _phase_tables(spec)
+        if not kernel.rate1_is_hard_decision:
+            rate1 = (0,) * n
+    else:  # genie mode: nothing counts as frozen, nothing is pruned
+        frozen_before, rate1 = (0,) * (n + 1), (0,) * n
 
+    def fold(i: int, l: int) -> None:
+        """Phase ``i`` closed a level-``l`` block: fold it and every block
+        above that it closes."""
+        while (i >> l) & 1:
+            h = 1 << l
+            if frozen_before[i + 1] - frozen_before[i + 1 - h] != h:
+                x[i + 1 - 2 * h:i + 1 - h] ^= x[i + 1 - h:i + 1]
+            l += 1
+
+    resume = 0  # phases below it lie in a node already decided
     for l, is_g, i, start, stride in ops:
+        if i < resume:
+            continue
+        top = rate1[i]
+        # a row below a maximal rate-1 node's root; with a tie the check
+        # fails again at each such row, and the node runs in full
+        if l < top and soft[top].all():  # no +/-0.0 in any frame
+            np.less_equal(soft[top], threshold, out=bits[i:i + (1 << top)])
+            resume = i + (1 << top)
+            fold(resume - 1, top)
+            continue
         h = 1 << l
         dead = frozen_before[i + h] - frozen_before[i] == h
         if not dead:
@@ -95,22 +156,37 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel, ops,
         if forced is not None:
             err_counts[i] = np.count_nonzero(np.not_equal(x[i], forced[i], out=miss))
             x[i] = forced[i]
-        u_hat[i] = x[i]
+        fold(i, 0)
 
-        while (i >> l) & 1:  # phase i closes the level-l block [lo, i]: fold it
-            h = 1 << l
-            lo = i + 1 - 2 * h
-            x[lo:lo + h] ^= x[lo + h:i + 1]
-            l += 1
+    c_hat = x[perm].T
+    for l in range(m):  # every fold once more: x becomes the decided bits
+        blocks = x.reshape(n >> (l + 1), 2, 1 << l, batch)
+        blocks[:, 0] ^= blocks[:, 1]
+    return x.T, c_hat, err_counts
 
-    return u_hat.T, x[perm].T, err_counts
+
+def _kernel_frames(llr, spec: CodeSpec, kernel: Kernel, batch: bool = True) -> np.ndarray:
+    """Check the shape of channel log-ratio input and convert it, through
+    ``kernel.from_llr``, into a (batch, n) array of kernel-domain values.
+
+    Accepts one frame, shape ``(n,)``, or when ``batch`` also a batch of
+    them, shape ``(batch, n)``; any other shape raises ValueError naming it.
+    """
+    llr = np.asarray(llr)
+    n = spec.n
+    if llr.shape != (n,) and (not batch or llr.ndim != 2 or llr.shape[1] != n):
+        expected = f"({n},) or (batch, {n})" if batch else f"({n},)"
+        raise ValueError(f"channel log-ratios must have shape {expected}, "
+                         f"got shape {llr.shape}")
+    return np.atleast_2d(kernel.from_llr(llr))
 
 
 def decode_batch(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """Decode a (batch, n) array of channel log-likelihood ratios.
 
-    ``kernel.from_llr`` rejects NaN/inf and maps the frames into the
-    kernel's domain.
+    A single ``(n,)`` frame counts as a batch of one; any other shape
+    raises ValueError.  ``kernel.from_llr`` rejects NaN/inf and maps the
+    frames into the kernel's domain.
 
     Returns
     -------
@@ -118,16 +194,15 @@ def decode_batch(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.nd
         Decided input blocks and the codewords they encode, both
         ``(batch, n)`` uint8 arrays.
     """
-    values = np.atleast_2d(kernel.from_llr(llr))
-    if values.shape[1] != spec.n:
-        raise ValueError(f"frame length {values.shape[1]} != code length {spec.n}")
+    values = _kernel_frames(llr, spec, kernel)
     u_hat, c_hat, _ = _sc_decode(values, spec, kernel, graph.full_width_ops(spec.n))
     return u_hat, c_hat
 
 
 def decode(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Decode one frame of channel log-likelihood ratios."""
-    u_hat, c_hat = decode_batch(np.asarray(llr)[None, :], spec, kernel)
+    """Decode one ``(n,)`` frame of channel log-likelihood ratios."""
+    values = _kernel_frames(llr, spec, kernel, batch=False)
+    u_hat, c_hat, _ = _sc_decode(values, spec, kernel, graph.full_width_ops(spec.n))
     return u_hat[0], c_hat[0]
 
 

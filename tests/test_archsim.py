@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarsc import (CodeSpec, Kernel, archsim, construct_frozen_bec, cycles_per_vector,
-                     decode_batch, graph, simulate)
+from polarsc import (CodeSpec, Kernel, archsim, bit_reverse_permutation,
+                     construct_frozen_bec, cycles_per_vector, decode_batch, graph, simulate)
 from polarsc.archsim import SimulationError, _run_tree_like
 from polarsc.kernels import LLR_CLIP
 from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, ScheduleEntry,
@@ -211,6 +211,66 @@ def test_every_accepted_config_decodes_like_the_oracle(m, data):
                                                                   cfg.pe_count), cfg
 
 
+def _maximal_rate1_nodes(mask):
+    """(i0, L) of every maximal all-information block [i0, i0 + 2**L), L >= 1."""
+    nodes = []
+
+    def visit(lo, size):
+        if not mask[lo:lo + size].any():
+            if size > 1:
+                nodes.append((lo, size.bit_length() - 1))
+        elif size > 1:
+            visit(lo, size // 2)
+            visit(lo + size // 2, size // 2)
+
+    visit(0, len(mask))
+    return nodes
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@settings(deadline=None, derandomize=True, max_examples=6)
+@given(data=st.data())
+def test_minsum_rate1_shortcut_matches_the_oracle(m, data):
+    # min-sum decides a tie-free rate-1 node by hard decision; a batch with
+    # one +/-0.0 inside a node runs that node in full
+    n = 1 << m
+    spec = data.draw(st.one_of(
+        _frozen_sets(n),
+        st.integers(1, n).map(lambda k: construct_frozen_bec(n, k, 0.5))), label="spec")
+    frames = data.draw(st.integers(1, 7), label="frames")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    llr = rng.normal(0.0, 3.0, (frames, n))
+    special = rng.random((frames, n)) < 0.2
+    llr[special] = rng.choice([LLR_CLIP, -LLR_CLIP, 1e3, -1e3, 1e-300, -1e-300],
+                              size=int(special.sum()))
+    llr[llr == 0.0] = 1.0
+    batches = [llr]
+    nodes = _maximal_rate1_nodes(spec.frozen_mask)
+    if nodes:
+        i0, top = nodes[int(rng.integers(len(nodes)))]
+        # zero every channel value feeding one position of the node's level:
+        # f and g of two zeros are zero, so the node's input holds a zero
+        feed = int(rng.integers(1 << top)) + (np.arange(n >> top) << top)
+        tie = llr.copy()
+        tie[int(rng.integers(frames)), bit_reverse_permutation(m)[feed]] = \
+            rng.choice([0.0, -0.0], size=len(feed))
+        batches.append(tie)
+    machines = [ArchitectureConfig(kind=kind, n=n)
+                for kind in (ArchKind.FFT_LIKE, ArchKind.PIPELINED_TREE, ArchKind.LINE)]
+    machines += [
+        ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=n,
+                           pe_count=1 << data.draw(st.integers(0, m - 1), label="pe")),
+        ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n,
+                           overlap_p=data.draw(st.integers(1, min(n - 1, 5)), label="P"))]
+    kernel = Kernel.LLR_MINSUM
+    for batch in batches:
+        u_ref, c_ref = recursive_sc(kernel.from_llr(batch), spec.frozen_mask, kernel)
+        u_hat, c_hat = decode_batch(batch, spec, kernel)
+        assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref)
+        for cfg in machines:
+            assert np.array_equal(simulate(cfg, batch, spec, kernel).decoded, u_ref), cfg
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7])
 def test_overlap_parallelism_sweep(p):
     n = 16
@@ -392,6 +452,9 @@ def test_simulate_validates_shapes():
     with pytest.raises(ValueError):
         simulate(ArchitectureConfig(kind=ArchKind.LINE, n=4), np.zeros((1, 4)),
                  spec, Kernel.LLR_EXACT)
+    for bad in (np.zeros((2, 3, 8)), np.zeros((8, 1)), 1.0):
+        with pytest.raises(ValueError, match=r"got shape \("):
+            simulate(cfg, bad, spec, Kernel.LLR_EXACT)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

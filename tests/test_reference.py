@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from polarsc import (ArchitectureConfig, ArchKind, CodeSpec, Kernel, LLR_CLIP,
                      construct_frozen_bec, decode, decode_batch, encode,
                      genie_error_counts, simulate)
-from polarsc import graph
+from polarsc import graph, kernels
 from polarsc.kernels import g_llr
 from polarsc.reference import _sc_decode
 
@@ -81,9 +82,55 @@ def test_codeword_output_is_reencoded_message(rng):
 
 
 def test_decode_rejects_bad_length():
+    # decode takes one (n,) frame; the error names the shape it got
     spec = CodeSpec(m=2, frozen=())
-    with pytest.raises(ValueError):
-        decode(np.zeros(3), spec, Kernel.LLR_EXACT)
+    for bad in (np.zeros(3), np.zeros((2, 4)), np.zeros((1, 4)), 1.0):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(bad)}")):
+            decode(bad, spec, Kernel.LLR_EXACT)
+
+
+@pytest.mark.parametrize("bad", [np.ones((2, 3, 8)), np.ones((8, 1)), np.ones((2, 7)), 1.0])
+def test_decode_batch_rejects_bad_shapes(bad):
+    spec = construct_frozen_bec(8, 4, 0.5)
+    with pytest.raises(ValueError, match=r"\(batch, 8\), got shape"):
+        decode_batch(bad, spec, Kernel.LLR_MINSUM)
+
+
+def test_decode_batch_takes_one_frame_or_a_batch():
+    spec = construct_frozen_bec(8, 4, 0.5)
+    _, llr = random_frames(spec, 3, sigma=0.9, seed=4)
+    u_hat, _ = decode_batch(llr, spec, Kernel.LLR_MINSUM)
+    assert np.array_equal(decode_batch(llr[1], spec, Kernel.LLR_MINSUM)[0], u_hat[1:2])
+    assert decode_batch(llr[:0], spec, Kernel.LLR_MINSUM)[0].shape == (0, 8)
+
+
+def test_minsum_rate1_shortcut_is_taken(monkeypatch, rng):
+    # a tie-free rate-1 code is decided by hard decision with no f call; one
+    # exact zero sends the whole batch through full SC, n - 1 f calls
+    calls = []
+    real_f = kernels._f_minsum_into
+
+    def counting_f(*args):
+        calls.append(1)
+        real_f(*args)
+
+    monkeypatch.setattr(kernels, "_f_minsum_into", counting_f)
+    kernel = Kernel.LLR_MINSUM
+    for m in range(1, 9):
+        spec = CodeSpec(m=m, frozen=())
+        llr = rng.normal(0.0, 3.0, size=(20, spec.n))
+        llr[llr == 0.0] = 1.0
+        calls.clear()
+        _, c_hat = decode_batch(llr, spec, kernel)
+        assert not calls, m
+        assert np.array_equal(c_hat, kernel.hard_decision(llr))
+        if m == 6:
+            llr[7, 40] = 0.0
+            calls.clear()
+            u_hat, c_hat = decode_batch(llr, spec, kernel)
+            assert len(calls) == spec.n - 1
+            u_ref, c_ref = recursive_sc(kernel.from_llr(llr), spec.frozen_mask, kernel)
+            assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref)
 
 
 def test_genie_counts_reproducible_and_sized():
