@@ -8,26 +8,26 @@ budget of any power of two (``SEMI_PARALLEL``), and the overlapped machine
 decoding several vectors on duplicated stage instances
 (``VECTOR_OVERLAP``).
 
-The machines run the same data-independent activation sequence and differ
-only in how their schedules map it onto hardware, so their datapath is the
-reference decoder's loop, ``reference._sc_decode``, on the tree register
-file.  A schedule entry activates the natural tree positions ``[q0, q1)``
-of its stage; the loop stores position ``q`` of level ``l`` at
-``bit_reverse(q, l)``, so an aligned lane of power-of-two width ``w``
-becomes the positions ``bit_reverse(q0, l)::2**l // w``.  The unrolled
-graph's one register per graph node is a property of its schedule (every
-node written once, after its inputs), checked in the tests.
+The machines run the same data-independent SC control sequence,
+``graph.single_vector_ops``, on the same tree of ``2n - 1`` registers, and
+differ only in how their schedules map it onto PEs and cycles.  So their
+datapath is the reference decoder's loop, ``reference._sc_decode``, and a
+schedule is checked, not translated: in cycle order, with the lanes of each
+step merged, every vector slot must run that sequence, each step activating
+every tree position of its level exactly once.  The unrolled graph's
+entries name graph rows, and its stage-``l`` row ``r`` is tree position
+``r >> (m - l)``; its one register per graph node is a property of its
+schedule (every node written once, after its inputs), checked in the
+tests.  Lanes of one level are independent, so how a step's positions are
+split among lanes changes no bit; slots share no registers, so neither
+does the interleaving of slots.
 
-Control never depends on the frames, so a schedule is built, checked and
-lowered once per ``(config, group size)`` into a program: the loop's rows
-one vector slot replays, in cycle order, and one run's PE activation
-counts.  Slots share no registers, so only the order within a slot decides
-the bits, and every slot of a schedule must replay the same rows.
-Programs are cached for as long as their config lives.  ``simulate`` runs
-one program's rows once over all its frames, whatever the group size, and
-takes cycles and PE counts from the programs of the groups the frames
-fill; a hand-built schedule given to ``_run_tree_like`` is checked and
-compiled anew, uncached.
+Control never depends on the frames, so a schedule is built and checked
+once per ``(config, group size)`` into a program: the schedule and one
+run's PE activation counts.  Programs are cached for as long as their
+config lives.  ``simulate`` runs the SC loop once over all its frames,
+whatever the group size, and takes cycles and PE counts from the programs
+of the groups the frames fill.
 
 The loop skips dead activations, those that feed only frozen phases, and
 with the min-sum kernel it decides a tie-free rate-1 subtree by hard
@@ -81,53 +81,48 @@ class SimResult:
         return self.schedule.occupancy()
 
 
-def _lane(sched: Schedule, e) -> tuple[int, int]:
-    """The ``(start, stride)`` of the loop positions an entry activates.
-
-    Unrolled-graph entries name graph rows; the stage-l row r is tree
-    position ``r >> (m - l)``.  The other machines name positions directly.
-    The positions must form an aligned lane ``[q0, q0 + w)``, ``w`` a power
-    of two dividing ``q0``; only the ends and the width are checked.
-    """
-    shift = sched.m - e.stage if sched.kind is ArchKind.FFT_LIKE else 0
-    q0, w = e.active[0] >> shift, len(e.active)
-    if w & (w - 1) or q0 % w or (e.active[-1] >> shift) != q0 + w - 1:
-        raise SimulationError(f"activation {e.active} is not an aligned lane")
-    return graph.bit_reverse(q0, e.stage), (1 << e.stage) // w
-
-
 @dataclass(frozen=True, eq=False)
 class _Program:
-    """A schedule lowered for ``reference._sc_decode``.
-
-    ``ops`` holds one row ``(stage, is_g, phase, start, stride)`` per step of
-    one vector slot, in cycle order, as a tuple of tuples like
-    ``graph.full_width_ops``.  Every slot of ``schedule`` replays these
-    rows.  ``pe_counts`` is one run's ``Schedule.pe_activations``.
-    """
+    """A checked schedule and one run's ``Schedule.pe_activations``."""
 
     schedule: Schedule
-    ops: tuple[tuple[int, bool, int, int, int], ...]
     pe_counts: Counter
 
 
 def _compile(sched: Schedule, cfg: ArchitectureConfig) -> _Program:
-    """Check a schedule against ``cfg`` and lower it to a ``_Program``.
+    """Check a schedule against ``cfg`` and the SC control sequence.
 
-    Raises ``SimulationError`` on a resource conflict, an activation that
-    is not an aligned lane, or slots that replay different op lists.
+    Raises ``SimulationError`` on a resource conflict, or unless every
+    vector slot, its entries in cycle order and the lanes of each step
+    merged, runs ``graph.single_vector_ops`` step for step, each stage-``l``
+    step covering the positions ``0 .. 2**l - 1`` once each.
     """
     violations = check_no_conflict(sched, cfg)
     if violations:
         raise SimulationError("; ".join(violations))
+    m, fft = sched.m, sched.kind is ArchKind.FFT_LIKE
     slots: dict = {v: [] for v in range(sched.vectors)}
-    for e in sched.sorted_entries():
-        slots.setdefault(e.vector, []).append(
-            (e.stage, e.function == "g", e.phase, *_lane(sched, e)))
-    first, *rest = slots.values()
-    if any(ops != first for ops in rest):
-        raise SimulationError("vector slots replay different op lists")
-    return _Program(schedule=sched, ops=tuple(first), pe_counts=sched.pe_activations())
+    for e in sched.entries:
+        steps = slots.setdefault(e.vector, [])
+        op = (e.stage, e.function, e.phase)
+        if not steps or steps[-1][0] != op:
+            steps.append((op, []))
+        steps[-1][1].extend(e.active)
+    control = graph.single_vector_ops(sched.n)
+    for v, steps in slots.items():
+        for (op, active), expected in zip(steps, control):
+            if op != expected:
+                raise SimulationError(f"vector slot {v} runs {op} in place of step "
+                                      f"{expected} of the SC control sequence")
+            l = op[0]
+            positions = [r >> (m - l) for r in active] if fft else active
+            if sorted(positions) != list(range(1 << l)):
+                raise SimulationError(f"vector slot {v}: step {op} does not cover "
+                                      f"positions 0..{(1 << l) - 1} once each")
+        if len(steps) != len(control):
+            raise SimulationError(f"vector slot {v} runs {len(steps)} of the "
+                                  f"{len(control)} steps of the SC control sequence")
+    return _Program(schedule=sched, pe_counts=sched.pe_activations())
 
 
 # cfg -> {vectors: _Program}.  Weak keys free a config's programs with the
@@ -144,14 +139,6 @@ def _program(cfg: ArchitectureConfig, vectors: int | None) -> _Program:
     return programs[vectors]
 
 
-def _run_tree_like(sched: Schedule, cfg: ArchitectureConfig, channel: np.ndarray,
-                   spec: CodeSpec, kernel: Kernel) -> np.ndarray:
-    """Check, compile (uncached) and run a schedule, for example a
-    hand-built one, over a (batch, n) array of kernel-domain values;
-    ``simulate`` runs cached programs instead."""
-    return _sc_decode(channel, spec, kernel, _compile(sched, cfg).ops)[0]
-
-
 def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) -> SimResult:
     """Run one machine over a batch of channel log-ratio frames.
 
@@ -161,8 +148,8 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     schedule is built, checked and compiled into a program on first use and
     cached for as long as ``cfg`` lives; only the programs of the groups
     that run are compiled.  Cycle and PE counts add up the programs'
-    one-run figures, once per group.  Every slot of every group replays the
-    same op list, so the reference loop runs that list once over all the
+    one-run figures, once per group.  Every slot of every group runs the
+    SC control sequence, so the reference loop runs once over all the
     frames, skipping the activations it prunes.  The period is the first
     group's schedule (the full group's when there are no frames).
 
@@ -201,7 +188,7 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
         total_cycles += count * prog.schedule.total_cycles
         pe_counts.update({pe: c * count for pe, c in prog.pe_counts.items()})
     period = runs[0][1] if runs else _program(cfg, None)
-    decoded, _, _ = _sc_decode(values, spec, kernel, period.ops)
+    decoded, _, _ = _sc_decode(values, spec, kernel)
     return SimResult(decoded=decoded,
                      total_cycles=total_cycles, pe_activations=pe_counts,
                      schedule=period.schedule)

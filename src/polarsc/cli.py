@@ -31,9 +31,6 @@ from .kernels import LLR_CLIP, Kernel
 from .reference import decode_batch
 from .schedule import ArchKind, ArchitectureConfig, build_schedule
 
-_KERNELS = {k.value: k for k in Kernel}
-_ARCHS = {a.value: a for a in ArchKind}
-
 
 def _config_hash(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
@@ -76,12 +73,17 @@ def _effective(args: argparse.Namespace, keys: list[str], required=()) -> dict:
     return merged
 
 
-def _choice(table: dict, setting: str, name):
+def _names(enum) -> list[str]:
+    return sorted(member.value for member in enum)
+
+
+def _choice(enum, setting: str, name):
     """Look up a named choice such as an arch or a kernel."""
-    if name not in table:
+    try:
+        return enum(name)
+    except ValueError:
         raise ValueError(f"unknown {setting} {name!r} "
-                         f"(choose one of: {', '.join(sorted(table))})")
-    return table[name]
+                         f"(choose one of: {', '.join(_names(enum))})") from None
 
 
 def _write(path: str | None, text: str):
@@ -158,7 +160,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     spec = _load_spec(args.spec)
-    kernel = _KERNELS[args.kernel]
+    kernel = Kernel(args.kernel)
     if args.input_format == "bits":
         c = _read_bit_lines(args.input, spec.n)
         llr = (1.0 - 2.0 * c.astype(np.float64)) * LLR_CLIP
@@ -170,7 +172,7 @@ def _cmd_decode(args) -> int:
 
 
 def _make_arch_config(cfg: dict) -> ArchitectureConfig:
-    kind = _choice(_ARCHS, "arch", cfg["arch"])
+    kind = _choice(ArchKind, "arch", cfg["arch"])
     # Only an absent budget takes the default: an explicit 0 must fail the
     # config check.
     pe_count, p = cfg.get("pe_count"), cfg.get("P")
@@ -198,7 +200,7 @@ def _cmd_simulate(args) -> int:
         cfg["n"], cfg["n"] // 2, 0.5)
     cfg["n"] = spec.n
     arch = _make_arch_config(cfg)
-    kernel = _choice(_KERNELS, "kernel", cfg.get("kernel", "llr_exact"))
+    kernel = _choice(Kernel, "kernel", cfg.get("kernel", "llr_exact"))
 
     if cfg.get("frames"):
         llr = _read_llr_lines(cfg["frames"], spec.n)
@@ -267,7 +269,7 @@ def _cmd_ber_sweep(args) -> int:
                         min_frame_errors=cfg.get("min_frame_errors", 100))
     seed = cfg.get("seed", 0)
 
-    kernels = [_choice(_KERNELS, "kernel", name) for name in kernels]
+    kernels = [_choice(Kernel, "kernel", name) for name in kernels]
     reports = {k.value: run_campaign(spec, k, points, stop, seed=seed) for k in kernels}
     if cfg.get("format", "csv") == "json":
         doc = {"_meta": _meta(cfg),
@@ -318,13 +320,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--input-format", choices=["llr", "bits"], default="llr")
-    p.add_argument("--kernel", choices=sorted(_KERNELS), default="llr_exact")
+    p.add_argument("--kernel", choices=_names(Kernel), default="llr_exact")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("schedule", help="emit a machine schedule as CSV")
     common(p)
-    p.add_argument("--arch", choices=sorted(_ARCHS))
+    p.add_argument("--arch", choices=_names(ArchKind))
     p.add_argument("--n", type=int)
     p.add_argument("--P", type=int)
     p.add_argument("--pe-count", dest="pe_count", type=int)
@@ -333,12 +335,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a cycle simulation")
     common(p)
-    p.add_argument("--arch", choices=sorted(_ARCHS))
+    p.add_argument("--arch", choices=_names(ArchKind))
     p.add_argument("--n", type=int)
     p.add_argument("--P", type=int)
     p.add_argument("--pe-count", dest="pe_count", type=int)
     p.add_argument("--spec")
-    p.add_argument("--kernel", choices=sorted(_KERNELS))
+    p.add_argument("--kernel", choices=_names(Kernel))
     p.add_argument("--frames", help="file of whitespace-separated LLR lines")
     p.add_argument("--random-frames", dest="random_frames", type=int)
     p.add_argument("--ebn0-db", dest="ebn0_db", type=float)

@@ -58,13 +58,6 @@ def single_vector_ops(n: int) -> tuple[tuple[int, str, int], ...]:
     return tuple(ops)
 
 
-@lru_cache(maxsize=32)
-def full_width_ops(n: int) -> tuple[tuple[int, bool, int, int, int], ...]:
-    """``single_vector_ops(n)`` as the rows ``reference._sc_decode`` runs:
-    ``(stage, is_g, phase, 0, 1)``, each computing a whole level."""
-    return tuple((l, fn == "g", i, 0, 1) for l, fn, i in single_vector_ops(n))
-
-
 def enabled_sites(i: int, m: int) -> list[tuple[int, int]]:
     """Tree positions (l, q) whose g partial sum decision bit i feeds: the
     partial-sum sites of a hardware machine that must latch bit i.

@@ -13,10 +13,10 @@ intermediate finite without moving any decision threshold.
 Each rule is written once, as an in-place stage op: ``f_into(a, b, out,
 scratch)`` or ``g_into(a, b, us, out, scratch)`` writes its result into
 ``out`` through ufunc ``out=`` arguments, using ``scratch`` (a float array of
-``out``'s shape) for its one temporary.  ``out`` may be a strided view, and
-must not overlap the inputs.  The ops allocate nothing and check nothing:
-the decoder loop (``reference._sc_decode``) calls them on its preallocated
-level arrays through ``Kernel.f_into``/``Kernel.g_into``.  The public
+``out``'s shape) for its one temporary.  ``out`` must not overlap the
+inputs.  The ops allocate nothing and check nothing: the decoder loop
+(``reference._sc_decode``) calls them on its preallocated level arrays
+through ``Kernel.f_into``/``Kernel.g_into``.  The public
 functions ``f_lr``, ``g_lr``, ``f_llr_exact``, ``f_minsum`` and ``g_llr``
 are thin wrappers that convert their inputs, allocate ``out`` and call the
 same op; the ratio-domain wrappers reject non-positive ratios there.

@@ -3,9 +3,10 @@
 Like the paper's pipelined tree, the decoder keeps ``2n - 1`` soft values:
 level ``l`` holds ``2**l`` of them, level ``m`` the channel values in
 bit-reversed order, so stage ``l`` reads the two halves of level ``l + 1``.
-``_sc_decode`` is the one SC loop: the reference decoder runs it on the
-full-width rows of ``graph.single_vector_ops``, and every machine on the
-rows its schedule lowers to (see ``archsim``).  After each stage-0 step it
+``_sc_decode`` is the one SC loop: it runs ``graph.single_vector_ops``, the
+one SC control sequence, each step on a whole level, for the reference
+decoder and for every machine alike (a machine's schedule is checked
+against that sequence, see ``archsim``).  After each stage-0 step it
 decides that phase's bit and folds it into the partial sums that g reads.
 As in simplified SC, it prunes the tree by the frozen set: an activation
 whose phases are all frozen (a rate-0 subtree) is skipped, and with a
@@ -17,15 +18,15 @@ kernel call serves every frame.
 
 Like the paper's decoders, the loop updates O(n) memory in place and
 allocates nothing per step.  The kernels' in-place stage ops
-(``Kernel.f_into``/``Kernel.g_into``) write into the level arrays, or
-strided views of them for a machine's lane, and share one ``(n/2, batch)``
-scratch array.  All partial sums live in one ``(n, batch)`` uint8 array in
-block layout: each decision goes into its phase's row, and each fold is
-an in-place XOR of a block's right half into its left half.  After the
-last phase that array is the codeword in bit-reversed order, and one more
-pass of every fold turns it back into the decided bits.  The public entry
-points check the shape of their channel log-ratios and convert them once,
-through ``Kernel.from_llr``, into the kernel's domain.
+(``Kernel.f_into``/``Kernel.g_into``) write into the level arrays and
+share one ``(n/2, batch)`` scratch array.  All partial sums live in one
+``(n, batch)`` uint8 array in block layout: each decision goes into its
+phase's row, and each fold is an in-place XOR of a block's right half into
+its left half.  After the last phase that array is the codeword in
+bit-reversed order, and one more pass of every fold turns it back into the
+decided bits.  The public entry points check the shape of their channel
+log-ratios and convert them once, through ``Kernel.from_llr``, into the
+kernel's domain.
 """
 
 from __future__ import annotations
@@ -65,17 +66,15 @@ def _phase_tables(spec: CodeSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return frozen_before, tuple(rate1)
 
 
-def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel, ops,
+def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
                force_bits: np.ndarray | None = None) -> tuple:
     """Run SC decoding over a (batch, n) array of kernel-domain values.
 
-    ``ops`` lists rows ``(stage, is_g, phase, start, stride)`` in order.  A
-    row computes positions ``start::stride`` of level ``stage`` from the
-    same positions and ``2**stage + start::stride`` of the level above, and
-    a g also from the same positions of the left sibling's partial sum.
-    The stage-``l`` row of phase ``i`` feeds only phases ``[i, i + 2**l)``;
-    when all of them are frozen it is dead and skipped, and a dead stage-0
-    row decides 0.
+    Each step ``(l, fn, i)`` of ``graph.single_vector_ops(n)`` computes
+    level ``l`` from the two halves of level ``l + 1``, and a g also from
+    the left sibling's partial sum.  The stage-``l`` step of phase ``i``
+    feeds only phases ``[i, i + 2**l)``; when all of them are frozen it is
+    dead and skipped, and a dead stage-0 step decides 0.
 
     Partial sums live in one ``(n, batch)`` buffer ``x`` in block layout:
     phase ``i`` decides into row ``i``, and once phase ``i`` closes a
@@ -89,10 +88,10 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel, ops,
     passes of every fold turn it back into the decided bits.
 
     Where ``kernel.rate1_is_hard_decision``, a maximal rate-1 node
-    ``[i, i + 2**L)`` (``L >= 1``) is decided at its first row below stage
+    ``[i, i + 2**L)`` (``L >= 1``) is decided at its first step below stage
     ``L``: if level ``L`` holds no ``+/-0.0`` in any frame, its hard
     decision is the node's partial sum, in the level's storage order, and
-    the node's remaining rows are skipped; otherwise they run as usual.
+    the node's remaining steps are skipped; otherwise they run as usual.
 
     When ``force_bits`` is given, each phase's raw decision is compared to
     the forced bit, the mismatch is counted, and the forced bit is what
@@ -128,12 +127,12 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel, ops,
             l += 1
 
     resume = 0  # phases below it lie in a node already decided
-    for l, is_g, i, start, stride in ops:
+    for l, fn, i in graph.single_vector_ops(n):
         if i < resume:
             continue
         top = rate1[i]
-        # a row below a maximal rate-1 node's root; with a tie the check
-        # fails again at each such row, and the node runs in full
+        # a step below a maximal rate-1 node's root; with a tie the check
+        # fails again at each such step, and the node runs in full
         if l < top and soft[top].all():  # no +/-0.0 in any frame
             np.less_equal(soft[top], threshold, out=bits[i:i + (1 << top)])
             resume = i + (1 << top)
@@ -142,16 +141,15 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel, ops,
         h = 1 << l
         dead = frozen_before[i + h] - frozen_before[i] == h
         if not dead:
-            src, out = soft[l + 1], soft[l][start::stride]
-            a, b, tmp = src[start:h:stride], src[h + start::stride], scratch[:len(out)]
-            if is_g:
-                g_into(a, b, x[i - h + start:i:stride], out, tmp)
+            src = soft[l + 1]
+            if fn == "g":
+                g_into(src[:h], src[h:], x[i - h:i], soft[l], scratch[:h])
             else:
-                f_into(a, b, out, tmp)
+                f_into(src[:h], src[h:], soft[l], scratch[:h])
         if l:
             continue
 
-        if not dead:  # a dead row keeps the 0 that x starts with
+        if not dead:  # a dead step keeps the 0 that x starts with
             np.less_equal(root, threshold, out=bits[i])  # Kernel.hard_decision
         if forced is not None:
             err_counts[i] = np.count_nonzero(np.not_equal(x[i], forced[i], out=miss))
@@ -195,14 +193,14 @@ def decode_batch(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.nd
         ``(batch, n)`` uint8 arrays.
     """
     values = _kernel_frames(llr, spec, kernel)
-    u_hat, c_hat, _ = _sc_decode(values, spec, kernel, graph.full_width_ops(spec.n))
+    u_hat, c_hat, _ = _sc_decode(values, spec, kernel)
     return u_hat, c_hat
 
 
 def decode(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """Decode one ``(n,)`` frame of channel log-likelihood ratios."""
     values = _kernel_frames(llr, spec, kernel, batch=False)
-    u_hat, c_hat, _ = _sc_decode(values, spec, kernel, graph.full_width_ops(spec.n))
+    u_hat, c_hat, _ = _sc_decode(values, spec, kernel)
     return u_hat[0], c_hat[0]
 
 
@@ -221,6 +219,6 @@ def genie_error_counts(n: int, noise_sigma: float, trials: int, seed: int) -> np
         u, llr = _noisy_frames(spec, noise_sigma, min(_GENIE_BLOCK, trials - done),
                                seed, done)
         _, _, errs = _sc_decode(Kernel.LLR_EXACT.from_llr(llr), spec, Kernel.LLR_EXACT,
-                                graph.full_width_ops(n), force_bits=u)
+                                force_bits=u)
         counts += errs
     return counts

@@ -104,8 +104,9 @@ class ScheduleEntry:
 
 @dataclass(frozen=True)
 class Schedule:
-    """One group's activations.  Immutable: ``entries`` is stored as a tuple,
-    so a schedule shared by cached simulator programs cannot be edited."""
+    """One group's activations.  Immutable: ``entries`` is stored as a tuple
+    in cycle order (by cycle, then stage from the top, then copy), so a
+    schedule shared by cached simulator programs cannot be edited."""
 
     kind: ArchKind
     n: int
@@ -114,14 +115,12 @@ class Schedule:
     entries: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "entries", tuple(
+            sorted(self.entries, key=lambda e: (e.cycle, -e.stage, e.copy))))
 
     @property
     def m(self) -> int:
         return self.n.bit_length() - 1
-
-    def sorted_entries(self) -> list:
-        return sorted(self.entries, key=lambda e: (e.cycle, -e.stage, e.copy))
 
     def occupancy_grid(self) -> dict:
         """(stage_instance, cycle) -> vector tag."""
@@ -150,7 +149,7 @@ class Schedule:
     def occupancy(self) -> list:
         """Per cycle, the (stage instance, vector tag, active indices) it runs."""
         out = [[] for _ in range(self.total_cycles)]
-        for e in self.sorted_entries():
+        for e in self.entries:
             out[e.cycle - 1].append((e.stage_instance, e.vector_tag, e.active))
         return out
 
@@ -169,7 +168,7 @@ class Schedule:
             ArchKind.VECTOR_OVERLAP: lambda e: (f"{e.stage_instance}:P_", 0),
         }[self.kind]
         names = []
-        for e in self.sorted_entries():
+        for e in self.entries:
             prefix, offset = name(e)
             names += [f"{prefix}{q - offset}" for q in e.active]
         return Counter(names)
@@ -179,7 +178,7 @@ class Schedule:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["cycle", "stage_instance", "function", "vector_tag",
                          "active_indices"])
-        for e in self.sorted_entries():
+        for e in self.entries:
             writer.writerow([e.cycle, e.stage_instance, e.function, e.vector_tag,
                              ";".join(str(q) for q in e.active)])
         return buf.getvalue()
@@ -322,7 +321,7 @@ def register_liveness(s: Schedule) -> LivenessReport:
         raise ValueError("liveness analysis applies to tree/line schedules")
     n, m = s.n, s.m
     acts: list = [[] for _ in range(m)]
-    for e in s.sorted_entries():
+    for e in s.entries:
         acts[e.stage].append(e)
 
     records = []

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarsc import (CodeSpec, Kernel, archsim, bit_reverse_permutation,
-                     construct_frozen_bec, cycles_per_vector, decode_batch, graph, simulate)
-from polarsc.archsim import SimulationError, _run_tree_like
+                     construct_frozen_bec, cycles_per_vector, decode_batch, simulate)
+from polarsc.archsim import SimulationError
 from polarsc.kernels import LLR_CLIP
 from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, ScheduleEntry,
                               build_schedule)
@@ -371,7 +371,6 @@ def test_schedule_statistics_pinned(cfg, frames, total, period, occupancy_sha, p
 
 def test_double_booked_schedule_raises_at_runtime():
     n = 4
-    spec = construct_frozen_bec(n, 2, 0.5)
     cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=2)
     entries = [
         ScheduleEntry(cycle=1, stage=1, copy=0, function="f", vector=0, phase=0,
@@ -380,9 +379,8 @@ def test_double_booked_schedule_raises_at_runtime():
                       active=(0, 1)),
     ]
     bad = Schedule(kind=cfg.kind, n=n, vectors=2, total_cycles=1, entries=entries)
-    channel = np.zeros((2, n))
     with pytest.raises(SimulationError):
-        _run_tree_like(bad, cfg, channel, spec, Kernel.LLR_EXACT)
+        archsim._compile(bad, cfg)
 
 
 def test_slots_replaying_different_op_lists_raise_at_compile():
@@ -395,37 +393,53 @@ def test_slots_replaying_different_op_lists_raise_at_compile():
                       active=(0, 1)),
     ]
     bad = Schedule(kind=cfg.kind, n=n, vectors=2, total_cycles=2, entries=entries)
-    with pytest.raises(SimulationError, match="different op lists"):
+    with pytest.raises(SimulationError, match="SC control sequence"):
         archsim._compile(bad, cfg)
 
 
-@pytest.mark.parametrize("n", [2, 8, 32])
-def test_program_rows_compute_the_entry_positions(n):
-    # decoded bits cannot tell which lane computes which positions, so check
-    # the lowering itself: level index p holds tree position bit_reverse(p, l)
-    m = n.bit_length() - 1
-    cfgs = configs_for(n) + [ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=n,
-                                                pe_count=1 << p) for p in range(m)]
-    for cfg in cfgs:
-        prog = archsim._program(cfg, None)
-        entries = [e for e in prog.schedule.sorted_entries() if e.vector == 0]
-        assert len(entries) == len(prog.ops)
-        for e, (l, is_g, phase, start, stride) in zip(entries, prog.ops):
-            shift = m - l if cfg.kind is ArchKind.FFT_LIKE else 0
-            positions = sorted(graph.bit_reverse(p, l)
-                               for p in range(start, 1 << l, stride))
-            assert positions == [r >> shift for r in e.active], (cfg, e)
-            assert (l, is_g, phase) == (e.stage, e.function == "g", e.phase)
+def test_swapped_steps_raise_at_compile():
+    # phase 1's stage-0 g runs before phase 0's f: no resource conflict and
+    # every level covered, but not the SC control sequence
+    cfg = ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8)
+    sched = build_schedule(cfg)
+    entries = list(sched.entries)
+    f0, g1 = entries[2:4]
+    assert (f0.function, f0.phase, g1.function, g1.phase) == ("f", 0, "g", 1)
+    entries[2:4] = [dataclasses.replace(f0, cycle=g1.cycle),
+                    dataclasses.replace(g1, cycle=f0.cycle)]
+    with pytest.raises(SimulationError, match="in place of step"):
+        archsim._compile(dataclasses.replace(sched, entries=entries), cfg)
+
+
+@pytest.mark.parametrize("lane", [None, (0, 1)], ids=["dropped", "repeated"])
+def test_semi_lane_must_cover_its_level_once(lane):
+    # the second stage-2 lane of a two-PE machine, (2, 3), left out or
+    # replaced by the first: positions 2 and 3 go uncovered
+    cfg = ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=8, pe_count=2)
+    sched = build_schedule(cfg)
+    entries = list(sched.entries)
+    assert [e.active for e in entries[:2]] == [(0, 1), (2, 3)]
+    entries[1:2] = [] if lane is None else [dataclasses.replace(entries[1], active=lane)]
+    with pytest.raises(SimulationError, match="does not cover"):
+        archsim._compile(dataclasses.replace(sched, entries=entries), cfg)
+
+
+def test_slot_stopping_early_raises_at_compile():
+    cfg = ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8)
+    sched = build_schedule(cfg)
+    short = dataclasses.replace(sched, entries=sched.entries[:-1])
+    with pytest.raises(SimulationError, match="runs 13 of the 14 steps"):
+        archsim._compile(short, cfg)
 
 
 @pytest.mark.parametrize("active", [(1, 2), (0, 1, 2), (0, 2)])
-def test_unaligned_lane_raises_at_compile(active):
-    # a lane must be [q0, q0 + w) with w a power of two dividing q0
+def test_uncovered_position_raises_at_compile(active):
+    # each activation leaves a stage-2 position uncovered
     cfg = ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8)
     entries = [ScheduleEntry(cycle=1, stage=2, copy=0, function="f", vector=0,
                              phase=0, active=active)]
     bad = Schedule(kind=cfg.kind, n=8, vectors=1, total_cycles=1, entries=entries)
-    with pytest.raises(SimulationError, match="aligned lane"):
+    with pytest.raises(SimulationError, match="does not cover"):
         archsim._compile(bad, cfg)
 
 

@@ -169,8 +169,8 @@ def stage_operands(rng, kernel):
 
 
 def lane(values, start, stride, fill):
-    """Place ``values`` at rows ``start::stride`` of a larger array, as a
-    machine's lane row sits in a level; returns (the array, the view)."""
+    """Place ``values`` at rows ``start::stride`` of a larger array; returns
+    (the array, the view)."""
     level = np.full((values.shape[0] * stride, values.shape[1]), fill, dtype=values.dtype)
     view = level[start::stride]
     view[...] = values
@@ -184,7 +184,8 @@ def test_stage_ops_match_public_functions(rng, kernel, start, stride):
     want_f, want_g = kernel.f(a, b), kernel.g(a, b, us)
     assert np.array_equal(want_f, FORMULA_F[kernel](a, b))
     assert np.array_equal(want_g, FORMULA_G[kernel](a, b, us))
-    # the loop's operands: positions start::stride of the two halves of a level
+    # operands at positions start::stride of the two halves of a level; the
+    # loop passes whole halves (start 0, stride 1)
     src, _ = lane(np.concatenate((a, b)), start, stride, np.nan)
     rows = ROWS * stride
     a_view, b_view = src[start:rows:stride], src[rows + start::stride]

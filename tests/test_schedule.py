@@ -52,7 +52,7 @@ def test_line_schedule_equals_tree_schedule():
     tree = build_schedule(ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8))
     line = build_schedule(ArchitectureConfig(kind=ArchKind.LINE, n=8))
     strip = lambda s: [(e.cycle, e.stage, e.function, e.phase, e.active)
-                       for e in s.sorted_entries()]
+                       for e in s.entries]
     assert strip(tree) == strip(line)
 
 
@@ -61,7 +61,7 @@ def test_fft_schedule_shares_cycle_grid_with_tree():
     assert fft.total_cycles == 14
     assert fft.function_grid() == flatten(SINGLE_VECTOR_GRID_N8)
     # node rows differ from PE indices: stage-0 activation touches one row
-    stage0 = [e for e in fft.sorted_entries() if e.stage == 0]
+    stage0 = [e for e in fft.entries if e.stage == 0]
     rows = [e.active[0] for e in stage0]
     assert rows == [0, 4, 2, 6, 1, 5, 3, 7]  # decision rows in phase order
 
@@ -79,7 +79,7 @@ def test_overlap_csv_matches_golden_file():
 def test_n2_schedule():
     sched = build_schedule(ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=2))
     assert sched.total_cycles == 2
-    assert [(e.cycle, e.stage, e.function, e.phase) for e in sched.sorted_entries()] \
+    assert [(e.cycle, e.stage, e.function, e.phase) for e in sched.entries] \
         == [(1, 0, "f", 0), (2, 0, "g", 1)]
 
 
@@ -94,7 +94,7 @@ def test_overlap_admissions_one_per_cycle():
     cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=16, overlap_p=4)
     sched = build_schedule(cfg)
     first = {}
-    for e in sched.sorted_entries():
+    for e in sched.entries:
         first.setdefault(e.vector, e.cycle)
     assert sorted(first.values()) == sorted(set(first.values()))
 
@@ -231,7 +231,7 @@ def test_semi_parallel_schedule_splits_outer_stage():
     cfg = ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=8, pe_count=2)
     sched = build_schedule(cfg)
     assert sched.total_cycles == 16
-    wide = [e for e in sched.sorted_entries() if e.stage == 2]
+    wide = [e for e in sched.entries if e.stage == 2]
     assert len(wide) == 4  # two activations, each split in two
     assert all(len(e.active) == 2 for e in wide)
     assert _stage_activation_counts(sched) == {0: 8, 1: 4, 2: 2}
@@ -301,7 +301,7 @@ def test_fft_schedule_writes_each_node_once_after_its_inputs(n):
     # vector writes each node once, from inputs an earlier cycle wrote
     m = n.bit_length() - 1
     written = {}
-    for e in build_schedule(ArchitectureConfig(kind=ArchKind.FFT_LIKE, n=n)).sorted_entries():
+    for e in build_schedule(ArchitectureConfig(kind=ArchKind.FFT_LIKE, n=n)).entries:
         p = 1 << (m - 1 - e.stage)
         for row in e.active:
             if e.stage < m - 1:
