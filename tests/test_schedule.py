@@ -1,4 +1,6 @@
+import hashlib
 import importlib.resources
+import json
 from collections import Counter
 
 import numpy as np
@@ -184,6 +186,56 @@ def test_every_schedule_replays_the_single_vector_sequence(data):
     assert check_no_conflict(sched, cfg) == []
     if cfg.kind is not ArchKind.VECTOR_OVERLAP:
         assert sched.total_cycles == cycles_per_vector(cfg.kind, cfg.n, cfg.pe_count)
+
+
+def pe_activations_oracle(sched):
+    """``Schedule.pe_activations`` by its definition: one name per active PE
+    of every entry, in entry order, counted."""
+    name = {
+        ArchKind.FFT_LIKE: lambda e: (f"N_{e.stage},", 0),
+        ArchKind.PIPELINED_TREE: lambda e: (f"P_{e.stage},", 0),
+        ArchKind.LINE: lambda e: ("P_", 0),
+        ArchKind.SEMI_PARALLEL: lambda e: ("P_", e.active[0]),
+        ArchKind.VECTOR_OVERLAP: lambda e: (f"{e.stage_instance}:P_", 0),
+    }[sched.kind]
+    names = []
+    for e in sched.entries:
+        prefix, offset = name(e)
+        names += [f"{prefix}{q - offset}" for q in e.active]
+    return Counter(names)
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.data())
+def test_pe_activations_match_the_per_entry_count(data):
+    cfg = data.draw(configs())
+    sched = build_schedule(cfg, data.draw(st.integers(1, cfg.overlap_p or 1)))
+    # same names, counts and first-appearance order
+    assert list(sched.pe_activations().items()) == \
+        list(pe_activations_oracle(sched).items())
+
+
+# sha256 prefixes of to_csv() and of json.dumps(list(pe_activations().items())),
+# recorded from the builder that stored one entry per (cycle, stage copy, vector).
+@pytest.mark.parametrize("cfg, vectors, csv_sha, pe_sha", [
+    (ArchitectureConfig(kind=ArchKind.FFT_LIKE, n=64), None,
+     "53d2bdc3118afb04", "b4d141e4ef8f5ddc"),
+    (ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=64), None,
+     "6f43e65b720d0b87", "622d5495911c82f9"),
+    (ArchitectureConfig(kind=ArchKind.LINE, n=64), None,
+     "6f43e65b720d0b87", "540d092cee24be93"),
+    (ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=64, pe_count=16), None,
+     "334c9ca02492b4e0", "8c7a4f39f0a52023"),
+    (ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=64, overlap_p=3), None,
+     "721ccf0f314da5f4", "1bf14eaf046151ef"),
+    (ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=16, overlap_p=5), 2,
+     "9f844deb54d59e9b", "4e0965cca0fa11da"),
+], ids=["fft", "tree", "line", "semi", "overlap", "overlap-tail"])
+def test_schedule_csv_and_pe_activations_pinned(cfg, vectors, csv_sha, pe_sha):
+    sched = build_schedule(cfg, vectors)
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest(sched.to_csv()) == csv_sha
+    assert digest(json.dumps(list(sched.pe_activations().items()))) == pe_sha
 
 
 def test_vectors_outside_one_to_p_raise():
