@@ -10,12 +10,13 @@ decoding several vectors on duplicated stage instances
 
 The machines run the same data-independent SC control sequence,
 ``graph.single_vector_ops``, on the same tree of ``2n - 1`` registers, and
-differ only in how their schedules map it onto PEs and cycles.  So their
-datapath is the reference decoder's loop, ``reference._sc_decode``, and a
-schedule is checked, not translated: in cycle order, with the lanes of each
-step merged, every vector slot must run that sequence, each step activating
-every tree position of its level exactly once.  The unrolled graph's
-entries name graph rows, and its stage-``l`` row ``r`` is tree position
+differ only in the cycle and stage copy at which each step runs.  So their
+datapath is the reference decoder's loop, ``reference._sc_decode``.  A
+schedule's step table gives every vector slot one vector's steps,
+``schedule._steps``, so every slot runs that sequence, each step covering
+its level; what is checked is the table's resource use and that each
+slot's steps run in strictly increasing cycles.  The unrolled graph's
+steps name graph rows, its stage-``l`` row ``r`` being tree position
 ``r >> (m - l)``; its one register per graph node is a property of its
 schedule (every node written once, after its inputs), checked in the
 tests.  Lanes of one level are independent, so how a step's positions are
@@ -45,12 +46,10 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from . import graph
 from .codespec import CodeSpec
 from .kernels import Kernel
 from .reference import _kernel_frames, _sc_decode
-from .schedule import (ArchKind, ArchitectureConfig, Schedule, build_schedule,
-                       check_no_conflict)
+from .schedule import ArchitectureConfig, Schedule, build_schedule, check_no_conflict
 
 
 class SimulationError(RuntimeError):
@@ -90,38 +89,17 @@ class _Program:
 
 
 def _compile(sched: Schedule, cfg: ArchitectureConfig) -> _Program:
-    """Check a schedule against ``cfg`` and the SC control sequence.
+    """Check a schedule's step table against ``cfg``.
 
-    Raises ``SimulationError`` on a resource conflict, or unless every
-    vector slot, its entries in cycle order and the lanes of each step
-    merged, runs ``graph.single_vector_ops`` step for step, each stage-``l``
-    step covering the positions ``0 .. 2**l - 1`` once each.
+    Raises ``SimulationError`` on a resource conflict, or unless the cycles
+    of each vector slot's steps strictly increase from cycle 1.
     """
     violations = check_no_conflict(sched, cfg)
+    unordered = (np.diff(sched.cycles, prepend=0) < 1).any(axis=1)
+    violations += [f"vector slot {v} runs its steps out of cycle order"
+                   for v in np.flatnonzero(unordered)]
     if violations:
         raise SimulationError("; ".join(violations))
-    m, fft = sched.m, sched.kind is ArchKind.FFT_LIKE
-    slots: dict = {v: [] for v in range(sched.vectors)}
-    for e in sched.entries:
-        steps = slots.setdefault(e.vector, [])
-        op = (e.stage, e.function, e.phase)
-        if not steps or steps[-1][0] != op:
-            steps.append((op, []))
-        steps[-1][1].extend(e.active)
-    control = graph.single_vector_ops(sched.n)
-    for v, steps in slots.items():
-        for (op, active), expected in zip(steps, control):
-            if op != expected:
-                raise SimulationError(f"vector slot {v} runs {op} in place of step "
-                                      f"{expected} of the SC control sequence")
-            l = op[0]
-            positions = [r >> (m - l) for r in active] if fft else active
-            if sorted(positions) != list(range(1 << l)):
-                raise SimulationError(f"vector slot {v}: step {op} does not cover "
-                                      f"positions 0..{(1 << l) - 1} once each")
-        if len(steps) != len(control):
-            raise SimulationError(f"vector slot {v} runs {len(steps)} of the "
-                                  f"{len(control)} steps of the SC control sequence")
     return _Program(schedule=sched, pe_counts=sched.pe_activations())
 
 

@@ -173,15 +173,14 @@ def _cmd_decode(args) -> int:
 
 def _make_arch_config(cfg: dict) -> ArchitectureConfig:
     kind = _choice(ArchKind, "arch", cfg["arch"])
-    # Only an absent budget takes the default: an explicit 0 must fail the
-    # config check.
+    # Only an absent budget takes the default: an explicit one, even 0 or one
+    # for another machine, goes to the config check.
     pe_count, p = cfg.get("pe_count"), cfg.get("P")
-    kwargs = {}
-    if kind is ArchKind.SEMI_PARALLEL:
-        kwargs["pe_count"] = max(1, cfg["n"] // 4) if pe_count is None else pe_count
-    if kind is ArchKind.VECTOR_OVERLAP:
-        kwargs["overlap_p"] = 1 if p is None else p
-    return ArchitectureConfig(kind=kind, n=cfg["n"], **kwargs)
+    if kind is ArchKind.SEMI_PARALLEL and pe_count is None:
+        pe_count = max(1, cfg["n"] // 4)
+    if kind is ArchKind.VECTOR_OVERLAP and p is None:
+        p = 1
+    return ArchitectureConfig(kind=kind, n=cfg["n"], pe_count=pe_count, overlap_p=p)
 
 
 def _cmd_schedule(args) -> int:

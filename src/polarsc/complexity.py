@@ -72,9 +72,7 @@ def complexity_overlap(n: int, p_vectors: int, p: CostParams) -> float:
     The processor term is the closed continuous form; it coincides with
     the structural duplication count whenever P + 1 is a power of two.
     """
-    _check_n(n)
-    if not 1 <= p_vectors <= n - 1:
-        raise ValueError(f"P must satisfy 1 <= P <= n-1, got {p_vectors}")
+    ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=p_vectors)  # checks P
     half = (p_vectors + 1) / 2.0
     return (n + half * (math.log2(half) - 1.0)) * 2 * p.c_np \
         + p_vectors * (2 * n - 1) * p.c_r
@@ -82,7 +80,7 @@ def complexity_overlap(n: int, p_vectors: int, p: CostParams) -> float:
 
 def overlap_structural_pe_count(n: int, p_vectors: int) -> int:
     """PEs actually instantiated by the stage duplication rule."""
-    _check_n(n)
+    ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=p_vectors)  # checks P
     m = n.bit_length() - 1
     return sum(stage_duplication_count(l, p_vectors) << l for l in range(m))
 
@@ -99,6 +97,7 @@ def node_processor_count(kind: ArchKind | str, n: int, p_vectors: int = 1) -> fl
     if kind is ArchKind.LINE:
         return n
     if kind is ArchKind.VECTOR_OVERLAP:
+        ArchitectureConfig(kind=kind, n=n, overlap_p=p_vectors)  # checks P
         half = (p_vectors + 1) / 2.0
         return 2.0 * (n + half * (math.log2(half) - 1.0))
     raise ValueError(f"no node-processor model for machine kind {kind.value!r}")
@@ -113,6 +112,7 @@ def register_count(kind: ArchKind | str, n: int, p_vectors: int = 1) -> int:
     if kind in (ArchKind.PIPELINED_TREE, ArchKind.LINE):
         return 2 * n - 1
     if kind is ArchKind.VECTOR_OVERLAP:
+        ArchitectureConfig(kind=kind, n=n, overlap_p=p_vectors)  # checks P
         return p_vectors * (2 * n - 1)
     raise ValueError(f"no register model for machine kind {kind.value!r}")
 
@@ -148,6 +148,7 @@ def throughput(kind: ArchKind | str, n: int, p_vectors: int = 1, t_np: float = 1
     _check_n(n)
     kind = ArchKind(kind)
     if kind is ArchKind.VECTOR_OVERLAP:
+        ArchitectureConfig(kind=kind, n=n, overlap_p=p_vectors)  # checks P
         exact = p_vectors * n / ((2 * n - 2) * t_np)
         approx = p_vectors / (2 * t_np)
     else:

@@ -1,12 +1,13 @@
 """Clock-by-clock schedules for the decoder architectures.
 
-A schedule is a tuple of stage activations, one entry per (cycle, stage
-instance, vector).  Every machine replays ``graph.single_vector_ops``, the
-same 2n - 2 step control sequence the reference decoder runs, per vector.
-One greedy builder lays the steps out: the vector-overlapping machine
-staggers P vectors across duplicated stage instances, and the
-single-vector machines are the same builder at P = 1, where every stage
-has one instance.
+Every machine replays ``graph.single_vector_ops``, the same 2n - 2 step
+control sequence the reference decoder runs, per vector; ``_steps`` splits
+it into one vector's clocked steps.  A schedule is a step table: for each
+vector slot, the cycle of each step and the stage copy it runs on.  Its
+per-(cycle, stage copy, vector) entries are derived from that table on
+demand.  One greedy builder fills it: the vector-overlapping machine
+staggers P vectors across duplicated stage copies, and the single-vector
+machines are the same builder at P = 1, where every stage has one copy.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+
+import numpy as np
 
 from . import graph
 
@@ -102,25 +106,52 @@ class ScheduleEntry:
         return f"y_{self.vector + 1}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """One group's activations.  Immutable: ``entries`` is stored as a tuple
-    in cycle order (by cycle, then stage from the top, then copy), so a
-    schedule shared by cached simulator programs cannot be edited."""
+    """One group's step table: every vector slot runs ``steps``, one
+    vector's ``_steps(cfg)``, and row ``v`` of ``cycles`` and ``copies``
+    holds the cycle and the stage copy of each step of slot ``v``.  The
+    rows are read-only, so a schedule shared by cached simulator programs
+    cannot be edited."""
 
-    kind: ArchKind
-    n: int
-    vectors: int
-    total_cycles: int
-    entries: tuple = ()
+    cfg: ArchitectureConfig
+    cycles: np.ndarray
+    copies: np.ndarray
+    steps: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(
-            sorted(self.entries, key=lambda e: (e.cycle, -e.stage, e.copy))))
+        object.__setattr__(self, "steps", _steps(self.cfg))
+        for name in ("cycles", "copies"):
+            table = np.array(getattr(self, name), dtype=np.int64)
+            if not len(table) or table.shape != (len(self.cycles), len(self.steps)):
+                raise ValueError(f"a step table has one row of {len(self.steps)} steps "
+                                 f"per vector slot, got {name} of shape {table.shape}")
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @property
-    def m(self) -> int:
-        return self.n.bit_length() - 1
+    def vectors(self) -> int:
+        return len(self.cycles)
+
+    @property
+    def total_cycles(self) -> int:
+        return int(self.cycles.max())
+
+    def _runs(self):
+        """``(vector, step, cycle, copy)`` for every step of every slot."""
+        for v, (cycles, copies) in enumerate(zip(self.cycles.tolist(),
+                                                 self.copies.tolist())):
+            for step, cycle, copy in zip(self.steps, cycles, copies):
+                yield v, step, cycle, copy
+
+    @cached_property
+    def entries(self) -> tuple:
+        """One ``ScheduleEntry`` per (cycle, stage copy, vector), derived from
+        the table in cycle order: by cycle, then stage from the top, then copy."""
+        entries = [ScheduleEntry(cycle=cycle, stage=l, copy=copy, function=fn,
+                                 vector=v, phase=phase, active=active)
+                   for v, (l, fn, phase, active), cycle, copy in self._runs()]
+        return tuple(sorted(entries, key=lambda e: (e.cycle, -e.stage, e.copy)))
 
     def occupancy_grid(self) -> dict:
         """(stage_instance, cycle) -> vector tag."""
@@ -132,19 +163,13 @@ class Schedule:
 
     def decision_cycles(self, vector: int = 0) -> dict:
         """phase -> cycle at which that phase's bit is decided."""
-        out = {}
-        for e in self.entries:
-            if e.stage == 0 and e.vector == vector:
-                out[e.phase] = e.cycle
-        return out
+        return {phase: cycle for (l, _, phase, _), cycle
+                in zip(self.steps, self.cycles[vector].tolist()) if l == 0}
 
     def stall_cycles(self) -> list:
         """Per vector, the cycles between its first and last step in which
-        it ran no step."""
-        cycles = [set() for _ in range(self.vectors)]
-        for e in self.entries:
-            cycles[e.vector].add(e.cycle)
-        return [max(c) - min(c) + 1 - len(c) if c else 0 for c in cycles]
+        it ran no step (a slot runs one step per cycle)."""
+        return (self.cycles[:, -1] - self.cycles[:, 0] + 1 - len(self.steps)).tolist()
 
     def occupancy(self) -> list:
         """Per cycle, the (stage instance, vector tag, active indices) it runs."""
@@ -158,20 +183,27 @@ class Schedule:
 
         PEs are named ``N_l,row`` (graph node), ``P_l,q`` (tree), ``P_q``
         (line), ``P_{q - q0}`` (semi-parallel lane, q0 the first active
-        index) and ``<stage instance>:P_q`` (overlap, e.g. ``S_0d:P_0``).
+        index) and ``<stage instance>:P_q`` (overlap, e.g. ``S_0d:P_0``), in
+        the order in which ``entries`` first activates them.  Runs are
+        counted per (stage, copy, lane) and each name is formatted once.
         """
-        name = {
-            ArchKind.FFT_LIKE: lambda e: (f"N_{e.stage},", 0),
-            ArchKind.PIPELINED_TREE: lambda e: (f"P_{e.stage},", 0),
-            ArchKind.LINE: lambda e: ("P_", 0),
-            ArchKind.SEMI_PARALLEL: lambda e: ("P_", e.active[0]),
-            ArchKind.VECTOR_OVERLAP: lambda e: (f"{e.stage_instance}:P_", 0),
-        }[self.kind]
-        names = []
-        for e in self.entries:
-            prefix, offset = name(e)
-            names += [f"{prefix}{q - offset}" for q in e.active]
-        return Counter(names)
+        kind = self.cfg.kind
+        prefix = {ArchKind.FFT_LIKE: "N_{l},", ArchKind.PIPELINED_TREE: "P_{l},",
+                  ArchKind.VECTOR_OVERLAP: "{instance}:P_"}.get(kind, "P_")
+        runs: dict = {}  # (stage, copy, lane) -> [first cycle, runs]
+        for _, (l, _, _, active), cycle, copy in self._runs():
+            run = runs.setdefault((l, copy, active), [cycle, 0])
+            run[0] = min(run[0], cycle)
+            run[1] += 1
+        counts: dict = {}  # (name prefix, PE index) -> activations
+        for (l, copy, active), (_, k) in sorted(
+                runs.items(), key=lambda r: (r[1][0], -r[0][0], r[0][1])):
+            head = prefix.format(l=l, instance=stage_instance_name(l, copy))
+            offset = active[0] if kind is ArchKind.SEMI_PARALLEL else 0
+            for q in active:
+                pe = (head, q - offset)
+                counts[pe] = counts.get(pe, 0) + k
+        return Counter({f"{head}{q}": k for (head, q), k in counts.items()})
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -184,7 +216,7 @@ class Schedule:
         return buf.getvalue()
 
 
-def _steps(cfg: ArchitectureConfig) -> list:
+def _steps(cfg: ArchitectureConfig) -> tuple:
     """One vector's clocked steps ``(stage, fn, phase, active)``, in order.
 
     The semi-parallel machine splits a ``graph.single_vector_ops`` entry
@@ -204,7 +236,7 @@ def _steps(cfg: ArchitectureConfig) -> list:
         else:
             for active in lanes[l]:
                 steps.append((l, fn, phase, active))
-    return steps
+    return tuple(steps)
 
 
 def build_schedule(cfg: ArchitectureConfig, vectors: int | None = None) -> Schedule:
@@ -218,68 +250,57 @@ def build_schedule(cfg: ArchitectureConfig, vectors: int | None = None) -> Sched
     vectors = p if vectors is None else vectors
     if not 1 <= vectors <= p:
         raise ValueError(f"vectors must satisfy 1 <= v <= P = {p}, got {vectors}")
-    steps = _steps(cfg)
-    last, m = len(steps), cfg.m
-    copies = [stage_duplication_count(l, p) for l in range(m)]
+    stages = [l for l, *_ in _steps(cfg)]
+    last, m = len(stages), cfg.m
+    have = [stage_duplication_count(l, p) for l in range(m)]
 
-    entries = []
+    cycles = [[0] * last for _ in range(vectors)]
+    copies = [[0] * last for _ in range(vectors)]
     pos = [0] * vectors
     admitted = finished = cycle = 0
     while finished < vectors:
         cycle += 1
         claimed = [0] * m
         for v in range(min(admitted + 1, vectors)):
-            if pos[v] == last:
+            j = pos[v]
+            if j == last or claimed[stages[j]] == have[stages[j]]:
                 continue
-            l, fn, phase, active = steps[pos[v]]
-            if claimed[l] == copies[l]:
-                continue
-            entries.append(ScheduleEntry(cycle=cycle, stage=l, copy=claimed[l],
-                                         function=fn, vector=v, phase=phase,
-                                         active=active))
-            claimed[l] += 1
+            cycles[v][j], copies[v][j] = cycle, claimed[stages[j]]
+            claimed[stages[j]] += 1
             pos[v] += 1
             admitted += v == admitted
             finished += pos[v] == last
-    return Schedule(kind=cfg.kind, n=cfg.n, vectors=vectors, total_cycles=cycle,
-                    entries=entries)
+    return Schedule(cfg=cfg, cycles=cycles, copies=copies)
 
 
 def check_no_conflict(s: Schedule, cfg: ArchitectureConfig) -> list:
-    """Validate instance exclusivity and per-cycle PE budgets.
+    """Validate stage copies, their exclusivity and per-cycle PE budgets.
 
-    Returns a list of violation strings; empty means the schedule is clean.
+    Every step must run on one of the ``stage_duplication_count(l, P)``
+    copies of its stage, no stage copy may run two steps in one cycle, and
+    the line and semi-parallel machines must keep within their PE budget
+    in every cycle.  Returns a list of violation strings; empty means the
+    schedule is clean.
     """
+    have = [stage_duplication_count(l, cfg.overlap_p or 1) for l in range(s.cfg.m)]
     violations = []
     owners: dict = {}
-    per_cycle_pes: dict = {}
-    for e in s.entries:
-        key = (e.cycle, e.stage, e.copy)
-        if key in owners and owners[key] != e.vector:
-            violations.append(
-                f"CC{e.cycle}: {e.stage_instance} claimed by y_{owners[key] + 1} "
-                f"and {e.vector_tag}"
-            )
-        owners.setdefault(key, e.vector)
-        if len(e.active) > (1 << e.stage):
-            violations.append(
-                f"CC{e.cycle}: {e.stage_instance} activates {len(e.active)} nodes, "
-                f"bank holds {1 << e.stage}"
-            )
-        per_cycle_pes[e.cycle] = per_cycle_pes.get(e.cycle, 0) + len(e.active)
+    used: Counter = Counter()
+    for v, (l, _, _, active), cycle, copy in s._runs():
+        key = (cycle, l, copy)
+        if not 0 <= copy < have[l]:
+            violations.append(f"CC{cycle}: {stage_instance_name(l, copy)} is not a stage "
+                              "copy of the machine")
+        if key in owners:
+            violations.append(f"CC{cycle}: {stage_instance_name(l, copy)} claimed by "
+                              f"y_{owners[key] + 1} and y_{v + 1}")
+        owners.setdefault(key, v)
+        used[cycle] += len(active)
 
     if cfg.kind in (ArchKind.LINE, ArchKind.SEMI_PARALLEL):
         budget = cfg.n // 2 if cfg.kind is ArchKind.LINE else cfg.pe_count
-        for cycle, used in per_cycle_pes.items():
-            if used > budget:
-                violations.append(f"CC{cycle}: {used} PEs used, budget {budget}")
-    if cfg.kind is ArchKind.FFT_LIKE:
-        by_cycle: dict = {}
-        for e in s.entries:
-            by_cycle.setdefault(e.cycle, []).append(e)
-        for cycle, group in by_cycle.items():
-            if len(group) != 1 or len(group[0].active) != (1 << group[0].stage):
-                violations.append(f"CC{cycle}: expected one full stage activation")
+        violations += [f"CC{cycle}: {k} PEs used, budget {budget}"
+                       for cycle, k in used.items() if k > budget]
     return violations
 
 
@@ -317,9 +338,9 @@ def register_liveness(s: Schedule) -> LivenessReport:
     and its decided bit then fans out to the partial-sum sites, except the
     final phase whose bit feeds nothing downstream.
     """
-    if s.kind not in (ArchKind.PIPELINED_TREE, ArchKind.LINE):
+    if s.cfg.kind not in (ArchKind.PIPELINED_TREE, ArchKind.LINE):
         raise ValueError("liveness analysis applies to tree/line schedules")
-    n, m = s.n, s.m
+    n, m = s.cfg.n, s.cfg.m
     acts: list = [[] for _ in range(m)]
     for e in s.entries:
         acts[e.stage].append(e)

@@ -11,8 +11,7 @@ from polarsc import (CodeSpec, Kernel, archsim, bit_reverse_permutation,
                      construct_frozen_bec, cycles_per_vector, decode_batch, simulate)
 from polarsc.archsim import SimulationError
 from polarsc.kernels import LLR_CLIP
-from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, ScheduleEntry,
-                              build_schedule)
+from polarsc.schedule import ArchKind, ArchitectureConfig, Schedule, build_schedule
 
 from conftest import random_frames, recursive_sc
 
@@ -370,77 +369,49 @@ def test_schedule_statistics_pinned(cfg, frames, total, period, occupancy_sha, p
 
 
 def test_double_booked_schedule_raises_at_runtime():
+    # two slots run every step in the same cycles on the same stage copies
     n = 4
     cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=2)
-    entries = [
-        ScheduleEntry(cycle=1, stage=1, copy=0, function="f", vector=0, phase=0,
-                      active=(0, 1)),
-        ScheduleEntry(cycle=1, stage=1, copy=0, function="f", vector=1, phase=0,
-                      active=(0, 1)),
-    ]
-    bad = Schedule(kind=cfg.kind, n=n, vectors=2, total_cycles=1, entries=entries)
-    with pytest.raises(SimulationError):
+    bad = Schedule(cfg=cfg, cycles=[range(1, 7)] * 2, copies=np.zeros((2, 6)))
+    with pytest.raises(SimulationError, match="claimed by"):
         archsim._compile(bad, cfg)
 
 
-def test_slots_replaying_different_op_lists_raise_at_compile():
-    n = 4
-    cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=2)
-    entries = [
-        ScheduleEntry(cycle=1, stage=1, copy=0, function="f", vector=0, phase=0,
-                      active=(0, 1)),
-        ScheduleEntry(cycle=2, stage=1, copy=0, function="g", vector=1, phase=2,
-                      active=(0, 1)),
-    ]
-    bad = Schedule(kind=cfg.kind, n=n, vectors=2, total_cycles=2, entries=entries)
-    with pytest.raises(SimulationError, match="SC control sequence"):
-        archsim._compile(bad, cfg)
+def test_a_stage_copy_the_machine_lacks_raises_at_compile():
+    cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=8, overlap_p=3)
+    sched = build_schedule(cfg)
+    copies = np.where(sched.copies == 1, 7, sched.copies)
+    with pytest.raises(SimulationError, match="S_0d7 is not a stage copy"):
+        archsim._compile(Schedule(cfg=cfg, cycles=sched.cycles, copies=copies), cfg)
 
 
 def test_swapped_steps_raise_at_compile():
-    # phase 1's stage-0 g runs before phase 0's f: no resource conflict and
-    # every level covered, but not the SC control sequence
+    # phase 1's stage-0 g runs before phase 0's f: no resource conflict,
+    # but the slot's steps no longer run in cycle order
     cfg = ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8)
     sched = build_schedule(cfg)
-    entries = list(sched.entries)
-    f0, g1 = entries[2:4]
-    assert (f0.function, f0.phase, g1.function, g1.phase) == ("f", 0, "g", 1)
-    entries[2:4] = [dataclasses.replace(f0, cycle=g1.cycle),
-                    dataclasses.replace(g1, cycle=f0.cycle)]
-    with pytest.raises(SimulationError, match="in place of step"):
-        archsim._compile(dataclasses.replace(sched, entries=entries), cfg)
+    assert [step[1:3] for step in sched.steps[2:4]] == [("f", 0), ("g", 1)]
+    cycles = sched.cycles.copy()
+    cycles[0, [2, 3]] = cycles[0, [3, 2]]
+    with pytest.raises(SimulationError, match="out of cycle order"):
+        archsim._compile(Schedule(cfg=cfg, cycles=cycles, copies=sched.copies), cfg)
 
 
-@pytest.mark.parametrize("lane", [None, (0, 1)], ids=["dropped", "repeated"])
-def test_semi_lane_must_cover_its_level_once(lane):
-    # the second stage-2 lane of a two-PE machine, (2, 3), left out or
-    # replaced by the first: positions 2 and 3 go uncovered
-    cfg = ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=8, pe_count=2)
+def test_step_before_cycle_1_raises_at_compile():
+    cfg = ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8)
     sched = build_schedule(cfg)
-    entries = list(sched.entries)
-    assert [e.active for e in entries[:2]] == [(0, 1), (2, 3)]
-    entries[1:2] = [] if lane is None else [dataclasses.replace(entries[1], active=lane)]
-    with pytest.raises(SimulationError, match="does not cover"):
-        archsim._compile(dataclasses.replace(sched, entries=entries), cfg)
+    cycles = sched.cycles - 1
+    with pytest.raises(SimulationError, match="vector slot 0 runs its steps out of"):
+        archsim._compile(Schedule(cfg=cfg, cycles=cycles, copies=sched.copies), cfg)
 
 
 def test_slot_stopping_early_raises_at_compile():
+    # a slot that stops early is a row short of the step list, which the
+    # step table rejects when it is built, before any compile
     cfg = ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8)
     sched = build_schedule(cfg)
-    short = dataclasses.replace(sched, entries=sched.entries[:-1])
-    with pytest.raises(SimulationError, match="runs 13 of the 14 steps"):
-        archsim._compile(short, cfg)
-
-
-@pytest.mark.parametrize("active", [(1, 2), (0, 1, 2), (0, 2)])
-def test_uncovered_position_raises_at_compile(active):
-    # each activation leaves a stage-2 position uncovered
-    cfg = ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8)
-    entries = [ScheduleEntry(cycle=1, stage=2, copy=0, function="f", vector=0,
-                             phase=0, active=active)]
-    bad = Schedule(kind=cfg.kind, n=8, vectors=1, total_cycles=1, entries=entries)
-    with pytest.raises(SimulationError, match="does not cover"):
-        archsim._compile(bad, cfg)
+    with pytest.raises(ValueError, match="one row of 14 steps"):
+        Schedule(cfg=cfg, cycles=sched.cycles[:, :-1], copies=sched.copies[:, :-1])
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS)

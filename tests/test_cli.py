@@ -296,6 +296,20 @@ def test_explicit_zero_budget_exits_2(capsys, command):
     assert "got 0" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["schedule", "--arch", "tree", "--n", "8", "--P", "3"],
+    ["schedule", "--arch", "line", "--n", "8", "--pe-count", "2"],
+    ["schedule", "--arch", "semi", "--n", "8", "--P", "3"],
+    ["schedule", "--arch", "overlap", "--n", "8", "--pe-count", "2"],
+    ["simulate", "--arch", "fft", "--n", "8", "--P", "2"],
+])
+def test_budget_for_another_machine_exits_2(capsys, command):
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2
+    assert out == ""
+    assert "only applies to the" in err
+
+
 def test_zero_budget_in_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"arch": "semi", "n": 8, "pe_count": 0}))

@@ -122,6 +122,18 @@ def test_models_take_arch_kinds_and_reject_unknown_ones():
         register_count(ArchKind.SEMI_PARALLEL, 8)
 
 
+@pytest.mark.parametrize("p_vectors", [0, -1, 8, 100])
+def test_overlap_models_reject_p_outside_one_to_n_minus_1(p_vectors):
+    models = [lambda: throughput("overlap", 8, p_vectors=p_vectors),
+              lambda: node_processor_count("overlap", 8, p_vectors),
+              lambda: register_count("overlap", 8, p_vectors),
+              lambda: complexity_overlap(8, p_vectors, CostParams()),
+              lambda: overlap_structural_pe_count(8, p_vectors)]
+    for model in models:
+        with pytest.raises(ValueError, match="overlap_p must satisfy"):
+            model()
+
+
 def test_throughput_consistent_with_simulated_cycles():
     n = 16
     spec = construct_frozen_bec(n, 8, 0.5)

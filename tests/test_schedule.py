@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarsc import cycles_per_vector, graph
-from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, ScheduleEntry,
-                              build_schedule, check_no_conflict,
+from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, build_schedule,
+                              check_no_conflict,
                               register_liveness, stage_duplication_count)
 
 # Published 14-cycle grid for one n=8 vector: stage row -> {cycle: f/g}.
@@ -197,7 +197,7 @@ def pe_activations_oracle(sched):
         ArchKind.LINE: lambda e: ("P_", 0),
         ArchKind.SEMI_PARALLEL: lambda e: ("P_", e.active[0]),
         ArchKind.VECTOR_OVERLAP: lambda e: (f"{e.stage_instance}:P_", 0),
-    }[sched.kind]
+    }[sched.cfg.kind]
     names = []
     for e in sched.entries:
         prefix, offset = name(e)
@@ -297,24 +297,55 @@ def test_check_no_conflict_on_published_schedules():
 
 
 def test_check_no_conflict_flags_double_booking():
+    # slot 1 runs its first step, on S_2, in slot 0's first cycle
     cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=8, overlap_p=3)
-    entries = [
-        ScheduleEntry(cycle=1, stage=0, copy=0, function="f", vector=0, phase=0,
-                      active=(0,)),
-        ScheduleEntry(cycle=1, stage=0, copy=0, function="f", vector=1, phase=0,
-                      active=(0,)),
-    ]
-    bad = Schedule(kind=cfg.kind, n=8, vectors=2, total_cycles=1, entries=entries)
+    sched = build_schedule(cfg, 2)
+    cycles = sched.cycles.copy()
+    assert cycles[:, 0].tolist() == [1, 2]
+    cycles[1, 0] = 1
+    bad = Schedule(cfg=cfg, cycles=cycles, copies=sched.copies)
     violations = check_no_conflict(bad, cfg)
-    assert len(violations) == 1 and "claimed by" in violations[0]
+    assert violations == ["CC1: S_2 claimed by y_1 and y_2"]
 
 
 def test_check_no_conflict_flags_budget_overrun():
+    # both two-PE lanes of the first stage-2 step run in cycle 1
     cfg = ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=8, pe_count=2)
-    entries = [ScheduleEntry(cycle=1, stage=2, copy=0, function="f", vector=0,
-                             phase=0, active=(0, 1, 2, 3))]
-    bad = Schedule(kind=cfg.kind, n=8, vectors=1, total_cycles=1, entries=entries)
+    sched = build_schedule(cfg)
+    cycles = sched.cycles.copy()
+    cycles[0, 1] = 1
+    bad = Schedule(cfg=cfg, cycles=cycles, copies=sched.copies)
     assert any("budget" in v for v in check_no_conflict(bad, cfg))
+
+
+@pytest.mark.parametrize("copy", [7, -1])
+def test_check_no_conflict_flags_a_stage_copy_the_machine_lacks(copy):
+    # at P = 3 stage 0 has two copies, S_0 and S_0d; the S_0d steps move
+    # to a copy outside them, where no other step runs
+    cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=8, overlap_p=3)
+    sched = build_schedule(cfg)
+    copies = sched.copies.copy()
+    moved = copies == 1
+    assert moved.sum() == 10
+    copies[moved] = copy
+    bad = Schedule(cfg=cfg, cycles=sched.cycles, copies=copies)
+    violations = check_no_conflict(bad, cfg)
+    assert len(violations) == 10
+    assert all("is not a stage copy" in v for v in violations)
+
+
+def test_step_table_rows_must_hold_every_step():
+    cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=8, overlap_p=3)
+    sched = build_schedule(cfg)
+    assert sched.cycles.shape == sched.copies.shape == (3, 14)
+    for cycles, copies in ((sched.cycles[:, :-1], sched.copies),
+                           (sched.cycles, sched.copies[:2]),
+                           (sched.cycles[0], sched.copies[0]),
+                           (np.zeros((0, 14)), np.zeros((0, 14)))):
+        with pytest.raises(ValueError, match="one row of 14 steps"):
+            Schedule(cfg=cfg, cycles=cycles, copies=copies)
+    with pytest.raises(ValueError):
+        sched.cycles[0, 0] = 5
 
 
 def test_liveness_every_intermediate_used_twice_n8():
