@@ -41,7 +41,7 @@ to the reference decoder.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -110,10 +110,11 @@ _programs: WeakKeyDictionary = WeakKeyDictionary()
 
 def _program(cfg: ArchitectureConfig, vectors: int | None) -> _Program:
     """The compiled program of ``build_schedule(cfg, vectors)``, compiled on
-    first use and kept for as long as ``cfg`` lives."""
+    first use and kept for as long as ``cfg`` lives: its schedule holds a
+    copy of ``cfg``, as holding the key itself would keep the key alive."""
     programs = _programs.setdefault(cfg, {})
     if vectors not in programs:
-        programs[vectors] = _compile(build_schedule(cfg, vectors), cfg)
+        programs[vectors] = _compile(build_schedule(replace(cfg), vectors), cfg)
     return programs[vectors]
 
 

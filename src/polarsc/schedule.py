@@ -184,20 +184,16 @@ class Schedule:
         PEs are named ``N_l,row`` (graph node), ``P_l,q`` (tree), ``P_q``
         (line), ``P_{q - q0}`` (semi-parallel lane, q0 the first active
         index) and ``<stage instance>:P_q`` (overlap, e.g. ``S_0d:P_0``), in
-        the order in which ``entries`` first activates them.  Runs are
-        counted per (stage, copy, lane) and each name is formatted once.
+        the order in which the slots, taken in turn, first activate them.
+        Runs are counted per (stage, copy, lane) and each name is formatted
+        once.
         """
         kind = self.cfg.kind
         prefix = {ArchKind.FFT_LIKE: "N_{l},", ArchKind.PIPELINED_TREE: "P_{l},",
                   ArchKind.VECTOR_OVERLAP: "{instance}:P_"}.get(kind, "P_")
-        runs: dict = {}  # (stage, copy, lane) -> [first cycle, runs]
-        for _, (l, _, _, active), cycle, copy in self._runs():
-            run = runs.setdefault((l, copy, active), [cycle, 0])
-            run[0] = min(run[0], cycle)
-            run[1] += 1
+        runs = Counter((l, copy, active) for _, (l, _, _, active), _, copy in self._runs())
         counts: dict = {}  # (name prefix, PE index) -> activations
-        for (l, copy, active), (_, k) in sorted(
-                runs.items(), key=lambda r: (r[1][0], -r[0][0], r[0][1])):
+        for (l, copy, active), k in runs.items():
             head = prefix.format(l=l, instance=stage_instance_name(l, copy))
             offset = active[0] if kind is ArchKind.SEMI_PARALLEL else 0
             for q in active:
@@ -347,17 +343,13 @@ def register_liveness(s: Schedule) -> LivenessReport:
 
     records = []
     problems = []
-
-    def fanout(phase):
-        return len(graph.enabled_sites(phase, m))
-
     for l in range(m):
         for k, e in enumerate(acts[l]):
             if l == 0:
                 records.append(ValueRecord(
                     stage=0, index=k, write_cycle=e.cycle, read_cycles=(e.cycle,),
                     overwrite_cycle=None, decision_phase=e.phase,
-                    bit_fanout=fanout(e.phase),
+                    bit_fanout=len(graph.enabled_sites(e.phase, m)),
                 ))
                 continue
             readers = acts[l - 1][2 * k: 2 * k + 2]

@@ -140,6 +140,17 @@ def test_cached_schedule_is_immutable_and_counts_are_fresh():
         second.pe_activations
 
 
+def test_programs_are_freed_with_their_config():
+    spec = construct_frozen_bec(8, 4, 0.5)
+    _, llr = random_frames(spec, 3, sigma=1.0, seed=4)
+    archsim._programs.clear()
+    cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=8, overlap_p=3)
+    res = simulate(cfg, llr, spec, Kernel.LLR_MINSUM)
+    assert list(archsim._programs) == [cfg] and res.schedule.cfg == cfg
+    del cfg, res
+    assert len(archsim._programs) == 0
+
+
 @st.composite
 def _frozen_sets(draw, n):
     """Codes of length n with k = 0, 1, n or a random number of information bits."""
