@@ -388,14 +388,6 @@ def test_double_booked_schedule_raises_at_runtime():
         archsim._compile(bad, cfg)
 
 
-def test_a_stage_copy_the_machine_lacks_raises_at_compile():
-    cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=8, overlap_p=3)
-    sched = build_schedule(cfg)
-    copies = np.where(sched.copies == 1, 7, sched.copies)
-    with pytest.raises(SimulationError, match="S_0d7 is not a stage copy"):
-        archsim._compile(Schedule(cfg=cfg, cycles=sched.cycles, copies=copies), cfg)
-
-
 def test_swapped_steps_raise_at_compile():
     # phase 1's stage-0 g runs before phase 0's f: no resource conflict,
     # but the slot's steps no longer run in cycle order

@@ -331,7 +331,7 @@ def test_check_no_conflict_flags_a_stage_copy_the_machine_lacks(copy):
     bad = Schedule(cfg=cfg, cycles=sched.cycles, copies=copies)
     violations = check_no_conflict(bad, cfg)
     assert len(violations) == 10
-    assert all("is not a stage copy" in v for v in violations)
+    assert all(f"S_0d{copy} is not a stage copy" in v for v in violations)
 
 
 def test_step_table_rows_must_hold_every_step():
