@@ -3,18 +3,22 @@
 Like the paper's pipelined tree, the decoder keeps ``2n - 1`` soft values:
 level ``l`` holds ``2**l`` of them, level ``m`` the channel values in
 bit-reversed order, so stage ``l`` reads the two halves of level ``l + 1``.
-``_sc_decode`` is the one SC loop: it runs ``graph.single_vector_ops``, the
-one SC control sequence, each step on a whole level, for the reference
-decoder and for every machine alike (a machine's schedule is checked
-against that sequence, see ``archsim``).  After each stage-0 step it
-decides that phase's bit and folds it into the partial sums that g reads.
-As in simplified SC, it prunes the tree by the frozen set: an activation
-whose phases are all frozen (a rate-0 subtree) is skipped, and with a
-kernel whose ``rate1_is_hard_decision`` holds (min-sum), a subtree whose
-phases all carry information (rate-1) is decided at once by the hard
-decision of its soft values, unless one of them is an exact zero.  Both
-give SC's own decisions.  Levels are laid out ``(2**l, batch)``: one
-kernel call serves every frame.
+``_sc_decode`` is the one SC loop, for the reference decoder and for every
+machine alike (a machine's schedule is checked against the same control
+sequence, see ``archsim``).  It runs a per-code decode plan: the one SC
+control sequence, ``graph.single_vector_ops``, lowered once per code into
+a flat tuple of instructions, as in the instruction-list decoders of Sarkis
+et al. (*Fast Polar Decoders*, 2014), kept to the nodes that give SC's own
+decisions.  Each kernel step covers a whole level; each stage-0 step is
+followed by that phase's decision and the folds that put it into the
+partial sums that g reads.  As in simplified SC, the plan is pruned by the
+frozen set: an activation whose phases are all frozen (a rate-0 subtree)
+is left out, and with a kernel whose ``rate1_is_hard_decision`` holds
+(min-sum), a subtree whose phases all carry information (rate-1) is
+decided at once by the hard decision of its soft values, unless one of
+them is an exact zero; the node's full SC steps follow inline as its tie
+fallback.  Levels are laid out ``(2**l, batch)``: one kernel call serves
+every frame.
 
 Like the paper's decoders, the loop updates O(n) memory in place and
 allocates nothing per step.  The kernels' in-place stage ops
@@ -31,8 +35,9 @@ kernel's domain.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import accumulate
+from dataclasses import dataclass
+from itertools import accumulate, islice
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -42,121 +47,160 @@ from .kernels import Kernel
 
 _GENIE_BLOCK = 512  # frames per random stream; part of the reproducibility contract
 
+# Plan instructions, four ints each: (opcode, a, b, c).
+_F = 0       # (_F, l, i, 0): f at stage l of phase i, level l + 1 into level l
+_G = 1       # (_G, l, i, i - 2**l): g likewise, with partial sums x[i - 2**l:i]
+_DECIDE = 2  # (_DECIDE, i, 0, 0): hard decision of the root into x[i]
+_FORCE = 3   # (_FORCE, i, 0, 0): genie mode: decide, count the error, keep the forced bit
+_FOLD = 4    # (_FOLD, a, b, c): x[a:b] ^= x[b:c], b - a == c - b
+_RATE1 = 5   # (_RATE1, L, i, k): if level L holds no +/-0.0, decide x[i:i + 2**L]
+#              at once and skip the k instructions of the node's tie fallback
 
-@lru_cache(maxsize=32)
-def _phase_tables(spec: CodeSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-code lookups for ``_sc_decode``.
 
-    ``frozen_before[i]`` counts the frozen phases below ``i``.  ``rate1[i]``
-    is ``L >= 1`` when ``[i, i + 2**L)`` is a maximal rate-1 node (every
-    phase an information bit, and not so for its parent), else 0.
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """One code's decode plan: the flat instruction tuple that ``_sc_decode``
+    runs, and the read-only bit-reversal permutation of its length."""
+
+    ops: tuple
+    perm: np.ndarray
+
+
+def _lower(spec: CodeSpec, rate1: bool, genie: bool) -> _Plan:
+    """Lower one code's SC control sequence into a plan.
+
+    The SC recursion visits the code's tree in the order of
+    ``graph.single_vector_ops``; the plan is that visit with the pruning
+    decided up front.  A subtree whose phases are all frozen is dead and
+    left out (its steps, and the 0 decisions that ``x`` starts with), and
+    so is a fold whose right half is all frozen, since it would XOR zeros.
+
+    With ``rate1``, each maximal rate-1 node ``[i, i + 2**L)`` (``L >= 1``,
+    every phase an information bit, and not so for its parent) becomes one
+    ``_RATE1`` instruction when its level-``L`` values are ready, followed
+    by its tie fallback: the node's full SC steps, decisions and folds.
+    The fold that closes the node's parent block follows the fallback, so
+    both paths run it once.
+
+    In genie mode nothing counts as frozen and nothing is pruned, and each
+    decision is a ``_FORCE``.
     """
-    frozen_before = tuple(accumulate(spec.frozen_mask.tolist(), initial=0))
-    rate1 = [0] * spec.n
+    n = spec.n
+    frozen_before = ((0,) * (n + 1) if genie
+                     else tuple(accumulate(spec.frozen_mask.tolist(), initial=0)))
+    ops: list = []
+    if frozen_before[n] != n:  # not an all-frozen code
+        _lower_subtree(ops, frozen_before, 0, spec.m, rate1, _FORCE if genie else _DECIDE)
+    perm = bit_reverse_permutation(spec.m)
+    perm.flags.writeable = False
+    return _Plan(ops=tuple(ops), perm=perm)
 
-    def visit(lo: int, l: int) -> None:
-        size = 1 << l
-        if frozen_before[lo + size] == frozen_before[lo]:
-            rate1[lo] = l
-        elif l:
-            visit(lo, l - 1)
-            visit(lo + size // 2, l - 1)
 
-    visit(0, spec.m)
-    return frozen_before, tuple(rate1)
+def _lower_subtree(ops: list, frozen_before: tuple, lo: int, l: int, rate1: bool,
+                   decide: int) -> None:
+    """Append the plan of the live subtree ``[lo, lo + 2**l)``, from the point
+    where its level-``l`` values are ready; ``frozen_before[i]`` counts the
+    frozen phases below ``i``.  (A module-level function: a recursive
+    closure would be a reference cycle.)"""
+    if rate1 and l and frozen_before[lo + (1 << l)] == frozen_before[lo]:
+        fallback: list = []
+        _lower_subtree(fallback, frozen_before, lo, l, False, decide)
+        ops += (_RATE1, l, lo, len(fallback) // 4, *fallback)
+        return
+    if not l:
+        ops += (decide, lo, 0, 0)
+        return
+    h = 1 << (l - 1)
+    mid = lo + h
+    if frozen_before[mid] - frozen_before[lo] != h:  # the left child is live
+        ops += (_F, l - 1, lo, 0)
+        _lower_subtree(ops, frozen_before, lo, l - 1, rate1, decide)
+    if frozen_before[mid + h] - frozen_before[mid] != h:  # the right child is live
+        ops += (_G, l - 1, mid, lo)
+        _lower_subtree(ops, frozen_before, mid, l - 1, rate1, decide)
+        ops += (_FOLD, lo, mid, mid + h)  # fold it into its left sibling
+
+
+# spec -> {(rate1, genie): _Plan}.  Weak keys free a code's plans with the
+# code, without waiting for the cycle collector to reclaim a dropped module.
+_plans: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _plan(spec: CodeSpec, rate1: bool, genie: bool) -> _Plan:
+    """The plan of ``_lower(spec, rate1, genie)``, lowered on first use and
+    kept for as long as ``spec`` (or a code equal to it) lives."""
+    plans = _plans.setdefault(spec, {})
+    if (rate1, genie) not in plans:
+        plans[rate1, genie] = _lower(spec, rate1, genie)
+    return plans[rate1, genie]
 
 
 def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
                force_bits: np.ndarray | None = None) -> tuple:
     """Run SC decoding over a (batch, n) array of kernel-domain values.
 
-    Each step ``(l, fn, i)`` of ``graph.single_vector_ops(n)`` computes
-    level ``l`` from the two halves of level ``l + 1``, and a g also from
-    the left sibling's partial sum.  The stage-``l`` step of phase ``i``
-    feeds only phases ``[i, i + 2**l)``; when all of them are frozen it is
-    dead and skipped, and a dead stage-0 step decides 0.
-
-    Partial sums live in one ``(n, batch)`` buffer ``x`` in block layout:
-    phase ``i`` decides into row ``i``, and once phase ``i`` closes a
-    level-``l`` block ``[b, b + 2h)`` (``h = 2**l``) the fold
-    ``x[b:b+h] ^= x[b+h:b+2h]`` turns the block into its level-``l + 1``
-    partial sum, so a g at stage ``l`` of phase ``i`` reads the left sibling
-    block ``x[i-h:i]``.  A fold whose right half is all frozen XORs zeros
-    and is skipped.  At the end ``x`` is the butterfly transform of the
-    decided bits in block layout: gathered in bit-reversed order it is the
-    codeword, and since the transform is its own inverse, ``m`` more
-    passes of every fold turn it back into the decided bits.
+    Runs the code's plan (see ``_lower``).  An f or g at stage ``l``
+    computes level ``l`` from the two halves of level ``l + 1``, a g also
+    from the left sibling's partial sum.  Partial sums live in one
+    ``(n, batch)`` buffer ``x`` in block layout: phase ``i`` decides into
+    row ``i``, and once phase ``i`` closes a level-``l`` block
+    ``[b, b + 2h)`` (``h = 2**l``) the fold ``x[b:b+h] ^= x[b+h:b+2h]``
+    turns the block into its level-``l + 1`` partial sum, so a g at stage
+    ``l`` of phase ``i`` reads the left sibling block ``x[i-h:i]``.  At the
+    end ``x`` is the butterfly transform of the decided bits in block
+    layout: gathered in bit-reversed order it is the codeword, and since
+    the transform is its own inverse, ``m`` more passes of every fold turn
+    it back into the decided bits.
 
     Where ``kernel.rate1_is_hard_decision``, a maximal rate-1 node
-    ``[i, i + 2**L)`` (``L >= 1``) is decided at its first step below stage
-    ``L``: if level ``L`` holds no ``+/-0.0`` in any frame, its hard
-    decision is the node's partial sum, in the level's storage order, and
-    the node's remaining steps are skipped; otherwise they run as usual.
+    ``[i, i + 2**L)`` is decided when its level ``L`` holds no ``+/-0.0``
+    in any frame: its hard decision is the node's partial sum, in the
+    level's storage order, and its tie fallback is skipped; otherwise the
+    fallback runs.
 
     When ``force_bits`` is given, each phase's raw decision is compared to
     the forced bit, the mismatch is counted, and the forced bit is what
-    propagates (genie mode, used for code construction; it skips nothing).
-    Returns the decided bits, their codewords, and the genie mode's
-    per-position error counts (else None).
+    propagates (genie mode, used for code construction; it runs the
+    unpruned plan).  Returns the decided bits, their codewords, and the
+    genie mode's per-position error counts (else None).
     """
+    genie = force_bits is not None
+    plan = _plan(spec, kernel.rate1_is_hard_decision and not genie, genie)
     n, m, batch = spec.n, spec.m, values.shape[0]
-    perm = bit_reverse_permutation(m)
 
-    soft = [np.empty((1 << l, batch)) for l in range(m)] + [values.T[perm]]
+    soft = [np.empty((1 << l, batch)) for l in range(m)] + [values.T[plan.perm]]
     scratch = np.empty((n // 2, batch))  # the stage ops' temporaries
+    stages = [(soft[l + 1][:1 << l], soft[l + 1][1 << l:], soft[l], scratch[:1 << l])
+              for l in range(m)]  # a stage op's inputs, output and scratch
     x = np.zeros((n, batch), dtype=np.uint8)
     bits, root, threshold = x.view(bool), soft[0][0], kernel.threshold
     f_into, g_into = kernel.f_into, kernel.g_into
-    forced = None if force_bits is None else force_bits.T
-    err_counts = np.zeros(n, dtype=np.int64) if forced is not None else None
+    forced = force_bits.T if genie else None
+    err_counts = np.zeros(n, dtype=np.int64) if genie else None
     miss = np.empty(batch, dtype=bool)  # genie mode: raw decision != forced bit
-    if forced is None:
-        frozen_before, rate1 = _phase_tables(spec)
-        if not kernel.rate1_is_hard_decision:
-            rate1 = (0,) * n
-    else:  # genie mode: nothing counts as frozen, nothing is pruned
-        frozen_before, rate1 = (0,) * (n + 1), (0,) * n
 
-    def fold(i: int, l: int) -> None:
-        """Phase ``i`` closed a level-``l`` block: fold it and every block
-        above that it closes."""
-        while (i >> l) & 1:
-            h = 1 << l
-            if frozen_before[i + 1] - frozen_before[i + 1 - h] != h:
-                x[i + 1 - 2 * h:i + 1 - h] ^= x[i + 1 - h:i + 1]
-            l += 1
+    it = iter(plan.ops)
+    for op, a, b, c in zip(it, it, it, it):
+        if op == _G:
+            left, right, out, tmp = stages[a]
+            g_into(left, right, x[c:b], out, tmp)
+        elif op == _F:
+            f_into(*stages[a])
+        elif op == _FOLD:  # not x[a:b] ^= ..., which also copies the result back
+            left = x[a:b]
+            np.bitwise_xor(left, x[b:c], left)
+        elif op == _DECIDE:
+            np.less_equal(root, threshold, bits[a])  # Kernel.hard_decision
+        elif op == _RATE1:
+            if soft[a].all():  # no +/-0.0 in any frame
+                np.less_equal(soft[a], threshold, bits[b:b + (1 << a)])
+                next(islice(it, 4 * c, 4 * c), None)
+        else:  # _FORCE
+            np.less_equal(root, threshold, bits[a])
+            err_counts[a] = np.count_nonzero(np.not_equal(x[a], forced[a], out=miss))
+            x[a] = forced[a]
 
-    resume = 0  # phases below it lie in a node already decided
-    for l, fn, i in graph.single_vector_ops(n):
-        if i < resume:
-            continue
-        top = rate1[i]
-        # a step below a maximal rate-1 node's root; with a tie the check
-        # fails again at each such step, and the node runs in full
-        if l < top and soft[top].all():  # no +/-0.0 in any frame
-            np.less_equal(soft[top], threshold, out=bits[i:i + (1 << top)])
-            resume = i + (1 << top)
-            fold(resume - 1, top)
-            continue
-        h = 1 << l
-        dead = frozen_before[i + h] - frozen_before[i] == h
-        if not dead:
-            src = soft[l + 1]
-            if fn == "g":
-                g_into(src[:h], src[h:], x[i - h:i], soft[l], scratch[:h])
-            else:
-                f_into(src[:h], src[h:], soft[l], scratch[:h])
-        if l:
-            continue
-
-        if not dead:  # a dead step keeps the 0 that x starts with
-            np.less_equal(root, threshold, out=bits[i])  # Kernel.hard_decision
-        if forced is not None:
-            err_counts[i] = np.count_nonzero(np.not_equal(x[i], forced[i], out=miss))
-            x[i] = forced[i]
-        fold(i, 0)
-
-    c_hat = x[perm].T
+    c_hat = x[plan.perm].T
     for l in range(m):  # every fold once more: x becomes the decided bits
         blocks = x.reshape(n >> (l + 1), 2, 1 << l, batch)
         blocks[:, 0] ^= blocks[:, 1]

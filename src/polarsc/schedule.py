@@ -235,6 +235,14 @@ def _steps(cfg: ArchitectureConfig) -> tuple:
     return tuple(steps)
 
 
+def _stages(cfg: ArchitectureConfig) -> list:
+    """The stage of each of ``_steps(cfg)``, without building the steps: a
+    stage-``l`` entry of ``graph.single_vector_ops`` is one step, or
+    ``2**l / pe_count`` of them on the semi-parallel machine."""
+    lanes = [-(-(1 << l) // (cfg.pe_count or cfg.n)) for l in range(cfg.m)]
+    return [l for l, _, _ in graph.single_vector_ops(cfg.n) for _ in range(lanes[l])]
+
+
 def build_schedule(cfg: ArchitectureConfig, vectors: int | None = None) -> Schedule:
     """Schedule one group of ``vectors`` vectors (default P = ``cfg.overlap_p or 1``).
 
@@ -246,7 +254,7 @@ def build_schedule(cfg: ArchitectureConfig, vectors: int | None = None) -> Sched
     vectors = p if vectors is None else vectors
     if not 1 <= vectors <= p:
         raise ValueError(f"vectors must satisfy 1 <= v <= P = {p}, got {vectors}")
-    stages = [l for l, *_ in _steps(cfg)]
+    stages = _stages(cfg)
     last, m = len(stages), cfg.m
     have = [stage_duplication_count(l, p) for l in range(m)]
 

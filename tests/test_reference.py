@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import re
 
@@ -7,7 +8,7 @@ import pytest
 from polarsc import (ArchitectureConfig, ArchKind, CodeSpec, Kernel, LLR_CLIP,
                      construct_frozen_bec, decode, decode_batch, encode,
                      genie_error_counts, simulate)
-from polarsc import kernels
+from polarsc import graph, kernels, reference
 from polarsc.kernels import g_llr
 from polarsc.reference import _sc_decode
 
@@ -287,3 +288,104 @@ def _decode_digests(kernel):
 ])
 def test_decode_batch_golden_digests(kernel, digests):
     assert _decode_digests(kernel) == digests
+
+
+def _plan_replay(ops, take_fallbacks):
+    """The kernel steps ``(l, fn, i)``, decisions ``("d", i)`` and forced
+    decisions ``("forced", i)`` of a plan, in the order it runs them: with
+    every rate-1 node's tie fallback, or on the tie-free path."""
+    names = {reference._F: "f", reference._G: "g"}
+    out, pos = [], 0
+    while pos < len(ops):
+        op, a, b, c = ops[pos:pos + 4]
+        pos += 4
+        if op in names:
+            out.append((a, names[op], b))
+        elif op == reference._DECIDE:
+            out.append(("d", a))
+        elif op == reference._FORCE:
+            out.append(("forced", a))
+        elif op == reference._RATE1 and not take_fallbacks:
+            out.append(("rate1", a, b))
+            pos += 4 * c
+    return out
+
+
+def _maximal_rate1_nodes(frozen_mask, lo, l):
+    """``(L, lo)`` of each maximal rate-1 node (L >= 1) under ``[lo, lo + 2**l)``."""
+    if not frozen_mask[lo:lo + (1 << l)].any():
+        return [(l, lo)] if l else []
+    if not l:
+        return []
+    half = 1 << (l - 1)
+    return (_maximal_rate1_nodes(frozen_mask, lo, l - 1)
+            + _maximal_rate1_nodes(frozen_mask, lo + half, l - 1))
+
+
+def _live_sequence(spec, nodes=()):
+    """``single_vector_ops`` without its dead steps, each stage-0 step of an
+    information phase followed by its decision; without the steps below the
+    root of each rate-1 node in ``nodes``, which is decided at its first such
+    step instead."""
+    inside = {(i, l) for L, lo in nodes for i in range(lo, lo + (1 << L)) for l in range(L)}
+    first = {(lo, L - 1): ("rate1", L, lo) for L, lo in nodes}
+    out = []
+    for l, fn, i in graph.single_vector_ops(spec.n):
+        if (i, l) in first:
+            out.append(first[i, l])
+        if (i, l) in inside or spec.frozen_mask[i:i + (1 << l)].all():
+            continue
+        out.append((l, fn, i))
+        if not l:
+            out.append(("d", i))
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_plan_replays_the_live_control_sequence(m):
+    n = 1 << m
+    rng = np.random.default_rng(4000 + m)
+    random = tuple(sorted(rng.choice(n, size=int(rng.integers(0, n + 1)),
+                                     replace=False).tolist()))
+    for frozen in ((), construct_frozen_bec(n, max(1, n // 2), 0.5).frozen, random):
+        spec = CodeSpec(m=m, frozen=frozen)
+        live = _live_sequence(spec)
+        # with or without rate-1 nodes, the kernel steps and decisions that
+        # run when every node falls back are the live steps, in order
+        for rate1 in (False, True):
+            assert _plan_replay(reference._lower(spec, rate1, False).ops, True) == live
+        # the tie-free path decides each maximal rate-1 node at its first
+        # step below its root and runs none of the node's steps below it
+        nodes = _maximal_rate1_nodes(spec.frozen_mask, 0, m)
+        assert _plan_replay(reference._lower(spec, True, False).ops, False) == \
+            _live_sequence(spec, nodes)
+        # genie mode: every step, and a forced decision at every phase
+        unpruned = [step if len(step) == 3 else ("forced", step[1])
+                    for step in _live_sequence(CodeSpec(m=m, frozen=()))]
+        assert _plan_replay(reference._lower(spec, False, True).ops, False) == unpruned
+
+
+def test_decoders_create_no_reference_cycles():
+    # a decode's (n, batch) arrays must be freed when it returns, not wait
+    # for the cycle collector; fresh codes and configs lower and compile
+    # their plans and programs inside the checked region
+    n = 64
+    _, llr = random_frames(construct_frozen_bec(n, n // 2, 0.5), 8, sigma=0.9, seed=3)
+    gc.collect()
+    gc.disable()
+    try:
+        spec = construct_frozen_bec(n, n // 2, 0.5)
+        for kernel in KERNELS:
+            decode_batch(llr, spec, kernel)
+            decode(llr[0], spec, kernel)
+        for kind in ArchKind:
+            extra = {ArchKind.SEMI_PARALLEL: {"pe_count": n // 4},
+                     ArchKind.VECTOR_OVERLAP: {"overlap_p": 3}}.get(kind, {})
+            res = simulate(ArchitectureConfig(kind=kind, n=n, **extra), llr, spec,
+                           Kernel.LLR_MINSUM)
+            assert res.pe_activations
+        genie_error_counts(n, 0.9, trials=20, seed=1)
+        del spec, res
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
