@@ -27,10 +27,8 @@ Control never depends on the frames, so a schedule is built and checked
 once per ``(config, group size)`` into a program: the schedule and one
 run's PE activation counts.  Programs are cached for as long as their
 config lives.  ``simulate`` runs the SC loop once over all its frames,
-whatever the group size, and takes cycles from the programs of the groups
-the frames fill.  PE counts are computed when first read, the program's
-once per program and the result's from its programs, so statistics nobody
-reads cost ``simulate`` nothing.
+whatever the group size, and takes cycles and PE counts from the programs
+of the groups the frames fill.
 
 The loop skips dead activations, those that feed only frozen phases, and
 with the min-sum kernel it decides a tie-free rate-1 subtree by hard
@@ -43,8 +41,7 @@ to the reference decoder.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -66,21 +63,13 @@ class SimResult:
     ``total_cycles`` covers the whole run; ``schedule`` is one period, one
     vector (or one full overlap group), whose occupancy trace repeats
     across the run.  ``pe_activations`` counts work done by each processing
-    resource over the entire run; it is computed from ``runs``, the
-    ``(count, program)`` pair of each group size that ran, when first read.
+    resource over the entire run.
     """
 
     decoded: np.ndarray
     total_cycles: int
+    pe_activations: Counter
     schedule: Schedule
-    runs: tuple = field(repr=False)
-
-    @cached_property
-    def pe_activations(self) -> Counter:
-        counts: Counter = Counter()
-        for count, prog in self.runs:
-            counts.update({pe: c * count for pe, c in prog.pe_counts.items()})
-        return counts
 
     @property
     def period_cycles(self) -> int:
@@ -93,14 +82,10 @@ class SimResult:
 
 @dataclass(frozen=True, eq=False)
 class _Program:
-    """A checked schedule, and one run's ``Schedule.pe_activations`` counted
-    when first read."""
+    """A checked schedule and one run's ``Schedule.pe_activations``."""
 
     schedule: Schedule
-
-    @cached_property
-    def pe_counts(self) -> Counter:
-        return self.schedule.pe_activations()
+    pe_counts: Counter
 
 
 def _compile(sched: Schedule, cfg: ArchitectureConfig) -> _Program:
@@ -115,7 +100,7 @@ def _compile(sched: Schedule, cfg: ArchitectureConfig) -> _Program:
                    for v in np.flatnonzero(unordered)]
     if violations:
         raise SimulationError("; ".join(violations))
-    return _Program(schedule=sched)
+    return _Program(schedule=sched, pe_counts=sched.pe_activations())
 
 
 # cfg -> {vectors: _Program}.  Weak keys free a config's programs with the
@@ -164,10 +149,9 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     -------
     SimResult
         Decoded blocks (bit-identical to the reference decoder), cycle
-        counts, PE activation counts (computed when first read), and the
-        schedule of one period, from which ``period_cycles`` and the
-        ``occupancy`` trace are read.  The schedule is immutable and shared
-        with the cached program.
+        counts, PE activation counts, and the schedule of one period, from
+        which ``period_cycles`` and the ``occupancy`` trace are read.  The
+        schedule is immutable and shared with the cached program.
     """
     if cfg.n != spec.n:
         raise ValueError(f"config length {cfg.n} != code length {spec.n}")
@@ -175,11 +159,15 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
 
     p = cfg.overlap_p or 1
     groups, tail = divmod(len(values), p)
-    runs = tuple((count, _program(cfg, slots))
-                 for count, slots in ((groups, p), (1, tail)) if count * slots)
+    runs = [(count, _program(cfg, slots))
+            for count, slots in ((groups, p), (1, tail)) if count * slots]
+    total_cycles = 0
+    pe_counts: Counter = Counter()
+    for count, prog in runs:
+        total_cycles += count * prog.schedule.total_cycles
+        pe_counts.update({pe: c * count for pe, c in prog.pe_counts.items()})
     period = runs[0][1] if runs else _program(cfg, None)
     decoded, _, _ = _sc_decode(values, spec, kernel)
     return SimResult(decoded=decoded,
-                     total_cycles=sum(count * prog.schedule.total_cycles
-                                      for count, prog in runs),
-                     schedule=period.schedule, runs=runs)
+                     total_cycles=total_cycles, pe_activations=pe_counts,
+                     schedule=period.schedule)

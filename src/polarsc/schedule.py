@@ -112,15 +112,17 @@ class Schedule:
     vector's ``_steps(cfg)``, and row ``v`` of ``cycles`` and ``copies``
     holds the cycle and the stage copy of each step of slot ``v``.  The
     rows are read-only, so a schedule shared by cached simulator programs
-    cannot be edited."""
+    cannot be edited.  ``steps`` is built from ``cfg`` when left out;
+    ``build_schedule`` passes the list it scheduled."""
 
     cfg: ArchitectureConfig
     cycles: np.ndarray
     copies: np.ndarray
-    steps: tuple = field(init=False, repr=False)
+    steps: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", _steps(self.cfg))
+        if self.steps is None:
+            object.__setattr__(self, "steps", _steps(self.cfg))
         for name in ("cycles", "copies"):
             table = np.array(getattr(self, name), dtype=np.int64)
             if not len(table) or table.shape != (len(self.cycles), len(self.steps)):
@@ -235,14 +237,6 @@ def _steps(cfg: ArchitectureConfig) -> tuple:
     return tuple(steps)
 
 
-def _stages(cfg: ArchitectureConfig) -> list:
-    """The stage of each of ``_steps(cfg)``, without building the steps: a
-    stage-``l`` entry of ``graph.single_vector_ops`` is one step, or
-    ``2**l / pe_count`` of them on the semi-parallel machine."""
-    lanes = [-(-(1 << l) // (cfg.pe_count or cfg.n)) for l in range(cfg.m)]
-    return [l for l, _, _ in graph.single_vector_ops(cfg.n) for _ in range(lanes[l])]
-
-
 def build_schedule(cfg: ArchitectureConfig, vectors: int | None = None) -> Schedule:
     """Schedule one group of ``vectors`` vectors (default P = ``cfg.overlap_p or 1``).
 
@@ -254,7 +248,8 @@ def build_schedule(cfg: ArchitectureConfig, vectors: int | None = None) -> Sched
     vectors = p if vectors is None else vectors
     if not 1 <= vectors <= p:
         raise ValueError(f"vectors must satisfy 1 <= v <= P = {p}, got {vectors}")
-    stages = _stages(cfg)
+    steps = _steps(cfg)
+    stages = [l for l, *_ in steps]
     last, m = len(stages), cfg.m
     have = [stage_duplication_count(l, p) for l in range(m)]
 
@@ -274,7 +269,7 @@ def build_schedule(cfg: ArchitectureConfig, vectors: int | None = None) -> Sched
             pos[v] += 1
             admitted += v == admitted
             finished += pos[v] == last
-    return Schedule(cfg=cfg, cycles=cycles, copies=copies)
+    return Schedule(cfg=cfg, cycles=cycles, copies=copies, steps=steps)
 
 
 def check_no_conflict(s: Schedule, cfg: ArchitectureConfig) -> list:

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarsc import cycles_per_vector, graph
-from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, _stages, _steps,
-                              build_schedule, check_no_conflict,
+from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, build_schedule,
+                              check_no_conflict,
                               register_liveness, stage_duplication_count)
 
 # Published 14-cycle grid for one n=8 vector: stage row -> {cycle: f/g}.
@@ -161,18 +161,6 @@ def configs(draw):
     if kind is ArchKind.VECTOR_OVERLAP:
         return ArchitectureConfig(kind=kind, n=n, overlap_p=draw(st.integers(1, n - 1)))
     return ArchitectureConfig(kind=kind, n=n)
-
-
-@pytest.mark.parametrize("n", [2, 8, 64])
-def test_stage_list_is_the_stage_of_each_step(n):
-    # build_schedule schedules the steps by this list alone
-    cfgs = [ArchitectureConfig(kind=kind, n=n)
-            for kind in (ArchKind.FFT_LIKE, ArchKind.PIPELINED_TREE, ArchKind.LINE)]
-    cfgs += [ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=n, pe_count=1 << p)
-             for p in range(n.bit_length() - 1)]
-    cfgs += [ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=n - 1)]
-    for cfg in cfgs:
-        assert _stages(cfg) == [l for l, *_ in _steps(cfg)], cfg
 
 
 @settings(deadline=None, derandomize=True)
