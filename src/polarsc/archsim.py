@@ -14,8 +14,9 @@ differ only in the cycle and stage copy at which each step runs.  So their
 datapath is the reference decoder's loop, ``reference._sc_decode``.  A
 schedule's step table gives every vector slot one vector's steps,
 ``schedule._steps``, so every slot runs that sequence, each step covering
-its level; what is checked is the table's resource use and that each
-slot's steps run in strictly increasing cycles.  The unrolled graph's
+its level; what ``schedule.check_no_conflict`` checks, against the
+schedule's own config, is the table's resource use and that each slot's
+steps run in strictly increasing cycles.  The unrolled graph's
 steps name graph rows, its stage-``l`` row ``r`` being tree position
 ``r >> (m - l)``; its one register per graph node is a property of its
 schedule (every node written once, after its inputs), checked in the
@@ -24,11 +25,10 @@ split among lanes changes no bit; slots share no registers, so neither
 does the interleaving of slots.
 
 Control never depends on the frames, so a schedule is built and checked
-once per ``(config, group size)`` into a program: the schedule and one
-run's PE activation counts.  Programs are cached for as long as their
-config lives.  ``simulate`` runs the SC loop once over all its frames,
-whatever the group size, and takes cycles and PE counts from the programs
-of the groups the frames fill.
+once per ``(config, group size)`` and cached, with one run's PE activation
+counts, for as long as its config lives.  ``simulate`` runs the SC loop
+once over all its frames, whatever the group size, and takes cycles and PE
+counts from the schedules of the groups the frames fill.
 
 The loop skips dead activations, those that feed only frozen phases, and
 with the min-sum kernel it decides a tie-free rate-1 subtree by hard
@@ -80,41 +80,25 @@ class SimResult:
         return self.schedule.occupancy()
 
 
-@dataclass(frozen=True, eq=False)
-class _Program:
-    """A checked schedule and one run's ``Schedule.pe_activations``."""
-
-    schedule: Schedule
-    pe_counts: Counter
-
-
-def _compile(sched: Schedule, cfg: ArchitectureConfig) -> _Program:
-    """Check a schedule's step table against ``cfg``.
-
-    Raises ``SimulationError`` on a resource conflict, or unless the cycles
-    of each vector slot's steps strictly increase from cycle 1.
-    """
-    violations = check_no_conflict(sched, cfg)
-    unordered = (np.diff(sched.cycles, prepend=0) < 1).any(axis=1)
-    violations += [f"vector slot {v} runs its steps out of cycle order"
-                   for v in np.flatnonzero(unordered)]
-    if violations:
-        raise SimulationError("; ".join(violations))
-    return _Program(schedule=sched, pe_counts=sched.pe_activations())
-
-
-# cfg -> {vectors: _Program}.  Weak keys free a config's programs with the
-# config, without waiting for the cycle collector to reclaim a dropped module.
+# cfg -> {vectors: (schedule, one run's pe_activations())}.  Weak keys free a
+# config's schedules with the config, without waiting for the cycle collector
+# to reclaim a dropped module.
 _programs: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _program(cfg: ArchitectureConfig, vectors: int | None) -> _Program:
-    """The compiled program of ``build_schedule(cfg, vectors)``, compiled on
-    first use and kept for as long as ``cfg`` lives: its schedule holds a
-    copy of ``cfg``, as holding the key itself would keep the key alive."""
+def _program(cfg: ArchitectureConfig, vectors: int | None) -> tuple:
+    """``build_schedule(cfg, vectors)`` and one run's PE activation counts,
+    built and checked on first use and kept for as long as ``cfg`` lives: the
+    schedule holds a copy of ``cfg``, as holding the key itself would keep
+    the key alive.  Raises ``SimulationError`` if ``check_no_conflict``
+    finds a violation."""
     programs = _programs.setdefault(cfg, {})
     if vectors not in programs:
-        programs[vectors] = _compile(build_schedule(replace(cfg), vectors), cfg)
+        schedule = build_schedule(replace(cfg), vectors)
+        violations = check_no_conflict(schedule)
+        if violations:
+            raise SimulationError("; ".join(violations))
+        programs[vectors] = schedule, schedule.pe_activations()
     return programs[vectors]
 
 
@@ -124,12 +108,12 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     Frames run in groups of ``P = cfg.overlap_p or 1``: all full groups,
     then the leftover frames as one shorter group.  Groups run back to back,
     so the run length is the sum of the group schedules.  Each group size's
-    schedule is built, checked and compiled into a program on first use and
-    cached for as long as ``cfg`` lives; only the programs of the groups
-    that run are compiled.  Cycle and PE counts add up the programs'
-    one-run figures, once per group.  Every slot of every group runs the
-    SC control sequence, so the reference loop runs once over all the
-    frames, skipping the activations it prunes.  The period is the first
+    schedule is built and checked on first use and cached, with its one-run
+    PE counts, for as long as ``cfg`` lives; only the groups that run are
+    built.  Cycle and PE counts add up the schedules' one-run figures, once
+    per group.  Every slot of every group runs the SC control sequence, so
+    the reference loop runs once over all the frames, skipping the
+    activations it prunes.  The period is the first
     group's schedule (the full group's when there are no frames).
 
     Parameters
@@ -151,7 +135,7 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
         Decoded blocks (bit-identical to the reference decoder), cycle
         counts, PE activation counts, and the schedule of one period, from
         which ``period_cycles`` and the ``occupancy`` trace are read.  The
-        schedule is immutable and shared with the cached program.
+        schedule is immutable and shared with the cache.
     """
     if cfg.n != spec.n:
         raise ValueError(f"config length {cfg.n} != code length {spec.n}")
@@ -159,15 +143,15 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
 
     p = cfg.overlap_p or 1
     groups, tail = divmod(len(values), p)
-    runs = [(count, _program(cfg, slots))
+    runs = [(count, *_program(cfg, slots))
             for count, slots in ((groups, p), (1, tail)) if count * slots]
     total_cycles = 0
     pe_counts: Counter = Counter()
-    for count, prog in runs:
-        total_cycles += count * prog.schedule.total_cycles
-        pe_counts.update({pe: c * count for pe, c in prog.pe_counts.items()})
-    period = runs[0][1] if runs else _program(cfg, None)
+    for count, sched, counts in runs:
+        total_cycles += count * sched.total_cycles
+        pe_counts.update({pe: c * count for pe, c in counts.items()})
+    period = runs[0][1] if runs else _program(cfg, None)[0]
     decoded, _, _ = _sc_decode(values, spec, kernel)
     return SimResult(decoded=decoded,
                      total_cycles=total_cycles, pe_activations=pe_counts,
-                     schedule=period.schedule)
+                     schedule=period)

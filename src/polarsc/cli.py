@@ -197,6 +197,8 @@ def _cmd_simulate(args) -> int:
                      required=["arch"] if args.spec else ["arch", "n"])
     spec = _load_spec(args.spec) if args.spec else construct_frozen_bec(
         cfg["n"], cfg["n"] // 2, 0.5)
+    if cfg.get("n") not in (None, spec.n):
+        raise ValueError(f"n = {cfg['n']} does not match the spec's length {spec.n}")
     cfg["n"] = spec.n
     arch = _make_arch_config(cfg)
     kernel = _choice(Kernel, "kernel", cfg.get("kernel", "llr_exact"))
@@ -244,7 +246,7 @@ def _cmd_complexity(args) -> int:
     if cfg.get("costs"):
         with open(cfg["costs"]) as fh:
             costs = CostParams(**json.load(fh))
-    if cfg.get("t_np"):
+    if cfg.get("t_np") is not None:
         costs = dataclasses.replace(costs, t_np=cfg["t_np"])
     report = table_report(cfg["n"], cfg.get("P", 1), costs)
     if cfg.get("format", "text") == "json":

@@ -38,29 +38,31 @@ class CostParams:
 EXAMPLE_COSTS = CostParams()
 
 
-def _check_n(n: int):
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"n must be a power of 2 >= 2, got {n}")
+def _config(kind, n: int, p_vectors: int = 1, pe_count=None) -> ArchitectureConfig:
+    """The machine a model describes; building it checks the model's arguments."""
+    kind = ArchKind(kind)
+    return ArchitectureConfig(
+        kind=kind, n=n, pe_count=pe_count if kind is ArchKind.SEMI_PARALLEL else None,
+        overlap_p=p_vectors if kind is ArchKind.VECTOR_OVERLAP else None)
 
 
 def complexity_fft_like(n: int, p: CostParams) -> float:
     """Total cost of the unrolled-graph machine:
     (C_np + C_r) * n * log2(n) + n * C_r."""
-    _check_n(n)
-    m = n.bit_length() - 1
+    m = ArchitectureConfig(kind=ArchKind.FFT_LIKE, n=n).m
     return (p.c_np + p.c_r) * n * m + n * p.c_r
 
 
 def complexity_tree(n: int, p: CostParams) -> float:
     """Total cost of the pipelined tree: (n-1) * (2*C_np + C_r) + n * C_r."""
-    _check_n(n)
+    ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=n)  # checks n
     return (n - 1) * (2 * p.c_np + p.c_r) + n * p.c_r
 
 
 def complexity_line(n: int, p: CostParams) -> float:
     """Total cost of the PE line:
     (n-1) * (C_r + C_us) + n * C_np + (n/2 - 1) * 3 * C_mux + n * C_r."""
-    _check_n(n)
+    ArchitectureConfig(kind=ArchKind.LINE, n=n)  # checks n
     return ((n - 1) * (p.c_r + p.c_us) + n * p.c_np
             + (n // 2 - 1) * 3 * p.c_mux + n * p.c_r)
 
@@ -80,41 +82,36 @@ def complexity_overlap(n: int, p_vectors: int, p: CostParams) -> float:
 
 def overlap_structural_pe_count(n: int, p_vectors: int) -> int:
     """PEs actually instantiated by the stage duplication rule."""
-    ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=p_vectors)  # checks P
-    m = n.bit_length() - 1
+    m = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=p_vectors).m
     return sum(stage_duplication_count(l, p_vectors) << l for l in range(m))
 
 
 def node_processor_count(kind: ArchKind | str, n: int, p_vectors: int = 1) -> float:
     """Node-processor-equivalent count per machine (PE = 2 node processors)."""
-    _check_n(n)
     kind = ArchKind(kind)
-    m = n.bit_length() - 1
+    if kind is ArchKind.SEMI_PARALLEL:
+        raise ValueError(f"no node-processor model for machine kind {kind.value!r}")
+    m = _config(kind, n, p_vectors).m
     if kind is ArchKind.FFT_LIKE:
         return n * m
     if kind is ArchKind.PIPELINED_TREE:
         return 2 * n - 2
     if kind is ArchKind.LINE:
         return n
-    if kind is ArchKind.VECTOR_OVERLAP:
-        ArchitectureConfig(kind=kind, n=n, overlap_p=p_vectors)  # checks P
-        half = (p_vectors + 1) / 2.0
-        return 2.0 * (n + half * (math.log2(half) - 1.0))
-    raise ValueError(f"no node-processor model for machine kind {kind.value!r}")
+    half = (p_vectors + 1) / 2.0
+    return 2.0 * (n + half * (math.log2(half) - 1.0))
 
 
 def register_count(kind: ArchKind | str, n: int, p_vectors: int = 1) -> int:
-    _check_n(n)
     kind = ArchKind(kind)
-    m = n.bit_length() - 1
+    if kind is ArchKind.SEMI_PARALLEL:
+        raise ValueError(f"no register model for machine kind {kind.value!r}")
+    m = _config(kind, n, p_vectors).m
     if kind is ArchKind.FFT_LIKE:
         return n * (1 + m)
     if kind in (ArchKind.PIPELINED_TREE, ArchKind.LINE):
         return 2 * n - 1
-    if kind is ArchKind.VECTOR_OVERLAP:
-        ArchitectureConfig(kind=kind, n=n, overlap_p=p_vectors)  # checks P
-        return p_vectors * (2 * n - 1)
-    raise ValueError(f"no register model for machine kind {kind.value!r}")
+    return p_vectors * (2 * n - 1)
 
 
 def cycles_per_vector(kind: ArchKind | str, n: int, pe_count: int | None = None) -> int:
@@ -124,15 +121,13 @@ def cycles_per_vector(kind: ArchKind | str, n: int, pe_count: int | None = None)
     cycles (Leroux et al., IEEE Trans. Signal Process. 2013): ``2n - 2`` at
     ``P = n/2`` and ``2n`` at ``P = n/4``.
     """
-    _check_n(n)
-    kind = ArchKind(kind)
-    if kind is ArchKind.SEMI_PARALLEL:
-        ArchitectureConfig(kind=kind, n=n, pe_count=pe_count)  # rejects other budgets
-        m, p = n.bit_length() - 1, pe_count.bit_length() - 1
-        return 2 * n + (n // pe_count) * (m - p - 2)
-    if kind in (ArchKind.FFT_LIKE, ArchKind.PIPELINED_TREE, ArchKind.LINE):
-        return 2 * n - 2
-    raise ValueError(f"{kind.value!r} is not a single-vector machine")
+    cfg = _config(kind, n, pe_count=pe_count)
+    if cfg.kind is ArchKind.SEMI_PARALLEL:
+        p = pe_count.bit_length() - 1
+        return 2 * n + (n // pe_count) * (cfg.m - p - 2)
+    if cfg.kind is ArchKind.VECTOR_OVERLAP:
+        raise ValueError(f"{cfg.kind.value!r} is not a single-vector machine")
+    return 2 * n - 2
 
 
 def throughput(kind: ArchKind | str, n: int, p_vectors: int = 1, t_np: float = 1.0,
@@ -145,7 +140,6 @@ def throughput(kind: ArchKind | str, n: int, p_vectors: int = 1, t_np: float = 1
     """
     if t_np <= 0:
         raise ValueError(f"t_np must be > 0, got {t_np}")
-    _check_n(n)
     kind = ArchKind(kind)
     if kind is ArchKind.VECTOR_OVERLAP:
         ArchitectureConfig(kind=kind, n=n, overlap_p=p_vectors)  # checks P

@@ -36,6 +36,7 @@ kernel's domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, islice
 from weakref import WeakKeyDictionary
 
@@ -121,18 +122,24 @@ def _lower_subtree(ops: list, frozen_before: tuple, lo: int, l: int, rate1: bool
         ops += (_FOLD, lo, mid, mid + h)  # fold it into its left sibling
 
 
-# spec -> {(rate1, genie): _Plan}.  Weak keys free a code's plans with the
-# code, without waiting for the cycle collector to reclaim a dropped module.
+# spec -> {rate1: _Plan}.  Weak keys free a code's plans with the code,
+# without waiting for the cycle collector to reclaim a dropped module.
 _plans: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _plan(spec: CodeSpec, rate1: bool, genie: bool) -> _Plan:
-    """The plan of ``_lower(spec, rate1, genie)``, lowered on first use and
+def _plan(spec: CodeSpec, rate1: bool) -> _Plan:
+    """The plan of ``_lower(spec, rate1, False)``, lowered on first use and
     kept for as long as ``spec`` (or a code equal to it) lives."""
     plans = _plans.setdefault(spec, {})
-    if (rate1, genie) not in plans:
-        plans[rate1, genie] = _lower(spec, rate1, genie)
-    return plans[rate1, genie]
+    if rate1 not in plans:
+        plans[rate1] = _lower(spec, rate1, False)
+    return plans[rate1]
+
+
+@lru_cache(maxsize=32)
+def _genie_plan(m: int) -> _Plan:
+    """The genie-mode plan of every code of length ``2**m``: it prunes nothing."""
+    return _lower(CodeSpec(m=m, frozen=()), False, True)
 
 
 def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
@@ -165,7 +172,7 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
     genie mode's per-position error counts (else None).
     """
     genie = force_bits is not None
-    plan = _plan(spec, kernel.rate1_is_hard_decision and not genie, genie)
+    plan = _genie_plan(spec.m) if genie else _plan(spec, kernel.rate1_is_hard_decision)
     n, m, batch = spec.n, spec.m, values.shape[0]
 
     soft = [np.empty((1 << l, batch)) for l in range(m)] + [values.T[plan.perm]]

@@ -15,9 +15,9 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -111,18 +111,14 @@ class Schedule:
     """One group's step table: every vector slot runs ``steps``, one
     vector's ``_steps(cfg)``, and row ``v`` of ``cycles`` and ``copies``
     holds the cycle and the stage copy of each step of slot ``v``.  The
-    rows are read-only, so a schedule shared by cached simulator programs
-    cannot be edited.  ``steps`` is built from ``cfg`` when left out;
-    ``build_schedule`` passes the list it scheduled."""
+    rows are read-only, so a schedule shared through the simulator's cache
+    cannot be edited."""
 
     cfg: ArchitectureConfig
     cycles: np.ndarray
     copies: np.ndarray
-    steps: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.steps is None:
-            object.__setattr__(self, "steps", _steps(self.cfg))
         for name in ("cycles", "copies"):
             table = np.array(getattr(self, name), dtype=np.int64)
             if not len(table) or table.shape != (len(self.cycles), len(self.steps)):
@@ -130,6 +126,11 @@ class Schedule:
                                  f"per vector slot, got {name} of shape {table.shape}")
             table.flags.writeable = False
             object.__setattr__(self, name, table)
+
+    @property
+    def steps(self) -> tuple:
+        """One vector's clocked steps, ``_steps(cfg)``."""
+        return _steps(self.cfg)
 
     @property
     def vectors(self) -> int:
@@ -215,20 +216,26 @@ class Schedule:
 
 
 def _steps(cfg: ArchitectureConfig) -> tuple:
-    """One vector's clocked steps ``(stage, fn, phase, active)``, in order.
+    return _lane_steps(cfg.kind is ArchKind.FFT_LIKE, cfg.n, cfg.pe_count or cfg.n)
+
+
+@lru_cache(maxsize=32)
+def _lane_steps(fft: bool, n: int, width: int) -> tuple:
+    """One vector's clocked steps ``(stage, fn, phase, active)``, in order,
+    computed once and shared by every schedule with the same arguments.
 
     The semi-parallel machine splits a ``graph.single_vector_ops`` entry
-    wider than its PE budget into ``pe_count``-wide steps.  The unrolled
-    graph names graph rows (see ``graph``), the others tree positions.
+    wider than its PE budget into ``width``-wide steps (``width`` is ``n``
+    elsewhere).  The unrolled graph (``fft``) names graph rows (see
+    ``graph``), the others tree positions.
     """
-    n, m = cfg.n, cfg.m
-    width = cfg.pe_count or n
+    m = n.bit_length() - 1
     lanes = [[tuple(range(s, min(s + width, 1 << l))) for s in range(0, 1 << l, width)]
              for l in range(m)]
     rows = tuple(range(n))  # the row slices below share these int objects
     steps = []
     for l, fn, phase in graph.single_vector_ops(n):
-        if cfg.kind is ArchKind.FFT_LIKE:
+        if fft:
             fix = graph.bit_reverse(phase >> l, m - l)
             steps.append((l, fn, phase, rows[fix::1 << (m - l)]))
         else:
@@ -248,8 +255,7 @@ def build_schedule(cfg: ArchitectureConfig, vectors: int | None = None) -> Sched
     vectors = p if vectors is None else vectors
     if not 1 <= vectors <= p:
         raise ValueError(f"vectors must satisfy 1 <= v <= P = {p}, got {vectors}")
-    steps = _steps(cfg)
-    stages = [l for l, *_ in steps]
+    stages = [l for l, *_ in _steps(cfg)]
     last, m = len(stages), cfg.m
     have = [stage_duplication_count(l, p) for l in range(m)]
 
@@ -269,19 +275,21 @@ def build_schedule(cfg: ArchitectureConfig, vectors: int | None = None) -> Sched
             pos[v] += 1
             admitted += v == admitted
             finished += pos[v] == last
-    return Schedule(cfg=cfg, cycles=cycles, copies=copies, steps=steps)
+    return Schedule(cfg=cfg, cycles=cycles, copies=copies)
 
 
-def check_no_conflict(s: Schedule, cfg: ArchitectureConfig) -> list:
-    """Validate stage copies, their exclusivity and per-cycle PE budgets.
+def check_no_conflict(s: Schedule) -> list:
+    """Validate a schedule against its own machine, ``s.cfg``.
 
     Every step must run on one of the ``stage_duplication_count(l, P)``
-    copies of its stage, no stage copy may run two steps in one cycle, and
-    the line and semi-parallel machines must keep within their PE budget
-    in every cycle.  Returns a list of violation strings; empty means the
-    schedule is clean.
+    copies of its stage, no stage copy may run two steps in one cycle, the
+    line and semi-parallel machines must keep within their PE budget in
+    every cycle, and the cycles of each vector slot's steps must strictly
+    increase from cycle 1.  Returns a list of violation strings; empty
+    means the schedule is clean.
     """
-    have = [stage_duplication_count(l, cfg.overlap_p or 1) for l in range(s.cfg.m)]
+    cfg = s.cfg
+    have = [stage_duplication_count(l, cfg.overlap_p or 1) for l in range(cfg.m)]
     violations = []
     owners: dict = {}
     used: Counter = Counter()
@@ -300,6 +308,9 @@ def check_no_conflict(s: Schedule, cfg: ArchitectureConfig) -> list:
         budget = cfg.n // 2 if cfg.kind is ArchKind.LINE else cfg.pe_count
         violations += [f"CC{cycle}: {k} PEs used, budget {budget}"
                        for cycle, k in used.items() if k > budget]
+    unordered = (np.diff(s.cycles, prepend=0) < 1).any(axis=1)
+    violations += [f"vector slot {v} runs its steps out of cycle order"
+                   for v in np.flatnonzero(unordered)]
     return violations
 
 

@@ -165,16 +165,16 @@ def test_criterion_8_structural_invariants():
             cfg = ArchitectureConfig(kind=kind, n=n)
             sched = build_schedule(cfg)
             assert register_liveness(sched).ok, (kind, n)
-            assert check_no_conflict(sched, cfg) == [], (kind, n)
+            assert check_no_conflict(sched) == [], (kind, n)
         fft = ArchitectureConfig(kind=ArchKind.FFT_LIKE, n=n)
-        assert check_no_conflict(build_schedule(fft), fft) == []
+        assert check_no_conflict(build_schedule(fft)) == []
         semi = ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=n, pe_count=n // 4)
-        assert check_no_conflict(build_schedule(semi), semi) == []
+        assert check_no_conflict(build_schedule(semi)) == []
         for p in range(1, 8):
             if p > n - 1:
                 continue
             ov = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=p)
-            assert check_no_conflict(build_schedule(ov), ov) == [], (n, p)
+            assert check_no_conflict(build_schedule(ov)) == [], (n, p)
 
     rng = np.random.default_rng(8)
     for n in (2, 4, 8, 16):

@@ -379,33 +379,18 @@ def test_schedule_statistics_pinned(cfg, frames, total, period, occupancy_sha, p
     assert dict(res.pe_activations) == pes
 
 
-def test_double_booked_schedule_raises_at_runtime():
+def test_double_booked_schedule_raises_at_runtime(monkeypatch):
     # two slots run every step in the same cycles on the same stage copies
     n = 4
     cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n, overlap_p=2)
     bad = Schedule(cfg=cfg, cycles=[range(1, 7)] * 2, copies=np.zeros((2, 6)))
+    archsim._programs.clear()
+    monkeypatch.setattr(archsim, "build_schedule", lambda cfg, vectors=None: bad)
+    spec = construct_frozen_bec(n, 2, 0.5)
+    _, llr = random_frames(spec, 2, sigma=1.0, seed=5)
     with pytest.raises(SimulationError, match="claimed by"):
-        archsim._compile(bad, cfg)
-
-
-def test_swapped_steps_raise_at_compile():
-    # phase 1's stage-0 g runs before phase 0's f: no resource conflict,
-    # but the slot's steps no longer run in cycle order
-    cfg = ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8)
-    sched = build_schedule(cfg)
-    assert [step[1:3] for step in sched.steps[2:4]] == [("f", 0), ("g", 1)]
-    cycles = sched.cycles.copy()
-    cycles[0, [2, 3]] = cycles[0, [3, 2]]
-    with pytest.raises(SimulationError, match="out of cycle order"):
-        archsim._compile(Schedule(cfg=cfg, cycles=cycles, copies=sched.copies), cfg)
-
-
-def test_step_before_cycle_1_raises_at_compile():
-    cfg = ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8)
-    sched = build_schedule(cfg)
-    cycles = sched.cycles - 1
-    with pytest.raises(SimulationError, match="vector slot 0 runs its steps out of"):
-        archsim._compile(Schedule(cfg=cfg, cycles=cycles, copies=sched.copies), cfg)
+        simulate(cfg, llr, spec, Kernel.LLR_MINSUM)
+    assert not archsim._programs.get(cfg)  # nothing cached
 
 
 def test_slot_stopping_early_raises_at_compile():

@@ -137,6 +137,19 @@ def test_simulate_from_llr_file(tmp_path, capsys):
     assert "00000000" in out
 
 
+def test_simulate_length_other_than_the_specs_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(construct_frozen_bec(8, 4, 0.5).to_json())
+    code, out, err = run_cli(capsys, "simulate", "--arch", "tree", "--n", "16",
+                             "--spec", str(spec_path))
+    assert code == 2
+    assert out == ""
+    assert "16" in err and "length 8" in err
+    code, out, _ = run_cli(capsys, "simulate", "--arch", "tree", "--spec", str(spec_path))
+    assert code == 0
+    assert out.splitlines()[0] == "cycles: 14"
+
+
 def test_complexity_text_and_json(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "complexity", "--n", "8", "--P", "3")
     assert code == 0
@@ -288,6 +301,7 @@ def test_ber_sweep_json_meta(tmp_path, capsys):
     ["schedule", "--arch", "overlap", "--n", "8", "--P", "0"],
     ["simulate", "--arch", "semi", "--n", "8", "--pe-count", "0"],
     ["simulate", "--arch", "overlap", "--n", "8", "--P", "0"],
+    ["complexity", "--n", "8", "--t-np", "0"],
 ])
 def test_explicit_zero_budget_exits_2(capsys, command):
     code, out, err = run_cli(capsys, *command)

@@ -244,6 +244,22 @@ def test_genie_counts_golden_n64():
         102, 16, 13, 0, 10, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]
 
 
+def test_genie_plan_is_lowered_once_per_length(monkeypatch):
+    # genie mode prunes nothing, so calls with fresh full-rate codes share a plan
+    lowered = []
+
+    def spy(spec, rate1, genie):
+        lowered.append((spec.m, rate1, genie))
+        return lower(spec, rate1, genie)
+
+    lower = reference._lower
+    monkeypatch.setattr(reference, "_lower", spy)
+    reference._genie_plan.cache_clear()
+    for seed in (1, 2):
+        genie_error_counts(64, 0.9, trials=20, seed=seed)
+    assert lowered == [(6, False, True)]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_decode_rejects_non_finite(kernel, bad):
@@ -367,9 +383,10 @@ def test_plan_replays_the_live_control_sequence(m):
 
 def test_decoders_create_no_reference_cycles():
     # a decode's (n, batch) arrays must be freed when it returns, not wait
-    # for the cycle collector; fresh codes and configs lower and compile
+    # for the cycle collector; fresh codes and configs lower and build
     # their plans and programs inside the checked region
     n = 64
+    reference._genie_plan.cache_clear()
     _, llr = random_frames(construct_frozen_bec(n, n // 2, 0.5), 8, sigma=0.9, seed=3)
     gc.collect()
     gc.disable()

@@ -183,7 +183,12 @@ def test_every_schedule_replays_the_single_vector_sequence(data):
             # the unrolled graph names rows; row r is tree position r >> (m - l)
             positions = sorted(q >> (cfg.m - l) if fft else q for q in active)
             assert positions == list(range(1 << l))
-    assert check_no_conflict(sched, cfg) == []
+    assert check_no_conflict(sched) == []
+    # the greedy admits the oldest vector first, so a younger vector never
+    # delays an older one: a shorter group is a full group's first rows
+    full = build_schedule(cfg)
+    assert np.array_equal(sched.cycles, full.cycles[:vectors])
+    assert np.array_equal(sched.copies, full.copies[:vectors])
     if cfg.kind is not ArchKind.VECTOR_OVERLAP:
         assert sched.total_cycles == cycles_per_vector(cfg.kind, cfg.n, cfg.pe_count)
 
@@ -291,9 +296,9 @@ def test_semi_parallel_schedule_splits_outer_stage():
 
 def test_check_no_conflict_on_published_schedules():
     tree_cfg = ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8)
-    assert check_no_conflict(build_schedule(tree_cfg), tree_cfg) == []
+    assert check_no_conflict(build_schedule(tree_cfg)) == []
     ov_cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=8, overlap_p=3)
-    assert check_no_conflict(build_schedule(ov_cfg), ov_cfg) == []
+    assert check_no_conflict(build_schedule(ov_cfg)) == []
 
 
 def test_check_no_conflict_flags_double_booking():
@@ -304,7 +309,7 @@ def test_check_no_conflict_flags_double_booking():
     assert cycles[:, 0].tolist() == [1, 2]
     cycles[1, 0] = 1
     bad = Schedule(cfg=cfg, cycles=cycles, copies=sched.copies)
-    violations = check_no_conflict(bad, cfg)
+    violations = check_no_conflict(bad)
     assert violations == ["CC1: S_2 claimed by y_1 and y_2"]
 
 
@@ -315,7 +320,7 @@ def test_check_no_conflict_flags_budget_overrun():
     cycles = sched.cycles.copy()
     cycles[0, 1] = 1
     bad = Schedule(cfg=cfg, cycles=cycles, copies=sched.copies)
-    assert any("budget" in v for v in check_no_conflict(bad, cfg))
+    assert any("budget" in v for v in check_no_conflict(bad))
 
 
 @pytest.mark.parametrize("copy", [7, -1])
@@ -329,9 +334,28 @@ def test_check_no_conflict_flags_a_stage_copy_the_machine_lacks(copy):
     assert moved.sum() == 10
     copies[moved] = copy
     bad = Schedule(cfg=cfg, cycles=sched.cycles, copies=copies)
-    violations = check_no_conflict(bad, cfg)
+    violations = check_no_conflict(bad)
     assert len(violations) == 10
     assert all(f"S_0d{copy} is not a stage copy" in v for v in violations)
+
+
+def test_check_no_conflict_flags_swapped_steps():
+    # phase 1's stage-0 g runs before phase 0's f: no resource conflict,
+    # but the slot's steps no longer run in cycle order
+    cfg = ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8)
+    sched = build_schedule(cfg)
+    assert [step[1:3] for step in sched.steps[2:4]] == [("f", 0), ("g", 1)]
+    cycles = sched.cycles.copy()
+    cycles[0, [2, 3]] = cycles[0, [3, 2]]
+    bad = Schedule(cfg=cfg, cycles=cycles, copies=sched.copies)
+    assert check_no_conflict(bad) == ["vector slot 0 runs its steps out of cycle order"]
+
+
+def test_check_no_conflict_flags_a_step_before_cycle_1():
+    cfg = ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8)
+    sched = build_schedule(cfg)
+    bad = Schedule(cfg=cfg, cycles=sched.cycles - 1, copies=sched.copies)
+    assert check_no_conflict(bad) == ["vector slot 0 runs its steps out of cycle order"]
 
 
 def test_step_table_rows_must_hold_every_step():
