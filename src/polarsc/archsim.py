@@ -8,21 +8,21 @@ budget of any power of two (``SEMI_PARALLEL``), and the overlapped machine
 decoding several vectors on duplicated stage instances
 (``VECTOR_OVERLAP``).
 
-The machines run the same data-independent SC control sequence,
-``graph.single_vector_ops``, on the same tree of ``2n - 1`` registers, and
-differ only in the cycle and stage copy at which each step runs.  So their
-datapath is the reference decoder's loop, ``reference._sc_decode``.  A
-schedule's step table gives every vector slot one vector's steps,
-``schedule._steps``, so every slot runs that sequence, each step covering
-its level; what ``schedule.check_no_conflict`` checks, against the
-schedule's own config, is the table's resource use and that each slot's
-steps run in strictly increasing cycles.  The unrolled graph's
-steps name graph rows, its stage-``l`` row ``r`` being tree position
-``r >> (m - l)``; its one register per graph node is a property of its
-schedule (every node written once, after its inputs), checked in the
-tests.  Lanes of one level are independent, so how a step's positions are
-split among lanes changes no bit; slots share no registers, so neither
-does the interleaving of slots.
+The machines run one data-independent SC control sequence on one tree of
+``2n - 1`` registers: every vector slot of a schedule's step table runs
+one vector's steps, ``schedule._steps``, the f and g steps of the unpruned
+decode plan that the reference decoder lowers (``reference._lower``).
+The machines differ only in the cycle and stage copy at which each step
+runs, so their datapath is the reference decoder's loop,
+``reference._sc_decode``.  What ``schedule.check_no_conflict`` checks,
+against the schedule's own config, is the table's resource use and that
+each slot's steps run in strictly increasing cycles.  The unrolled
+graph's steps name graph rows, its stage-``l`` row ``r`` being tree
+position ``r >> (m - l)``; its one register per graph node is a property
+of its schedule (every node written once, after its inputs), checked in
+the tests.  Lanes of one level are independent, so how a step's
+positions are split among lanes changes no bit; slots share no registers,
+so neither does the interleaving of slots.
 
 Control never depends on the frames, so a schedule is built and checked
 once per ``(config, group size)`` and cached, with one run's PE activation

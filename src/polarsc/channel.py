@@ -50,6 +50,12 @@ class CampaignStop:
     max_frames: int = 10**6
     min_frame_errors: int = 100
 
+    def __post_init__(self):
+        for name in ("max_frames", "min_frame_errors"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
 
 def wilson_halfwidth(errors: int, total: int) -> float:
     """Half-width of the Wilson 95% interval for a binomial proportion."""

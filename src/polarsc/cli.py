@@ -209,8 +209,10 @@ def _cmd_simulate(args) -> int:
     else:
         ebn0 = cfg.get("ebn0_db")
         sigma = 1.0 if ebn0 is None else sigma_from_ebn0_db(ebn0, spec.k / spec.n)
-        message, llr = _noisy_frames(spec, sigma, cfg.get("random_frames", 1),
-                                     cfg.get("seed", 0))
+        count = cfg.get("random_frames", 1)
+        if count < 1:
+            raise ValueError(f"random_frames must be >= 1, got {count}")
+        message, llr = _noisy_frames(spec, sigma, count, cfg.get("seed", 0))
         if ebn0 is None:  # noiseless frames, unit-sigma log ratios
             llr = awgn_llr(bpsk_modulate(encode(message, spec)), 1.0)
 

@@ -4,14 +4,15 @@ Like the paper's pipelined tree, the decoder keeps ``2n - 1`` soft values:
 level ``l`` holds ``2**l`` of them, level ``m`` the channel values in
 bit-reversed order, so stage ``l`` reads the two halves of level ``l + 1``.
 ``_sc_decode`` is the one SC loop, for the reference decoder and for every
-machine alike (a machine's schedule is checked against the same control
-sequence, see ``archsim``).  It runs a per-code decode plan: the one SC
-control sequence, ``graph.single_vector_ops``, lowered once per code into
-a flat tuple of instructions, as in the instruction-list decoders of Sarkis
-et al. (*Fast Polar Decoders*, 2014), kept to the nodes that give SC's own
-decisions.  Each kernel step covers a whole level; each stage-0 step is
-followed by that phase's decision and the folds that put it into the
-partial sums that g reads.  As in simplified SC, the plan is pruned by the
+machine alike.  It runs a per-code decode plan: the SC recursion,
+``_lower_subtree``, lowered once per code into a flat tuple of
+instructions, as in the instruction-list decoders of Sarkis et al. (*Fast
+Polar Decoders*, 2014), kept to the nodes that give SC's own decisions.
+``_lower_subtree`` is the package's one statement of the SC step order:
+every machine's schedule replays the f and g steps of the unpruned plan
+(see ``schedule``).  Each kernel step covers a whole level; each stage-0
+step is followed by that phase's decision and the folds that put it into
+the partial sums that g reads.  As in simplified SC, the plan is pruned by the
 frozen set: an activation whose phases are all frozen (a rate-0 subtree)
 is left out, and with a kernel whose ``rate1_is_hard_decision`` holds
 (min-sum), a subtree whose phases all carry information (rate-1) is
@@ -42,7 +43,6 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from . import graph
 from .codespec import CodeSpec, bit_reverse_permutation
 from .kernels import Kernel
 
@@ -70,11 +70,14 @@ class _Plan:
 def _lower(spec: CodeSpec, rate1: bool, genie: bool) -> _Plan:
     """Lower one code's SC control sequence into a plan.
 
-    The SC recursion visits the code's tree in the order of
-    ``graph.single_vector_ops``; the plan is that visit with the pruning
-    decided up front.  A subtree whose phases are all frozen is dead and
-    left out (its steps, and the 0 decisions that ``x`` starts with), and
-    so is a fold whose right half is all frozen, since it would XOR zeros.
+    The SC recursion, ``_lower_subtree``, visits the code's tree depth
+    first, left child before right: phase ``i`` recomputes stages
+    ``ntz(i)`` (the trailing zero bits of ``i``) down to 0, every stage for
+    phase 0, applying g at stage ``l`` iff bit ``l`` of ``i`` is set.  The
+    plan is that visit with the pruning decided up front.  A subtree whose
+    phases are all frozen is dead and left out (its steps, and the 0
+    decisions that ``x`` starts with), and so is a fold whose right half is
+    all frozen, since it would XOR zeros.
 
     With ``rate1``, each maximal rate-1 node ``[i, i + 2**L)`` (``L >= 1``,
     every phase an information bit, and not so for its parent) becomes one
@@ -137,8 +140,9 @@ def _plan(spec: CodeSpec, rate1: bool) -> _Plan:
 
 
 @lru_cache(maxsize=32)
-def _genie_plan(m: int) -> _Plan:
-    """The genie-mode plan of every code of length ``2**m``: it prunes nothing."""
+def _unpruned_plan(m: int) -> _Plan:
+    """The plan of every code of length ``2**m`` that prunes nothing: the
+    genie-mode plan, and the step order every machine's schedule replays."""
     return _lower(CodeSpec(m=m, frozen=()), False, True)
 
 
@@ -172,7 +176,7 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
     genie mode's per-position error counts (else None).
     """
     genie = force_bits is not None
-    plan = _genie_plan(spec.m) if genie else _plan(spec, kernel.rate1_is_hard_decision)
+    plan = _unpruned_plan(spec.m) if genie else _plan(spec, kernel.rate1_is_hard_decision)
     n, m, batch = spec.n, spec.m, values.shape[0]
 
     soft = [np.empty((1 << l, batch)) for l in range(m)] + [values.T[plan.perm]]
@@ -264,6 +268,8 @@ def genie_error_counts(n: int, noise_sigma: float, trials: int, seed: int) -> np
     """
     from .channel import _noisy_frames
 
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"n must be a power of 2 >= 2, got {n}")
     spec = CodeSpec(m=n.bit_length() - 1, frozen=())
     counts = np.zeros(n, dtype=np.int64)
     for done in range(0, trials, _GENIE_BLOCK):

@@ -1,13 +1,14 @@
 """Clock-by-clock schedules for the decoder architectures.
 
-Every machine replays ``graph.single_vector_ops``, the same 2n - 2 step
-control sequence the reference decoder runs, per vector; ``_steps`` splits
-it into one vector's clocked steps.  A schedule is a step table: for each
-vector slot, the cycle of each step and the stage copy it runs on.  Its
-per-(cycle, stage copy, vector) entries are derived from that table on
-demand.  One greedy builder fills it: the vector-overlapping machine
-staggers P vectors across duplicated stage copies, and the single-vector
-machines are the same builder at P = 1, where every stage has one copy.
+Every machine replays, per vector, the 2n - 2 f and g steps of the
+unpruned decode plan, the SC control sequence the reference decoder runs;
+``_steps`` turns them into one vector's clocked steps.  A schedule is a
+step table: for each vector slot, the cycle of each step and the stage
+copy it runs on.  Its per-(cycle, stage copy, vector) entries are derived
+from that table on demand.  One greedy builder fills it: the
+vector-overlapping machine staggers P vectors across duplicated stage
+copies, and the single-vector machines are the same builder at P = 1,
+where every stage has one copy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import graph
+from .codespec import bit_reverse_permutation
+from .reference import _F, _G, _unpruned_plan
 
 
 class ArchKind(Enum):
@@ -224,19 +226,32 @@ def _lane_steps(fft: bool, n: int, width: int) -> tuple:
     """One vector's clocked steps ``(stage, fn, phase, active)``, in order,
     computed once and shared by every schedule with the same arguments.
 
-    The semi-parallel machine splits a ``graph.single_vector_ops`` entry
-    wider than its PE budget into ``width``-wide steps (``width`` is ``n``
-    elsewhere).  The unrolled graph (``fft``) names graph rows (see
-    ``graph``), the others tree positions.
+    The steps are the f and g instructions of the unpruned decode plan,
+    ``reference._unpruned_plan``, in its order (see ``reference._lower``),
+    so a machine runs the SC control sequence the reference decoder runs.
+    The semi-parallel machine splits a step wider than its PE budget into
+    ``width``-wide steps (``width`` is ``n`` elsewhere).  The steps name
+    tree positions, except in the unrolled graph (``fft``), whose steps
+    name graph rows: stage ``l`` pairs rows at stride
+    ``2**(m - 1 - l)``, its row ``fix + z * 2**(m - l)`` (``fix`` below
+    ``2**(m - l)``) is tree position ``z = row >> (m - l)``, and phase
+    ``i`` activates the rows with ``fix = bit_reverse(i >> l, m - l)``,
+    which is ``perm[i >> l] >> l`` for the plan's ``m``-bit permutation.
     """
     m = n.bit_length() - 1
+    plan = _unpruned_plan(m)
+    perm = plan.perm.tolist()
     lanes = [[tuple(range(s, min(s + width, 1 << l))) for s in range(0, 1 << l, width)]
              for l in range(m)]
     rows = tuple(range(n))  # the row slices below share these int objects
     steps = []
-    for l, fn, phase in graph.single_vector_ops(n):
+    it = iter(plan.ops)
+    for op, l, phase, _ in zip(it, it, it, it):
+        if op not in (_F, _G):
+            continue
+        fn = "g" if op == _G else "f"
         if fft:
-            fix = graph.bit_reverse(phase >> l, m - l)
+            fix = perm[phase >> l] >> l
             steps.append((l, fn, phase, rows[fix::1 << (m - l)]))
         else:
             for active in lanes[l]:
@@ -337,6 +352,28 @@ class LivenessReport:
         return not self.problems
 
 
+def enabled_sites(i: int, m: int) -> list[tuple[int, int]]:
+    """Tree positions (l, q) whose g partial sum decision bit i feeds: the
+    partial-sum sites of a hardware machine that must latch bit i.
+
+    Bit i reaches the stage-l sites only when bit l of i is clear; the site
+    indices are the sub-masks of the reversed low l bits of i.
+    """
+    perm = bit_reverse_permutation(m)
+    sites = []
+    for l in range(m):
+        if (i >> l) & 1:
+            continue
+        rev = int(perm[i & ((1 << l) - 1)]) >> (m - l)  # the low l bits, reversed
+        q = rev
+        while True:
+            sites.append((l, q))
+            if q == 0:
+                break
+            q = (q - 1) & rev
+    return sites
+
+
 def register_liveness(s: Schedule) -> LivenessReport:
     """Check that every intermediate value is consumed exactly twice.
 
@@ -363,7 +400,7 @@ def register_liveness(s: Schedule) -> LivenessReport:
                 records.append(ValueRecord(
                     stage=0, index=k, write_cycle=e.cycle, read_cycles=(e.cycle,),
                     overwrite_cycle=None, decision_phase=e.phase,
-                    bit_fanout=len(graph.enabled_sites(e.phase, m)),
+                    bit_fanout=len(enabled_sites(e.phase, m)),
                 ))
                 continue
             readers = acts[l - 1][2 * k: 2 * k + 2]

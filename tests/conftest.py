@@ -1,5 +1,7 @@
-"""Shared helpers: frame generation, the exhaustive decision oracle and the
-recursive SC oracle."""
+"""Shared helpers: frame generation, the exhaustive decision oracle, the
+recursive SC oracle and the iterative SC control sequence."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -56,6 +58,25 @@ def recursive_sc(values, frozen_mask, kernel):
     x = np.empty((batch, n), dtype=np.uint8)
     x[:, 0::2], x[:, 1::2] = x0 ^ x1, x1
     return np.hstack([u0, u1]), x
+
+
+@lru_cache(maxsize=32)
+def single_vector_ops(n: int) -> tuple[tuple[int, str, int], ...]:
+    """The SC control sequence for one vector: (stage, fn, phase) per step.
+
+    Phase ``i`` recomputes stages ``ntz(i)`` down to 0 (every stage for
+    phase 0), where ``ntz`` counts trailing zero bits, and applies g at
+    stage ``l`` iff bit ``l`` of ``i`` is set, f otherwise.  ``2 * n - 2``
+    steps in all: stage l is activated ``2**(m - l)`` times, alternating f
+    and g.  Computed once per n; the tuple is shared by every caller.
+    """
+    m = n.bit_length() - 1
+    ops = []
+    for i in range(n):
+        top = (i & -i).bit_length() - 1 if i else m - 1
+        for l in range(top, -1, -1):
+            ops.append((l, "g" if (i >> l) & 1 else "f", i))
+    return tuple(ops)
 
 
 @pytest.fixture

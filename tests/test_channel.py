@@ -45,6 +45,14 @@ def test_wilson_halfwidth_golden():
     assert wilson_halfwidth(0, 50) > 0.0
 
 
+@pytest.mark.parametrize("field", ["max_frames", "min_frame_errors"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_campaign_stop_rejects_counts_below_one(field, value):
+    # max_frames = 0 used to report ber 0.0 and fer 0.0 from no frames
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+        CampaignStop(**{field: value})
+
+
 def test_campaign_same_seed_is_bit_identical():
     spec = construct_frozen_bec(64, 32, 0.5)
     stop = CampaignStop(max_frames=512, min_frame_errors=10**9)

@@ -324,6 +324,24 @@ def test_budget_for_another_machine_exits_2(capsys, command):
     assert "only applies to the" in err
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--max-frames", "0", "max_frames"),
+    ("--max-frames", "-3", "max_frames"),
+    ("--min-frame-errors", "0", "min_frame_errors"),
+    ("--random-frames", "0", "random_frames"),
+    ("--random-frames", "-1", "random_frames"),
+])
+def test_frame_count_below_one_exits_2(tmp_path, capsys, flag, value, name):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(construct_frozen_bec(8, 4, 0.5).to_json())
+    command = (["simulate", "--arch", "tree"] if name == "random_frames"
+               else ["ber-sweep", "--points-db", "2.0"])
+    code, out, err = run_cli(capsys, *command, "--spec", str(spec_path), flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: {name} must be >= 1, got {value}"
+
+
 def test_zero_budget_in_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"arch": "semi", "n": 8, "pe_count": 0}))

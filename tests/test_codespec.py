@@ -5,7 +5,7 @@ import pytest
 
 from polarsc import (CodeSpec, bec_erasure_profile, bit_reverse_permutation,
                      butterfly_transform, construct_frozen_bec,
-                     construct_frozen_mc, encode)
+                     construct_frozen_mc, encode, genie_error_counts)
 
 
 def kron_power_matrix(m):
@@ -204,6 +204,15 @@ def test_mc_construction_n2_low_noise_freezes_index0():
 def test_mc_construction_freezes_worst_index_under_noise():
     spec = construct_frozen_mc(8, 4, 1.0, trials=2000, seed=11)
     assert 0 in spec.frozen
+
+
+@pytest.mark.parametrize("n", [1, 3, 100])
+def test_mc_construction_rejects_length_other_than_power_of_two(n):
+    # n = 100 used to fail inside numpy on shapes (100,) and (64,)
+    for construct in (lambda: genie_error_counts(n, 0.8, 10, 0),
+                      lambda: construct_frozen_mc(n, 1, 0.8, 10, 0)):
+        with pytest.raises(ValueError, match=f"n must be a power of 2 >= 2, got {n}$"):
+            construct()
 
 
 def test_codespec_json_round_trip():

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from polarsc import (CostParams, Kernel, complexity_fft_like, complexity_line,
-                     complexity_overlap, complexity_tree, construct_frozen_bec,
+from polarsc import (CostParams, Kernel, build_schedule, complexity_fft_like,
+                     complexity_line, complexity_overlap, complexity_tree,
+                     construct_frozen_bec,
                      cycles_per_vector, node_processor_count,
                      overlap_structural_pe_count, register_count, simulate,
                      table_report, throughput)
@@ -81,6 +82,27 @@ def test_structural_pe_count_matches_closed_form_at_power_of_two():
             node_processor_count("overlap", n, p))
     # ceilings push the structural count above the continuous form otherwise
     assert 2 * overlap_structural_pe_count(8, 4) > node_processor_count("overlap", 8, 4)
+
+
+@pytest.mark.parametrize("n", [2 ** m for m in range(1, 9)])
+def test_model_pe_counts_equal_the_schedules_pes(n):
+    # a PE is two node processors, except in the unrolled graph, whose
+    # schedule names one PE per graph node
+    def pes(kind, **budget):
+        return len(build_schedule(ArchitectureConfig(kind=kind, n=n, **budget))
+                   .pe_activations())
+
+    assert pes(ArchKind.FFT_LIKE) == node_processor_count("fft", n)
+    assert 2 * pes(ArchKind.PIPELINED_TREE) == node_processor_count("tree", n)
+    assert 2 * pes(ArchKind.LINE) == node_processor_count("line", n)
+    for pe_count in (1 << j for j in range(n.bit_length() - 1)):
+        assert pes(ArchKind.SEMI_PARALLEL, pe_count=pe_count) == pe_count
+    # every P up to n = 128, a spread of P at n = 256: all 255 would take
+    # longer than the rest of the suite
+    ps = range(1, n) if n <= 128 else (1, 2, 3, 4, 5, 31, 64, 127, 128, 254, 255)
+    for p in ps:
+        assert pes(ArchKind.VECTOR_OVERLAP, overlap_p=p) == \
+            overlap_structural_pe_count(n, p), p
 
 
 def test_throughput_forms():

@@ -8,11 +8,12 @@ import pytest
 from polarsc import (ArchitectureConfig, ArchKind, CodeSpec, Kernel, LLR_CLIP,
                      construct_frozen_bec, decode, decode_batch, encode,
                      genie_error_counts, simulate)
-from polarsc import graph, kernels, reference
+from polarsc import kernels, reference
 from polarsc.kernels import g_llr
 from polarsc.reference import _sc_decode
 
-from conftest import oracle_phase_decision, random_frames, recursive_sc
+from conftest import (oracle_phase_decision, random_frames, recursive_sc,
+                      single_vector_ops)
 
 KERNELS = [Kernel.LR_EXACT, Kernel.LLR_EXACT, Kernel.LLR_MINSUM]
 
@@ -254,7 +255,7 @@ def test_genie_plan_is_lowered_once_per_length(monkeypatch):
 
     lower = reference._lower
     monkeypatch.setattr(reference, "_lower", spy)
-    reference._genie_plan.cache_clear()
+    reference._unpruned_plan.cache_clear()
     for seed in (1, 2):
         genie_error_counts(64, 0.9, trials=20, seed=seed)
     assert lowered == [(6, False, True)]
@@ -346,7 +347,7 @@ def _live_sequence(spec, nodes=()):
     inside = {(i, l) for L, lo in nodes for i in range(lo, lo + (1 << L)) for l in range(L)}
     first = {(lo, L - 1): ("rate1", L, lo) for L, lo in nodes}
     out = []
-    for l, fn, i in graph.single_vector_ops(spec.n):
+    for l, fn, i in single_vector_ops(spec.n):
         if (i, l) in first:
             out.append(first[i, l])
         if (i, l) in inside or spec.frozen_mask[i:i + (1 << l)].all():
@@ -386,7 +387,7 @@ def test_decoders_create_no_reference_cycles():
     # for the cycle collector; fresh codes and configs lower and build
     # their plans and programs inside the checked region
     n = 64
-    reference._genie_plan.cache_clear()
+    reference._unpruned_plan.cache_clear()
     _, llr = random_frames(construct_frozen_bec(n, n // 2, 0.5), 8, sigma=0.9, seed=3)
     gc.collect()
     gc.disable()

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarsc import cycles_per_vector, graph
+from polarsc import cycles_per_vector
 from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, build_schedule,
-                              check_no_conflict,
+                              check_no_conflict, enabled_sites,
                               register_liveness, stage_duplication_count)
+
+from conftest import single_vector_ops
 
 # Published 14-cycle grid for one n=8 vector: stage row -> {cycle: f/g}.
 SINGLE_VECTOR_GRID_N8 = {
@@ -178,7 +180,7 @@ def test_every_schedule_replays_the_single_vector_sequence(data):
                 steps[-1][3].extend(e.active)
             else:
                 steps.append((e.stage, e.function, e.phase, list(e.active)))
-        assert tuple(step[:3] for step in steps) == graph.single_vector_ops(cfg.n)
+        assert tuple(step[:3] for step in steps) == single_vector_ops(cfg.n)
         for l, _, _, active in steps:
             # the unrolled graph names rows; row r is tree position r >> (m - l)
             positions = sorted(q >> (cfg.m - l) if fft else q for q in active)
@@ -427,7 +429,7 @@ def test_liveness_rejects_other_kinds():
 
 def test_control_bits_fg_alternate_per_stage():
     per_stage = {}
-    for stage, fn, _ in graph.single_vector_ops(8):
+    for stage, fn, _ in single_vector_ops(8):
         per_stage.setdefault(stage, []).append(fn)
     assert per_stage[2] == ["f", "g"]
     assert per_stage[1] == ["f", "g", "f", "g"]
@@ -435,26 +437,26 @@ def test_control_bits_fg_alternate_per_stage():
 
 
 def test_control_bits_n2():
-    assert [graph.enabled_sites(i, 1) for i in range(2)] == [[(0, 0)], []]
+    assert [enabled_sites(i, 1) for i in range(2)] == [[(0, 0)], []]
 
 
 def test_control_bits_accumulate_published_partial_sum():
     # the site at tree position (1, 0) latches bits 4 and 5 between its
     # second f pass and second g pass, holding their XOR for the g
-    window = [i for i in (4, 5, 6, 7) if (1, 0) in graph.enabled_sites(i, 3)]
+    window = [i for i in (4, 5, 6, 7) if (1, 0) in enabled_sites(i, 3)]
     assert window == [4, 5]
     # bit 4 also seeds the stage-0 site for the next decision's g;
     # bit 5, decided on a bottom row, fans out to both mid-stage sites
-    assert sorted(graph.enabled_sites(4, 3)) == [(0, 0), (1, 0)]
-    assert sorted(graph.enabled_sites(5, 3)) == [(1, 0), (1, 1)]
+    assert sorted(enabled_sites(4, 3)) == [(0, 0), (1, 0)]
+    assert sorted(enabled_sites(5, 3)) == [(1, 0), (1, 1)]
     # bit 0 reaches one site per stage along its all-zeros row
-    assert sorted(graph.enabled_sites(0, 3)) == [(0, 0), (1, 0), (2, 0)]
+    assert sorted(enabled_sites(0, 3)) == [(0, 0), (1, 0), (2, 0)]
 
 
 def test_control_bits_last_bit_feeds_nothing():
-    assert graph.enabled_sites(15, 4) == []
+    assert enabled_sites(15, 4) == []
     # every other bit feeds at least one site
-    assert all(graph.enabled_sites(i, 4) for i in range(15))
+    assert all(enabled_sites(i, 4) for i in range(15))
 
 
 def test_architecture_config_validation():
