@@ -52,13 +52,26 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _fits(value, flag_type) -> bool:
+    """Whether a config value fits its flag's ``type=``: a JSON int fits a
+    float flag, and a JSON bool fits no number flag."""
+    accepted = (int, float) if flag_type is float else flag_type
+    return isinstance(value, accepted) and not isinstance(value, bool)
+
+
 def _effective(args: argparse.Namespace, keys: list[str], required=()) -> dict:
     """Merge config-file values and CLI flags; flags win, then --seed.
-    Every key in ``required`` must end up with a value."""
+    A config value must fit the ``type=`` of its flag, and every key in
+    ``required`` must end up with a value."""
     cfg = _load_config(getattr(args, "config", None))
     unknown = set(cfg) - set(keys)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        flag_type = args.flag_types.get(key)
+        if flag_type and not _fits(value, flag_type):
+            raise ValueError(f"config key {key!r} must be {flag_type.__name__}, "
+                             f"got {value!r}")
     merged = dict(cfg)
     for key in keys:
         val = getattr(args, key, None)
@@ -97,6 +110,17 @@ def _write(path: str | None, text: str):
 def _load_spec(path: str) -> CodeSpec:
     with open(path) as fh:
         return CodeSpec.from_json(fh.read())
+
+
+def _load_costs(path: str) -> CostParams:
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("costs file must hold a JSON object")
+    unknown = set(doc) - {f.name for f in dataclasses.fields(CostParams)}
+    if unknown:
+        raise ValueError(f"unknown cost keys: {sorted(unknown)}")
+    return CostParams(**doc)
 
 
 def _read_bit_lines(path: str, n: int) -> np.ndarray:
@@ -244,10 +268,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_complexity(args) -> int:
     cfg = _effective(args, ["n", "P", "costs", "t_np", "format"], required=["n"])
-    costs = CostParams()
-    if cfg.get("costs"):
-        with open(cfg["costs"]) as fh:
-            costs = CostParams(**json.load(fh))
+    costs = _load_costs(cfg["costs"]) if cfg.get("costs") else CostParams()
     if cfg.get("t_np") is not None:
         costs = dataclasses.replace(costs, t_np=cfg["t_np"])
     report = table_report(cfg["n"], cfg.get("P", 1), costs)
@@ -372,6 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_ber_sweep)
 
+    for p in sub.choices.values():  # what _effective checks config values against
+        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type})
     return parser
 
 

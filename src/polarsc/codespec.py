@@ -10,12 +10,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
 
+@lru_cache(maxsize=32)
 def bit_reverse_permutation(m: int) -> np.ndarray:
     """Permutation array reversing the m-bit representation of each index.
+
+    Built once per ``m`` and shared by every caller, so the array is
+    read-only; copy it to modify it.
 
     Parameters
     ----------
@@ -33,6 +39,7 @@ def bit_reverse_permutation(m: int) -> np.ndarray:
     perm = np.zeros(1, dtype=np.int64)
     for _ in range(m):  # one more bit: i -> 2*perm[i], i + len(perm) -> 2*perm[i] + 1
         perm = np.concatenate((2 * perm, 2 * perm + 1))
+    perm.flags.writeable = False
     return perm
 
 
@@ -56,6 +63,11 @@ def butterfly_transform(bits) -> np.ndarray:
     return x
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer; a bool does not count as one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """Static definition of one code: length, frozen set, rate.
@@ -74,9 +86,19 @@ class CodeSpec:
     info_indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not _is_int(self.m):
+            raise ValueError(f"m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        frozen = tuple(sorted(int(i) for i in self.frozen))
+        try:
+            frozen = tuple(self.frozen)
+        except TypeError:
+            raise ValueError(f"frozen must be a sequence of integers, "
+                             f"got {self.frozen!r}") from None
+        for i in frozen:
+            if not _is_int(i):
+                raise ValueError(f"frozen indices must be integers, got {i!r}")
+        frozen = tuple(sorted(int(i) for i in frozen))
         if len(set(frozen)) != len(frozen):
             raise ValueError("frozen set contains duplicate indices")
         n = 1 << self.m
@@ -102,10 +124,15 @@ class CodeSpec:
     @classmethod
     def from_json(cls, text: str) -> "CodeSpec":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"a CodeSpec must be a JSON object, got {type(doc).__name__}")
         unknown = set(doc) - {"m", "frozen"}
         if unknown:
             raise ValueError(f"unknown CodeSpec keys: {sorted(unknown)}")
-        return cls(m=int(doc["m"]), frozen=tuple(doc["frozen"]))
+        missing = {"m", "frozen"} - set(doc)
+        if missing:
+            raise ValueError(f"missing CodeSpec keys: {sorted(missing)}")
+        return cls(m=doc["m"], frozen=doc["frozen"])
 
 
 def encode(u, spec: CodeSpec) -> np.ndarray:
@@ -183,10 +210,6 @@ def construct_frozen_mc(
     """
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if noise_sigma <= 0:
-        raise ValueError(f"noise_sigma must be > 0, got {noise_sigma}")
     from .reference import genie_error_counts
 
     counts = genie_error_counts(n, noise_sigma, trials, seed)

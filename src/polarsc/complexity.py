@@ -12,6 +12,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .schedule import ArchKind, ArchitectureConfig, stage_duplication_count
 
@@ -29,7 +30,10 @@ class CostParams:
 
     def __post_init__(self):
         for name in ("c_np", "c_r", "c_mux", "c_us", "t_np"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
 

@@ -3,23 +3,24 @@
 Like the paper's pipelined tree, the decoder keeps ``2n - 1`` soft values:
 level ``l`` holds ``2**l`` of them, level ``m`` the channel values in
 bit-reversed order, so stage ``l`` reads the two halves of level ``l + 1``.
-``_sc_decode`` is the one SC loop, for the reference decoder and for every
-machine alike.  It runs a per-code decode plan: the SC recursion,
-``_lower_subtree``, lowered once per code into a flat tuple of
-instructions, as in the instruction-list decoders of Sarkis et al. (*Fast
-Polar Decoders*, 2014), kept to the nodes that give SC's own decisions.
-``_lower_subtree`` is the package's one statement of the SC step order:
-every machine's schedule replays the f and g steps of the unpruned plan
-(see ``schedule``).  Each kernel step covers a whole level; each stage-0
-step is followed by that phase's decision and the folds that put it into
-the partial sums that g reads.  As in simplified SC, the plan is pruned by the
-frozen set: an activation whose phases are all frozen (a rate-0 subtree)
-is left out, and with a kernel whose ``rate1_is_hard_decision`` holds
-(min-sum), a subtree whose phases all carry information (rate-1) is
-decided at once by the hard decision of its soft values, unless one of
-them is an exact zero; the node's full SC steps follow inline as its tie
-fallback.  Levels are laid out ``(2**l, batch)``: one kernel call serves
-every frame.
+``_sc_decode`` is the one SC loop, for the reference decoder, for genie
+decoding and for every machine alike.  It runs a per-code decode plan: the
+SC recursion, ``_lower_subtree``, lowered once per code into a flat tuple
+of instructions, as in the instruction-list decoders of Sarkis et al.
+(*Fast Polar Decoders*, 2014), kept to the nodes that give SC's own
+decisions.  ``_lower_subtree`` is the package's one statement of the SC
+step order: every machine's schedule replays the f and g steps of the
+unpruned plan, the rate-1 code's (see ``schedule``), and genie decoding
+runs that plan, keeping the forced bit at each of its decisions.  Each
+kernel step covers a whole level; each stage-0 step is followed by that
+phase's decision and the folds that put it into the partial sums that g
+reads.  As in simplified SC, the plan is pruned by the frozen set: an
+activation whose phases are all frozen (a rate-0 subtree) is left out, and
+with a kernel whose ``rate1_is_hard_decision`` holds (min-sum), a subtree
+whose phases all carry information (rate-1) is decided at once by the hard
+decision of its soft values, unless one of them is an exact zero; the
+node's full SC steps follow inline as its tie fallback.  Levels are laid
+out ``(2**l, batch)``: one kernel call serves every frame.
 
 Like the paper's decoders, the loop updates O(n) memory in place and
 allocates nothing per step.  The kernels' in-place stage ops
@@ -36,7 +37,6 @@ kernel's domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
 from weakref import WeakKeyDictionary
@@ -52,23 +52,14 @@ _GENIE_BLOCK = 512  # frames per random stream; part of the reproducibility cont
 _F = 0       # (_F, l, i, 0): f at stage l of phase i, level l + 1 into level l
 _G = 1       # (_G, l, i, i - 2**l): g likewise, with partial sums x[i - 2**l:i]
 _DECIDE = 2  # (_DECIDE, i, 0, 0): hard decision of the root into x[i]
-_FORCE = 3   # (_FORCE, i, 0, 0): genie mode: decide, count the error, keep the forced bit
-_FOLD = 4    # (_FOLD, a, b, c): x[a:b] ^= x[b:c], b - a == c - b
-_RATE1 = 5   # (_RATE1, L, i, k): if level L holds no +/-0.0, decide x[i:i + 2**L]
+_FOLD = 3    # (_FOLD, a, b, c): x[a:b] ^= x[b:c], b - a == c - b
+_RATE1 = 4   # (_RATE1, L, i, k): if level L holds no +/-0.0, decide x[i:i + 2**L]
 #              at once and skip the k instructions of the node's tie fallback
 
 
-@dataclass(frozen=True, eq=False)
-class _Plan:
-    """One code's decode plan: the flat instruction tuple that ``_sc_decode``
-    runs, and the read-only bit-reversal permutation of its length."""
-
-    ops: tuple
-    perm: np.ndarray
-
-
-def _lower(spec: CodeSpec, rate1: bool, genie: bool) -> _Plan:
-    """Lower one code's SC control sequence into a plan.
+def _lower(spec: CodeSpec, rate1: bool) -> tuple:
+    """Lower one code's SC control sequence into its plan, a flat tuple of
+    instructions.
 
     The SC recursion, ``_lower_subtree``, visits the code's tree depth
     first, left child before right: phase ``i`` recomputes stages
@@ -85,65 +76,58 @@ def _lower(spec: CodeSpec, rate1: bool, genie: bool) -> _Plan:
     by its tie fallback: the node's full SC steps, decisions and folds.
     The fold that closes the node's parent block follows the fallback, so
     both paths run it once.
-
-    In genie mode nothing counts as frozen and nothing is pruned, and each
-    decision is a ``_FORCE``.
     """
     n = spec.n
-    frozen_before = ((0,) * (n + 1) if genie
-                     else tuple(accumulate(spec.frozen_mask.tolist(), initial=0)))
+    frozen_before = tuple(accumulate(spec.frozen_mask.tolist(), initial=0))
     ops: list = []
     if frozen_before[n] != n:  # not an all-frozen code
-        _lower_subtree(ops, frozen_before, 0, spec.m, rate1, _FORCE if genie else _DECIDE)
-    perm = bit_reverse_permutation(spec.m)
-    perm.flags.writeable = False
-    return _Plan(ops=tuple(ops), perm=perm)
+        _lower_subtree(ops, frozen_before, 0, spec.m, rate1)
+    return tuple(ops)
 
 
-def _lower_subtree(ops: list, frozen_before: tuple, lo: int, l: int, rate1: bool,
-                   decide: int) -> None:
+def _lower_subtree(ops: list, frozen_before: tuple, lo: int, l: int, rate1: bool) -> None:
     """Append the plan of the live subtree ``[lo, lo + 2**l)``, from the point
     where its level-``l`` values are ready; ``frozen_before[i]`` counts the
     frozen phases below ``i``.  (A module-level function: a recursive
     closure would be a reference cycle.)"""
     if rate1 and l and frozen_before[lo + (1 << l)] == frozen_before[lo]:
         fallback: list = []
-        _lower_subtree(fallback, frozen_before, lo, l, False, decide)
+        _lower_subtree(fallback, frozen_before, lo, l, False)
         ops += (_RATE1, l, lo, len(fallback) // 4, *fallback)
         return
     if not l:
-        ops += (decide, lo, 0, 0)
+        ops += (_DECIDE, lo, 0, 0)
         return
     h = 1 << (l - 1)
     mid = lo + h
     if frozen_before[mid] - frozen_before[lo] != h:  # the left child is live
         ops += (_F, l - 1, lo, 0)
-        _lower_subtree(ops, frozen_before, lo, l - 1, rate1, decide)
+        _lower_subtree(ops, frozen_before, lo, l - 1, rate1)
     if frozen_before[mid + h] - frozen_before[mid] != h:  # the right child is live
         ops += (_G, l - 1, mid, lo)
-        _lower_subtree(ops, frozen_before, mid, l - 1, rate1, decide)
+        _lower_subtree(ops, frozen_before, mid, l - 1, rate1)
         ops += (_FOLD, lo, mid, mid + h)  # fold it into its left sibling
 
 
-# spec -> {rate1: _Plan}.  Weak keys free a code's plans with the code,
+# spec -> {rate1: plan}.  Weak keys free a code's plans with the code,
 # without waiting for the cycle collector to reclaim a dropped module.
 _plans: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _plan(spec: CodeSpec, rate1: bool) -> _Plan:
-    """The plan of ``_lower(spec, rate1, False)``, lowered on first use and
-    kept for as long as ``spec`` (or a code equal to it) lives."""
+def _plan(spec: CodeSpec, rate1: bool) -> tuple:
+    """The plan ``_lower(spec, rate1)``, lowered on first use and kept for
+    as long as ``spec`` (or a code equal to it) lives."""
     plans = _plans.setdefault(spec, {})
     if rate1 not in plans:
-        plans[rate1] = _lower(spec, rate1, False)
+        plans[rate1] = _lower(spec, rate1)
     return plans[rate1]
 
 
 @lru_cache(maxsize=32)
-def _unpruned_plan(m: int) -> _Plan:
-    """The plan of every code of length ``2**m`` that prunes nothing: the
-    genie-mode plan, and the step order every machine's schedule replays."""
-    return _lower(CodeSpec(m=m, frozen=()), False, True)
+def _unpruned_plan(m: int) -> tuple:
+    """The plan of the rate-1 code of length ``2**m``, which prunes nothing:
+    the plan genie mode runs and every machine's schedule replays."""
+    return _lower(CodeSpec(m=m, frozen=()), False)
 
 
 def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
@@ -169,17 +153,18 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
     level's storage order, and its tie fallback is skipped; otherwise the
     fallback runs.
 
-    When ``force_bits`` is given, each phase's raw decision is compared to
-    the forced bit, the mismatch is counted, and the forced bit is what
-    propagates (genie mode, used for code construction; it runs the
-    unpruned plan).  Returns the decided bits, their codewords, and the
-    genie mode's per-position error counts (else None).
+    When ``force_bits`` is given (genie mode, used for code construction),
+    the loop runs the unpruned plan, and each decision is compared to its
+    forced bit, the mismatch counted, and the forced bit kept in its place.
+    Returns the decided bits, their codewords, and the genie mode's
+    per-position error counts (else None).
     """
     genie = force_bits is not None
     plan = _unpruned_plan(spec.m) if genie else _plan(spec, kernel.rate1_is_hard_decision)
     n, m, batch = spec.n, spec.m, values.shape[0]
+    perm = bit_reverse_permutation(m)
 
-    soft = [np.empty((1 << l, batch)) for l in range(m)] + [values.T[plan.perm]]
+    soft = [np.empty((1 << l, batch)) for l in range(m)] + [values.T[perm]]
     scratch = np.empty((n // 2, batch))  # the stage ops' temporaries
     stages = [(soft[l + 1][:1 << l], soft[l + 1][1 << l:], soft[l], scratch[:1 << l])
               for l in range(m)]  # a stage op's inputs, output and scratch
@@ -190,7 +175,7 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
     err_counts = np.zeros(n, dtype=np.int64) if genie else None
     miss = np.empty(batch, dtype=bool)  # genie mode: raw decision != forced bit
 
-    it = iter(plan.ops)
+    it = iter(plan)
     for op, a, b, c in zip(it, it, it, it):
         if op == _G:
             left, right, out, tmp = stages[a]
@@ -202,16 +187,14 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
             np.bitwise_xor(left, x[b:c], left)
         elif op == _DECIDE:
             np.less_equal(root, threshold, bits[a])  # Kernel.hard_decision
-        elif op == _RATE1:
-            if soft[a].all():  # no +/-0.0 in any frame
-                np.less_equal(soft[a], threshold, bits[b:b + (1 << a)])
-                next(islice(it, 4 * c, 4 * c), None)
-        else:  # _FORCE
-            np.less_equal(root, threshold, bits[a])
-            err_counts[a] = np.count_nonzero(np.not_equal(x[a], forced[a], out=miss))
-            x[a] = forced[a]
+            if genie:  # count the error, keep the forced bit
+                err_counts[a] = np.count_nonzero(np.not_equal(x[a], forced[a], out=miss))
+                x[a] = forced[a]
+        elif soft[a].all():  # a _RATE1 whose level holds no +/-0.0 in any frame
+            np.less_equal(soft[a], threshold, bits[b:b + (1 << a)])
+            next(islice(it, 4 * c, 4 * c), None)
 
-    c_hat = x[plan.perm].T
+    c_hat = x[perm].T
     for l in range(m):  # every fold once more: x becomes the decided bits
         blocks = x.reshape(n >> (l + 1), 2, 1 << l, batch)
         blocks[:, 0] ^= blocks[:, 1]
@@ -270,6 +253,10 @@ def genie_error_counts(n: int, noise_sigma: float, trials: int, seed: int) -> np
 
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of 2 >= 2, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if noise_sigma <= 0:
+        raise ValueError(f"noise_sigma must be > 0, got {noise_sigma}")
     spec = CodeSpec(m=n.bit_length() - 1, frozen=())
     counts = np.zeros(n, dtype=np.int64)
     for done in range(0, trials, _GENIE_BLOCK):

@@ -229,6 +229,9 @@ def _lane_steps(fft: bool, n: int, width: int) -> tuple:
     The steps are the f and g instructions of the unpruned decode plan,
     ``reference._unpruned_plan``, in its order (see ``reference._lower``),
     so a machine runs the SC control sequence the reference decoder runs.
+    The plan is lowered past that function's cache and dropped once these
+    steps, which are cached, are built, so schedules keep no plan of about
+    ``16n`` ints alive.
     The semi-parallel machine splits a step wider than its PE budget into
     ``width``-wide steps (``width`` is ``n`` elsewhere).  The steps name
     tree positions, except in the unrolled graph (``fft``), whose steps
@@ -236,16 +239,15 @@ def _lane_steps(fft: bool, n: int, width: int) -> tuple:
     ``2**(m - 1 - l)``, its row ``fix + z * 2**(m - l)`` (``fix`` below
     ``2**(m - l)``) is tree position ``z = row >> (m - l)``, and phase
     ``i`` activates the rows with ``fix = bit_reverse(i >> l, m - l)``,
-    which is ``perm[i >> l] >> l`` for the plan's ``m``-bit permutation.
+    which is ``perm[i >> l] >> l`` for the ``m``-bit permutation.
     """
     m = n.bit_length() - 1
-    plan = _unpruned_plan(m)
-    perm = plan.perm.tolist()
+    perm = bit_reverse_permutation(m).tolist()
     lanes = [[tuple(range(s, min(s + width, 1 << l))) for s in range(0, 1 << l, width)]
              for l in range(m)]
     rows = tuple(range(n))  # the row slices below share these int objects
     steps = []
-    it = iter(plan.ops)
+    it = iter(_unpruned_plan.__wrapped__(m))
     for op, l, phase, _ in zip(it, it, it, it):
         if op not in (_F, _G):
             continue

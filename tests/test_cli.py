@@ -254,10 +254,59 @@ def test_inf_line_exits_2(tmp_path, capsys, command):
 
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"arch": "tree", "n": 8, "bogus": 1}))
-    code, _, err = run_cli(capsys, "schedule", "--config", str(cfg))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(construct_frozen_bec(8, 4, 0.5).to_json())
+    for command, doc, key in [
+        ("schedule", {"arch": "tree", "n": 8, "bogus": 1}, "bogus"),
+        # values of the wrong JSON type used to exit 1 with a TypeError traceback
+        ("schedule", {"arch": "tree", "n": "8"}, "'n'"),
+        ("schedule", {"arch": "tree", "n": 8.0}, "'n'"),
+        ("schedule", {"arch": "tree", "n": True}, "'n'"),
+        ("schedule", {"arch": "overlap", "n": 8, "P": 2.5}, "'P'"),
+        ("construct", {"n": 8, "k": 4, "design_erasure": "0.5"}, "'design_erasure'"),
+        ("construct", {"n": 8, "k": 4, "design_erasure": None}, "'design_erasure'"),
+        ("complexity", {"n": 8, "P": "3"}, "'P'"),
+        ("ber-sweep", {"points_db": [2.0], "max_frames": "10"}, "'max_frames'"),
+    ]:
+        cfg.write_text(json.dumps(doc))
+        extra = ["--spec", str(spec_path)] if command == "ber-sweep" else []
+        code, _, err = run_cli(capsys, command, "--config", str(cfg), *extra)
+        assert code == 2, doc
+        assert err.startswith("error: ") and key in err, err
+    # so does a costs file with a string price, an unknown key or no object
+    costs = tmp_path / "costs.json"
+    for doc, key in [({"c_np": "2"}, "c_np"), ({"c_np": 2, "bogus": 1}, "bogus"),
+                     ([2], "object")]:
+        costs.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "complexity", "--n", "8", "--costs", str(costs))
+        assert code == 2, doc
+        assert err.startswith("error: ") and key in err, err
+
+
+def test_config_values_of_the_flag_types_pass(tmp_path, capsys):
+    # a JSON int fits a float flag; points_db and kernels may be lists
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 8, "t_np": 2}))
+    code, out, _ = run_cli(capsys, "complexity", "--config", str(cfg))
+    assert code == 0
+    assert out == run_cli(capsys, "complexity", "--n", "8", "--t-np", "2")[1]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(construct_frozen_bec(8, 4, 0.5).to_json())
+    cfg.write_text(json.dumps({"points_db": [2, 3.0], "kernels": ["llr_minsum"],
+                               "max_frames": 16}))
+    code, out, _ = run_cli(capsys, "ber-sweep", "--spec", str(spec_path),
+                           "--config", str(cfg))
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["llr_minsum"] * 2
+
+
+def test_bad_spec_file_exits_2(tmp_path, capsys):
+    # a missing key used to print "error: 'frozen'"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"m": 3}))
+    code, _, err = run_cli(capsys, "encode", "--spec", str(spec_path), "--in", "x")
     assert code == 2
-    assert "bogus" in err
+    assert err.strip() == "error: missing CodeSpec keys: ['frozen']"
 
 
 def test_usage_error_exits_2(capsys):

@@ -213,6 +213,14 @@ def test_mc_construction_rejects_length_other_than_power_of_two(n):
                       lambda: construct_frozen_mc(n, 1, 0.8, 10, 0)):
         with pytest.raises(ValueError, match=f"n must be a power of 2 >= 2, got {n}$"):
             construct()
+    # a count from no trials or no noise used to come back as all zeros
+    for construct in (genie_error_counts, lambda *a: construct_frozen_mc(a[0], 4, *a[1:])):
+        with pytest.raises(ValueError, match="trials must be >= 1, got -5$"):
+            construct(8, 0.8, -5, 0)
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0$"):
+            construct(8, 0.8, 0, 0)
+        with pytest.raises(ValueError, match=r"noise_sigma must be > 0, got -1\.0$"):
+            construct(8, -1.0, 10, 0)
 
 
 def test_codespec_json_round_trip():
@@ -222,6 +230,35 @@ def test_codespec_json_round_trip():
     assert CodeSpec.from_json(spec.to_json()) == spec
     with pytest.raises(ValueError):
         CodeSpec.from_json('{"m": 2, "frozen": [0], "extra": 1}')
+    # a missing key used to raise a bare KeyError, a list "unknown keys: [1]"
+    for text, message in [("[1]", "a CodeSpec must be a JSON object, got list"),
+                          ('{"m": 3}', r"missing CodeSpec keys: \['frozen'\]"),
+                          ("{}", r"missing CodeSpec keys: \['frozen', 'm'\]")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CodeSpec.from_json(text)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"m": 3, "frozen": [1.5, 2]}, r"frozen indices must be integers, got 1\.5"),
+    ({"m": 3, "frozen": "12"}, "frozen indices must be integers, got '1'"),
+    ({"m": 3, "frozen": [True]}, "frozen indices must be integers, got True"),
+    ({"m": 3, "frozen": 2}, "frozen must be a sequence of integers, got 2"),
+    ({"m": 3.7, "frozen": []}, r"m must be an integer, got 3\.7"),
+    ({"m": 3.0, "frozen": []}, r"m must be an integer, got 3\.0"),
+    ({"m": True, "frozen": []}, "m must be an integer, got True"),
+    ({"m": "3", "frozen": []}, "m must be an integer, got '3'"),
+])
+def test_codespec_rejects_non_integral_input(doc, message):
+    # these used to truncate, split a string or count True as 1
+    for make in (lambda: CodeSpec(**doc), lambda: CodeSpec.from_json(json.dumps(doc))):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+
+def test_codespec_accepts_numpy_integers():
+    spec = CodeSpec(m=np.int64(3), frozen=np.array([4, 0]))
+    assert spec == CodeSpec(m=3, frozen=(0, 4))
+    assert spec.frozen == (0, 4) and type(spec.frozen[0]) is int
 
 
 def test_codespec_invariants():

@@ -249,16 +249,16 @@ def test_genie_plan_is_lowered_once_per_length(monkeypatch):
     # genie mode prunes nothing, so calls with fresh full-rate codes share a plan
     lowered = []
 
-    def spy(spec, rate1, genie):
-        lowered.append((spec.m, rate1, genie))
-        return lower(spec, rate1, genie)
+    def spy(spec, rate1):
+        lowered.append((spec.m, rate1))
+        return lower(spec, rate1)
 
     lower = reference._lower
     monkeypatch.setattr(reference, "_lower", spy)
     reference._unpruned_plan.cache_clear()
     for seed in (1, 2):
         genie_error_counts(64, 0.9, trials=20, seed=seed)
-    assert lowered == [(6, False, True)]
+    assert lowered == [(6, False)]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -308,9 +308,9 @@ def test_decode_batch_golden_digests(kernel, digests):
 
 
 def _plan_replay(ops, take_fallbacks):
-    """The kernel steps ``(l, fn, i)``, decisions ``("d", i)`` and forced
-    decisions ``("forced", i)`` of a plan, in the order it runs them: with
-    every rate-1 node's tie fallback, or on the tie-free path."""
+    """The kernel steps ``(l, fn, i)`` and decisions ``("d", i)`` of a plan,
+    in the order it runs them: with every rate-1 node's tie fallback, or on
+    the tie-free path."""
     names = {reference._F: "f", reference._G: "g"}
     out, pos = [], 0
     while pos < len(ops):
@@ -320,8 +320,6 @@ def _plan_replay(ops, take_fallbacks):
             out.append((a, names[op], b))
         elif op == reference._DECIDE:
             out.append(("d", a))
-        elif op == reference._FORCE:
-            out.append(("forced", a))
         elif op == reference._RATE1 and not take_fallbacks:
             out.append(("rate1", a, b))
             pos += 4 * c
@@ -370,16 +368,16 @@ def test_plan_replays_the_live_control_sequence(m):
         # with or without rate-1 nodes, the kernel steps and decisions that
         # run when every node falls back are the live steps, in order
         for rate1 in (False, True):
-            assert _plan_replay(reference._lower(spec, rate1, False).ops, True) == live
+            assert _plan_replay(reference._lower(spec, rate1), True) == live
         # the tie-free path decides each maximal rate-1 node at its first
         # step below its root and runs none of the node's steps below it
         nodes = _maximal_rate1_nodes(spec.frozen_mask, 0, m)
-        assert _plan_replay(reference._lower(spec, True, False).ops, False) == \
+        assert _plan_replay(reference._lower(spec, True), False) == \
             _live_sequence(spec, nodes)
-        # genie mode: every step, and a forced decision at every phase
-        unpruned = [step if len(step) == 3 else ("forced", step[1])
-                    for step in _live_sequence(CodeSpec(m=m, frozen=()))]
-        assert _plan_replay(reference._lower(spec, False, True).ops, False) == unpruned
+    # the unpruned plan, which genie mode runs: every step, and a decision
+    # at every phase
+    assert _plan_replay(reference._unpruned_plan(m), False) == \
+        _live_sequence(CodeSpec(m=m, frozen=()))
 
 
 def test_decoders_create_no_reference_cycles():

@@ -172,10 +172,12 @@ def test_every_schedule_replays_the_single_vector_sequence(data):
     vectors = data.draw(st.integers(1, cfg.overlap_p or 1))
     sched = build_schedule(cfg, vectors)
     fft = cfg.kind is ArchKind.FFT_LIKE
-    for v in range(vectors):
+    by_vector = [[] for _ in range(vectors)]
+    for e in sched.entries:  # in cycle order
+        by_vector[e.vector].append(e)
+    for entries in by_vector:
         steps = []
-        for e in sorted((e for e in sched.entries if e.vector == v),
-                        key=lambda e: e.cycle):
+        for e in entries:
             if steps and steps[-1][:3] == (e.stage, e.function, e.phase):
                 steps[-1][3].extend(e.active)
             else:
