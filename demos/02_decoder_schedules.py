@@ -8,10 +8,10 @@ grid that overlaps three vectors on a duplicated innermost stage.
 from polarsc import ArchKind, ArchitectureConfig, build_schedule
 
 
-def render(sched, cell):
-    instances = sorted({e.stage_instance for e in sched.entries},
+def render(sched, cells):
+    """Print ``cells``, a (stage instance, cycle) -> label grid of ``sched``."""
+    instances = sorted({inst for inst, _ in cells},
                        key=lambda s: (-int(s.split("_")[1].rstrip("d")), len(s)))
-    cells = {(e.stage_instance, e.cycle): cell(e) for e in sched.entries}
     width = max(len(v) for v in cells.values()) + 1
     header = "CC   " + "".join(f"{c:>{width}}" for c in range(1, sched.total_cycles + 1))
     print(header)
@@ -23,7 +23,7 @@ def render(sched, cell):
 
 tree = build_schedule(ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8))
 print(f"single-vector schedule, n=8 ({tree.total_cycles} cycles)\n")
-render(tree, lambda e: e.function)
+render(tree, tree.function_grid())
 decisions = tree.decision_cycles()
 print("\nbit decided at cycle:",
       ", ".join(f"u{i}@{cc}" for i, cc in sorted(decisions.items())))
@@ -33,7 +33,8 @@ overlap = build_schedule(ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=8,
                                             overlap_p=3))
 print(f"\noverlapped schedule, n=8, P=3 ({overlap.total_cycles} cycles)")
 print("three staggered vectors share the tree; stage 0 is duplicated\n")
-render(overlap, lambda e: e.vector_tag.replace("_", ""))
+render(overlap, {cell: tag.replace("_", "")
+                 for cell, tag in overlap.occupancy_grid().items()})
 
 print("\nCSV export (first lines):")
 print("\n".join(overlap.to_csv().splitlines()[:6]))

@@ -16,7 +16,7 @@ from .complexity import (EXAMPLE_COSTS, ComplexityReport, CostParams,
 from .kernels import LLR_CLIP, Kernel, f_llr_exact, f_lr, f_minsum, g_llr, g_lr
 from .reference import decode, decode_batch, genie_error_counts
 from .schedule import (ArchKind, ArchitectureConfig, LivenessReport, Schedule,
-                       ScheduleEntry, build_schedule, check_no_conflict,
+                       build_schedule, check_no_conflict,
                        register_liveness, stage_duplication_count)
 
 __version__ = "0.1.0"
@@ -25,7 +25,7 @@ __all__ = [
     "ArchKind", "ArchitectureConfig", "BerPoint", "BerReport", "CampaignStop",
     "CodeSpec", "ComplexityReport", "CostParams",
     "EXAMPLE_COSTS", "Kernel", "LLR_CLIP", "LivenessReport", "Schedule",
-    "ScheduleEntry", "SimResult", "SimulationError", "awgn_llr",
+    "SimResult", "SimulationError", "awgn_llr",
     "bec_erasure_profile", "bit_reverse_permutation", "bpsk_modulate",
     "build_schedule", "butterfly_transform", "check_no_conflict",
     "complexity_fft_like", "complexity_line", "complexity_overlap",

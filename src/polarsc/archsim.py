@@ -25,10 +25,10 @@ positions are split among lanes changes no bit; slots share no registers,
 so neither does the interleaving of slots.
 
 Control never depends on the frames, so a schedule is built and checked
-once per ``(config, group size)`` and cached, with one run's PE activation
-counts, for as long as its config lives.  ``simulate`` runs the SC loop
-once over all its frames, whatever the group size, and takes cycles and PE
-counts from the schedules of the groups the frames fill.
+once per ``(config, group size)`` and cached, with its PE names and one
+run's counts as an int array, for as long as its config lives.
+``simulate`` runs the SC loop once over all its frames and adds up the
+counts of the groups the frames fill, naming the sums once.
 
 The loop skips dead activations, those that feed only frozen phases, and
 with the min-sum kernel it decides a tie-free rate-1 subtree by hard
@@ -80,25 +80,26 @@ class SimResult:
         return self.schedule.occupancy()
 
 
-# cfg -> {vectors: (schedule, one run's pe_activations())}.  Weak keys free a
-# config's schedules with the config, without waiting for the cycle collector
-# to reclaim a dropped module.
+# cfg -> {vectors: (schedule, PE names, one run's activations per name)}.  Weak
+# keys free a config's schedules with the config, without waiting for the
+# cycle collector to reclaim a dropped module.
 _programs: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _program(cfg: ArchitectureConfig, vectors: int | None) -> tuple:
-    """``build_schedule(cfg, vectors)`` and one run's PE activation counts,
-    built and checked on first use and kept for as long as ``cfg`` lives: the
-    schedule holds a copy of ``cfg``, as holding the key itself would keep
-    the key alive.  Raises ``SimulationError`` if ``check_no_conflict``
-    finds a violation."""
+    """``build_schedule(cfg, vectors)``, its PE names and one run's PE
+    activation counts as an int array, built and checked on first use and
+    kept for as long as ``cfg`` lives: the schedule holds a copy of ``cfg``,
+    as holding the key itself would keep the key alive.  Raises
+    ``SimulationError`` if ``check_no_conflict`` finds a violation."""
     programs = _programs.setdefault(cfg, {})
     if vectors not in programs:
         schedule = build_schedule(replace(cfg), vectors)
         violations = check_no_conflict(schedule)
         if violations:
             raise SimulationError("; ".join(violations))
-        programs[vectors] = schedule, schedule.pe_activations()
+        pes = schedule.pe_activations()
+        programs[vectors] = schedule, tuple(pes), np.fromiter(pes.values(), np.int64)
     return programs[vectors]
 
 
@@ -107,14 +108,12 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
 
     Frames run in groups of ``P = cfg.overlap_p or 1``: all full groups,
     then the leftover frames as one shorter group.  Groups run back to back,
-    so the run length is the sum of the group schedules.  Each group size's
-    schedule is built and checked on first use and cached, with its one-run
-    PE counts, for as long as ``cfg`` lives; only the groups that run are
-    built.  Cycle and PE counts add up the schedules' one-run figures, once
-    per group.  Every slot of every group runs the SC control sequence, so
-    the reference loop runs once over all the frames, skipping the
-    activations it prunes.  The period is the first
-    group's schedule (the full group's when there are no frames).
+    so the run length is the sum of the group schedules.  Only the group
+    sizes that run are built (see ``_program``).  Cycle and PE counts add
+    up the schedules' one-run figures, once per group.  Every slot of every
+    group runs the SC control sequence, so the reference loop runs once over
+    all the frames, skipping the activations it prunes.  The period is the
+    first group's schedule (the full group's when there are no frames).
 
     Parameters
     ----------
@@ -145,13 +144,13 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     groups, tail = divmod(len(values), p)
     runs = [(count, *_program(cfg, slots))
             for count, slots in ((groups, p), (1, tail)) if count * slots]
-    total_cycles = 0
-    pe_counts: Counter = Counter()
-    for count, sched, counts in runs:
-        total_cycles += count * sched.total_cycles
-        pe_counts.update({pe: c * count for pe, c in counts.items()})
+    total_cycles = sum(count * sched.total_cycles for count, sched, _, _ in runs)
+    names = runs[0][2] if runs else ()
+    pe_counts = np.zeros(len(names), np.int64)
+    for count, _, _, counts in runs:  # the tail group's PEs are the first of the full's
+        pe_counts[:len(counts)] += count * counts
     period = runs[0][1] if runs else _program(cfg, None)[0]
     decoded, _, _ = _sc_decode(values, spec, kernel)
-    return SimResult(decoded=decoded,
-                     total_cycles=total_cycles, pe_activations=pe_counts,
+    return SimResult(decoded=decoded, total_cycles=total_cycles,
+                     pe_activations=Counter(dict(zip(names, pe_counts.tolist()))),
                      schedule=period)

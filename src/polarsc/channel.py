@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codespec import CodeSpec, encode
+from .codespec import CodeSpec, _is_int, encode
 from .kernels import Kernel
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -53,14 +53,20 @@ class CampaignStop:
     def __post_init__(self):
         for name in ("max_frames", "min_frame_errors"):
             value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def wilson_halfwidth(errors: int, total: int) -> float:
-    """Half-width of the Wilson 95% interval for a binomial proportion."""
+    """Half-width of the Wilson 95% interval for a binomial proportion:
+    0.0 for no trials, and ValueError unless ``0 <= errors <= total``."""
     if total <= 0:
         return 0.0
+    if not 0 <= errors <= total:
+        raise ValueError(f"errors must satisfy 0 <= errors <= total = {total}, "
+                         f"got {errors}")
     p, z = errors / total, _WILSON_Z
     denom = 1.0 + z * z / total
     return float(z * np.sqrt(p * (1.0 - p) / total + z * z / (4.0 * total * total)) / denom)

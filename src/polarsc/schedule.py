@@ -4,11 +4,12 @@ Every machine replays, per vector, the 2n - 2 f and g steps of the
 unpruned decode plan, the SC control sequence the reference decoder runs;
 ``_steps`` turns them into one vector's clocked steps.  A schedule is a
 step table: for each vector slot, the cycle of each step and the stage
-copy it runs on.  Its per-(cycle, stage copy, vector) entries are derived
-from that table on demand.  One greedy builder fills it: the
-vector-overlapping machine staggers P vectors across duplicated stage
-copies, and the single-vector machines are the same builder at P = 1,
-where every stage has one copy.
+copy it runs on.  Every view is read from that table: ``entries`` indexes
+its steps in cycle order, the CSV, grids, occupancy and liveness read
+through that index, and the PE counts and the conflict check read the
+table directly.  One greedy builder fills it: the vector-overlapping
+machine staggers P vectors across duplicated stage copies, and the
+single-vector machines are the same builder at P = 1.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
-from .codespec import bit_reverse_permutation
+from .codespec import _is_int, bit_reverse_permutation
 from .reference import _F, _G, _unpruned_plan
 
 
@@ -49,6 +51,12 @@ class ArchitectureConfig:
     overlap_p: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", ArchKind(self.kind))
+        for name in ("n", "pe_count", "overlap_p"):
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, value if value is None else int(value))
         if self.n < 2 or self.n & (self.n - 1):
             raise ValueError(f"n must be a power of 2 >= 2, got {self.n}")
         if self.kind is ArchKind.SEMI_PARALLEL:
@@ -82,30 +90,8 @@ def stage_duplication_count(l: int, p: int) -> int:
 
 
 def stage_instance_name(l: int, copy: int) -> str:
-    if copy == 0:
-        return f"S_{l}"
-    if copy == 1:
-        return f"S_{l}d"
-    return f"S_{l}d{copy}"
-
-
-@dataclass(frozen=True, slots=True)
-class ScheduleEntry:
-    cycle: int
-    stage: int
-    copy: int
-    function: str  # "f" or "g"
-    vector: int  # 0-based vector slot
-    phase: int  # decision phase this activation serves
-    active: tuple  # node / PE indices busy this cycle
-
-    @property
-    def stage_instance(self) -> str:
-        return stage_instance_name(self.stage, self.copy)
-
-    @property
-    def vector_tag(self) -> str:
-        return f"y_{self.vector + 1}"
+    """``S_l`` for copy 0, then ``S_ld``, ``S_ld2``, ``S_ld3`` ..."""
+    return f"S_{l}" + ("" if copy == 0 else "d" if copy == 1 else f"d{copy}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,18 +100,21 @@ class Schedule:
     vector's ``_steps(cfg)``, and row ``v`` of ``cycles`` and ``copies``
     holds the cycle and the stage copy of each step of slot ``v``.  The
     rows are read-only, so a schedule shared through the simulator's cache
-    cannot be edited."""
+    cannot be edited.  Every view and statistic is read from the table."""
 
     cfg: ArchitectureConfig
     cycles: np.ndarray
     copies: np.ndarray
 
     def __post_init__(self):
+        shape = np.ndim(self.cycles) and len(self.cycles), len(self.steps)
         for name in ("cycles", "copies"):
-            table = np.array(getattr(self, name), dtype=np.int64)
-            if not len(table) or table.shape != (len(self.cycles), len(self.steps)):
-                raise ValueError(f"a step table has one row of {len(self.steps)} steps "
-                                 f"per vector slot, got {name} of shape {table.shape}")
+            given = np.asarray(getattr(self, name))
+            table = given.astype(np.int64)  # a copy the caller cannot edit
+            if not shape[0] or table.shape != shape or not np.array_equal(table, given):
+                raise ValueError(f"a step table has one row of {shape[1]} steps per "
+                                 f"vector slot, in integers; got {name} of shape "
+                                 f"{table.shape} and dtype {given.dtype}")
             table.flags.writeable = False
             object.__setattr__(self, name, table)
 
@@ -142,29 +131,35 @@ class Schedule:
     def total_cycles(self) -> int:
         return int(self.cycles.max())
 
-    def _runs(self):
-        """``(vector, step, cycle, copy)`` for every step of every slot."""
-        for v, (cycles, copies) in enumerate(zip(self.cycles.tolist(),
-                                                 self.copies.tolist())):
-            for step, cycle, copy in zip(self.steps, cycles, copies):
-                yield v, step, cycle, copy
+    @property
+    def _stages(self) -> np.ndarray:
+        """The stage of each step of the table, in the table's shape."""
+        return np.broadcast_to([l for l, *_ in self.steps], self.cycles.shape)
 
     @cached_property
-    def entries(self) -> tuple:
-        """One ``ScheduleEntry`` per (cycle, stage copy, vector), derived from
-        the table in cycle order: by cycle, then stage from the top, then copy."""
-        entries = [ScheduleEntry(cycle=cycle, stage=l, copy=copy, function=fn,
-                                 vector=v, phase=phase, active=active)
-                   for v, (l, fn, phase, active), cycle, copy in self._runs()]
-        return tuple(sorted(entries, key=lambda e: (e.cycle, -e.stage, e.copy)))
+    def entries(self) -> np.ndarray:
+        """One entry per (cycle, stage copy, vector), read-only: the flat table
+        index ``v * len(steps) + j`` of slot ``v``'s step ``j``, in cycle order:
+        by cycle, then stage from the top, then copy, then table order."""
+        order = np.lexsort((self.copies.ravel(), -self._stages.ravel(),
+                            self.cycles.ravel()))
+        order.flags.writeable = False
+        return order
+
+    def _in_cycle_order(self):
+        """``(cycle, stage instance, vector tag, step)`` of every entry."""
+        steps, cycles, copies = self.steps, self.cycles.tolist(), self.copies.tolist()
+        for v, j in (divmod(i, len(steps)) for i in self.entries.tolist()):
+            instance = stage_instance_name(steps[j][0], copies[v][j])
+            yield cycles[v][j], instance, f"y_{v + 1}", steps[j]
 
     def occupancy_grid(self) -> dict:
         """(stage_instance, cycle) -> vector tag."""
-        return {(e.stage_instance, e.cycle): e.vector_tag for e in self.entries}
+        return {(inst, cycle): tag for cycle, inst, tag, _ in self._in_cycle_order()}
 
     def function_grid(self) -> dict:
         """(stage_instance, cycle) -> f/g label."""
-        return {(e.stage_instance, e.cycle): e.function for e in self.entries}
+        return {(inst, cycle): step[1] for cycle, inst, _, step in self._in_cycle_order()}
 
     def decision_cycles(self, vector: int = 0) -> dict:
         """phase -> cycle at which that phase's bit is decided."""
@@ -179,8 +174,8 @@ class Schedule:
     def occupancy(self) -> list:
         """Per cycle, the (stage instance, vector tag, active indices) it runs."""
         out = [[] for _ in range(self.total_cycles)]
-        for e in self.entries:
-            out[e.cycle - 1].append((e.stage_instance, e.vector_tag, e.active))
+        for cycle, instance, tag, step in self._in_cycle_order():
+            out[cycle - 1].append((instance, tag, step[3]))
         return out
 
     def pe_activations(self) -> Counter:
@@ -189,31 +184,37 @@ class Schedule:
         PEs are named ``N_l,row`` (graph node), ``P_l,q`` (tree), ``P_q``
         (line), ``P_{q - q0}`` (semi-parallel lane, q0 the first active
         index) and ``<stage instance>:P_q`` (overlap, e.g. ``S_0d:P_0``), in
-        the order in which the slots, taken in turn, first activate them.
-        Runs are counted per (stage, copy, lane) and each name is formatted
-        once.
+        the order in which the slots, taken in turn, first activate them, so
+        a shorter group's PEs are the first of the full group's.
         """
-        kind = self.cfg.kind
+        m, n, kind, steps = self.cfg.m, self.cfg.n, self.cfg.kind, self.steps
+        # each active index q of each step, and that step
+        q = np.fromiter(chain.from_iterable(active for *_, active in steps), np.int64)
+        step = np.repeat(np.arange(len(steps)), [len(active) for *_, active in steps])
+        if kind is ArchKind.SEMI_PARALLEL:
+            q -= np.array([active[0] for *_, active in steps])[step]
+        # a PE is (head, q), its head the stage l, or stage copy l + m * copy
+        stage = self._stages[0, step]
+        head = {ArchKind.FFT_LIKE: stage, ArchKind.PIPELINED_TREE: stage,
+                ArchKind.VECTOR_OVERLAP: stage + m * self.copies[:, step]}.get(kind, 0)
+        keys = np.broadcast_to(head * n + q, (self.vectors, len(q)))  # slot-major
+        keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        heads, qs = (part.tolist() for part in np.divmod(keys[order], n))
         prefix = {ArchKind.FFT_LIKE: "N_{l},", ArchKind.PIPELINED_TREE: "P_{l},",
                   ArchKind.VECTOR_OVERLAP: "{instance}:P_"}.get(kind, "P_")
-        runs = Counter((l, copy, active) for _, (l, _, _, active), _, copy in self._runs())
-        counts: dict = {}  # (name prefix, PE index) -> activations
-        for (l, copy, active), k in runs.items():
-            head = prefix.format(l=l, instance=stage_instance_name(l, copy))
-            offset = active[0] if kind is ArchKind.SEMI_PARALLEL else 0
-            for q in active:
-                pe = (head, q - offset)
-                counts[pe] = counts.get(pe, 0) + k
-        return Counter({f"{head}{q}": k for (head, q), k in counts.items()})
+        name = {h: prefix.format(l=h % m, instance=stage_instance_name(h % m, h // m))
+                for h in set(heads)}  # each head is formatted once
+        return Counter(dict(zip((f"{name[h]}{q}" for h, q in zip(heads, qs)),
+                                counts[order].tolist())))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["cycle", "stage_instance", "function", "vector_tag",
                          "active_indices"])
-        for e in self.entries:
-            writer.writerow([e.cycle, e.stage_instance, e.function, e.vector_tag,
-                             ";".join(str(q) for q in e.active)])
+        for cycle, instance, tag, (_, fn, _, active) in self._in_cycle_order():
+            writer.writerow([cycle, instance, fn, tag, ";".join(map(str, active))])
         return buf.getvalue()
 
 
@@ -305,26 +306,26 @@ def check_no_conflict(s: Schedule) -> list:
     increase from cycle 1.  Returns a list of violation strings; empty
     means the schedule is clean.
     """
-    cfg = s.cfg
-    have = [stage_duplication_count(l, cfg.overlap_p or 1) for l in range(cfg.m)]
-    violations = []
-    owners: dict = {}
-    used: Counter = Counter()
-    for v, (l, _, _, active), cycle, copy in s._runs():
-        key = (cycle, l, copy)
-        if not 0 <= copy < have[l]:
-            violations.append(f"CC{cycle}: {stage_instance_name(l, copy)} is not a stage "
-                              "copy of the machine")
-        if key in owners:
-            violations.append(f"CC{cycle}: {stage_instance_name(l, copy)} claimed by "
-                              f"y_{owners[key] + 1} and y_{v + 1}")
-        owners.setdefault(key, v)
-        used[cycle] += len(active)
-
+    cfg, width = s.cfg, len(s.steps)
+    have = np.array([stage_duplication_count(l, cfg.overlap_p or 1) for l in range(cfg.m)])
+    cycles, copies = s.cycles.ravel(), s.copies.ravel()
+    stages = s._stages.ravel()
+    at = lambda i: f"CC{cycles[i]}: {stage_instance_name(stages[i], copies[i])}"
+    violations = [f"{at(i)} is not a stage copy of the machine"
+                  for i in np.flatnonzero((copies < 0) | (copies >= have[stages]))]
+    # the first step of the table to claim a (cycle, stage, copy) owns it
+    _, owner, claim = np.unique(np.column_stack((cycles, stages, copies)), axis=0,
+                                return_index=True, return_inverse=True)
+    owner = owner[claim.ravel()]
+    violations += [f"{at(i)} claimed by y_{owner[i] // width + 1} and y_{i // width + 1}"
+                   for i in np.flatnonzero(owner != np.arange(len(owner)))]
     if cfg.kind in (ArchKind.LINE, ArchKind.SEMI_PARALLEL):
         budget = cfg.n // 2 if cfg.kind is ArchKind.LINE else cfg.pe_count
-        violations += [f"CC{cycle}: {k} PEs used, budget {budget}"
-                       for cycle, k in used.items() if k > budget]
+        busy, cycle_of = np.unique(cycles, return_inverse=True)
+        used = np.bincount(cycle_of.ravel(),
+                           np.tile([len(active) for *_, active in s.steps], s.vectors))
+        violations += [f"CC{cycle}: {int(k)} PEs used, budget {budget}"
+                       for cycle, k in zip(busy.tolist(), used.tolist()) if k > budget]
     unordered = (np.diff(s.cycles, prepend=0) < 1).any(axis=1)
     violations += [f"vector slot {v} runs its steps out of cycle order"
                    for v in np.flatnonzero(unordered)]
@@ -390,28 +391,27 @@ def register_liveness(s: Schedule) -> LivenessReport:
     if s.cfg.kind not in (ArchKind.PIPELINED_TREE, ArchKind.LINE):
         raise ValueError("liveness analysis applies to tree/line schedules")
     n, m = s.cfg.n, s.cfg.m
-    acts: list = [[] for _ in range(m)]
-    for e in s.entries:
-        acts[e.stage].append(e)
+    acts: list = [[] for _ in range(m)]  # per stage, (cycle, phase) in cycle order
+    for cycle, _, _, (l, _, phase, _) in s._in_cycle_order():
+        acts[l].append((cycle, phase))
 
     records = []
     problems = []
     for l in range(m):
-        for k, e in enumerate(acts[l]):
+        for k, (cycle, phase) in enumerate(acts[l]):
             if l == 0:
                 records.append(ValueRecord(
-                    stage=0, index=k, write_cycle=e.cycle, read_cycles=(e.cycle,),
-                    overwrite_cycle=None, decision_phase=e.phase,
-                    bit_fanout=len(enabled_sites(e.phase, m)),
+                    stage=0, index=k, write_cycle=cycle, read_cycles=(cycle,),
+                    overwrite_cycle=None, decision_phase=phase,
+                    bit_fanout=len(enabled_sites(phase, m)),
                 ))
                 continue
-            readers = acts[l - 1][2 * k: 2 * k + 2]
-            reads = tuple(r.cycle for r in readers)
-            over = acts[l][k + 1].cycle if k + 1 < len(acts[l]) else None
-            records.append(ValueRecord(stage=l, index=k, write_cycle=e.cycle,
+            reads = tuple(c for c, _ in acts[l - 1][2 * k: 2 * k + 2])
+            over = acts[l][k + 1][0] if k + 1 < len(acts[l]) else None
+            records.append(ValueRecord(stage=l, index=k, write_cycle=cycle,
                                        read_cycles=reads, overwrite_cycle=over))
 
-    channel_reads = tuple(e.cycle for e in acts[m - 1])
+    channel_reads = tuple(c for c, _ in acts[m - 1])
     records.append(ValueRecord(stage=m, index=0, write_cycle=0,
                                read_cycles=channel_reads, overwrite_cycle=None))
 

@@ -133,11 +133,25 @@ def test_cached_schedule_is_immutable_and_counts_are_fresh():
         first.schedule.entries = ()
     with pytest.raises(AttributeError):
         first.schedule.entries.append(first.schedule.entries[0])
+    with pytest.raises(ValueError):
+        first.schedule.entries[0] = 1
     assert first.pe_activations == second.pe_activations
     assert first.pe_activations is not second.pe_activations
     first.pe_activations["S_0:P_0"] += 1
     assert simulate(cfg, llr, spec, Kernel.LLR_MINSUM).pe_activations == \
         second.pe_activations
+
+
+def test_a_kind_given_by_its_value_simulates_that_machine():
+    # kind="fft" used to report the line machine's 4 PEs
+    spec = construct_frozen_bec(8, 4, 0.5)
+    _, llr = random_frames(spec, 2, sigma=1.0, seed=3)
+    res = simulate(ArchitectureConfig(kind="fft", n=8), llr, spec, Kernel.LLR_MINSUM)
+    graph = simulate(ArchitectureConfig(kind=ArchKind.FFT_LIKE, n=8), llr, spec,
+                     Kernel.LLR_MINSUM)
+    assert len(res.pe_activations) == 24 and all(pe.startswith("N_")
+                                                  for pe in res.pe_activations)
+    assert res.pe_activations == graph.pe_activations
 
 
 def test_programs_are_freed_with_their_config():

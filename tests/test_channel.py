@@ -43,6 +43,15 @@ def test_wilson_halfwidth_golden():
     assert wilson_halfwidth(10, 100) == pytest.approx(0.05956826222211918, abs=1e-12)
     assert wilson_halfwidth(0, 0) == 0.0
     assert wilson_halfwidth(0, 50) > 0.0
+    assert wilson_halfwidth(50, 50) == wilson_halfwidth(0, 50)
+    assert wilson_halfwidth(5, -1) == 0.0
+
+
+@pytest.mark.parametrize("errors, total", [(5, 3), (-1, 3), (1, 0.5)])
+def test_wilson_halfwidth_rejects_errors_outside_zero_to_total(errors, total):
+    # these used to return NaN with a RuntimeWarning
+    with pytest.raises(ValueError, match="0 <= errors <= total"):
+        wilson_halfwidth(errors, total)
 
 
 @pytest.mark.parametrize("field", ["max_frames", "min_frame_errors"])
@@ -51,6 +60,15 @@ def test_campaign_stop_rejects_counts_below_one(field, value):
     # max_frames = 0 used to report ber 0.0 and fer 0.0 from no frames
     with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
         CampaignStop(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["max_frames", "min_frame_errors"])
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "3", None])
+def test_campaign_stop_rejects_counts_that_are_not_integers(field, value):
+    # max_frames = 1.5 used to fail deep in the frame draw, and True ran one frame
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        CampaignStop(**{field: value})
+    assert CampaignStop(**{field: np.int64(7)})
 
 
 def test_campaign_same_seed_is_bit_identical():

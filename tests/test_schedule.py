@@ -1,7 +1,7 @@
 import hashlib
 import importlib.resources
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -36,6 +36,20 @@ OVERLAP_GRID_N8_P3 = {
 }
 
 
+Entry = namedtuple("Entry", "cycle stage copy function vector phase active")
+
+
+def entries(sched):
+    """Every entry of ``sched``, read off its step table in ``entries`` order."""
+    width, out = len(sched.steps), []
+    for i in sched.entries.tolist():
+        v, j = divmod(i, width)
+        l, fn, phase, active = sched.steps[j]
+        out.append(Entry(int(sched.cycles.flat[i]), l, int(sched.copies.flat[i]), fn, v,
+                         phase, active))
+    return out
+
+
 def flatten(grid):
     return {(row, cc): val for row, cells in grid.items() for cc, val in cells.items()}
 
@@ -56,7 +70,7 @@ def test_line_schedule_equals_tree_schedule():
     tree = build_schedule(ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=8))
     line = build_schedule(ArchitectureConfig(kind=ArchKind.LINE, n=8))
     strip = lambda s: [(e.cycle, e.stage, e.function, e.phase, e.active)
-                       for e in s.entries]
+                       for e in entries(s)]
     assert strip(tree) == strip(line)
 
 
@@ -65,7 +79,7 @@ def test_fft_schedule_shares_cycle_grid_with_tree():
     assert fft.total_cycles == 14
     assert fft.function_grid() == flatten(SINGLE_VECTOR_GRID_N8)
     # node rows differ from PE indices: stage-0 activation touches one row
-    stage0 = [e for e in fft.entries if e.stage == 0]
+    stage0 = [e for e in entries(fft) if e.stage == 0]
     rows = [e.active[0] for e in stage0]
     assert rows == [0, 4, 2, 6, 1, 5, 3, 7]  # decision rows in phase order
 
@@ -83,7 +97,7 @@ def test_overlap_csv_matches_golden_file():
 def test_n2_schedule():
     sched = build_schedule(ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=2))
     assert sched.total_cycles == 2
-    assert [(e.cycle, e.stage, e.function, e.phase) for e in sched.entries] \
+    assert [(e.cycle, e.stage, e.function, e.phase) for e in entries(sched)] \
         == [(1, 0, "f", 0), (2, 0, "g", 1)]
 
 
@@ -98,7 +112,7 @@ def test_overlap_admissions_one_per_cycle():
     cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=16, overlap_p=4)
     sched = build_schedule(cfg)
     first = {}
-    for e in sched.entries:
+    for e in entries(sched):
         first.setdefault(e.vector, e.cycle)
     assert sorted(first.values()) == sorted(set(first.values()))
 
@@ -173,11 +187,11 @@ def test_every_schedule_replays_the_single_vector_sequence(data):
     sched = build_schedule(cfg, vectors)
     fft = cfg.kind is ArchKind.FFT_LIKE
     by_vector = [[] for _ in range(vectors)]
-    for e in sched.entries:  # in cycle order
+    for e in entries(sched):  # in cycle order
         by_vector[e.vector].append(e)
-    for entries in by_vector:
+    for rows in by_vector:
         steps = []
-        for e in entries:
+        for e in rows:
             if steps and steps[-1][:3] == (e.stage, e.function, e.phase):
                 steps[-1][3].extend(e.active)
             else:
@@ -199,18 +213,20 @@ def test_every_schedule_replays_the_single_vector_sequence(data):
 
 def pe_activations_oracle(sched):
     """``Schedule.pe_activations`` by its definition: one name per active PE
-    of every entry, in entry order, counted."""
+    of every entry of the occupancy trace, in cycle order, counted."""
+    stage = lambda instance: instance.split("_")[1].split("d")[0]
     name = {
-        ArchKind.FFT_LIKE: lambda e: (f"N_{e.stage},", 0),
-        ArchKind.PIPELINED_TREE: lambda e: (f"P_{e.stage},", 0),
-        ArchKind.LINE: lambda e: ("P_", 0),
-        ArchKind.SEMI_PARALLEL: lambda e: ("P_", e.active[0]),
-        ArchKind.VECTOR_OVERLAP: lambda e: (f"{e.stage_instance}:P_", 0),
+        ArchKind.FFT_LIKE: lambda instance, active: (f"N_{stage(instance)},", 0),
+        ArchKind.PIPELINED_TREE: lambda instance, active: (f"P_{stage(instance)},", 0),
+        ArchKind.LINE: lambda instance, active: ("P_", 0),
+        ArchKind.SEMI_PARALLEL: lambda instance, active: ("P_", active[0]),
+        ArchKind.VECTOR_OVERLAP: lambda instance, active: (f"{instance}:P_", 0),
     }[sched.cfg.kind]
     names = []
-    for e in sched.entries:
-        prefix, offset = name(e)
-        names += [f"{prefix}{q - offset}" for q in e.active]
+    for row in sched.occupancy():
+        for instance, _, active in row:
+            prefix, offset = name(instance, active)
+            names += [f"{prefix}{q - offset}" for q in active]
     return Counter(names)
 
 
@@ -247,6 +263,32 @@ def test_schedule_csv_and_pe_activations_pinned(cfg, vectors, csv_sha, pe_sha):
     assert digest(json.dumps(list(sched.pe_activations().items()))) == pe_sha
 
 
+@settings(deadline=None, derandomize=True)
+@given(st.data())
+def test_a_shorter_groups_pes_are_the_first_of_the_full_groups(data):
+    # the simulator adds a tail group's counts onto the full group's first PEs
+    cfg = data.draw(configs())
+    full = build_schedule(cfg).pe_activations()
+    tail = build_schedule(cfg, data.draw(st.integers(1, cfg.overlap_p or 1)))
+    assert list(tail.pe_activations()) == list(full)[:len(tail.pe_activations())]
+
+
+@pytest.mark.parametrize("kind, extra, count", [
+    (ArchKind.FFT_LIKE, {}, 2046), (ArchKind.PIPELINED_TREE, {}, 2046),
+    (ArchKind.LINE, {}, 2046), (ArchKind.SEMI_PARALLEL, {"pe_count": 256}, 2048),
+    (ArchKind.VECTOR_OVERLAP, {"overlap_p": 3}, 6138)])
+def test_entries_index_the_step_table_in_cycle_order(kind, extra, count):
+    sched = build_schedule(ArchitectureConfig(kind=kind, n=1024, **extra))
+    index = sched.entries
+    assert index.dtype == np.int64 and len(index) == count
+    assert sorted(index.tolist()) == list(range(sched.vectors * len(sched.steps)))
+    keys = [(e.cycle, -e.stage, e.copy) for e in entries(sched)]
+    assert keys == sorted(keys)
+    assert sched.entries is index
+    with pytest.raises(ValueError):
+        index[0] = 1
+
+
 def test_vectors_outside_one_to_p_raise():
     ov = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=8, overlap_p=3)
     line = ArchitectureConfig(kind=ArchKind.LINE, n=8)
@@ -271,7 +313,7 @@ def test_stage_duplication_counts():
 
 def _stage_activation_counts(sched, vector=0):
     """stage -> number of activations for one vector (splits merged)."""
-    return dict(Counter(l for l, _ in {(e.stage, e.phase) for e in sched.entries
+    return dict(Counter(l for l, _ in {(e.stage, e.phase) for e in entries(sched)
                                        if e.vector == vector}))
 
 
@@ -292,7 +334,7 @@ def test_semi_parallel_schedule_splits_outer_stage():
     cfg = ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=8, pe_count=2)
     sched = build_schedule(cfg)
     assert sched.total_cycles == 16
-    wide = [e for e in sched.entries if e.stage == 2]
+    wide = [e for e in entries(sched) if e.stage == 2]
     assert len(wide) == 4  # two activations, each split in two
     assert all(len(e.active) == 2 for e in wide)
     assert _stage_activation_counts(sched) == {0: 8, 1: 4, 2: 2}
@@ -369,7 +411,13 @@ def test_step_table_rows_must_hold_every_step():
     for cycles, copies in ((sched.cycles[:, :-1], sched.copies),
                            (sched.cycles, sched.copies[:2]),
                            (sched.cycles[0], sched.copies[0]),
-                           (np.zeros((0, 14)), np.zeros((0, 14)))):
+                           (np.zeros((0, 14)), np.zeros((0, 14))),
+                           # non-integer steps used to be truncated without a word,
+                           # and a 0-d table raised TypeError
+                           (sched.cycles + 0.7, sched.copies),
+                           (sched.cycles, sched.copies - 0.5),
+                           (np.int64(5), sched.copies),
+                           (sched.cycles, np.int64(0))):
         with pytest.raises(ValueError, match="one row of 14 steps"):
             Schedule(cfg=cfg, cycles=cycles, copies=copies)
     with pytest.raises(ValueError):
@@ -412,7 +460,7 @@ def test_fft_schedule_writes_each_node_once_after_its_inputs(n):
     # vector writes each node once, from inputs an earlier cycle wrote
     m = n.bit_length() - 1
     written = {}
-    for e in build_schedule(ArchitectureConfig(kind=ArchKind.FFT_LIKE, n=n)).entries:
+    for e in entries(build_schedule(ArchitectureConfig(kind=ArchKind.FFT_LIKE, n=n))):
         p = 1 << (m - 1 - e.stage)
         for row in e.active:
             if e.stage < m - 1:
@@ -471,3 +519,38 @@ def test_architecture_config_validation():
         ArchitectureConfig(kind=ArchKind.LINE, n=8, overlap_p=2)
     with pytest.raises(ValueError):
         ArchitectureConfig(kind=ArchKind.LINE, n=6)
+
+
+def test_architecture_config_takes_a_kind_by_its_value():
+    # a string kind used to be kept as a string, which simulate read as the line
+    for kind in ArchKind:
+        extra = {ArchKind.SEMI_PARALLEL: {"pe_count": 2},
+                 ArchKind.VECTOR_OVERLAP: {"overlap_p": 3}}.get(kind, {})
+        cfg = ArchitectureConfig(kind=kind.value, n=8, **extra)
+        assert cfg.kind is kind and cfg == ArchitectureConfig(kind=kind, n=8, **extra)
+    with pytest.raises(ValueError, match="not a valid ArchKind"):
+        ArchitectureConfig(kind="ring", n=8)
+    # a string kind no longer skips the PE-budget checks
+    with pytest.raises(ValueError, match="pe_count"):
+        ArchitectureConfig(kind="semi", n=8, pe_count=8)
+    with pytest.raises(ValueError, match="pe_count only applies"):
+        ArchitectureConfig(kind="line", n=8, pe_count=2)
+
+
+LINE_8 = ArchKind.LINE, {"n": 8}
+SEMI_8 = ArchKind.SEMI_PARALLEL, {"n": 8, "pe_count": 2}
+OVERLAP_8 = ArchKind.VECTOR_OVERLAP, {"n": 8, "overlap_p": 3}
+
+
+@pytest.mark.parametrize("machine, field, value", [
+    (LINE_8, "n", 8.0), (LINE_8, "n", True), (LINE_8, "n", "8"),
+    (SEMI_8, "pe_count", 2.0), (SEMI_8, "pe_count", True),
+    (OVERLAP_8, "overlap_p", 2.5), (OVERLAP_8, "overlap_p", True)])
+def test_architecture_config_rejects_counts_that_are_not_integers(machine, field, value):
+    # overlap_p = 2.5 used to fail inside build_schedule, n = 8.0 raised
+    # TypeError and pe_count = True was taken as 1
+    kind, fields = machine
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        ArchitectureConfig(kind=kind, **{**fields, field: value})
+    cfg = ArchitectureConfig(kind=kind, **{k: np.int64(v) for k, v in fields.items()})
+    assert all(type(getattr(cfg, k)) is int for k in fields)
