@@ -107,7 +107,7 @@ class Schedule:
     copies: np.ndarray
 
     def __post_init__(self):
-        shape = np.ndim(self.cycles) and len(self.cycles), len(self.steps)
+        shape = (len(self.cycles) if np.ndim(self.cycles) else 0, len(self.steps))
         for name in ("cycles", "copies"):
             given = np.asarray(getattr(self, name))
             table = given.astype(np.int64)  # a copy the caller cannot edit
@@ -308,9 +308,9 @@ def check_no_conflict(s: Schedule) -> list:
     """
     cfg, width = s.cfg, len(s.steps)
     have = np.array([stage_duplication_count(l, cfg.overlap_p or 1) for l in range(cfg.m)])
-    cycles, copies = s.cycles.ravel(), s.copies.ravel()
-    stages = s._stages.ravel()
-    at = lambda i: f"CC{cycles[i]}: {stage_instance_name(stages[i], copies[i])}"
+    cycles, copies, stages = s.cycles.ravel(), s.copies.ravel(), s._stages.ravel()
+    def at(i):  # the cycle and stage copy of the table's flat step i
+        return f"CC{cycles[i]}: {stage_instance_name(stages[i], copies[i])}"
     violations = [f"{at(i)} is not a stage copy of the machine"
                   for i in np.flatnonzero((copies < 0) | (copies >= have[stages]))]
     # the first step of the table to claim a (cycle, stage, copy) owns it

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from polarsc import cycles_per_vector
 from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, build_schedule,
                               check_no_conflict, enabled_sites,
-                              register_liveness, stage_duplication_count)
+                              register_liveness, stage_duplication_count,
+                              stage_instance_name)
 
 from conftest import single_vector_ops
 
@@ -345,6 +346,48 @@ def test_check_no_conflict_on_published_schedules():
     assert check_no_conflict(build_schedule(tree_cfg)) == []
     ov_cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=8, overlap_p=3)
     assert check_no_conflict(build_schedule(ov_cfg)) == []
+
+
+def check_no_conflict_oracle(s):
+    """``check_no_conflict`` by its definition: one pass over every step of
+    every slot, in table order."""
+    have = [stage_duplication_count(l, s.cfg.overlap_p or 1) for l in range(s.cfg.m)]
+    violations, owners, used = [], {}, Counter()
+    for v in range(s.vectors):
+        for (l, _, _, active), cycle, copy in zip(s.steps, s.cycles[v].tolist(),
+                                                  s.copies[v].tolist()):
+            at = f"CC{cycle}: {stage_instance_name(l, copy)}"
+            if not 0 <= copy < have[l]:
+                violations.append(f"{at} is not a stage copy of the machine")
+            if (cycle, l, copy) in owners:
+                violations.append(f"{at} claimed by y_{owners[cycle, l, copy] + 1} "
+                                  f"and y_{v + 1}")
+            owners.setdefault((cycle, l, copy), v)
+            used[cycle] += len(active)
+    if s.cfg.kind in (ArchKind.LINE, ArchKind.SEMI_PARALLEL):
+        budget = s.cfg.n // 2 if s.cfg.kind is ArchKind.LINE else s.cfg.pe_count
+        violations += [f"CC{cycle}: {k} PEs used, budget {budget}"
+                       for cycle, k in used.items() if k > budget]
+    for v, row in enumerate(s.cycles.tolist()):
+        if row[0] < 1 or any(b <= a for a, b in zip(row, row[1:])):
+            violations.append(f"vector slot {v} runs its steps out of cycle order")
+    return violations
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.data())
+def test_check_no_conflict_matches_the_per_step_check(data):
+    # move a few steps of a built table to drawn cycles and stage copies
+    cfg = data.draw(configs())
+    sched = build_schedule(cfg, data.draw(st.integers(1, cfg.overlap_p or 1)))
+    cycles, copies = sched.cycles.copy(), sched.copies.copy()
+    for _ in range(data.draw(st.integers(0, 4))):
+        v = data.draw(st.integers(0, sched.vectors - 1))
+        j = data.draw(st.integers(0, len(sched.steps) - 1))
+        cycles[v, j] = data.draw(st.integers(-1, sched.total_cycles + 1))
+        copies[v, j] = data.draw(st.integers(-1, 3))
+    bad = Schedule(cfg=cfg, cycles=cycles, copies=copies)
+    assert sorted(check_no_conflict(bad)) == sorted(check_no_conflict_oracle(bad))
 
 
 def test_check_no_conflict_flags_double_booking():
