@@ -20,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -90,8 +89,11 @@ def stage_duplication_count(l: int, p: int) -> int:
 
 
 def stage_instance_name(l: int, copy: int) -> str:
-    """``S_l`` for copy 0, then ``S_ld``, ``S_ld2``, ``S_ld3`` ..."""
-    return f"S_{l}" + ("" if copy == 0 else "d" if copy == 1 else f"d{copy}")
+    if copy == 0:
+        return f"S_{l}"
+    if copy == 1:
+        return f"S_{l}d"
+    return f"S_{l}d{copy}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,28 +187,23 @@ class Schedule:
         (line), ``P_{q - q0}`` (semi-parallel lane, q0 the first active
         index) and ``<stage instance>:P_q`` (overlap, e.g. ``S_0d:P_0``), in
         the order in which the slots, taken in turn, first activate them, so
-        a shorter group's PEs are the first of the full group's.
+        a shorter group's PEs are the first of the full group's.  Runs are
+        counted per (stage, copy, lane) and each name is formatted once.
         """
-        m, n, kind, steps = self.cfg.m, self.cfg.n, self.cfg.kind, self.steps
-        # each active index q of each step, and that step
-        q = np.fromiter(chain.from_iterable(active for *_, active in steps), np.int64)
-        step = np.repeat(np.arange(len(steps)), [len(active) for *_, active in steps])
-        if kind is ArchKind.SEMI_PARALLEL:
-            q -= np.array([active[0] for *_, active in steps])[step]
-        # a PE is (head, q), its head the stage l, or stage copy l + m * copy
-        stage = self._stages[0, step]
-        head = {ArchKind.FFT_LIKE: stage, ArchKind.PIPELINED_TREE: stage,
-                ArchKind.VECTOR_OVERLAP: stage + m * self.copies[:, step]}.get(kind, 0)
-        keys = np.broadcast_to(head * n + q, (self.vectors, len(q)))  # slot-major
-        keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        order = np.argsort(first)
-        heads, qs = (part.tolist() for part in np.divmod(keys[order], n))
+        kind = self.cfg.kind
         prefix = {ArchKind.FFT_LIKE: "N_{l},", ArchKind.PIPELINED_TREE: "P_{l},",
                   ArchKind.VECTOR_OVERLAP: "{instance}:P_"}.get(kind, "P_")
-        name = {h: prefix.format(l=h % m, instance=stage_instance_name(h % m, h // m))
-                for h in set(heads)}  # each head is formatted once
-        return Counter(dict(zip((f"{name[h]}{q}" for h, q in zip(heads, qs)),
-                                counts[order].tolist())))
+        lanes = [active for *_, active in self.steps] * self.vectors
+        runs = Counter(zip(self._stages.ravel().tolist(), self.copies.ravel().tolist(),
+                           lanes))  # (stage, copy, lane) -> runs, in table order
+        counts: dict = {}  # (name prefix, PE index) -> activations
+        for (l, copy, active), k in runs.items():
+            head = prefix.format(l=l, instance=stage_instance_name(l, copy))
+            offset = active[0] if kind is ArchKind.SEMI_PARALLEL else 0
+            for q in active:
+                pe = (head, q - offset)
+                counts[pe] = counts.get(pe, 0) + k
+        return Counter({f"{head}{q}": k for (head, q), k in counts.items()})
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -309,6 +306,7 @@ def check_no_conflict(s: Schedule) -> list:
     cfg, width = s.cfg, len(s.steps)
     have = np.array([stage_duplication_count(l, cfg.overlap_p or 1) for l in range(cfg.m)])
     cycles, copies, stages = s.cycles.ravel(), s.copies.ravel(), s._stages.ravel()
+
     def at(i):  # the cycle and stage copy of the table's flat step i
         return f"CC{cycles[i]}: {stage_instance_name(stages[i], copies[i])}"
     violations = [f"{at(i)} is not a stage copy of the machine"
