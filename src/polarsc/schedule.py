@@ -112,7 +112,8 @@ class Schedule:
         shape = (len(self.cycles) if np.ndim(self.cycles) else 0, len(self.steps))
         for name in ("cycles", "copies"):
             given = np.asarray(getattr(self, name))
-            table = given.astype(np.int64)  # a copy the caller cannot edit
+            with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+                table = given.astype(np.int64)  # a copy the caller cannot edit
             if not shape[0] or table.shape != shape or not np.array_equal(table, given):
                 raise ValueError(f"a step table has one row of {shape[1]} steps per "
                                  f"vector slot, in integers; got {name} of shape "

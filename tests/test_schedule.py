@@ -458,6 +458,9 @@ def test_step_table_rows_must_hold_every_step():
                            # non-integer steps used to be truncated without a word,
                            # and a 0-d table raised TypeError
                            (sched.cycles + 0.7, sched.copies),
+                           (np.where(sched.cycles > 8, np.nan, sched.cycles),
+                            sched.copies),
+                           (sched.cycles, np.full((3, 14), np.inf)),
                            (sched.cycles, sched.copies - 0.5),
                            (np.int64(5), sched.copies),
                            (sched.cycles, np.int64(0))):
