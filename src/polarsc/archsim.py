@@ -30,8 +30,9 @@ run's counts as an int array, for as long as its config lives.
 ``simulate`` runs the SC loop once over all its frames and adds up the
 counts of the groups the frames fill, naming the sums once.
 
-The loop skips dead activations, those that feed only frozen phases, and
-with the min-sum kernel it decides a tie-free rate-1 subtree by hard
+The loop skips dead activations, those that feed only frozen phases, runs
+the g after a rate-0 sibling without reading its all-zero partial sums,
+and with the min-sum kernel it decides a tie-free rate-1 subtree by hard
 decision and skips the rest of its activations.  Skipped activations
 still take their cycles and PEs: cycle, PE and occupancy figures come from
 the schedule alone.  The decoded output of every machine is bit-identical
@@ -149,8 +150,9 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     pe_counts = np.zeros(len(names), np.int64)
     for count, _, _, counts in runs:  # the tail group's PEs are the first of the full's
         pe_counts[:len(counts)] += count * counts
+    pe_activations = Counter()
+    dict.update(pe_activations, zip(names, pe_counts.tolist()))  # no intermediate dict
     period = runs[0][1] if runs else _program(cfg, None)[0]
     decoded, _, _ = _sc_decode(values, spec, kernel)
     return SimResult(decoded=decoded, total_cycles=total_cycles,
-                     pe_activations=Counter(dict(zip(names, pe_counts.tolist()))),
-                     schedule=period)
+                     pe_activations=pe_activations, schedule=period)

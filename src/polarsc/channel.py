@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codespec import CodeSpec, _is_int, encode
+from .codespec import CodeSpec, _as_int, encode
 from .kernels import Kernel
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -52,9 +52,8 @@ class CampaignStop:
 
     def __post_init__(self):
         for name in ("max_frames", "min_frame_errors"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            value = _as_int(name, getattr(self, name))
+            object.__setattr__(self, name, value)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 

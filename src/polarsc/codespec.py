@@ -68,6 +68,14 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an ``int``; ValueError naming ``name`` and ``value`` unless
+    it is an integer (see ``_is_int``)."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """Static definition of one code: length, frozen set, rate.
@@ -86,8 +94,7 @@ class CodeSpec:
     info_indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _is_int(self.m):
-            raise ValueError(f"m must be an integer, got {self.m!r}")
+        object.__setattr__(self, "m", _as_int("m", self.m))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         try:
@@ -192,6 +199,7 @@ def construct_frozen_bec(n: int, k: int, design_erasure: float) -> CodeSpec:
     design_erasure : float
         Channel erasure probability used for the design, in (0, 1).
     """
+    n, k = _as_int("n", n), _as_int("k", k)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     z = bec_erasure_profile(n, design_erasure)
@@ -208,6 +216,7 @@ def construct_frozen_mc(
     count is a per-position first-error rate.  The worst ``n - k`` positions
     are frozen.  Reproducible from the seed.
     """
+    n, k, trials = _as_int("n", n), _as_int("k", k), _as_int("trials", trials)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     from .reference import genie_error_counts

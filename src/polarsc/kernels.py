@@ -14,9 +14,13 @@ Each rule is written once, as an in-place stage op: ``f_into(a, b, out,
 scratch)`` or ``g_into(a, b, us, out, scratch)`` writes its result into
 ``out`` through ufunc ``out=`` arguments, using ``scratch`` (a float array of
 ``out``'s shape) for its one temporary.  ``out`` must not overlap the
-inputs.  The ops allocate nothing and check nothing: the decoder loop
+inputs.  A third op, ``g0_into(a, b, out, scratch)``, is g with all partial
+sums 0, as after a rate-0 sibling in simplified SC: the plain combine and
+the clip, with no partial-sum read, bit-identical to ``g_into`` on zeros.
+The log-domain ``g_into`` is its sign flip followed by that op.  The ops
+allocate nothing and check nothing: the decoder loop
 (``reference._sc_decode``) calls them on its preallocated level arrays
-through ``Kernel.f_into``/``Kernel.g_into``.  The public
+through ``Kernel.f_into``/``g_into``/``g0_into``.  The public
 functions ``f_lr``, ``g_lr``, ``f_llr_exact``, ``f_minsum`` and ``g_llr``
 are thin wrappers that convert their inputs, allocate ``out`` and call the
 same op; the ratio-domain wrappers reject non-positive ratios there.
@@ -59,6 +63,12 @@ def _f_lr_into(a, b, out, scratch):
     np.maximum(out, _LR_LO, out=out)
 
 
+def _g0_lr_into(a, b, out, scratch):
+    np.multiply(a, b, out=out)  # us == 0
+    np.minimum(out, _LR_HI, out=out)
+    np.maximum(out, _LR_LO, out=out)
+
+
 def _g_lr_into(a, b, us, out, scratch):
     np.multiply(a, b, out=out)        # us == 0
     np.divide(b, a, out=scratch)      # us == 1
@@ -90,13 +100,17 @@ def _f_minsum_into(la, lb, out, scratch):
     np.copysign(out, scratch, out=out)
 
 
+def _g0_llr_into(la, lb, out, scratch):
+    np.add(lb, la, out=out)
+    np.minimum(out, _LLR_HI, out=out)
+    np.maximum(out, _LLR_LO, out=out)
+
+
 def _g_llr_into(la, lb, us, out, scratch):
     flip = scratch.view(np.uint64)
     np.left_shift(us, _SIGN_SHIFT, out=flip)
     np.bitwise_xor(flip, la.view(np.uint64), out=flip)  # (-1)**us * la, exactly
-    np.add(lb, scratch, out=out)
-    np.minimum(out, _LLR_HI, out=out)
-    np.maximum(out, _LLR_LO, out=out)
+    _g0_llr_into(scratch, lb, out, None)
 
 
 def _apply(op, a, b, *us):
@@ -181,6 +195,13 @@ class Kernel(Enum):
         """This kernel's in-place g, ``g_into(a, b, us, out, scratch)``; ``us``
         is a uint8 array of partial sums, each 0 or 1."""
         return _g_lr_into if self is Kernel.LR_EXACT else _g_llr_into
+
+    @property
+    def g0_into(self):
+        """This kernel's in-place g after a rate-0 sibling, whose partial sums
+        are all 0: ``g0_into(a, b, out, scratch)``, bit-identical to
+        ``g_into`` with an all-zero ``us``."""
+        return _g0_lr_into if self is Kernel.LR_EXACT else _g0_llr_into
 
     @property
     def rate1_is_hard_decision(self) -> bool:

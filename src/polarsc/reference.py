@@ -15,16 +15,17 @@ runs that plan, keeping the forced bit at each of its decisions.  Each
 kernel step covers a whole level; each stage-0 step is followed by that
 phase's decision and the folds that put it into the partial sums that g
 reads.  As in simplified SC, the plan is pruned by the frozen set: an
-activation whose phases are all frozen (a rate-0 subtree) is left out, and
-with a kernel whose ``rate1_is_hard_decision`` holds (min-sum), a subtree
-whose phases all carry information (rate-1) is decided at once by the hard
+activation whose phases are all frozen (a rate-0 subtree) is left out, the
+g that follows one reads none of its partial sums, which are 0, and with a
+kernel whose ``rate1_is_hard_decision`` holds (min-sum), a subtree whose
+phases all carry information (rate-1) is decided at once by the hard
 decision of its soft values, unless one of them is an exact zero; the
 node's full SC steps follow inline as its tie fallback.  Levels are laid
 out ``(2**l, batch)``: one kernel call serves every frame.
 
 Like the paper's decoders, the loop updates O(n) memory in place and
 allocates nothing per step.  The kernels' in-place stage ops
-(``Kernel.f_into``/``Kernel.g_into``) write into the level arrays and
+(``Kernel.f_into``/``g_into``/``g0_into``) write into the level arrays and
 share one ``(n/2, batch)`` scratch array.  All partial sums live in one
 ``(n, batch)`` uint8 array in block layout: each decision goes into its
 phase's row, and each fold is an in-place XOR of a block's right half into
@@ -43,7 +44,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .codespec import CodeSpec, bit_reverse_permutation
+from .codespec import CodeSpec, _as_int, bit_reverse_permutation
 from .kernels import Kernel
 
 _GENIE_BLOCK = 512  # frames per random stream; part of the reproducibility contract
@@ -51,6 +52,8 @@ _GENIE_BLOCK = 512  # frames per random stream; part of the reproducibility cont
 # Plan instructions, four ints each: (opcode, a, b, c).
 _F = 0       # (_F, l, i, 0): f at stage l of phase i, level l + 1 into level l
 _G = 1       # (_G, l, i, i - 2**l): g likewise, with partial sums x[i - 2**l:i]
+_G0 = 5      # (_G0, l, i, 0): g whose left sibling [i - 2**l, i) is all frozen,
+#              so its partial sums are 0 and it reads none
 _DECIDE = 2  # (_DECIDE, i, 0, 0): hard decision of the root into x[i]
 _FOLD = 3    # (_FOLD, a, b, c): x[a:b] ^= x[b:c], b - a == c - b
 _RATE1 = 4   # (_RATE1, L, i, k): if level L holds no +/-0.0, decide x[i:i + 2**L]
@@ -68,7 +71,9 @@ def _lower(spec: CodeSpec, rate1: bool) -> tuple:
     plan is that visit with the pruning decided up front.  A subtree whose
     phases are all frozen is dead and left out (its steps, and the 0
     decisions that ``x`` starts with), and so is a fold whose right half is
-    all frozen, since it would XOR zeros.
+    all frozen, since it would XOR zeros.  The g of a live right child
+    whose left sibling is dead becomes ``_G0``: its partial sums are the
+    zeros ``x`` starts with, so it reads none.
 
     With ``rate1``, each maximal rate-1 node ``[i, i + 2**L)`` (``L >= 1``,
     every phase an information bit, and not so for its parent) becomes one
@@ -100,11 +105,12 @@ def _lower_subtree(ops: list, frozen_before: tuple, lo: int, l: int, rate1: bool
         return
     h = 1 << (l - 1)
     mid = lo + h
-    if frozen_before[mid] - frozen_before[lo] != h:  # the left child is live
+    left_live = frozen_before[mid] - frozen_before[lo] != h
+    if left_live:
         ops += (_F, l - 1, lo, 0)
         _lower_subtree(ops, frozen_before, lo, l - 1, rate1)
     if frozen_before[mid + h] - frozen_before[mid] != h:  # the right child is live
-        ops += (_G, l - 1, mid, lo)
+        ops += (_G, l - 1, mid, lo) if left_live else (_G0, l - 1, mid, 0)
         _lower_subtree(ops, frozen_before, mid, l - 1, rate1)
         ops += (_FOLD, lo, mid, mid + h)  # fold it into its left sibling
 
@@ -141,11 +147,12 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
     row ``i``, and once phase ``i`` closes a level-``l`` block
     ``[b, b + 2h)`` (``h = 2**l``) the fold ``x[b:b+h] ^= x[b+h:b+2h]``
     turns the block into its level-``l + 1`` partial sum, so a g at stage
-    ``l`` of phase ``i`` reads the left sibling block ``x[i-h:i]``.  At the
-    end ``x`` is the butterfly transform of the decided bits in block
-    layout: gathered in bit-reversed order it is the codeword, and since
-    the transform is its own inverse, ``m`` more passes of every fold turn
-    it back into the decided bits.
+    ``l`` of phase ``i`` reads the left sibling block ``x[i-h:i]``; a
+    ``_G0``, whose left sibling is all frozen, runs ``kernel.g0_into`` and
+    reads no partial sums.  At the end ``x`` is the butterfly transform of
+    the decided bits in block layout: gathered in bit-reversed order it is
+    the codeword, and since the transform is its own inverse, ``m`` more
+    passes of every fold turn it back into the decided bits.
 
     Where ``kernel.rate1_is_hard_decision``, a maximal rate-1 node
     ``[i, i + 2**L)`` is decided when its level ``L`` holds no ``+/-0.0``
@@ -170,7 +177,7 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
               for l in range(m)]  # a stage op's inputs, output and scratch
     x = np.zeros((n, batch), dtype=np.uint8)
     bits, root, threshold = x.view(bool), soft[0][0], kernel.threshold
-    f_into, g_into = kernel.f_into, kernel.g_into
+    f_into, g_into, g0_into = kernel.f_into, kernel.g_into, kernel.g0_into
     forced = force_bits.T if genie else None
     err_counts = np.zeros(n, dtype=np.int64) if genie else None
     miss = np.empty(batch, dtype=bool)  # genie mode: raw decision != forced bit
@@ -182,6 +189,8 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
             g_into(left, right, x[c:b], out, tmp)
         elif op == _F:
             f_into(*stages[a])
+        elif op == _G0:
+            g0_into(*stages[a])
         elif op == _FOLD:  # not x[a:b] ^= ..., which also copies the result back
             left = x[a:b]
             np.bitwise_xor(left, x[b:c], left)
@@ -251,6 +260,7 @@ def genie_error_counts(n: int, noise_sigma: float, trials: int, seed: int) -> np
     """
     from .channel import _noisy_frames
 
+    n, trials = _as_int("n", n), _as_int("trials", trials)
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of 2 >= 2, got {n}")
     if trials < 1:

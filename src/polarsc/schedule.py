@@ -23,8 +23,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .codespec import _is_int, bit_reverse_permutation
-from .reference import _F, _G, _unpruned_plan
+from .codespec import _as_int, bit_reverse_permutation
+from .reference import _F, _G, _G0, _unpruned_plan
 
 
 class ArchKind(Enum):
@@ -53,9 +53,7 @@ class ArchitectureConfig:
         object.__setattr__(self, "kind", ArchKind(self.kind))
         for name in ("n", "pe_count", "overlap_p"):
             value = getattr(self, name)
-            if value is not None and not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, value if value is None else int(value))
+            object.__setattr__(self, name, value if value is None else _as_int(name, value))
         if self.n < 2 or self.n & (self.n - 1):
             raise ValueError(f"n must be a power of 2 >= 2, got {self.n}")
         if self.kind is ArchKind.SEMI_PARALLEL:
@@ -227,7 +225,9 @@ def _lane_steps(fft: bool, n: int, width: int) -> tuple:
 
     The steps are the f and g instructions of the unpruned decode plan,
     ``reference._unpruned_plan``, in its order (see ``reference._lower``),
-    so a machine runs the SC control sequence the reference decoder runs.
+    so a machine runs the SC control sequence the reference decoder runs;
+    a ``_G0``, the g after a rate-0 sibling, which only a pruned plan
+    holds, is a g step too.
     The plan is lowered past that function's cache and dropped once these
     steps, which are cached, are built, so schedules keep no plan of about
     ``16n`` ints alive.
@@ -248,9 +248,9 @@ def _lane_steps(fft: bool, n: int, width: int) -> tuple:
     steps = []
     it = iter(_unpruned_plan.__wrapped__(m))
     for op, l, phase, _ in zip(it, it, it, it):
-        if op not in (_F, _G):
+        if op not in (_F, _G, _G0):
             continue
-        fn = "g" if op == _G else "f"
+        fn = "f" if op == _F else "g"
         if fft:
             fix = perm[phase >> l] >> l
             steps.append((l, fn, phase, rows[fix::1 << (m - l)]))

@@ -223,6 +223,36 @@ def test_mc_construction_rejects_length_other_than_power_of_two(n):
             construct(8, -1.0, 10, 0)
 
 
+def test_construction_accepts_numpy_integers():
+    # these used to fail with "'numpy.int64' object has no attribute 'bit_length'"
+    i64 = np.int64
+    spec = construct_frozen_bec(i64(64), i64(32), 0.5)
+    assert spec == construct_frozen_bec(64, 32, 0.5) and type(spec.m) is int
+    assert construct_frozen_mc(i64(64), i64(32), 0.9, i64(20), 1) == \
+        construct_frozen_mc(64, 32, 0.9, 20, 1)
+    assert np.array_equal(genie_error_counts(i64(64), 0.9, i64(20), 1),
+                          genie_error_counts(64, 0.9, 20, 1))
+
+
+@pytest.mark.parametrize("construct, args, message", [
+    (construct_frozen_bec, (64.0, 32, 0.5), r"n must be an integer, got 64\.0"),
+    (construct_frozen_bec, (64, 32.5, 0.5), r"k must be an integer, got 32\.5"),
+    (construct_frozen_bec, (True, 1, 0.5), "n must be an integer, got True"),
+    (construct_frozen_mc, (64.0, 32, 0.9, 20, 1), r"n must be an integer, got 64\.0"),
+    (construct_frozen_mc, (64, 32.5, 0.9, 20, 1), r"k must be an integer, got 32\.5"),
+    (construct_frozen_mc, (64, 32, 0.9, 2.5, 1), r"trials must be an integer, got 2\.5"),
+    (construct_frozen_mc, (64, 32, 0.9, True, 1), "trials must be an integer, got True"),
+    (genie_error_counts, (64.0, 0.9, 20, 1), r"n must be an integer, got 64\.0"),
+    (genie_error_counts, (64, 0.9, 2.5, 1), r"trials must be an integer, got 2\.5"),
+    (genie_error_counts, (64, 0.9, True, 1), "trials must be an integer, got True"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_construction_rejects_non_integral_input(construct, args, message):
+    # these used to fail deep inside (a float n at "&", a float k as a slice
+    # index, a float trials in range()) or, for trials=True, run one trial
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        construct(*args)
+
+
 def test_codespec_json_round_trip():
     spec = construct_frozen_bec(8, 4, 0.5)
     doc = json.loads(spec.to_json())
@@ -259,6 +289,7 @@ def test_codespec_accepts_numpy_integers():
     spec = CodeSpec(m=np.int64(3), frozen=np.array([4, 0]))
     assert spec == CodeSpec(m=3, frozen=(0, 4))
     assert spec.frozen == (0, 4) and type(spec.frozen[0]) is int
+    assert type(spec.m) is int and spec.to_json() == '{"m": 3, "frozen": [0, 4]}'
 
 
 def test_codespec_invariants():

@@ -111,6 +111,25 @@ def test_g_llr_bit_identical_to_select_form(rng):
     assert np.array_equal(got.view(np.int64), select.view(np.int64))
 
 
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_g0_into_is_g_into_with_zero_partial_sums(kernel, rng):
+    # the g after a rate-0 sibling skips the partial-sum read without moving
+    # a bit: at signed zeros, at and past the clip, and at the ratio extremes
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, LLR_CLIP, -LLR_CLIP,
+                        2 * LLR_CLIP, -2 * LLR_CLIP, LR_MAX, LR_MIN])
+    k = special.size
+    a = rng.uniform(-60, 60, size=(128, 64))
+    b = rng.uniform(-60, 60, size=(128, 64))
+    if kernel is Kernel.LR_EXACT:
+        a, b = np.exp(a), np.exp(b)
+    a[:k, :k], b[:k, :k] = special, special[:, None]  # every pair of special values
+    want, got, scratch = np.empty(a.shape), np.empty(a.shape), np.empty(a.shape)
+    with np.errstate(all="ignore"):  # the ratio g's unused b / a at 0 and past LR_MAX
+        kernel.g_into(a, b, np.zeros(a.shape, np.uint8), want, scratch)
+    kernel.g0_into(a, b, got, scratch)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_clipping_keeps_values_finite():
     assert g_llr(LLR_CLIP, LLR_CLIP, 0) == LLR_CLIP
     assert g_llr(LLR_CLIP, -LLR_CLIP, 1) == -LLR_CLIP

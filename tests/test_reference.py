@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -194,17 +195,24 @@ def test_recursive_oracle_matches_reference_and_machines(m, kernel):
     # or the machines' executor
     n = 1 << m
     rng = np.random.default_rng(2000 + 10 * m + KERNELS.index(kernel))
-    for k in (0, 1, int(rng.integers(1, n + 1)), n):
-        frozen = tuple(sorted(rng.choice(n, size=n - k, replace=False).tolist()))
+
+    def check(frozen):
         spec = CodeSpec(m=m, frozen=frozen)
         llr = edge_case_llrs(n, 5, rng)
         values = kernel.from_llr(llr)
         u_ref, c_ref = recursive_sc(values, spec.frozen_mask, kernel)
         u_hat, c_hat = decode_batch(llr, spec, kernel)
-        assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref), k
+        assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref), frozen
         for cfg in oracle_machines(n):
             got = simulate(cfg, llr, spec, kernel)
-            assert np.array_equal(got.decoded, u_ref), (cfg, k)
+            assert np.array_equal(got.decoded, u_ref), (cfg, frozen)
+
+    for k in (0, 1, int(rng.integers(1, n + 1)), n):
+        check(tuple(sorted(rng.choice(n, size=n - k, replace=False).tolist())))
+    # structured codes: the repetition code, whose every g follows a rate-0
+    # sibling, every even phase frozen, and the first half frozen
+    for frozen in (range(n - 1), range(0, n, 2), range(n // 2)):
+        check(tuple(frozen))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -311,7 +319,7 @@ def _plan_replay(ops, take_fallbacks):
     """The kernel steps ``(l, fn, i)`` and decisions ``("d", i)`` of a plan,
     in the order it runs them: with every rate-1 node's tie fallback, or on
     the tie-free path."""
-    names = {reference._F: "f", reference._G: "g"}
+    names = {reference._F: "f", reference._G: "g", reference._G0: "g"}
     out, pos = [], 0
     while pos < len(ops):
         op, a, b, c = ops[pos:pos + 4]
@@ -378,6 +386,39 @@ def test_plan_replays_the_live_control_sequence(m):
     # at every phase
     assert _plan_replay(reference._unpruned_plan(m), False) == \
         _live_sequence(CodeSpec(m=m, frozen=()))
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_g0_follows_exactly_the_rate0_siblings(m):
+    # a g whose left sibling is all frozen reads no partial sums (_G0); every
+    # other g reads them, and the unpruned plan, which genie mode runs and
+    # the machines' schedules replay, holds no _G0
+    n = 1 << m
+    rng = np.random.default_rng(5000 + m)
+    random = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
+    for frozen in ((), construct_frozen_bec(n, max(1, n // 2), 0.5).frozen, random,
+                   range(n - 1), range(0, n, 2), range(n // 2)):
+        spec = CodeSpec(m=m, frozen=tuple(frozen))
+        for rate1 in (False, True):
+            it = iter(reference._lower(spec, rate1))
+            for op, l, i, _ in zip(it, it, it, it):
+                if op in (reference._G, reference._G0):
+                    rate0 = spec.frozen_mask[i - (1 << l):i].all()
+                    assert (op == reference._G0) == rate0, (frozen, l, i)
+    assert reference._G0 not in reference._unpruned_plan(m)[0::4]
+
+
+def test_minsum_tie_free_mix_on_the_benchmark_code():
+    # the instructions the tie-free min-sum path runs on the benchmark code:
+    # 96 of its 191 g steps follow a rate-0 sibling
+    ops = reference._lower(construct_frozen_bec(1024, 512, 0.5), True)
+    mix, pos = Counter(), 0
+    while pos < len(ops):
+        op, _, _, c = ops[pos:pos + 4]
+        mix[op] += 1
+        pos += 4 + 4 * c * (op == reference._RATE1)
+    assert mix == {reference._F: 95, reference._G: 95, reference._G0: 96,
+                   reference._DECIDE: 42, reference._FOLD: 191, reference._RATE1: 54}
 
 
 def test_decoders_create_no_reference_cycles():
