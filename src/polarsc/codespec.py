@@ -76,6 +76,15 @@ def _as_int(name: str, value) -> int:
     return int(value)
 
 
+def _as_seed(seed) -> int:
+    """``seed`` as an ``int``; ValueError naming ``seed`` unless it is a
+    non-negative integer."""
+    seed = _as_int("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """Static definition of one code: length, frozen set, rate.

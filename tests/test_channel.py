@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from polarsc import (CampaignStop, Kernel, awgn_llr, bpsk_modulate,
-                     construct_frozen_bec, monotonicity_flags, run_campaign,
-                     sigma_from_ebn0_db, wilson_halfwidth)
+                     construct_frozen_bec, construct_frozen_mc, genie_error_counts,
+                     monotonicity_flags, run_campaign, sigma_from_ebn0_db,
+                     wilson_halfwidth)
+from polarsc import reference
 from polarsc.channel import BerPoint, BerReport
 
 
@@ -69,6 +71,35 @@ def test_campaign_stop_rejects_counts_that_are_not_integers(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
         CampaignStop(**{field: value})
     assert CampaignStop(**{field: np.int64(7)})
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.7, r"seed must be an integer, got 1\.7"),
+    (True, "seed must be an integer, got True"),
+    ("3", "seed must be an integer, got '3'"),
+    (-1, "seed must be >= 0, got -1"),
+])
+def test_seed_must_be_a_non_negative_integer(seed, message, monkeypatch):
+    # 1.7 and True used to run seed 1, "3" seed 3, and -1 failed inside
+    # numpy naming no argument; the check comes before any block is decoded
+    def no_jobs(jobs):
+        raise AssertionError("decoded a block")
+
+    monkeypatch.setattr(reference, "_run_jobs", no_jobs)
+    spec = construct_frozen_bec(16, 8, 0.5)
+    for construct in (lambda: run_campaign(spec, Kernel.LLR_MINSUM, [1.0], seed=seed),
+                      lambda: genie_error_counts(8, 1.0, 50, seed),
+                      lambda: construct_frozen_mc(8, 4, 1.0, 50, seed)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            construct()
+
+
+def test_report_records_the_seed_as_an_int():
+    spec = construct_frozen_bec(16, 8, 0.5)
+    stop = CampaignStop(max_frames=10)
+    report = run_campaign(spec, Kernel.LLR_MINSUM, [1.0], stop, seed=np.int64(3))
+    assert type(report.seed) is int
+    assert report.points == run_campaign(spec, Kernel.LLR_MINSUM, [1.0], stop, seed=3).points
 
 
 def test_campaign_same_seed_is_bit_identical():

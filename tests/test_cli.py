@@ -391,6 +391,20 @@ def test_frame_count_below_one_exits_2(tmp_path, capsys, flag, value, name):
     assert err.strip() == f"error: {name} must be >= 1, got {value}"
 
 
+@pytest.mark.parametrize("command", [["simulate", "--arch", "tree", "--random-frames", "2"],
+                                     ["ber-sweep", "--points-db", "2.0"],
+                                     ["construct", "--method", "mc", "--k", "4"]])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    # simulate used to fail inside numpy with "expected non-negative integer"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(construct_frozen_bec(8, 4, 0.5).to_json())
+    where = ["--n", "8"] if command[0] == "construct" else ["--spec", str(spec_path)]
+    code, out, err = run_cli(capsys, *command, *where, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: seed must be >= 0, got -1"
+
+
 def test_zero_budget_in_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"arch": "semi", "n": 8, "pe_count": 0}))

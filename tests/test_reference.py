@@ -1,15 +1,16 @@
 import gc
 import hashlib
 import re
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from polarsc import (ArchitectureConfig, ArchKind, CodeSpec, Kernel, LLR_CLIP,
+from polarsc import (ArchitectureConfig, ArchKind, CampaignStop, CodeSpec, Kernel, LLR_CLIP,
                      construct_frozen_bec, decode, decode_batch, encode,
-                     genie_error_counts, simulate)
-from polarsc import kernels, reference
+                     genie_error_counts, run_campaign, simulate)
+from polarsc import channel, kernels, reference
 from polarsc.kernels import g_llr
 from polarsc.reference import _sc_decode
 
@@ -421,20 +422,25 @@ def test_minsum_tie_free_mix_on_the_benchmark_code():
                    reference._DECIDE: 42, reference._FOLD: 191, reference._RATE1: 54}
 
 
-def test_decoders_create_no_reference_cycles():
+def test_decoders_create_no_reference_cycles(monkeypatch):
     # a decode's (n, batch) arrays must be freed when it returns, not wait
     # for the cycle collector; fresh codes and configs lower and build
-    # their plans and programs inside the checked region
+    # their plans and programs inside the checked region, and the batch of
+    # 600 frames and the two-block campaign run on the worker threads
     n = 64
+    monkeypatch.setattr(reference, "_WORKERS", 2)
     reference._unpruned_plan.cache_clear()
     _, llr = random_frames(construct_frozen_bec(n, n // 2, 0.5), 8, sigma=0.9, seed=3)
+    _, wide = random_frames(construct_frozen_bec(n, n // 2, 0.5), 600, sigma=0.9, seed=4)
     gc.collect()
     gc.disable()
     try:
         spec = construct_frozen_bec(n, n // 2, 0.5)
         for kernel in KERNELS:
             decode_batch(llr, spec, kernel)
+            decode_batch(wide, spec, kernel)
             decode(llr[0], spec, kernel)
+        run_campaign(spec, Kernel.LLR_EXACT, [1.0], CampaignStop(max_frames=512), seed=1)
         for kind in ArchKind:
             extra = {ArchKind.SEMI_PARALLEL: {"pe_count": n // 4},
                      ArchKind.VECTOR_OVERLAP: {"overlap_p": 3}}.get(kind, {})
@@ -446,3 +452,117 @@ def test_decoders_create_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# Frame blocks decoded on worker threads.  Tests set the worker count to at
+# most 3, so they start at most two threads whatever the host.
+
+def _machines(n):
+    return [ArchitectureConfig(kind=kind, n=n, **{
+        ArchKind.SEMI_PARALLEL: {"pe_count": n // 4},
+        ArchKind.VECTOR_OVERLAP: {"overlap_p": 3}}.get(kind, {})) for kind in ArchKind]
+
+
+def _per_worker_count(monkeypatch, run):
+    """``run()`` with the worker count set to 1, 2 and 3, in that order."""
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(reference, "_WORKERS", workers)
+        results.append(run())
+    return results
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_threads_change_no_campaign_report(kernel, monkeypatch):
+    # blocks decoded at once are counted in block order, so a point stops
+    # where a one-block-at-a-time loop stops: a block decoded past the stop
+    # is not counted, and a frame budget that is no multiple of the block
+    # is cut at the same frame
+    spec = construct_frozen_bec(64, 32, 0.5)
+    budget = CampaignStop(max_frames=1100, min_frame_errors=10**6)
+    errors = CampaignStop(max_frames=10**5, min_frame_errors=60)
+    blocks = []
+    real_block = channel._block_errors
+
+    def counted_block(*args):
+        blocks.append(args[3:])
+        return real_block(*args)
+
+    monkeypatch.setattr(channel, "_block_errors", counted_block)
+    reports = _per_worker_count(monkeypatch, lambda: [
+        run_campaign(spec, kernel, [0.0, 1.0, 2.5], stop, seed=5)
+        for stop in (budget, errors)])
+    assert reports[0] == reports[1] == reports[2]
+    frames = [[p.frames for p in report.points] for report in reports[0]]
+    assert frames[0] == [1100] * 3
+    assert any(f // 256 % 3 for f in frames[1]), frames  # stops inside a batch of 3
+    assert len(set(blocks)) < len(blocks)  # some block was decoded twice: past a stop
+
+
+def test_threads_change_no_genie_count(monkeypatch):
+    # 1324 trials: two genie blocks of 512 frames, two chunks each, and a tail
+    counts = _per_worker_count(monkeypatch, lambda: genie_error_counts(32, 0.8, 1324, 9))
+    assert np.array_equal(counts[0], counts[1]) and np.array_equal(counts[0], counts[2])
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_threads_change_no_decoded_bit(kernel, monkeypatch):
+    # 800 frames are 1, 2 or 3 chunks; the all-zero frame 700 is a tie in
+    # every node, so with min-sum the last chunk takes the rate-1 fallback
+    # and the others the shortcut
+    spec = construct_frozen_bec(64, 32, 0.5)
+    _, llr = random_frames(spec, 800, sigma=0.9, seed=6)
+    llr[700] = 0.0
+    llr[700, ::2] = -0.0
+    results = _per_worker_count(monkeypatch, lambda: [decode_batch(llr, spec, kernel)] + [
+        simulate(cfg, llr, spec, kernel).decoded for cfg in _machines(64)])
+    u_ref, c_ref = recursive_sc(kernel.from_llr(llr), spec.frozen_mask, kernel)
+    for (u_hat, c_hat), *decoded in results:
+        assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref)
+        assert all(np.array_equal(d, u_ref) for d in decoded)
+
+
+def test_chunks_need_two_blocks_and_two_cpus(monkeypatch):
+    # one CPU, or fewer than 2 * 256 frames, is one job and starts no thread
+    jobs = []
+    real_run = reference._run_jobs
+
+    def recorded(job_list):
+        jobs.append(len(job_list))
+        return real_run(job_list)
+
+    monkeypatch.setattr(reference, "_run_jobs", recorded)
+    spec = construct_frozen_bec(32, 16, 0.5)
+    _, llr = random_frames(spec, 1024, sigma=0.9, seed=2)
+    for workers, frames, want in ((1, 1024, 1), (2, 511, 1), (2, 512, 2), (3, 767, 2),
+                                  (3, 768, 3), (2, 1024, 2)):
+        monkeypatch.setattr(reference, "_WORKERS", workers)
+        jobs.clear()
+        decode_batch(llr[:frames], spec, Kernel.LLR_MINSUM)
+        assert jobs == [want], (workers, frames)
+    monkeypatch.setattr(reference, "_WORKERS", 1)
+    jobs.clear()
+    run_campaign(spec, Kernel.LLR_MINSUM, [1.0], CampaignStop(max_frames=600), seed=1)
+    genie_error_counts(32, 0.8, 600, 1)
+    assert set(jobs) == {1}
+
+
+def test_a_worker_error_reaches_the_caller(monkeypatch):
+    # the second chunk raises on a worker thread; the first, run by the
+    # caller, has ended by the time the error comes back
+    real_decode = reference._sc_decode
+    decoded = []
+
+    def failing(values, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("second chunk")
+        decoded.append(len(values))
+        return real_decode(values, *args)
+
+    monkeypatch.setattr(reference, "_WORKERS", 2)
+    monkeypatch.setattr(reference, "_sc_decode", failing)
+    spec = construct_frozen_bec(32, 16, 0.5)
+    _, llr = random_frames(spec, 600, sigma=0.9, seed=2)
+    with pytest.raises(RuntimeError, match="second chunk"):
+        decode_batch(llr, spec, Kernel.LLR_EXACT)
+    assert decoded == [300]
