@@ -27,9 +27,8 @@ so neither does the interleaving of slots.
 Control never depends on the frames, so a schedule is built and checked
 once per ``(config, group size)`` and cached, with its PE names and one
 run's counts as an int array, for as long as its config lives.
-``simulate`` runs the SC loop over all its frames, as ``decode_batch``
-does (in chunks on several CPUs from 512 frames), and adds up the counts
-of the groups the frames fill, naming the sums once.
+``simulate`` runs the SC loop once over all its frames and adds up the
+counts of the groups the frames fill, naming the sums once.
 
 The loop skips dead activations, those that feed only frozen phases, runs
 the g after a rate-0 sibling without reading its all-zero partial sums,
@@ -50,7 +49,7 @@ import numpy as np
 
 from .codespec import CodeSpec
 from .kernels import Kernel
-from .reference import _decode_chunks, _joined, _kernel_frames
+from .reference import _kernel_frames, _sc_decode
 from .schedule import ArchitectureConfig, Schedule, build_schedule, check_no_conflict
 
 
@@ -113,8 +112,8 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     so the run length is the sum of the group schedules.  Only the group
     sizes that run are built (see ``_program``).  Cycle and PE counts add
     up the schedules' one-run figures, once per group.  Every slot of every
-    group runs the SC control sequence, so the reference loop runs over all
-    the frames, as in ``decode_batch``, skipping the activations it prunes.  The period is the
+    group runs the SC control sequence, so the reference loop runs once over
+    all the frames, skipping the activations it prunes.  The period is the
     first group's schedule (the full group's when there are no frames).
 
     Parameters
@@ -154,6 +153,6 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     pe_activations = Counter()
     dict.update(pe_activations, zip(names, pe_counts.tolist()))  # no intermediate dict
     period = runs[0][1] if runs else _program(cfg, None)[0]
-    decoded = _joined(_decode_chunks(values, spec, kernel), 0)
+    decoded, _, _ = _sc_decode(values, spec, kernel)
     return SimResult(decoded=decoded, total_cycles=total_cycles,
                      pe_activations=pe_activations, schedule=period)

@@ -4,9 +4,10 @@ Bit 0 maps to +1 and bit 1 to -1, so a positive channel log-ratio favors
 bit 0, matching the decoder's decision threshold.  Campaign randomness is
 drawn from counter-based streams keyed on (seed, point, frame block), so a
 report depends only on its seed, never on execution order.  A point's
-blocks are therefore decoded several at once, one per CPU of the process's
-affinity mask, and counted in block order: the report is the same on any
-number of CPUs, and a block decoded past a point's stop is never counted.
+blocks are therefore decoded several at once, on the CPUs of the process's
+affinity mask (up to ``reference._WORKERS``), and counted in block order:
+the report is the same on any number of CPUs, and a block decoded past a
+point's stop is never counted.
 """
 
 from __future__ import annotations
@@ -188,8 +189,12 @@ def run_campaign(spec: CodeSpec, kernel: Kernel, points_db, stop: CampaignStop |
     ``reference._WORKERS`` at a time, on as many CPUs (see
     ``reference._run_jobs``), and counted in block order, one block at a
     time until the stop criterion fires, so the report is the same on any
-    number of CPUs.  Up to ``_WORKERS - 1`` blocks past a point's stop may
-    be decoded; they are never counted.
+    number of CPUs.  A batch holds no more blocks than the stop is expected
+    to need: before a point's first block, those counted even if every
+    frame fails; then as many as its frame error rate so far takes to reach
+    ``min_frame_errors``, or all that run at once while it has no error.  A
+    block past the stop is decoded only when that guess overshoots, and is
+    never counted.
     """
     from . import reference
 
@@ -197,12 +202,19 @@ def run_campaign(spec: CodeSpec, kernel: Kernel, points_db, stop: CampaignStop |
     stop = stop or CampaignStop()
     report = BerReport(spec=spec, kernel=kernel, seed=seed)
     rate = spec.k / spec.n
-    reach = reference._WORKERS * _RNG_BLOCK  # frames decoded at once
 
     for point_idx, ebn0_db in enumerate(points_db):
         sigma = sigma_from_ebn0_db(ebn0_db, rate)
         frames = bit_errors = frame_errors = 0
         while frames < stop.max_frames and frame_errors < stop.min_frame_errors:
+            short = stop.min_frame_errors - frame_errors  # frame errors still wanted
+            if frame_errors:  # the blocks the error rate so far expects to need
+                ahead = -(-short * frames // (frame_errors * _RNG_BLOCK))
+            elif frames:  # no error yet
+                ahead = reference._WORKERS
+            else:  # the blocks counted even if every frame fails
+                ahead = -(-short // _RNG_BLOCK)
+            reach = min(ahead, reference._WORKERS) * _RNG_BLOCK  # frames decoded at once
             blocks = range(frames, min(frames + reach, stop.max_frames), _RNG_BLOCK)
             jobs = [partial(_block_errors, spec, kernel, sigma,
                             min(_RNG_BLOCK, stop.max_frames - start), seed, point_idx, start)

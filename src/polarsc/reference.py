@@ -35,15 +35,16 @@ decided bits.  The public entry points check the shape of their channel
 log-ratios and convert them once, through ``Kernel.from_llr``, into the
 kernel's domain.
 
-Frames share nothing, so a batch of at least ``2 * _MIN_CHUNK`` (512)
-frames is cut into chunks, up to one per CPU of the process's affinity
-mask, and the one SC loop runs on each chunk at once: the first in the
-caller, the others on worker threads (``_run_jobs``), while numpy's array
-loops release the interpreter lock.  The cut changes no bit: a min-sum
-chunk that meets a ``+/-0.0`` takes the rate-1 tie fallback, which decides
-as the shortcut would.  A smaller batch, or one CPU, is one chunk, decoded
-in the caller with no thread started.  ``channel.run_campaign`` hands the
-same runner whole campaign blocks, drawn and counted in their jobs.
+Frames share nothing, so independent frame blocks are decoded at once,
+up to ``_WORKERS`` of them: ``_run_jobs`` runs the first in the caller and
+the others on worker threads, while numpy's array loops release the
+interpreter lock.  ``channel.run_campaign`` hands it whole campaign blocks,
+drawn and counted in their jobs, and ``genie_error_counts`` cuts each
+block of ``_GENIE_BLOCK`` trials into chunks of at least ``_MIN_CHUNK``
+(256) frames, whose counts are summed.  The cut changes no count, as
+frames are independent.  ``decode_batch``, ``decode`` and the machines
+decode their frames in one piece, in the caller.  With one CPU, every job
+runs in the caller and no thread is started.
 """
 
 from __future__ import annotations
@@ -239,12 +240,16 @@ def _kernel_frames(llr, spec: CodeSpec, kernel: Kernel, batch: bool = True) -> n
     return np.atleast_2d(kernel.from_llr(llr))
 
 
-# The CPUs this process may run on: independent frame blocks are decoded on
-# up to this many threads at once (numpy releases the interpreter lock inside
-# the kernels' array loops).
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-# The fewest frames of a chunk a batch is split into, one campaign block.
+# Independent frame blocks are decoded on up to this many threads at once
+# (numpy releases the interpreter lock inside the kernels' array loops): the
+# CPUs this process may run on, but at most _MAX_WORKERS.  Each block in
+# flight holds its own tree; at n = 1024 a campaign's peak RSS read 42, 50,
+# 53, 63 and 90 MB with 1, 2, 3, 4 and 8 blocks of 256 frames at once, and
+# only two CPUs were there to measure a speed-up on.
+_MAX_WORKERS = 2
+_WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+# The fewest frames of a chunk a genie block is cut into, one campaign block.
 # Measured at n = 1024 on two CPUs: 512 frames as 2 x 256 took the exact
 # kernel from 161 to 98 ms and left min-sum flat; 256 frames as 2 x 128 took
 # the exact kernel from 88 to 68 ms but min-sum from 8.0 to 14.1 ms.
@@ -292,11 +297,6 @@ def _decode_chunks(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
                       for lo, hi in zip(cuts, cuts[1:])])
 
 
-def _joined(parts: list, i: int) -> np.ndarray:
-    """Output ``i`` of ``_decode_chunks``'s results, as one batch."""
-    return parts[0][i] if len(parts) == 1 else np.concatenate([p[i] for p in parts])
-
-
 def decode_batch(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """Decode a (batch, n) array of channel log-likelihood ratios.
 
@@ -310,14 +310,15 @@ def decode_batch(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.nd
         Decided input blocks and the codewords they encode, both
         ``(batch, n)`` uint8 arrays.
     """
-    parts = _decode_chunks(_kernel_frames(llr, spec, kernel), spec, kernel)
-    return _joined(parts, 0), _joined(parts, 1)
+    values = _kernel_frames(llr, spec, kernel)
+    u_hat, c_hat, _ = _sc_decode(values, spec, kernel)
+    return u_hat, c_hat
 
 
 def decode(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """Decode one ``(n,)`` frame of channel log-likelihood ratios."""
-    u_hat, c_hat, _ = _sc_decode(_kernel_frames(llr, spec, kernel, batch=False), spec,
-                                 kernel)
+    values = _kernel_frames(llr, spec, kernel, batch=False)
+    u_hat, c_hat, _ = _sc_decode(values, spec, kernel)
     return u_hat[0], c_hat[0]
 
 

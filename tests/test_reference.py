@@ -425,22 +425,22 @@ def test_minsum_tie_free_mix_on_the_benchmark_code():
 def test_decoders_create_no_reference_cycles(monkeypatch):
     # a decode's (n, batch) arrays must be freed when it returns, not wait
     # for the cycle collector; fresh codes and configs lower and build
-    # their plans and programs inside the checked region, and the batch of
-    # 600 frames and the two-block campaign run on the worker threads
+    # their plans and programs inside the checked region, and the genie
+    # block of 512 trials and the two-block campaign run on a worker thread
     n = 64
     monkeypatch.setattr(reference, "_WORKERS", 2)
     reference._unpruned_plan.cache_clear()
     _, llr = random_frames(construct_frozen_bec(n, n // 2, 0.5), 8, sigma=0.9, seed=3)
-    _, wide = random_frames(construct_frozen_bec(n, n // 2, 0.5), 600, sigma=0.9, seed=4)
     gc.collect()
     gc.disable()
     try:
         spec = construct_frozen_bec(n, n // 2, 0.5)
         for kernel in KERNELS:
             decode_batch(llr, spec, kernel)
-            decode_batch(wide, spec, kernel)
             decode(llr[0], spec, kernel)
-        run_campaign(spec, Kernel.LLR_EXACT, [1.0], CampaignStop(max_frames=512), seed=1)
+        genie_error_counts(n, 0.9, 600, 1)
+        run_campaign(spec, Kernel.LLR_EXACT, [1.0],
+                     CampaignStop(max_frames=512, min_frame_errors=10**6), seed=1)
         for kind in ArchKind:
             extra = {ArchKind.SEMI_PARALLEL: {"pe_count": n // 4},
                      ArchKind.VECTOR_OVERLAP: {"overlap_p": 3}}.get(kind, {})
@@ -457,12 +457,6 @@ def test_decoders_create_no_reference_cycles(monkeypatch):
 # Frame blocks decoded on worker threads.  Tests set the worker count to at
 # most 3, so they start at most two threads whatever the host.
 
-def _machines(n):
-    return [ArchitectureConfig(kind=kind, n=n, **{
-        ArchKind.SEMI_PARALLEL: {"pe_count": n // 4},
-        ArchKind.VECTOR_OVERLAP: {"overlap_p": 3}}.get(kind, {})) for kind in ArchKind]
-
-
 def _per_worker_count(monkeypatch, run):
     """``run()`` with the worker count set to 1, 2 and 3, in that order."""
     results = []
@@ -470,6 +464,23 @@ def _per_worker_count(monkeypatch, run):
         monkeypatch.setattr(reference, "_WORKERS", workers)
         results.append(run())
     return results
+
+
+def _recorded_batches(monkeypatch) -> list:
+    """The number of jobs in each ``_run_jobs`` call from now on."""
+    batches = []
+    real_run = reference._run_jobs
+
+    def recorded(jobs):
+        batches.append(len(jobs))
+        return real_run(jobs)
+
+    monkeypatch.setattr(reference, "_run_jobs", recorded)
+    return batches
+
+
+def test_threads_start_on_at_most_two_cpus():
+    assert 1 <= reference._WORKERS <= reference._MAX_WORKERS == 2
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -481,22 +492,46 @@ def test_threads_change_no_campaign_report(kernel, monkeypatch):
     spec = construct_frozen_bec(64, 32, 0.5)
     budget = CampaignStop(max_frames=1100, min_frame_errors=10**6)
     errors = CampaignStop(max_frames=10**5, min_frame_errors=60)
-    blocks = []
+    blocks, decoded = [], []  # per worker count, the blocks the errors stop decoded
     real_block = channel._block_errors
 
     def counted_block(*args):
-        blocks.append(args[3:])
+        blocks.append(args[-1])
         return real_block(*args)
 
+    def run():
+        blocks.clear()
+        report = run_campaign(spec, kernel, [0.0, 2.0, 3.0], errors, seed=6)
+        decoded.append(len(blocks))
+        return report, run_campaign(spec, kernel, [1.0], budget, seed=5)
+
     monkeypatch.setattr(channel, "_block_errors", counted_block)
-    reports = _per_worker_count(monkeypatch, lambda: [
-        run_campaign(spec, kernel, [0.0, 1.0, 2.5], stop, seed=5)
-        for stop in (budget, errors)])
-    assert reports[0] == reports[1] == reports[2]
-    frames = [[p.frames for p in report.points] for report in reports[0]]
-    assert frames[0] == [1100] * 3
-    assert any(f // 256 % 3 for f in frames[1]), frames  # stops inside a batch of 3
-    assert len(set(blocks)) < len(blocks)  # some block was decoded twice: past a stop
+    results = _per_worker_count(monkeypatch, run)
+    assert results[0] == results[1] == results[2]
+    report, cut = results[0]
+    assert [p.frames for p in cut.points] == [1100]
+    counted = sum(-(-p.frames // 256) for p in report.points)
+    assert decoded[0] == counted < decoded[2]  # at 3 workers, a block past a stop
+
+
+def test_campaign_batches_hold_the_blocks_the_stop_needs(monkeypatch):
+    # at 3 workers: a point whose first block meets the stop decodes it
+    # alone; one whose first block falls short of the stop by fewer errors
+    # than it showed expects one more block; an error-free block widens the
+    # next batch to every worker; and a budget the errors cannot stop runs 3
+    # blocks at once
+    monkeypatch.setattr(reference, "_WORKERS", 3)
+    batches = _recorded_batches(monkeypatch)
+    spec = construct_frozen_bec(64, 32, 0.5)
+    report = run_campaign(spec, Kernel.LLR_MINSUM, [-2.0, 1.0, 6.0],
+                          CampaignStop(max_frames=1024, min_frame_errors=100), seed=5)
+    assert [(p.frames, p.frame_errors) for p in report.points] == [
+        (256, 229), (512, 145), (1024, 0)]
+    assert batches == [1, 1, 1, 1, 3]
+    batches.clear()
+    run_campaign(spec, Kernel.LLR_MINSUM, [1.0],
+                 CampaignStop(max_frames=1100, min_frame_errors=1101), seed=5)
+    assert batches == [3, 2]
 
 
 def test_threads_change_no_genie_count(monkeypatch):
@@ -505,64 +540,37 @@ def test_threads_change_no_genie_count(monkeypatch):
     assert np.array_equal(counts[0], counts[1]) and np.array_equal(counts[0], counts[2])
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_threads_change_no_decoded_bit(kernel, monkeypatch):
-    # 800 frames are 1, 2 or 3 chunks; the all-zero frame 700 is a tie in
-    # every node, so with min-sum the last chunk takes the rate-1 fallback
-    # and the others the shortcut
-    spec = construct_frozen_bec(64, 32, 0.5)
-    _, llr = random_frames(spec, 800, sigma=0.9, seed=6)
-    llr[700] = 0.0
-    llr[700, ::2] = -0.0
-    results = _per_worker_count(monkeypatch, lambda: [decode_batch(llr, spec, kernel)] + [
-        simulate(cfg, llr, spec, kernel).decoded for cfg in _machines(64)])
-    u_ref, c_ref = recursive_sc(kernel.from_llr(llr), spec.frozen_mask, kernel)
-    for (u_hat, c_hat), *decoded in results:
-        assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref)
-        assert all(np.array_equal(d, u_ref) for d in decoded)
-
-
-def test_chunks_need_two_blocks_and_two_cpus(monkeypatch):
-    # one CPU, or fewer than 2 * 256 frames, is one job and starts no thread
-    jobs = []
-    real_run = reference._run_jobs
-
-    def recorded(job_list):
-        jobs.append(len(job_list))
-        return real_run(job_list)
-
-    monkeypatch.setattr(reference, "_run_jobs", recorded)
-    spec = construct_frozen_bec(32, 16, 0.5)
-    _, llr = random_frames(spec, 1024, sigma=0.9, seed=2)
-    for workers, frames, want in ((1, 1024, 1), (2, 511, 1), (2, 512, 2), (3, 767, 2),
-                                  (3, 768, 3), (2, 1024, 2)):
+def test_genie_chunks_need_two_blocks_and_two_cpus(monkeypatch):
+    # one CPU, or fewer than 2 * 256 trials in a genie block, is one job
+    # and starts no thread; a genie block of 512 is at most two chunks
+    batches = _recorded_batches(monkeypatch)
+    for workers, trials, want in ((1, 512, [1]), (2, 511, [1]), (2, 512, [2]),
+                                  (3, 512, [2]), (2, 1100, [2, 2, 1])):
         monkeypatch.setattr(reference, "_WORKERS", workers)
-        jobs.clear()
-        decode_batch(llr[:frames], spec, Kernel.LLR_MINSUM)
-        assert jobs == [want], (workers, frames)
+        batches.clear()
+        genie_error_counts(32, 0.8, trials, 1)
+        assert batches == want, (workers, trials)
     monkeypatch.setattr(reference, "_WORKERS", 1)
-    jobs.clear()
-    run_campaign(spec, Kernel.LLR_MINSUM, [1.0], CampaignStop(max_frames=600), seed=1)
-    genie_error_counts(32, 0.8, 600, 1)
-    assert set(jobs) == {1}
+    batches.clear()
+    run_campaign(construct_frozen_bec(32, 16, 0.5), Kernel.LLR_MINSUM, [1.0],
+                 CampaignStop(max_frames=600, min_frame_errors=10**6), seed=1)
+    assert batches == [1, 1, 1]
 
 
 def test_a_worker_error_reaches_the_caller(monkeypatch):
-    # the second chunk raises on a worker thread; the first, run by the
-    # caller, has ended by the time the error comes back
+    # the second chunk of a genie block raises on a worker thread; the
+    # first, run by the caller, has ended by the time the error comes back
     real_decode = reference._sc_decode
     decoded = []
 
-    def failing(values, *args):
+    def failing(values, *args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("second chunk")
         decoded.append(len(values))
-        return real_decode(values, *args)
+        return real_decode(values, *args, **kwargs)
 
     monkeypatch.setattr(reference, "_WORKERS", 2)
     monkeypatch.setattr(reference, "_sc_decode", failing)
-    spec = construct_frozen_bec(32, 16, 0.5)
-    _, llr = random_frames(spec, 600, sigma=0.9, seed=2)
     with pytest.raises(RuntimeError, match="second chunk"):
-        decode_batch(llr, spec, Kernel.LLR_EXACT)
-    assert decoded == [300]
+        genie_error_counts(32, 0.8, 600, 1)
+    assert decoded == [256]
