@@ -153,6 +153,6 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     pe_activations = Counter()
     dict.update(pe_activations, zip(names, pe_counts.tolist()))  # no intermediate dict
     period = runs[0][1] if runs else _program(cfg, None)[0]
-    decoded, _, _ = _sc_decode(values, spec, kernel)
+    decoded, _ = _sc_decode(values, spec, kernel)
     return SimResult(decoded=decoded, total_cycles=total_cycles,
                      pe_activations=pe_activations, schedule=period)

@@ -9,9 +9,10 @@ block in bit-reversed order to an m-stage XOR butterfly network.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -74,6 +75,15 @@ def _as_int(name: str, value) -> int:
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_finite(name: str, value) -> float:
+    """``value`` as a ``float``; ValueError naming ``name`` and ``value``
+    unless it is a real number, neither NaN nor +/-inf (a bool does not
+    count as one)."""
+    if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _as_seed(seed) -> int:

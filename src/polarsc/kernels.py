@@ -19,7 +19,8 @@ sums 0, as after a rate-0 sibling in simplified SC: the plain combine and
 the clip, with no partial-sum read, bit-identical to ``g_into`` on zeros.
 The log-domain ``g_into`` is its sign flip followed by that op.  The ops
 allocate nothing and check nothing: the decoder loop
-(``reference._sc_decode``) calls them on its preallocated level arrays
+(``reference._sc_decode``) and the genie evaluator
+(``reference._genie_errors``) call them on preallocated level arrays
 through ``Kernel.f_into``/``g_into``/``g0_into``.  The public
 functions ``f_lr``, ``g_lr``, ``f_llr_exact``, ``f_minsum`` and ``g_llr``
 are thin wrappers that convert their inputs, allocate ``out`` and call the

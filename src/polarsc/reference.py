@@ -3,25 +3,24 @@
 Like the paper's pipelined tree, the decoder keeps ``2n - 1`` soft values:
 level ``l`` holds ``2**l`` of them, level ``m`` the channel values in
 bit-reversed order, so stage ``l`` reads the two halves of level ``l + 1``.
-``_sc_decode`` is the one SC loop, for the reference decoder, for genie
-decoding and for every machine alike.  It runs a per-code decode plan: the
-SC recursion, ``_lower_subtree``, lowered once per code into a flat tuple
-of instructions, as in the instruction-list decoders of Sarkis et al.
-(*Fast Polar Decoders*, 2014), kept to the nodes that give SC's own
-decisions.  ``_lower_subtree`` is the package's one statement of the SC
-step order: every machine's schedule replays the f and g steps of the
-unpruned plan, the rate-1 code's (see ``schedule``), and genie decoding
-runs that plan, keeping the forced bit at each of its decisions.  Each
-kernel step covers a whole level; each stage-0 step is followed by that
-phase's decision and the folds that put it into the partial sums that g
-reads.  As in simplified SC, the plan is pruned by the frozen set: an
-activation whose phases are all frozen (a rate-0 subtree) is left out, the
-g that follows one reads none of its partial sums, which are 0, and with a
-kernel whose ``rate1_is_hard_decision`` holds (min-sum), a subtree whose
-phases all carry information (rate-1) is decided at once by the hard
-decision of its soft values, unless one of them is an exact zero; the
-node's full SC steps follow inline as its tie fallback.  Levels are laid
-out ``(2**l, batch)``: one kernel call serves every frame.
+``_sc_decode`` is the one SC loop, for the reference decoder and for every
+machine alike.  It runs a per-code decode plan: the SC recursion,
+``_lower_subtree``, lowered once per code into a flat tuple of
+instructions, as in the instruction-list decoders of Sarkis et al. (*Fast
+Polar Decoders*, 2014), kept to the nodes that give SC's own decisions.
+``_lower_subtree`` is the package's one statement of the SC step order:
+every machine's schedule replays the f and g steps of the unpruned plan,
+the rate-1 code's (see ``schedule``).  Each kernel step covers a whole
+level; each stage-0 step is followed by that phase's decision and the
+folds that put it into the partial sums that g reads.  As in simplified
+SC, the plan is pruned by the frozen set: an activation whose phases are
+all frozen (a rate-0 subtree) is left out, the g that follows one reads
+none of its partial sums, which are 0, and with a kernel whose
+``rate1_is_hard_decision`` holds (min-sum), a subtree whose phases all
+carry information (rate-1) is decided at once by the hard decision of its
+soft values, unless one of them is an exact zero; the node's full SC steps
+follow inline as its tie fallback.  Levels are laid out ``(2**l, batch)``:
+one kernel call serves every frame.
 
 Like the paper's decoders, the loop updates O(n) memory in place and
 allocates nothing per step.  The kernels' in-place stage ops
@@ -34,6 +33,12 @@ bit-reversed order, and one more pass of every fold turns it back into the
 decided bits.  The public entry points check the shape of their channel
 log-ratios and convert them once, through ``Kernel.from_llr``, into the
 kernel's domain.
+
+Genie-aided decoding, which forces every decision to the true bit, depends
+on no decision, so it needs no SC loop: ``_genie_errors`` evaluates the
+fully unrolled graph one stage at a time, each stage's ``n/2`` f nodes in
+one kernel call and its ``n/2`` g nodes in another, and compares the hard
+decision of every phase's root value with its true bit.
 
 Frames share nothing, so independent frame blocks are decoded at once,
 up to ``_WORKERS`` of them: ``_run_jobs`` runs the first in the caller and
@@ -50,14 +55,14 @@ runs in the caller and no thread is started.
 from __future__ import annotations
 
 import os
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate, islice
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .channel import _RNG_BLOCK, _noisy_frames
-from .codespec import CodeSpec, _as_int, _as_seed, bit_reverse_permutation
+from .codespec import CodeSpec, _as_finite, _as_int, _as_seed, bit_reverse_permutation
 from .kernels import Kernel
 
 _GENIE_BLOCK = 512  # frames per random stream; part of the reproducibility contract
@@ -142,15 +147,13 @@ def _plan(spec: CodeSpec, rate1: bool) -> tuple:
     return plans[rate1]
 
 
-@lru_cache(maxsize=32)
 def _unpruned_plan(m: int) -> tuple:
     """The plan of the rate-1 code of length ``2**m``, which prunes nothing:
-    the plan genie mode runs and every machine's schedule replays."""
+    the step order every machine's schedule replays."""
     return _lower(CodeSpec(m=m, frozen=()), False)
 
 
-def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
-               force_bits: np.ndarray | None = None) -> tuple:
+def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel) -> tuple:
     """Run SC decoding over a (batch, n) array of kernel-domain values.
 
     Runs the code's plan (see ``_lower``).  An f or g at stage ``l``
@@ -171,16 +174,9 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
     ``[i, i + 2**L)`` is decided when its level ``L`` holds no ``+/-0.0``
     in any frame: its hard decision is the node's partial sum, in the
     level's storage order, and its tie fallback is skipped; otherwise the
-    fallback runs.
-
-    When ``force_bits`` is given (genie mode, used for code construction),
-    the loop runs the unpruned plan, and each decision is compared to its
-    forced bit, the mismatch counted, and the forced bit kept in its place.
-    Returns the decided bits, their codewords, and the genie mode's
-    per-position error counts (else None).
+    fallback runs.  Returns the decided bits and their codewords.
     """
-    genie = force_bits is not None
-    plan = _unpruned_plan(spec.m) if genie else _plan(spec, kernel.rate1_is_hard_decision)
+    plan = _plan(spec, kernel.rate1_is_hard_decision)
     n, m, batch = spec.n, spec.m, values.shape[0]
     perm = bit_reverse_permutation(m)
 
@@ -192,9 +188,6 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
     x = np.zeros((n, batch), dtype=np.uint8)
     bits, root, threshold = x.view(bool), soft[0][0], kernel.threshold
     f_into, g_into, g0_into = kernel.f_into, kernel.g_into, kernel.g0_into
-    forced = force_bits.T if genie else None
-    err_counts = np.zeros(n, dtype=np.int64) if genie else None
-    miss = np.empty(batch, dtype=bool)  # genie mode: raw decision != forced bit
 
     it = iter(plan)
     for op, a, b, c in zip(it, it, it, it):
@@ -210,9 +203,6 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
             np.bitwise_xor(left, x[b:c], left)
         elif op == _DECIDE:
             np.less_equal(root, threshold, bits[a])  # Kernel.hard_decision
-            if genie:  # count the error, keep the forced bit
-                err_counts[a] = np.count_nonzero(np.not_equal(x[a], forced[a], out=miss))
-                x[a] = forced[a]
         elif soft[a].all():  # a _RATE1 whose level holds no +/-0.0 in any frame
             np.less_equal(soft[a], threshold, bits[b:b + (1 << a)])
             next(islice(it, 4 * c, 4 * c), None)
@@ -221,7 +211,57 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
     for l in range(m):  # every fold once more: x becomes the decided bits
         blocks = x.reshape(n >> (l + 1), 2, 1 << l, batch)
         blocks[:, 0] ^= blocks[:, 1]
-    return x.T, c_hat, err_counts
+    return x.T, c_hat
+
+
+def _genie_errors(values: np.ndarray, forced: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """Per-position error counts of genie-aided SC over a (batch, n) array
+    of kernel-domain values, whose true input blocks are the (batch, n)
+    uint8 array ``forced``.
+
+    With every decision forced to its true bit, no soft value depends on a
+    decision, so the decode is the fully unrolled graph, evaluated one
+    stage at a time.  Two ``(n, batch)`` level arrays take turns as input
+    and output, level ``m`` the channel values in bit-reversed order.  At
+    stage ``l``, viewed as ``(n >> (l + 1), 2, 2**l, batch)``, each block's
+    two halves feed one f call into the left halves of the output and one
+    g call into its right halves, covering every node of the stage.  A g
+    reads the left half of its block in the partial-sum array ``x``: the
+    true bits with the folds of stages below ``l`` applied (see
+    ``_sc_decode``).  ``x`` is folded up to stage ``m - 1`` once, and each
+    stage down undoes one fold, as a fold is its own inverse, so ``x`` ends
+    as the true bits.  Each f and g element gets the operands it would get
+    in the SC loop with every decision replaced by its true bit, so the
+    counts are bit for bit those of that loop.
+    """
+    batch, n = values.shape
+    m = n.bit_length() - 1
+    level = values.T[bit_reverse_permutation(m)]  # a fresh C-ordered copy
+    other = np.empty_like(level)
+    scratch = np.empty((n // 2, batch))
+    x = np.ascontiguousarray(forced.T)
+    f_into, g_into = kernel.f_into, kernel.g_into
+
+    def halves(a: np.ndarray, l: int) -> np.ndarray:
+        return a.reshape(n >> (l + 1), 2, 1 << l, batch)
+
+    def fold(l: int) -> None:  # x's stage-l fold, or its undoing
+        blocks = halves(x, l)
+        np.bitwise_xor(blocks[:, 0], blocks[:, 1], blocks[:, 0])
+
+    for l in range(m - 1):
+        fold(l)
+    for l in range(m - 1, -1, -1):
+        src, out, xs = halves(level, l), halves(other, l), halves(x, l)
+        tmp = scratch.reshape(n >> (l + 1), 1 << l, batch)
+        f_into(src[:, 0], src[:, 1], out[:, 0], tmp)
+        g_into(src[:, 0], src[:, 1], xs[:, 0], out[:, 1], tmp)
+        level, other = other, level
+        if l:
+            fold(l - 1)
+    missed = np.less_equal(level, kernel.threshold)  # Kernel.hard_decision
+    np.not_equal(missed, x.view(bool), out=missed)
+    return np.count_nonzero(missed, axis=1)
 
 
 def _kernel_frames(llr, spec: CodeSpec, kernel: Kernel, batch: bool = True) -> np.ndarray:
@@ -250,9 +290,10 @@ _MAX_WORKERS = 2
 _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 # The fewest frames of a chunk a genie block is cut into, one campaign block.
-# Measured at n = 1024 on two CPUs: 512 frames as 2 x 256 took the exact
-# kernel from 161 to 98 ms and left min-sum flat; 256 frames as 2 x 128 took
-# the exact kernel from 88 to 68 ms but min-sum from 8.0 to 14.1 ms.
+# Measured with _genie_errors at n = 1024 on two CPUs: 512 frames as 2 x 256
+# took 248-261 ms down to 123-139 ms, and 256 frames as 2 x 128 took 95-126
+# ms down to 57-67 ms.  A lower floor would pay too, but only on a last block
+# of 256 to 511 trials.
 _MIN_CHUNK = _RNG_BLOCK
 _pools: dict = {}  # pid -> the worker threads' executor, made on first use
 
@@ -280,23 +321,6 @@ def _run_jobs(jobs: list) -> list:
     return results + [future.result() for future in futures]
 
 
-def _decode_chunks(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
-                   force_bits: np.ndarray | None = None) -> list:
-    """``_sc_decode`` over a batch cut into chunks, decoded by ``_run_jobs``;
-    returns each chunk's result in order.
-
-    A batch of at least ``2 * _MIN_CHUNK`` frames is cut into up to
-    ``_WORKERS`` chunks of at least ``_MIN_CHUNK`` frames; a smaller one is
-    one chunk.  Frames are independent, so the cut changes no bit.
-    """
-    batch = len(values)
-    count = max(1, min(_WORKERS, batch // _MIN_CHUNK))
-    cuts = [batch * i // count for i in range(count + 1)]
-    return _run_jobs([partial(_sc_decode, values[lo:hi], spec, kernel,
-                              None if force_bits is None else force_bits[lo:hi])
-                      for lo, hi in zip(cuts, cuts[1:])])
-
-
 def decode_batch(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """Decode a (batch, n) array of channel log-likelihood ratios.
 
@@ -311,14 +335,13 @@ def decode_batch(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.nd
         ``(batch, n)`` uint8 arrays.
     """
     values = _kernel_frames(llr, spec, kernel)
-    u_hat, c_hat, _ = _sc_decode(values, spec, kernel)
-    return u_hat, c_hat
+    return _sc_decode(values, spec, kernel)
 
 
 def decode(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """Decode one ``(n,)`` frame of channel log-likelihood ratios."""
     values = _kernel_frames(llr, spec, kernel, batch=False)
-    u_hat, c_hat, _ = _sc_decode(values, spec, kernel)
+    u_hat, c_hat = _sc_decode(values, spec, kernel)
     return u_hat[0], c_hat[0]
 
 
@@ -327,22 +350,29 @@ def genie_error_counts(n: int, noise_sigma: float, trials: int, seed: int) -> np
 
     Random full-rate blocks are encoded, sent as antipodal symbols through
     Gaussian noise, and decoded with every decision corrected to the true
-    bit after its error is recorded.  Each block of ``_GENIE_BLOCK`` trials
-    is decoded as chunks (see ``_decode_chunks``), whose counts are summed.
+    bit after its error is recorded (see ``_genie_errors``).  A block of
+    ``_GENIE_BLOCK`` trials with at least ``2 * _MIN_CHUNK`` frames is cut
+    into up to ``_WORKERS`` chunks of at least ``_MIN_CHUNK`` frames,
+    decoded by ``_run_jobs``, whose counts are summed; frames are
+    independent, so the cut changes no count.
     """
     n, trials, seed = _as_int("n", n), _as_int("trials", trials), _as_seed(seed)
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of 2 >= 2, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    noise_sigma = _as_finite("noise_sigma", noise_sigma)
     if noise_sigma <= 0:
         raise ValueError(f"noise_sigma must be > 0, got {noise_sigma}")
     spec = CodeSpec(m=n.bit_length() - 1, frozen=())
     counts = np.zeros(n, dtype=np.int64)
     for done in range(0, trials, _GENIE_BLOCK):
-        u, llr = _noisy_frames(spec, noise_sigma, min(_GENIE_BLOCK, trials - done),
-                               seed, done)
-        for *_, errs in _decode_chunks(Kernel.LLR_EXACT.from_llr(llr), spec,
-                                       Kernel.LLR_EXACT, force_bits=u):
+        batch = min(_GENIE_BLOCK, trials - done)
+        u, llr = _noisy_frames(spec, noise_sigma, batch, seed, done)
+        values = Kernel.LLR_EXACT.from_llr(llr)
+        chunks = max(1, min(_WORKERS, batch // _MIN_CHUNK))
+        cuts = [batch * i // chunks for i in range(chunks + 1)]
+        for errs in _run_jobs([partial(_genie_errors, values[lo:hi], u[lo:hi], Kernel.LLR_EXACT)
+                               for lo, hi in zip(cuts, cuts[1:])]):
             counts += errs
     return counts

@@ -228,9 +228,8 @@ def _lane_steps(fft: bool, n: int, width: int) -> tuple:
     so a machine runs the SC control sequence the reference decoder runs;
     a ``_G0``, the g after a rate-0 sibling, which only a pruned plan
     holds, is a g step too.
-    The plan is lowered past that function's cache and dropped once these
-    steps, which are cached, are built, so schedules keep no plan of about
-    ``16n`` ints alive.
+    The plan is dropped once these steps, which are cached, are built, so
+    schedules keep no plan of about ``16n`` ints alive.
     The semi-parallel machine splits a step wider than its PE budget into
     ``width``-wide steps (``width`` is ``n`` elsewhere).  The steps name
     tree positions, except in the unrolled graph (``fft``), whose steps
@@ -246,7 +245,7 @@ def _lane_steps(fft: bool, n: int, width: int) -> tuple:
              for l in range(m)]
     rows = tuple(range(n))  # the row slices below share these int objects
     steps = []
-    it = iter(_unpruned_plan.__wrapped__(m))
+    it = iter(_unpruned_plan(m))
     for op, l, phase, _ in zip(it, it, it, it):
         if op not in (_F, _G, _G0):
             continue

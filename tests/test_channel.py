@@ -40,6 +40,23 @@ def test_sigma_ebn0_conversion():
         sigma_from_ebn0_db(1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "1.0", None])
+def test_channel_rejects_a_non_finite_noise_level(bad, monkeypatch):
+    # awgn_llr used to return NaN log-ratios for a NaN sigma, and an infinite
+    # Eb/N0 reached the campaign as "sigma must be > 0, got 0.0"
+    with pytest.raises(ValueError, match=f"^sigma must be a finite number, got {bad!r}$"):
+        awgn_llr([1.0], bad)
+    with pytest.raises(ValueError, match=f"^ebn0_db must be a finite number, got {bad!r}$"):
+        sigma_from_ebn0_db(bad, 0.5)
+
+    def no_jobs(jobs):
+        raise AssertionError("decoded a block")
+
+    monkeypatch.setattr(reference, "_run_jobs", no_jobs)
+    with pytest.raises(ValueError, match=f"^ebn0_db must be a finite number, got {bad!r}$"):
+        run_campaign(construct_frozen_bec(16, 8, 0.5), Kernel.LLR_MINSUM, [1.0, bad])
+
+
 def test_wilson_halfwidth_golden():
     # 10 errors in 100 trials, computed independently at high precision
     assert wilson_halfwidth(10, 100) == pytest.approx(0.05956826222211918, abs=1e-12)

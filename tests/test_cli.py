@@ -44,6 +44,15 @@ def test_construct_mc_method(tmp_path, capsys):
     assert spec.n == 8 and spec.k == 4
 
 
+def test_construct_mc_nan_sigma_exits_2(tmp_path, capsys):
+    out = tmp_path / "spec.json"
+    code, _, err = run_cli(capsys, "construct", "--n", "8", "--k", "4", "--method", "mc",
+                           "--sigma", "nan", "-o", str(out))
+    assert code == 2
+    assert not out.exists()
+    assert "noise_sigma must be a finite number, got nan" in err
+
+
 def test_encode_decode_round_trip_bytes(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec = construct_frozen_bec(8, 4, 0.5)

@@ -223,6 +223,16 @@ def test_mc_construction_rejects_length_other_than_power_of_two(n):
             construct(8, -1.0, 10, 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "0.9", None, True])
+def test_mc_construction_rejects_a_non_finite_sigma(bad):
+    # NaN used to fail inside from_llr on "channel log-ratios must be
+    # finite", and "0.9" with a bare TypeError
+    for construct in (genie_error_counts, lambda *a: construct_frozen_mc(a[0], 4, *a[1:])):
+        with pytest.raises(ValueError,
+                           match=f"^noise_sigma must be a finite number, got {bad!r}$"):
+            construct(8, bad, 10, 0)
+
+
 def test_construction_accepts_numpy_integers():
     # these used to fail with "'numpy.int64' object has no attribute 'bit_length'"
     i64 = np.int64

@@ -12,7 +12,6 @@ from polarsc import (ArchitectureConfig, ArchKind, CampaignStop, CodeSpec, Kerne
                      genie_error_counts, run_campaign, simulate)
 from polarsc import channel, kernels, reference
 from polarsc.kernels import g_llr
-from polarsc.reference import _sc_decode
 
 from conftest import (oracle_phase_decision, random_frames, recursive_sc,
                       single_vector_ops)
@@ -233,16 +232,20 @@ def test_recursive_oracle_matches_exhaustive_oracle(n, kernel, rng):
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("m", range(1, 9))
 def test_genie_mode_returns_the_forced_codeword(m, kernel, rng):
-    # genie mode propagates the forced bits, so the partial-sum buffer must
-    # fold them into their codeword whatever the raw decisions were
+    # the recursive oracle's genie mode propagates the forced bits into
+    # their codeword whatever its raw decisions were, and the stage-wide
+    # evaluator counts at each phase the frames whose decision misses
     n = 1 << m
     spec = CodeSpec(m=m, frozen=())
-    u = rng.integers(0, 2, size=(40, n), dtype=np.uint8)
-    llr = rng.normal(0.0, 4.0, size=(40, n))  # independent of u: many wrong decisions
-    u_hat, c_hat, errs = _sc_decode(kernel.from_llr(llr), spec, kernel, force_bits=u)
-    assert np.array_equal(u_hat, u)
-    assert np.array_equal(c_hat, encode(u, spec))
-    assert errs.shape == (n,) and 0 < errs.sum() <= u.size
+    for batch in (1, 3, 40):
+        u = rng.integers(0, 2, size=(batch, n), dtype=np.uint8)
+        llr = rng.normal(0.0, 4.0, size=(batch, n))  # independent of u: many wrong decisions
+        values = kernel.from_llr(llr)
+        decided, c_hat = recursive_sc(values, spec.frozen_mask, kernel, forced=u)
+        assert np.array_equal(c_hat, encode(u, spec))
+        errs = reference._genie_errors(values, u, kernel)
+        assert errs.tolist() == np.count_nonzero(decided != u, axis=0).tolist()
+    assert 0 < errs.sum() < u.size
 
 
 def test_genie_counts_golden_n64():
@@ -254,8 +257,17 @@ def test_genie_counts_golden_n64():
         102, 16, 13, 0, 10, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]
 
 
-def test_genie_plan_is_lowered_once_per_length(monkeypatch):
-    # genie mode prunes nothing, so calls with fresh full-rate codes share a plan
+def test_genie_counts_digest_n1024():
+    # the digest perfbench's genie_construct checks: every stage of n = 1024
+    # and a 512-trial block cut into two chunks
+    counts = genie_error_counts(1024, 0.794, 512, 0)
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()[:16] == \
+        "3365aaf47f62c42a"
+
+
+def test_genie_lowers_no_plan(monkeypatch):
+    # forced decisions depend on no decision, so genie decoding runs the
+    # unrolled graph stage by stage and lowers no decode plan
     lowered = []
 
     def spy(spec, rate1):
@@ -264,10 +276,9 @@ def test_genie_plan_is_lowered_once_per_length(monkeypatch):
 
     lower = reference._lower
     monkeypatch.setattr(reference, "_lower", spy)
-    reference._unpruned_plan.cache_clear()
     for seed in (1, 2):
         genie_error_counts(64, 0.9, trials=20, seed=seed)
-    assert lowered == [(6, False)]
+    assert lowered == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -383,8 +394,8 @@ def test_plan_replays_the_live_control_sequence(m):
         nodes = _maximal_rate1_nodes(spec.frozen_mask, 0, m)
         assert _plan_replay(reference._lower(spec, True), False) == \
             _live_sequence(spec, nodes)
-    # the unpruned plan, which genie mode runs: every step, and a decision
-    # at every phase
+    # the unpruned plan, whose steps the machines' schedules replay: every
+    # step, and a decision at every phase
     assert _plan_replay(reference._unpruned_plan(m), False) == \
         _live_sequence(CodeSpec(m=m, frozen=()))
 
@@ -392,8 +403,8 @@ def test_plan_replays_the_live_control_sequence(m):
 @pytest.mark.parametrize("m", range(1, 11))
 def test_g0_follows_exactly_the_rate0_siblings(m):
     # a g whose left sibling is all frozen reads no partial sums (_G0); every
-    # other g reads them, and the unpruned plan, which genie mode runs and
-    # the machines' schedules replay, holds no _G0
+    # other g reads them, and the unpruned plan, which the machines'
+    # schedules replay, holds no _G0
     n = 1 << m
     rng = np.random.default_rng(5000 + m)
     random = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
@@ -429,7 +440,6 @@ def test_decoders_create_no_reference_cycles(monkeypatch):
     # block of 512 trials and the two-block campaign run on a worker thread
     n = 64
     monkeypatch.setattr(reference, "_WORKERS", 2)
-    reference._unpruned_plan.cache_clear()
     _, llr = random_frames(construct_frozen_bec(n, n // 2, 0.5), 8, sigma=0.9, seed=3)
     gc.collect()
     gc.disable()
@@ -560,17 +570,17 @@ def test_genie_chunks_need_two_blocks_and_two_cpus(monkeypatch):
 def test_a_worker_error_reaches_the_caller(monkeypatch):
     # the second chunk of a genie block raises on a worker thread; the
     # first, run by the caller, has ended by the time the error comes back
-    real_decode = reference._sc_decode
+    real_errors = reference._genie_errors
     decoded = []
 
-    def failing(values, *args, **kwargs):
+    def failing(values, *args):
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("second chunk")
         decoded.append(len(values))
-        return real_decode(values, *args, **kwargs)
+        return real_errors(values, *args)
 
     monkeypatch.setattr(reference, "_WORKERS", 2)
-    monkeypatch.setattr(reference, "_sc_decode", failing)
+    monkeypatch.setattr(reference, "_genie_errors", failing)
     with pytest.raises(RuntimeError, match="second chunk"):
         genie_error_counts(32, 0.8, 600, 1)
     assert decoded == [256]
