@@ -142,7 +142,7 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     values = _kernel_frames(frames, spec, kernel)
 
     p = cfg.overlap_p or 1
-    groups, tail = divmod(len(values), p)
+    groups, tail = divmod(values.shape[1], p)
     runs = [(count, *_program(cfg, slots))
             for count, slots in ((groups, p), (1, tail)) if count * slots]
     total_cycles = sum(count * sched.total_cycles for count, sched, _, _ in runs)
@@ -154,5 +154,5 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     dict.update(pe_activations, zip(names, pe_counts.tolist()))  # no intermediate dict
     period = runs[0][1] if runs else _program(cfg, None)[0]
     decoded, _ = _sc_decode(values, spec, kernel)
-    return SimResult(decoded=decoded, total_cycles=total_cycles,
+    return SimResult(decoded=decoded.T, total_cycles=total_cycles,
                      pe_activations=pe_activations, schedule=period)

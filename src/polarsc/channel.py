@@ -8,6 +8,14 @@ blocks are therefore decoded several at once, on the CPUs of the process's
 affinity mask (up to ``reference._WORKERS``), and counted in block order:
 the report is the same on any number of CPUs, and a block decoded past a
 point's stop is never counted.
+
+Campaign and genie frames are born in the decoder's layout: ``_noisy_frames``
+returns ``(n, count)`` arrays, one row per position and one column per
+frame, the messages in natural order and the channel log-ratios in level
+``m``'s bit-reversed order (see ``reference``).  Folding the message rows
+(``codespec._fold``) gives the codeword already in that order, so only the
+noise is gathered, once, and no frame is transposed on its way to the
+decoder.
 """
 
 from __future__ import annotations
@@ -15,12 +23,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .codespec import CodeSpec, _as_finite, _as_int, _as_seed, encode
+from .codespec import CodeSpec, _as_finite, _as_int, _as_seed, _fold, bit_reverse_permutation
 from .kernels import Kernel
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -42,11 +51,24 @@ def awgn_llr(y, sigma: float) -> np.ndarray:
 
 
 def sigma_from_ebn0_db(ebn0_db: float, rate: float) -> float:
-    """Noise standard deviation for a given Eb/N0 (dB) at code rate k/n."""
+    """Noise standard deviation for a given Eb/N0 (dB) at code rate k/n.
+
+    Raises ValueError naming ``ebn0_db`` when the sigma it gives is not a
+    positive finite number, as at +/-4000 dB.
+    """
     if not 0 < rate <= 1:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    ebn0 = 10.0 ** (_as_finite("ebn0_db", ebn0_db) / 10.0)
-    return float(1.0 / np.sqrt(2.0 * rate * ebn0))
+    ebn0_db = _as_finite("ebn0_db", ebn0_db)
+    try:
+        ebn0 = 10.0 ** (ebn0_db / 10.0)
+    except OverflowError:  # sigma would round to 0
+        ebn0 = math.inf
+    with np.errstate(divide="ignore"):  # ebn0 rounded to 0: sigma would be inf
+        sigma = float(1.0 / np.sqrt(2.0 * rate * ebn0))
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"ebn0_db = {ebn0_db} gives noise sigma {sigma}, "
+                         f"not a positive finite number")
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -143,37 +165,62 @@ class BerReport:
         return json.dumps(doc, indent=2)
 
 
-def _noisy_frames(spec: CodeSpec, sigma: float, count: int, *entropy) -> tuple:
-    """Draw ``count`` random messages and their channel log-ratios.
-
-    One Philox stream keyed on ``entropy`` supplies the information bits,
-    then the noise.  Returns the ``(count, n)`` input blocks and log-ratios.
-    """
+def _draw(spec: CodeSpec, count: int, *entropy) -> tuple:
+    """Draw ``count`` frames' randomness from one Philox stream keyed on
+    ``entropy``: the ``(count, k)`` information bits, then the ``(count,
+    n)`` standard normal noise.  This order and these shapes are the
+    reproducibility contract of campaigns and genie counts."""
     seq = np.random.SeedSequence(entropy=tuple(int(e) for e in entropy))
     rng = np.random.Generator(np.random.Philox(seq))
-    u = np.zeros((count, spec.n), dtype=np.uint8)
-    u[:, spec.info_indices] = rng.integers(0, 2, size=(count, spec.k), dtype=np.uint8)
-    y = bpsk_modulate(encode(u, spec)) + sigma * rng.standard_normal((count, spec.n))
-    return u, awgn_llr(y, sigma)
+    bits = rng.integers(0, 2, size=(count, spec.k), dtype=np.uint8)
+    return bits, rng.standard_normal((count, spec.n))
+
+
+def _level_frames(spec: CodeSpec, sigma: float, bits: np.ndarray, z: np.ndarray) -> tuple:
+    """Build frames from drawn information bits and noise (see ``_draw``).
+
+    Returns the ``(n, count)`` message rows, in natural order, and the
+    ``(n, count)`` channel log-ratios in level ``m``'s order: row ``i`` is
+    codeword position ``bit_reverse(i)``.  Folding the message rows gives
+    the codeword in that order, so only the noise is gathered.  Each value
+    is bit for bit ``awgn_llr(bpsk_modulate(c) + sigma * z, sigma)``: the
+    same float operations on the same operands.
+    """
+    # The noise is gathered before the symbols are made: in that order a
+    # campaign worker thread's glibc arena kept 2.4 MB of freed arrays after
+    # the campaigns, and in the other 6.4 MB (ROADMAP item 15).
+    llr = z.T[bit_reverse_permutation(spec.m)]  # the noise, in level m's order
+    np.multiply(llr, sigma, out=llr)
+    u = np.zeros((spec.n, len(bits)), dtype=np.uint8)
+    u[spec.info_indices] = bits.T
+    symbols = _fold(u.copy()).view(np.int8)  # the codeword, in level m's order
+    np.multiply(symbols, -2, out=symbols)  # bpsk_modulate, 1 - 2c, exact in int8
+    np.add(symbols, 1, out=symbols)
+    np.add(llr, symbols, out=llr)  # converts the symbols in small buffers, not all at once
+    np.multiply(llr, 2.0, out=llr)  # awgn_llr: 2y / sigma**2
+    np.divide(llr, sigma * sigma, out=llr)
+    return u, llr
+
+
+def _noisy_frames(spec: CodeSpec, sigma: float, count: int, *entropy) -> tuple:
+    """Draw ``count`` random messages and their channel log-ratios from the
+    stream keyed on ``entropy`` (``_draw``), as ``(n, count)`` message rows
+    and level-``m`` log-ratios (``_level_frames``)."""
+    return _level_frames(spec, sigma, *_draw(spec, count, *entropy))
 
 
 def _block_errors(spec: CodeSpec, kernel: Kernel, sigma: float, count: int,
                   *entropy) -> tuple:
     """Draw one campaign block of ``count`` frames from ``entropy`` (see
     ``_noisy_frames``), decode it, and return ``(count, bit errors, frame
-    errors)`` over its information bits."""
+    errors)`` over its information rows."""
     from .reference import _sc_decode
 
     u, llr = _noisy_frames(spec, sigma, count, *entropy)
-    values = [kernel.from_llr(llr)]
-    del llr
-    # _sc_decode gets the only reference to the converted frames and frees
-    # them once it has copied them into its tree; with two blocks in flight
-    # at n = 1024, dropping both arrays early saved 3 MB of peak memory
-    u_hat, _ = _sc_decode(values.pop(), spec, kernel)
+    u_hat, _ = _sc_decode(kernel._from_llr_in_place(llr), spec, kernel)
     info = spec.info_indices
-    wrong = u_hat[:, info] != u[:, info]
-    return count, int(wrong.sum()), int(wrong.any(axis=1).sum())
+    wrong = u_hat[info] != u[info]
+    return count, int(wrong.sum()), int(wrong.any(axis=0).sum())
 
 
 def run_campaign(spec: CodeSpec, kernel: Kernel, points_db, stop: CampaignStop | None = None,

@@ -25,7 +25,8 @@ from . import __version__
 from .archsim import SimulationError, simulate
 from .channel import (CampaignStop, _noisy_frames, awgn_llr, bpsk_modulate,
                       run_campaign, sigma_from_ebn0_db)
-from .codespec import CodeSpec, _as_seed, construct_frozen_bec, construct_frozen_mc, encode
+from .codespec import (CodeSpec, _as_seed, bit_reverse_permutation, construct_frozen_bec,
+                       construct_frozen_mc, encode)
 from .complexity import CostParams, table_report
 from .kernels import LLR_CLIP, Kernel
 from .reference import decode_batch
@@ -237,6 +238,7 @@ def _cmd_simulate(args) -> int:
         if count < 1:
             raise ValueError(f"random_frames must be >= 1, got {count}")
         message, llr = _noisy_frames(spec, sigma, count, _as_seed(cfg.get("seed", 0)))
+        message, llr = message.T, llr[bit_reverse_permutation(spec.m)].T  # to (count, n)
         if ebn0 is None:  # noiseless frames, unit-sigma log ratios
             llr = awgn_llr(bpsk_modulate(encode(message, spec)), 1.0)
 

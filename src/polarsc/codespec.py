@@ -4,6 +4,15 @@ A code is fixed by its length ``n = 2**m`` and the set of frozen input
 positions.  Frozen inputs are pinned to 0 at both ends of the link and the
 remaining ``k`` positions carry information.  Encoding presents the input
 block in bit-reversed order to an m-stage XOR butterfly network.
+
+The butterfly is written once, as ``_fold``: in-place XOR folds over the
+``(n, batch)`` block layout, one row per position and one column per frame,
+the layout of the decoder's partial sums.  ``butterfly_transform`` and
+``encode`` keep their ``(batch, n)`` contract around it.  Folding a block of
+messages in natural order gives their codewords in bit-reversed order: row
+``i`` is codeword position ``bit_reverse(i)``, the order of the decoder's
+channel level, so the campaign and genie frames are built in that order
+with no gather of the codeword (``channel._level_frames``).
 """
 
 from __future__ import annotations
@@ -44,6 +53,24 @@ def bit_reverse_permutation(m: int) -> np.ndarray:
     return perm
 
 
+def _fold(x: np.ndarray, stages=None) -> np.ndarray:
+    """Apply XOR butterfly stages in place to ``x``, a C-contiguous
+    ``(n, ...)`` array in block layout, and return it.
+
+    The stage-``l`` fold XORs the second half of every block of
+    ``2**(l+1)`` rows into its first half.  ``stages`` is an iterable of
+    stage indices, every stage ``0..m-1`` by default.  The stages commute
+    and each is its own inverse, so folding every stage is the polar
+    transform and undoes itself.
+    """
+    n = len(x)
+    for l in range(n.bit_length() - 1) if stages is None else stages:
+        # a view of x, as x is C-contiguous, so the XOR updates x
+        blocks = x.reshape(n >> (l + 1), 2, 1 << l, *x.shape[1:])
+        np.bitwise_xor(blocks[:, 0], blocks[:, 1], blocks[:, 0])  # not ^=, which copies back
+    return x
+
+
 def butterfly_transform(bits) -> np.ndarray:
     """Apply the m-stage XOR butterfly network along the last axis.
 
@@ -54,14 +81,9 @@ def butterfly_transform(bits) -> np.ndarray:
     n = x.shape[-1]
     if n < 2 or n & (n - 1):
         raise ValueError(f"block length must be a power of 2 >= 2, got {n}")
-    x = np.ascontiguousarray(x.astype(np.uint8) & 1)
-    stride = n // 2
-    while stride:
-        # (..., blocks, top/bottom half, stride): a view of x, so x is updated
-        v = x.reshape(*x.shape[:-1], n // (2 * stride), 2, stride)
-        v[..., 0, :] ^= v[..., 1, :]
-        stride //= 2
-    return x
+    rows = np.array(x.reshape(-1, n).T, dtype=np.uint8, order="C")  # a copy: bits is kept
+    np.bitwise_and(rows, 1, out=rows)
+    return np.ascontiguousarray(_fold(rows).T).reshape(x.shape)
 
 
 def _is_int(value) -> bool:

@@ -51,10 +51,6 @@ _LR_LO, _LR_HI = _const(LR_MIN), _const(LR_MAX)
 _SIGN_SHIFT = _const(63, np.uint64)  # to the sign bit of a float64 viewed as uint64
 
 
-def clip_llr(x):
-    return np.clip(x, -LLR_CLIP, LLR_CLIP)
-
-
 def _f_lr_into(a, b, out, scratch):
     np.multiply(a, b, out=out)
     np.add(_ONE, out, out=out)
@@ -224,15 +220,22 @@ class Kernel(Enum):
         """Convert channel log-ratios into this kernel's domain.
 
         Every decoder entry point takes channel log-ratios and converts
-        them here, so this is where bad input fails: NaN or inf raises
+        them here, or in place through ``_from_llr_in_place`` when it owns
+        them, so this is where bad input fails: NaN or inf raises
         ValueError before the clip to ``+/-LLR_CLIP`` could hide it.
         """
-        llr = np.asarray(llr, dtype=np.float64)
+        # [()]: a 0-d input comes back as a numpy scalar
+        return self._from_llr_in_place(np.array(llr, dtype=np.float64))[()]
+
+    def _from_llr_in_place(self, llr: np.ndarray) -> np.ndarray:
+        """``from_llr`` on a float64 array the caller owns, converted in
+        place and returned: the frame source and the decoder's entry points
+        convert their own copies without allocating another."""
         if not np.isfinite(llr).all():
             raise ValueError("channel log-ratios must be finite (no NaN or inf)")
-        llr = clip_llr(llr)
+        np.clip(llr, -LLR_CLIP, LLR_CLIP, out=llr)
         if self is Kernel.LR_EXACT:
-            return np.exp(llr)
+            np.exp(llr, out=llr)
         return llr
 
     def hard_decision(self, value) -> np.ndarray:

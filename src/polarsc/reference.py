@@ -29,10 +29,16 @@ share one ``(n/2, batch)`` scratch array.  All partial sums live in one
 ``(n, batch)`` uint8 array in block layout: each decision goes into its
 phase's row, and each fold is an in-place XOR of a block's right half into
 its left half.  After the last phase that array is the codeword in
-bit-reversed order, and one more pass of every fold turns it back into the
-decided bits.  The public entry points check the shape of their channel
-log-ratios and convert them once, through ``Kernel.from_llr``, into the
-kernel's domain.
+bit-reversed order, and one more pass of every fold (``codespec._fold``,
+the package's one butterfly) turns it back into the decided bits.
+
+``_sc_decode`` and ``_genie_errors`` take level ``m`` as it is stored, an
+``(n, batch)`` array in bit-reversed order, and return ``(n, batch)``
+results; neither transposes nor gathers.  Campaign and genie frames are
+born in that layout (``channel._level_frames``).  The public entry points
+check the shape of their ``(batch, n)`` channel log-ratios and convert
+them once, in ``_kernel_frames``: through ``Kernel.from_llr`` into the
+kernel's domain, then gathered into level ``m``.
 
 Genie-aided decoding, which forces every decision to the true bit, depends
 on no decision, so it needs no SC loop: ``_genie_errors`` evaluates the
@@ -46,7 +52,8 @@ the others on worker threads, while numpy's array loops release the
 interpreter lock.  ``channel.run_campaign`` hands it whole campaign blocks,
 drawn and counted in their jobs, and ``genie_error_counts`` cuts each
 block of ``_GENIE_BLOCK`` trials into chunks of at least ``_MIN_CHUNK``
-(256) frames, whose counts are summed.  The cut changes no count, as
+(256) frames, which build their frames from the block's draws and whose
+counts are summed.  The cut changes no count, as
 frames are independent.  ``decode_batch``, ``decode`` and the machines
 decode their frames in one piece, in the caller.  With one CPU, every job
 runs in the caller and no thread is started.
@@ -61,8 +68,8 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .channel import _RNG_BLOCK, _noisy_frames
-from .codespec import CodeSpec, _as_finite, _as_int, _as_seed, bit_reverse_permutation
+from .channel import _RNG_BLOCK, _draw, _level_frames
+from .codespec import CodeSpec, _as_finite, _as_int, _as_seed, _fold, bit_reverse_permutation
 from .kernels import Kernel
 
 _GENIE_BLOCK = 512  # frames per random stream; part of the reproducibility contract
@@ -154,7 +161,9 @@ def _unpruned_plan(m: int) -> tuple:
 
 
 def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel) -> tuple:
-    """Run SC decoding over a (batch, n) array of kernel-domain values.
+    """Run SC decoding over level ``m``, an ``(n, batch)`` array of
+    kernel-domain values in bit-reversed order (see ``_kernel_frames``),
+    which the decoder reads and does not change.
 
     Runs the code's plan (see ``_lower``).  An f or g at stage ``l``
     computes level ``l`` from the two halves of level ``l + 1``, a g also
@@ -168,20 +177,20 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel) -> tuple:
     reads no partial sums.  At the end ``x`` is the butterfly transform of
     the decided bits in block layout: gathered in bit-reversed order it is
     the codeword, and since the transform is its own inverse, ``m`` more
-    passes of every fold turn it back into the decided bits.
+    passes of every fold (``codespec._fold``) turn it back into the decided
+    bits.
 
     Where ``kernel.rate1_is_hard_decision``, a maximal rate-1 node
     ``[i, i + 2**L)`` is decided when its level ``L`` holds no ``+/-0.0``
     in any frame: its hard decision is the node's partial sum, in the
     level's storage order, and its tie fallback is skipped; otherwise the
-    fallback runs.  Returns the decided bits and their codewords.
+    fallback runs.  Returns the decided bits and their codewords, as
+    ``(n, batch)`` uint8 arrays in natural order.
     """
     plan = _plan(spec, kernel.rate1_is_hard_decision)
-    n, m, batch = spec.n, spec.m, values.shape[0]
-    perm = bit_reverse_permutation(m)
+    n, m, batch = spec.n, spec.m, values.shape[1]
 
-    soft = [np.empty((1 << l, batch)) for l in range(m)] + [values.T[perm]]
-    del values  # free the caller's frames, if it kept no reference
+    soft = [np.empty((1 << l, batch)) for l in range(m)] + [values]
     scratch = np.empty((n // 2, batch))  # the stage ops' temporaries
     stages = [(soft[l + 1][:1 << l], soft[l + 1][1 << l:], soft[l], scratch[:1 << l])
               for l in range(m)]  # a stage op's inputs, output and scratch
@@ -207,50 +216,41 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel) -> tuple:
             np.less_equal(soft[a], threshold, bits[b:b + (1 << a)])
             next(islice(it, 4 * c, 4 * c), None)
 
-    c_hat = x[perm].T
-    for l in range(m):  # every fold once more: x becomes the decided bits
-        blocks = x.reshape(n >> (l + 1), 2, 1 << l, batch)
-        blocks[:, 0] ^= blocks[:, 1]
-    return x.T, c_hat
+    c_hat = x[bit_reverse_permutation(m)]
+    return _fold(x), c_hat
 
 
-def _genie_errors(values: np.ndarray, forced: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Per-position error counts of genie-aided SC over a (batch, n) array
-    of kernel-domain values, whose true input blocks are the (batch, n)
-    uint8 array ``forced``.
+def _genie_errors(level: np.ndarray, forced: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """Per-position error counts of genie-aided SC over level ``m``, an
+    ``(n, batch)`` C-contiguous array of kernel-domain values in
+    bit-reversed order, whose true input blocks are the ``(n, batch)``
+    uint8 message rows ``forced``.  Both arrays are used in place: the
+    values are overwritten, and ``forced`` is folded and ends as it began.
 
     With every decision forced to its true bit, no soft value depends on a
     decision, so the decode is the fully unrolled graph, evaluated one
-    stage at a time.  Two ``(n, batch)`` level arrays take turns as input
-    and output, level ``m`` the channel values in bit-reversed order.  At
-    stage ``l``, viewed as ``(n >> (l + 1), 2, 2**l, batch)``, each block's
-    two halves feed one f call into the left halves of the output and one
-    g call into its right halves, covering every node of the stage.  A g
-    reads the left half of its block in the partial-sum array ``x``: the
-    true bits with the folds of stages below ``l`` applied (see
-    ``_sc_decode``).  ``x`` is folded up to stage ``m - 1`` once, and each
-    stage down undoes one fold, as a fold is its own inverse, so ``x`` ends
-    as the true bits.  Each f and g element gets the operands it would get
-    in the SC loop with every decision replaced by its true bit, so the
-    counts are bit for bit those of that loop.
+    stage at a time.  ``level`` and one more ``(n, batch)`` array take
+    turns as input and output.  At stage ``l``, viewed as ``(n >> (l +
+    1), 2, 2**l, batch)``, each block's two halves feed one f call into the
+    left halves of the output and one g call into its right halves,
+    covering every node of the stage.  A g reads the left half of its block
+    in the partial-sum array ``x``: the true bits with the folds of stages
+    below ``l`` applied (see ``_sc_decode``).  ``x`` is folded up to stage
+    ``m - 1`` once, and each stage down undoes one fold, as a fold is its
+    own inverse, so ``x`` ends as the true bits.  Each f and g element gets
+    the operands it would get in the SC loop with every decision replaced
+    by its true bit, so the counts are bit for bit those of that loop.
     """
-    batch, n = values.shape
+    n, batch = level.shape
     m = n.bit_length() - 1
-    level = values.T[bit_reverse_permutation(m)]  # a fresh C-ordered copy
     other = np.empty_like(level)
     scratch = np.empty((n // 2, batch))
-    x = np.ascontiguousarray(forced.T)
+    x = _fold(forced, range(m - 1))
     f_into, g_into = kernel.f_into, kernel.g_into
 
     def halves(a: np.ndarray, l: int) -> np.ndarray:
         return a.reshape(n >> (l + 1), 2, 1 << l, batch)
 
-    def fold(l: int) -> None:  # x's stage-l fold, or its undoing
-        blocks = halves(x, l)
-        np.bitwise_xor(blocks[:, 0], blocks[:, 1], blocks[:, 0])
-
-    for l in range(m - 1):
-        fold(l)
     for l in range(m - 1, -1, -1):
         src, out, xs = halves(level, l), halves(other, l), halves(x, l)
         tmp = scratch.reshape(n >> (l + 1), 1 << l, batch)
@@ -258,15 +258,23 @@ def _genie_errors(values: np.ndarray, forced: np.ndarray, kernel: Kernel) -> np.
         g_into(src[:, 0], src[:, 1], xs[:, 0], out[:, 1], tmp)
         level, other = other, level
         if l:
-            fold(l - 1)
+            _fold(x, (l - 1,))
     missed = np.less_equal(level, kernel.threshold)  # Kernel.hard_decision
     np.not_equal(missed, x.view(bool), out=missed)
     return np.count_nonzero(missed, axis=1)
 
 
+def _genie_chunk(spec: CodeSpec, sigma: float, bits: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Build the frames of drawn bits and noise (``channel._level_frames``)
+    and return their genie error counts with the exact kernel."""
+    u, llr = _level_frames(spec, sigma, bits, z)
+    return _genie_errors(Kernel.LLR_EXACT._from_llr_in_place(llr), u, Kernel.LLR_EXACT)
+
+
 def _kernel_frames(llr, spec: CodeSpec, kernel: Kernel, batch: bool = True) -> np.ndarray:
     """Check the shape of channel log-ratio input and convert it, through
-    ``kernel.from_llr``, into a (batch, n) array of kernel-domain values.
+    ``kernel.from_llr``, into level ``m``: an ``(n, batch)`` array of
+    kernel-domain values in bit-reversed order, the decoder's input.
 
     Accepts one frame, shape ``(n,)``, or when ``batch`` also a batch of
     them, shape ``(batch, n)``; any other shape raises ValueError naming it.
@@ -277,7 +285,8 @@ def _kernel_frames(llr, spec: CodeSpec, kernel: Kernel, batch: bool = True) -> n
         expected = f"({n},) or (batch, {n})" if batch else f"({n},)"
         raise ValueError(f"channel log-ratios must have shape {expected}, "
                          f"got shape {llr.shape}")
-    return np.atleast_2d(kernel.from_llr(llr))
+    level = np.atleast_2d(llr).T[bit_reverse_permutation(spec.m)]  # a fresh copy
+    return kernel._from_llr_in_place(level.astype(np.float64, copy=False))
 
 
 # Independent frame blocks are decoded on up to this many threads at once
@@ -334,15 +343,15 @@ def decode_batch(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.nd
         Decided input blocks and the codewords they encode, both
         ``(batch, n)`` uint8 arrays.
     """
-    values = _kernel_frames(llr, spec, kernel)
-    return _sc_decode(values, spec, kernel)
+    u_hat, c_hat = _sc_decode(_kernel_frames(llr, spec, kernel), spec, kernel)
+    return u_hat.T, c_hat.T
 
 
 def decode(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """Decode one ``(n,)`` frame of channel log-likelihood ratios."""
     values = _kernel_frames(llr, spec, kernel, batch=False)
     u_hat, c_hat = _sc_decode(values, spec, kernel)
-    return u_hat[0], c_hat[0]
+    return u_hat[:, 0], c_hat[:, 0]
 
 
 def genie_error_counts(n: int, noise_sigma: float, trials: int, seed: int) -> np.ndarray:
@@ -350,10 +359,12 @@ def genie_error_counts(n: int, noise_sigma: float, trials: int, seed: int) -> np
 
     Random full-rate blocks are encoded, sent as antipodal symbols through
     Gaussian noise, and decoded with every decision corrected to the true
-    bit after its error is recorded (see ``_genie_errors``).  A block of
-    ``_GENIE_BLOCK`` trials with at least ``2 * _MIN_CHUNK`` frames is cut
-    into up to ``_WORKERS`` chunks of at least ``_MIN_CHUNK`` frames,
-    decoded by ``_run_jobs``, whose counts are summed; frames are
+    bit after its error is recorded (see ``_genie_errors``).  Each block of
+    ``_GENIE_BLOCK`` trials draws its bits and noise in the caller
+    (``channel._draw``).  A block of at least ``2 * _MIN_CHUNK`` frames is
+    cut into up to ``_WORKERS`` chunks of at least ``_MIN_CHUNK`` frames,
+    run by ``_run_jobs``, each of which builds its own frames from its rows
+    of the draws (``_genie_chunk``); their counts are summed.  Frames are
     independent, so the cut changes no count.
     """
     n, trials, seed = _as_int("n", n), _as_int("trials", trials), _as_seed(seed)
@@ -368,11 +379,10 @@ def genie_error_counts(n: int, noise_sigma: float, trials: int, seed: int) -> np
     counts = np.zeros(n, dtype=np.int64)
     for done in range(0, trials, _GENIE_BLOCK):
         batch = min(_GENIE_BLOCK, trials - done)
-        u, llr = _noisy_frames(spec, noise_sigma, batch, seed, done)
-        values = Kernel.LLR_EXACT.from_llr(llr)
+        bits, z = _draw(spec, batch, seed, done)
         chunks = max(1, min(_WORKERS, batch // _MIN_CHUNK))
         cuts = [batch * i // chunks for i in range(chunks + 1)]
-        for errs in _run_jobs([partial(_genie_errors, values[lo:hi], u[lo:hi], Kernel.LLR_EXACT)
+        for errs in _run_jobs([partial(_genie_chunk, spec, noise_sigma, bits[lo:hi], z[lo:hi])
                                for lo, hi in zip(cuts, cuts[1:])]):
             counts += errs
     return counts

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from polarsc import (CampaignStop, Kernel, awgn_llr, bpsk_modulate,
-                     construct_frozen_bec, construct_frozen_mc, genie_error_counts,
-                     monotonicity_flags, run_campaign, sigma_from_ebn0_db,
-                     wilson_halfwidth)
-from polarsc import reference
+from polarsc import (CampaignStop, CodeSpec, Kernel, awgn_llr, bit_reverse_permutation,
+                     bpsk_modulate, construct_frozen_bec, construct_frozen_mc, encode,
+                     genie_error_counts, monotonicity_flags, run_campaign,
+                     sigma_from_ebn0_db, wilson_halfwidth)
+from polarsc import channel, reference
 from polarsc.channel import BerPoint, BerReport
 
 
@@ -38,6 +38,34 @@ def test_sigma_ebn0_conversion():
             assert 2 * rate * sigma**2 * 10 ** (db / 10) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         sigma_from_ebn0_db(1.0, 0.0)
+
+
+@pytest.mark.parametrize("ebn0_db, sigma", [(4000.0, 0.0), (-4000.0, float("inf"))])
+def test_an_ebn0_whose_sigma_is_not_positive_and_finite_is_rejected(ebn0_db, sigma):
+    # 4000 dB used to raise OverflowError, and -4000 dB to divide by zero
+    with pytest.raises(ValueError, match=f"^ebn0_db = {ebn0_db} gives noise sigma {sigma}, "):
+        sigma_from_ebn0_db(ebn0_db, 0.5)
+
+
+@pytest.mark.parametrize("m", [1, 4, 10])
+@pytest.mark.parametrize("count", [1, 3, 256])
+def test_frames_are_born_in_level_m(m, count):
+    # the campaign and genie frames are built in the decoder's layout: the
+    # message rows are the messages transposed, and the log-ratios are, bit
+    # for bit, those of encode, bpsk_modulate and awgn_llr on the same
+    # Philox draw, gathered into bit-reversed order
+    spec = CodeSpec(m=m, frozen=()) if m < 4 else construct_frozen_bec(1 << m, 1 << (m - 1), 0.5)
+    sigma, entropy = 0.85, (11, 2, 256)
+    u_rows, level = channel._noisy_frames(spec, sigma, count, *entropy)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=entropy)))
+    u = np.zeros((count, spec.n), dtype=np.uint8)
+    u[:, spec.info_indices] = rng.integers(0, 2, size=(count, spec.k), dtype=np.uint8)
+    llr = awgn_llr(bpsk_modulate(encode(u, spec)) + sigma * rng.standard_normal((count, spec.n)),
+                   sigma)
+    assert u_rows.shape == level.shape == (spec.n, count)
+    assert np.array_equal(u_rows, u.T)
+    want = llr.T[bit_reverse_permutation(m)]
+    assert np.array_equal(level.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "1.0", None])

@@ -354,6 +354,19 @@ def test_ber_sweep_json_meta(tmp_path, capsys):
     assert set(doc["campaigns"]) == {"llr_exact"}
 
 
+@pytest.mark.parametrize("points", ["4000", "-4000"])
+def test_ber_sweep_at_an_extreme_ebn0_exits_2(tmp_path, capsys, points):
+    # 4000 dB used to end in an OverflowError traceback, and -4000 dB in a
+    # divide-by-zero warning and an error that named sigma
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(construct_frozen_bec(16, 8, 0.5).to_json())
+    code, out, err = run_cli(capsys, "ber-sweep", "--spec", str(spec_path),
+                             "--points-db", points, "--max-frames", "16")
+    assert code == 2
+    assert out == ""
+    assert f"ebn0_db = {float(points)} gives noise sigma" in err
+
+
 @pytest.mark.parametrize("command", [
     ["schedule", "--arch", "semi", "--n", "8", "--pe-count", "0"],
     ["schedule", "--arch", "overlap", "--n", "8", "--P", "0"],

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from polarsc import (ArchitectureConfig, ArchKind, CampaignStop, CodeSpec, Kernel, LLR_CLIP,
+                     bit_reverse_permutation,
                      construct_frozen_bec, decode, decode_batch, encode,
                      genie_error_counts, run_campaign, simulate)
 from polarsc import channel, kernels, reference
@@ -243,8 +244,11 @@ def test_genie_mode_returns_the_forced_codeword(m, kernel, rng):
         values = kernel.from_llr(llr)
         decided, c_hat = recursive_sc(values, spec.frozen_mask, kernel, forced=u)
         assert np.array_equal(c_hat, encode(u, spec))
-        errs = reference._genie_errors(values, u, kernel)
+        forced = np.ascontiguousarray(u.T)  # the message rows
+        level = values.T[bit_reverse_permutation(m)]  # level m, a fresh C-ordered copy
+        errs = reference._genie_errors(level, forced, kernel)
         assert errs.tolist() == np.count_nonzero(decided != u, axis=0).tolist()
+        assert np.array_equal(forced, u.T)  # folded in place, and unfolded again
     assert 0 < errs.sum() < u.size
 
 
@@ -576,7 +580,7 @@ def test_a_worker_error_reaches_the_caller(monkeypatch):
     def failing(values, *args):
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("second chunk")
-        decoded.append(len(values))
+        decoded.append(values.shape[1])  # level m: one column per frame
         return real_errors(values, *args)
 
     monkeypatch.setattr(reference, "_WORKERS", 2)
