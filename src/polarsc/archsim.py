@@ -32,8 +32,10 @@ counts of the groups the frames fill, naming the sums once.
 
 The loop skips dead activations, those that feed only frozen phases, runs
 the g after a rate-0 sibling without reading its all-zero partial sums,
-and with the min-sum kernel it decides a tie-free rate-1 subtree by hard
-decision and skips the rest of its activations.  Skipped activations
+and with a log-domain kernel it decides a rate-1 subtree by hard decision
+and skips the rest of its activations, in every frame whose values at the
+subtree's level lie above the kernel's floor (``Kernel.rate1_floors``);
+the other frames run the subtree's activations in full.  Skipped activations
 still take their cycles and PEs: cycle, PE and occupancy figures come from
 the schedule alone.  The decoded output of every machine is bit-identical
 to the reference decoder.

@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -54,7 +55,8 @@ def sigma_from_ebn0_db(ebn0_db: float, rate: float) -> float:
     """Noise standard deviation for a given Eb/N0 (dB) at code rate k/n.
 
     Raises ValueError naming ``ebn0_db`` when the sigma it gives is not a
-    positive finite number, as at +/-4000 dB.
+    positive finite number, as at +/-4000 dB, or when the channel
+    log-ratios ``2y / sigma**2`` it gives overflow, as at 3080 dB.
     """
     if not 0 < rate <= 1:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
@@ -68,6 +70,9 @@ def sigma_from_ebn0_db(ebn0_db: float, rate: float) -> float:
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"ebn0_db = {ebn0_db} gives noise sigma {sigma}, "
                          f"not a positive finite number")
+    if sigma * sigma * sys.float_info.max < 2.0:  # 2 / sigma**2 overflows
+        raise ValueError(f"ebn0_db = {ebn0_db} gives noise sigma {sigma}, "
+                         f"whose channel log-ratios 2y / sigma**2 overflow")
     return sigma
 
 

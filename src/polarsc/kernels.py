@@ -29,6 +29,7 @@ same op; the ratio-domain wrappers reject non-positive ratios there.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -86,6 +87,31 @@ def _f_llr_exact_into(la, lb, out, scratch):
     np.subtract(out, scratch, out=out)
     np.minimum(out, _LLR_HI, out=out)
     np.maximum(out, _LLR_LO, out=out)
+
+
+# A bound on |computed f - true f| for _f_llr_exact_into on [-LLR_CLIP,
+# LLR_CLIP]**2, from which the exact kernel's rate-1 floors are derived (see
+# Kernel.rate1_floors).
+_F_EXACT_ERROR = 1e-13
+_FLOOR_LEVELS = 64  # more levels than any code has
+
+
+def _exact_rate1_floors(delta: float) -> tuple:
+    """``t_0 = 0`` and, for each ``L >= 1``, the least double ``t`` whose
+    ``log cosh(t) - delta``, computed as ``log1p(2*sinh(t/2)**2) - delta``,
+    is at least ``t_{L-1}``: ``t = 2*asinh(sqrt(expm1(t_{L-1} + delta)/2))``,
+    raised by an ulp while the computed chain step falls short."""
+    floors = [0.0]
+    for _ in range(1, _FLOOR_LEVELS):
+        t = 2.0 * math.asinh(math.sqrt(math.expm1(floors[-1] + delta) / 2.0))
+        while math.log1p(2.0 * math.sinh(t / 2.0) ** 2) - delta < floors[-1]:
+            t = math.nextafter(t, math.inf)
+        floors.append(t)
+    return tuple(floors)
+
+
+_EXACT_RATE1_FLOORS = _exact_rate1_floors(_F_EXACT_ERROR)
+_MINSUM_RATE1_FLOORS = (0.0,) * _FLOOR_LEVELS
 
 
 def _f_minsum_into(la, lb, out, scratch):
@@ -201,15 +227,56 @@ class Kernel(Enum):
         return _g0_lr_into if self is Kernel.LR_EXACT else _g0_llr_into
 
     @property
-    def rate1_is_hard_decision(self) -> bool:
-        """Whether SC on a rate-1 subtree whose inputs hold no ``+/-0.0``
-        returns their hard decision.  True for min-sum: its f,
-        ``copysign(min(|a|, |b|), a*b)``, is non-zero with the sign product,
-        so given the left child's hard decision its g is ``b + sign(b)*|a|``,
-        and by induction each child decides its own inputs' signs.  The
-        exact kernels' f can round to 0 on small inputs, so they run in full.
+    def rate1_floors(self) -> tuple | None:
+        """Per-level floors ``t_L`` above which SC on a rate-1 subtree is the
+        hard decision of its inputs, or None where no floor is known.
+
+        A frame's ``2**L`` values at level ``L`` of a rate-1 subtree are
+        decided by their hard decision, in storage order, when every
+        ``|value| > t_L``.  The argument is one induction over ``L``, given
+        two facts about the kernel's f and g:
+
+        - (f) ``|a|, |b| > t_L`` makes f's result non-zero, with the sign
+          product ``sign(a) * sign(b)``, and above ``t_{L-1}`` in magnitude;
+        - (g) given the left child's hard decision as its partial sum, g
+          is ``(-1)**(hd(a) ^ hd(b)) * a + b = sign(b) * (|a| + |b|)``, which
+          rounds and clips to at least ``|b|`` in magnitude.
+
+        So the left child's inputs are above ``t_{L-1}`` and decide
+        ``hd(a) ^ hd(b)``, the right child's are above ``t_L >= t_{L-1}``
+        and decide ``hd(b)``, and the fold gives ``(hd(a), hd(b))``.
+
+        Min-sum: every floor is 0, which means "no ``+/-0.0``".  Its f,
+        ``copysign(min(|a|, |b|), a*b)``, is the smaller magnitude with the
+        sign product, so (f) holds with ``t_L = 0``.
+
+        Exact log domain: the true f is ``2*atanh(tanh(a/2)*tanh(b/2))``,
+        whose magnitude is at least ``log cosh(s)`` for ``s = min(|a|, |b|)``.
+        On ``[-LLR_CLIP, LLR_CLIP]**2`` the computed f is within
+        ``_F_EXACT_ERROR`` (delta = 1e-13) of it: each of its operations
+        (``a + b``, two ``logaddexp``, the difference) rounds a value of at
+        most 80 by about one ulp, 1.4e-14, so the bound is about 5e-14, and
+        the largest error measured against a ``longdouble`` reference, on
+        2.6 million pairs, is 1.1e-14.  So where ``log cosh(s) > delta``, the
+        computed f has the sign product and ``|f| >= log cosh(s) - delta``.
+        (f) then holds with ``t_0 = 0`` and ``t_L`` the least ``t`` with
+        ``log cosh(t) - delta >= t_{L-1}``, as ``s > t_L`` gives ``|f| >
+        log cosh(t_L) - delta``: ``t_L`` is the smallest start of the chain
+        ``h <- log cosh(h) - delta`` that stays above 0 for ``L`` steps.
+        ``_exact_rate1_floors`` computes them, about 4.5e-7, 9e-4, 0.044,
+        0.30, 0.81, 1.45 and 2.13 for ``L = 1 ... 7``; delta's margin over
+        the bound absorbs their own rounding.  Below the floor, small inputs
+        can break the rule: a chain of ``L`` f steps on equal small values
+        shrinks like ``x**(2**L)`` and rounds to 0, and the tie rule then
+        decides 1.  The floors hold for this formula of f only, and must be
+        derived again if it changes.
+
+        The ratio domain keeps no floor: its rate-1 subtrees run in full.
+        Indexed by ``L``, for every level of every code.
         """
-        return self is Kernel.LLR_MINSUM
+        if self is Kernel.LR_EXACT:
+            return None
+        return _EXACT_RATE1_FLOORS if self is Kernel.LLR_EXACT else _MINSUM_RATE1_FLOORS
 
     @property
     def threshold(self) -> np.ndarray:
@@ -244,6 +311,6 @@ class Kernel(Enum):
         The boundary itself decides 1.  The decoder loop applies the same
         rule in place, ``np.less_equal(value, threshold, out=bits)``, to
         each phase's root value, and to a whole tree level when a rate-1
-        subtree is decided at once (see ``rate1_is_hard_decision``).
+        subtree is decided at once (see ``rate1_floors``).
         """
         return np.less_equal(value, self.threshold).astype(np.uint8)

@@ -15,15 +15,17 @@ level; each stage-0 step is followed by that phase's decision and the
 folds that put it into the partial sums that g reads.  As in simplified
 SC, the plan is pruned by the frozen set: an activation whose phases are
 all frozen (a rate-0 subtree) is left out, the g that follows one reads
-none of its partial sums, which are 0, and with a kernel whose
-``rate1_is_hard_decision`` holds (min-sum), a subtree whose phases all
-carry information (rate-1) is decided at once by the hard decision of its
-soft values, unless one of them is an exact zero; the node's full SC steps
-follow inline as its tie fallback.  Levels are laid out ``(2**l, batch)``:
-one kernel call serves every frame.
+none of its partial sums, which are 0, and with a log-domain kernel, which
+has ``rate1_floors``, a subtree whose phases all carry information
+(rate-1) is decided at once by the hard decision of its soft values.
+Frames with a value at or below the kernel's floor for the node's level
+(for min-sum, an exact zero) are gathered and re-decoded through the
+node's full SC steps, ``_unpruned_plan(L)``, by the same loop.  Levels
+are laid out ``(2**l, batch)``: one kernel call serves every frame.
 
 Like the paper's decoders, the loop updates O(n) memory in place and
-allocates nothing per step.  The kernels' in-place stage ops
+allocates nothing per step; only a rate-1 node's re-decode allocates, a
+tree of its own for its frames.  The kernels' in-place stage ops
 (``Kernel.f_into``/``g_into``/``g0_into``) write into the level arrays and
 share one ``(n/2, batch)`` scratch array.  All partial sums live in one
 ``(n, batch)`` uint8 array in block layout: each decision goes into its
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from itertools import accumulate, islice
+from itertools import accumulate
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -81,8 +83,9 @@ _G0 = 5      # (_G0, l, i, 0): g whose left sibling [i - 2**l, i) is all frozen,
 #              so its partial sums are 0 and it reads none
 _DECIDE = 2  # (_DECIDE, i, 0, 0): hard decision of the root into x[i]
 _FOLD = 3    # (_FOLD, a, b, c): x[a:b] ^= x[b:c], b - a == c - b
-_RATE1 = 4   # (_RATE1, L, i, k): if level L holds no +/-0.0, decide x[i:i + 2**L]
-#              at once and skip the k instructions of the node's tie fallback
+_RATE1 = 4   # (_RATE1, L, i, 0): decide x[i:i + 2**L] by the hard decision of
+#              level L; re-decode in full the frames with a value at or below
+#              the kernel's floor (see _run_plan)
 
 
 def _lower(spec: CodeSpec, rate1: bool) -> tuple:
@@ -102,10 +105,10 @@ def _lower(spec: CodeSpec, rate1: bool) -> tuple:
 
     With ``rate1``, each maximal rate-1 node ``[i, i + 2**L)`` (``L >= 1``,
     every phase an information bit, and not so for its parent) becomes one
-    ``_RATE1`` instruction when its level-``L`` values are ready, followed
-    by its tie fallback: the node's full SC steps, decisions and folds.
-    The fold that closes the node's parent block follows the fallback, so
-    both paths run it once.
+    ``_RATE1`` instruction when its level-``L`` values are ready, in place
+    of the node's steps, decisions and folds.  Its fallback is not in the
+    plan: the frames that need it run ``_unpruned_plan(L)``, the node's
+    full SC steps, on their own (see ``_run_plan``).
     """
     n = spec.n
     frozen_before = tuple(accumulate(spec.frozen_mask.tolist(), initial=0))
@@ -121,9 +124,7 @@ def _lower_subtree(ops: list, frozen_before: tuple, lo: int, l: int, rate1: bool
     frozen phases below ``i``.  (A module-level function: a recursive
     closure would be a reference cycle.)"""
     if rate1 and l and frozen_before[lo + (1 << l)] == frozen_before[lo]:
-        fallback: list = []
-        _lower_subtree(fallback, frozen_before, lo, l, False)
-        ops += (_RATE1, l, lo, len(fallback) // 4, *fallback)
+        ops += (_RATE1, l, lo, 0)
         return
     if not l:
         ops += (_DECIDE, lo, 0, 0)
@@ -165,38 +166,54 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel) -> tuple:
     kernel-domain values in bit-reversed order (see ``_kernel_frames``),
     which the decoder reads and does not change.
 
-    Runs the code's plan (see ``_lower``).  An f or g at stage ``l``
-    computes level ``l`` from the two halves of level ``l + 1``, a g also
-    from the left sibling's partial sum.  Partial sums live in one
-    ``(n, batch)`` buffer ``x`` in block layout: phase ``i`` decides into
-    row ``i``, and once phase ``i`` closes a level-``l`` block
-    ``[b, b + 2h)`` (``h = 2**l``) the fold ``x[b:b+h] ^= x[b+h:b+2h]``
+    Runs the code's plan through ``_run_plan``, with its rate-1 nodes where
+    the kernel has ``rate1_floors``.  At the end the partial sums ``x`` are
+    the butterfly transform of the decided bits in block layout: gathered
+    in bit-reversed order they are the codeword, and since the transform
+    is its own inverse, ``m`` more passes of every fold (``codespec._fold``)
+    turn them back into the decided bits.  Returns the decided bits and
+    their codewords, as ``(n, batch)`` uint8 arrays in natural order.
+    """
+    floors = kernel.rate1_floors
+    x = _run_plan(_plan(spec, floors is not None), values, kernel)
+    c_hat = x[bit_reverse_permutation(spec.m)]
+    return _fold(x), c_hat
+
+
+def _run_plan(plan: tuple, values: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """Run a plan over its top level ``values``, an ``(n, batch)`` array,
+    and return the ``(n, batch)`` uint8 partial sums ``x`` it leaves.
+
+    An f or g at stage ``l`` computes level ``l`` from the two halves of
+    level ``l + 1``, a g also from the left sibling's partial sum.  Partial
+    sums live in one ``(n, batch)`` buffer ``x`` in block layout: phase
+    ``i`` decides into row ``i``, and once phase ``i`` closes a level-``l``
+    block ``[b, b + 2h)`` (``h = 2**l``) the fold ``x[b:b+h] ^= x[b+h:b+2h]``
     turns the block into its level-``l + 1`` partial sum, so a g at stage
     ``l`` of phase ``i`` reads the left sibling block ``x[i-h:i]``; a
     ``_G0``, whose left sibling is all frozen, runs ``kernel.g0_into`` and
-    reads no partial sums.  At the end ``x`` is the butterfly transform of
-    the decided bits in block layout: gathered in bit-reversed order it is
-    the codeword, and since the transform is its own inverse, ``m`` more
-    passes of every fold (``codespec._fold``) turn it back into the decided
-    bits.
+    reads no partial sums.
 
-    Where ``kernel.rate1_is_hard_decision``, a maximal rate-1 node
-    ``[i, i + 2**L)`` is decided when its level ``L`` holds no ``+/-0.0``
-    in any frame: its hard decision is the node's partial sum, in the
-    level's storage order, and its tie fallback is skipped; otherwise the
-    fallback runs.  Returns the decided bits and their codewords, as
-    ``(n, batch)`` uint8 arrays in natural order.
+    A ``_RATE1`` node ``[i, i + 2**L)`` writes the hard decision of level
+    ``L`` into ``x[i:i + 2**L]`` for every frame: the node's partial sum in
+    the level's storage order wherever every ``|value|`` exceeds the
+    kernel's floor ``rate1_floors[L]`` (see ``Kernel.rate1_floors``).  The
+    frames with a value at or below it are gathered, their level-``L``
+    columns run through ``_unpruned_plan(L)``, the node's full SC steps,
+    by this same function, and their columns of ``x`` are overwritten with
+    its result.  So each frame's bits are SC's, and only the frames below
+    the floor pay for the node's steps.
     """
-    plan = _plan(spec, kernel.rate1_is_hard_decision)
-    n, m, batch = spec.n, spec.m, values.shape[1]
-
-    soft = [np.empty((1 << l, batch)) for l in range(m)] + [values]
+    n, batch = values.shape
+    top = n.bit_length() - 1
+    soft = [np.empty((1 << l, batch)) for l in range(top)] + [values]
     scratch = np.empty((n // 2, batch))  # the stage ops' temporaries
     stages = [(soft[l + 1][:1 << l], soft[l + 1][1 << l:], soft[l], scratch[:1 << l])
-              for l in range(m)]  # a stage op's inputs, output and scratch
+              for l in range(top)]  # a stage op's inputs, output and scratch
     x = np.zeros((n, batch), dtype=np.uint8)
     bits, root, threshold = x.view(bool), soft[0][0], kernel.threshold
     f_into, g_into, g0_into = kernel.f_into, kernel.g_into, kernel.g0_into
+    floors = kernel.rate1_floors
 
     it = iter(plan)
     for op, a, b, c in zip(it, it, it, it):
@@ -212,12 +229,15 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel) -> tuple:
             np.bitwise_xor(left, x[b:c], left)
         elif op == _DECIDE:
             np.less_equal(root, threshold, bits[a])  # Kernel.hard_decision
-        elif soft[a].all():  # a _RATE1 whose level holds no +/-0.0 in any frame
-            np.less_equal(soft[a], threshold, bits[b:b + (1 << a)])
-            next(islice(it, 4 * c, 4 * c), None)
-
-    c_hat = x[bit_reverse_permutation(m)]
-    return _fold(x), c_hat
+        else:  # _RATE1
+            level, node = soft[a], slice(b, b + (1 << a))
+            np.less_equal(level, threshold, bits[node])
+            if floors[a] or not level.all():  # a floor of 0 fails only on a +/-0.0
+                low = np.abs(level, out=scratch[:1 << a] if a < top else None).min(axis=0)
+                below = np.flatnonzero(low <= floors[a])
+                if below.size:
+                    x[node, below] = _run_plan(_unpruned_plan(a), level[:, below], kernel)
+    return x
 
 
 def _genie_errors(level: np.ndarray, forced: np.ndarray, kernel: Kernel) -> np.ndarray:

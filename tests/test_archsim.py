@@ -255,8 +255,10 @@ def _maximal_rate1_nodes(mask):
 @settings(deadline=None, derandomize=True, max_examples=6)
 @given(data=st.data())
 def test_minsum_rate1_shortcut_matches_the_oracle(m, data):
-    # min-sum decides a tie-free rate-1 node by hard decision; a batch with
-    # one +/-0.0 inside a node runs that node in full
+    # min-sum and llr_exact decide a rate-1 node by hard decision in the
+    # frames whose values at the node's level all lie above the kernel's
+    # floor, and run it in full in the other frames: those with one +/-0.0
+    # inside a node, and, for llr_exact, many of the small log-ratio frames
     n = 1 << m
     spec = data.draw(st.one_of(
         _frozen_sets(n),
@@ -268,7 +270,7 @@ def test_minsum_rate1_shortcut_matches_the_oracle(m, data):
     llr[special] = rng.choice([LLR_CLIP, -LLR_CLIP, 1e3, -1e3, 1e-300, -1e-300],
                               size=int(special.sum()))
     llr[llr == 0.0] = 1.0
-    batches = [llr]
+    batches = [llr, rng.normal(0.0, 1.0, (frames, n)) * rng.choice([0.1, 1.0, 3.0], (frames, 1))]
     nodes = _maximal_rate1_nodes(spec.frozen_mask)
     if nodes:
         i0, top = nodes[int(rng.integers(len(nodes)))]
@@ -286,13 +288,44 @@ def test_minsum_rate1_shortcut_matches_the_oracle(m, data):
                            pe_count=1 << data.draw(st.integers(0, m - 1), label="pe")),
         ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=n,
                            overlap_p=data.draw(st.integers(1, min(n - 1, 5)), label="P"))]
-    kernel = Kernel.LLR_MINSUM
-    for batch in batches:
-        u_ref, c_ref = recursive_sc(kernel.from_llr(batch), spec.frozen_mask, kernel)
-        u_hat, c_hat = decode_batch(batch, spec, kernel)
-        assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref)
-        for cfg in machines:
-            assert np.array_equal(simulate(cfg, batch, spec, kernel).decoded, u_ref), cfg
+    for kernel in (Kernel.LLR_MINSUM, Kernel.LLR_EXACT):
+        for batch in batches:
+            u_ref, c_ref = recursive_sc(kernel.from_llr(batch), spec.frozen_mask, kernel)
+            u_hat, c_hat = decode_batch(batch, spec, kernel)
+            assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref), kernel
+            for cfg in machines:
+                assert np.array_equal(simulate(cfg, batch, spec, kernel).decoded, u_ref), \
+                    (kernel, cfg)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_exact_rate1_floor_from_both_sides(m):
+    # the rate-1 code's one node is level m, the channel values themselves:
+    # a frame whose every |value| is just above the floor t_m is decided by
+    # its hard decision; frames at the floor, just below it, or with one
+    # value just below it run SC in full, as do the constant log-ratios
+    # (0.05 at m = 8, 0.25 at m = 9, 0.5 at m = 10) whose SC codeword is not
+    # the hard decision, because a chain of f steps on small equal values
+    # shrinks to 0 and the tie decides 1
+    n, kernel = 1 << m, Kernel.LLR_EXACT
+    spec = CodeSpec(m=m, frozen=())
+    t = kernel.rate1_floors[m]
+    above, below = np.nextafter(t, np.inf), np.nextafter(t, 0.0)
+    rng = np.random.default_rng(6000 + m)
+    llr = rng.choice([-1.0, 1.0], (5, n)) * np.array([[above], [t], [below], [above], [0.5 * t]])
+    one = int(rng.integers(n))
+    llr[3, one] = np.copysign(below, llr[3, one])
+    constant = {8: 0.05, 9: 0.25, 10: 0.5}.get(m)
+    if constant:
+        llr = np.vstack([llr, np.full(n, constant)])
+    u_ref, c_ref = recursive_sc(kernel.from_llr(llr), spec.frozen_mask, kernel)
+    assert np.array_equal(c_ref[0], kernel.hard_decision(llr[0]))
+    if constant:
+        assert not np.array_equal(c_ref[-1], kernel.hard_decision(llr[-1]))
+    u_hat, c_hat = decode_batch(llr, spec, kernel)
+    assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref)
+    for cfg in configs_for(n):
+        assert np.array_equal(simulate(cfg, llr, spec, kernel).decoded, u_ref), cfg
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,23 @@ def test_an_ebn0_whose_sigma_is_not_positive_and_finite_is_rejected(ebn0_db, sig
     # 4000 dB used to raise OverflowError, and -4000 dB to divide by zero
     with pytest.raises(ValueError, match=f"^ebn0_db = {ebn0_db} gives noise sigma {sigma}, "):
         sigma_from_ebn0_db(ebn0_db, 0.5)
+
+
+@pytest.mark.parametrize("ebn0_db, sigma", [(3080.0, "1e-154"), (3082.0, "7.943282347242919e-155")])
+def test_an_ebn0_whose_log_ratios_overflow_is_rejected(ebn0_db, sigma):
+    # sigma is positive and finite here, but 2y / sigma**2 used to overflow
+    # with a RuntimeWarning, and the campaign then failed in from_llr with
+    # "channel log-ratios must be finite", naming no argument
+    with pytest.raises(ValueError, match=f"^ebn0_db = {ebn0_db} gives noise sigma {sigma}, "
+                                         r"whose channel log-ratios 2y / sigma\*\*2 overflow$"):
+        sigma_from_ebn0_db(ebn0_db, 0.5)
+    # 3079 dB, the largest whole-dB point, still decodes, with no warning
+    spec = construct_frozen_bec(16, 8, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_campaign(spec, Kernel.LLR_MINSUM, [3079.0],
+                              CampaignStop(max_frames=16, min_frame_errors=1))
+    assert (report.points[0].frames, report.points[0].frame_errors) == (16, 0)
 
 
 @pytest.mark.parametrize("m", [1, 4, 10])

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.resources
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,24 @@ def test_ber_sweep_at_an_extreme_ebn0_exits_2(tmp_path, capsys, points):
     assert code == 2
     assert out == ""
     assert f"ebn0_db = {float(points)} gives noise sigma" in err
+
+
+@pytest.mark.parametrize("command", ["ber-sweep", "simulate"])
+def test_an_ebn0_whose_log_ratios_overflow_exits_2(tmp_path, capsys, command):
+    # 3080 dB gives a finite sigma of 1e-154 whose log-ratios overflow: the
+    # sweep used to print a RuntimeWarning and exit 2 with "channel
+    # log-ratios must be finite"; now no warning is raised and the error
+    # names ebn0_db
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(construct_frozen_bec(16, 8, 0.5).to_json())
+    args = (["ber-sweep", "--points-db", "3080", "--max-frames", "16"] if command == "ber-sweep"
+            else ["simulate", "--arch", "tree", "--n", "16", "--ebn0-db", "3080"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *args, "--spec", str(spec_path))
+    assert code == 2
+    assert out == ""
+    assert "ebn0_db = 3080.0 gives noise sigma 1e-154, whose channel log-ratios" in err
 
 
 @pytest.mark.parametrize("command", [

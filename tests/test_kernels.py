@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from polarsc import Kernel, f_llr_exact, f_lr, f_minsum, g_llr, g_lr
+from polarsc import Kernel, f_llr_exact, f_lr, f_minsum, g_llr, g_lr, kernels
 from polarsc.kernels import LLR_CLIP, LR_MAX, LR_MIN
 
 
@@ -220,3 +222,44 @@ def test_stage_ops_match_public_functions(rng, kernel, start, stride):
         assert np.isnan(level[others]).all()  # only the lane's positions are written
     assert np.array_equal(a_view, a) and np.array_equal(b_view, b)  # inputs untouched
     assert np.array_equal(us_view, us)
+
+
+def test_f_llr_exact_stays_within_the_floors_error_bound():
+    # the exact kernel's rate-1 floors assume |computed f - true f| <= delta
+    # on [-LLR_CLIP, LLR_CLIP]**2; the true f here is the same formula in
+    # extended precision, on a grid of tiny values, 0, +/-LLR_CLIP and a
+    # linear spread between
+    if np.finfo(np.longdouble).nmant < 60:
+        pytest.skip("needs an extended-precision np.longdouble")
+    mags = np.concatenate([np.logspace(-300, np.log10(LLR_CLIP), 300), [LLR_CLIP]])
+    vals = np.concatenate([-mags, [0.0], mags, np.linspace(-LLR_CLIP, LLR_CLIP, 201)])
+    a, b = np.meshgrid(vals, vals)
+    la, lb = a.astype(np.longdouble), b.astype(np.longdouble)
+    true = np.logaddexp(la + lb, np.longdouble(0)) - np.logaddexp(la, lb)
+    assert np.abs(f_llr_exact(a, b) - true).max() <= kernels._F_EXACT_ERROR
+
+
+def test_rate1_floors():
+    floors = Kernel.LLR_EXACT.rate1_floors
+    assert Kernel.LR_EXACT.rate1_floors is None
+    assert set(Kernel.LLR_MINSUM.rate1_floors) == {0.0}
+    assert floors[0] == 0.0
+    assert floors[1:8] == pytest.approx([4.47e-7, 9.46e-4, 0.0435, 0.297, 0.810, 1.45, 2.13],
+                                        rel=5e-3)
+    # each floor's chain step log cosh(t) - delta, computed as the kernel's
+    # docstring says, reaches the floor below it, and a floor 1e-9 lower
+    # would not
+    def step(t):
+        return math.log1p(2.0 * math.sinh(t / 2.0) ** 2) - kernels._F_EXACT_ERROR
+
+    for below, t in zip(floors, floors[1:]):
+        assert step(t) >= below > step(t * (1 - 1e-9))
+    # an L-fold chain of the computed f from +/-t_L, each step on two values
+    # of the smallest magnitude, keeps the sign product and stays non-zero
+    for L in range(1, 11):
+        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            h = np.float64(floors[L])
+            for _ in range(L):
+                out = f_llr_exact(sa * h, sb * h)
+                assert out != 0.0 and np.sign(out) == sa * sb, (L, sa, sb)
+                h = abs(out)

@@ -110,7 +110,7 @@ def test_decode_batch_takes_one_frame_or_a_batch():
 
 def test_minsum_rate1_shortcut_is_taken(monkeypatch, rng):
     # a tie-free rate-1 code is decided by hard decision with no f call; one
-    # exact zero sends the whole batch through full SC, n - 1 f calls
+    # exact zero sends its frame through full SC, n - 1 f calls
     calls = []
     real_f = kernels._f_minsum_into
 
@@ -135,6 +135,49 @@ def test_minsum_rate1_shortcut_is_taken(monkeypatch, rng):
             assert len(calls) == spec.n - 1
             u_ref, c_ref = recursive_sc(kernel.from_llr(llr), spec.frozen_mask, kernel)
             assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref)
+
+
+@pytest.mark.parametrize("kernel, f_name", [(Kernel.LLR_MINSUM, "_f_minsum_into"),
+                                            (Kernel.LLR_EXACT, "_f_llr_exact_into")])
+def test_rate1_fallback_decodes_only_the_frames_below_the_floor(monkeypatch, rng, kernel,
+                                                               f_name):
+    # a frame with a value at or below a rate-1 node's floor is re-decoded
+    # on its own: the node's f steps see only those frames, and the other
+    # frames keep the node's hard decision
+    widths = []
+    real_f = getattr(kernels, f_name)
+
+    def spy(a, b, out, scratch):
+        widths.append(a.shape[1])
+        real_f(a, b, out, scratch)
+
+    spec = CodeSpec(m=6, frozen=())
+    floor = kernel.rate1_floors[spec.m]
+    llr = rng.choice([-1.0, 1.0], (20, spec.n)) * (floor + 1.0 + rng.random((20, spec.n)))
+    llr[3, 5], llr[11, 60] = floor, -0.0
+    u_ref, c_ref = recursive_sc(kernel.from_llr(llr), spec.frozen_mask, kernel)
+    monkeypatch.setattr(kernels, f_name, spy)
+    u_hat, c_hat = decode_batch(llr, spec, kernel)
+    assert widths == [2] * (spec.n - 1)
+    assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref)
+    keep = np.setdiff1d(np.arange(20), [3, 11])
+    assert np.array_equal(c_hat[keep], kernel.hard_decision(llr[keep]))
+    # with no frame below the floor, no f step runs at all
+    widths.clear()
+    assert np.array_equal(decode_batch(llr[keep], spec, kernel)[1], c_hat[keep])
+    assert widths == []
+    # with several rate-1 nodes, the plan's own f steps see the whole batch
+    # and each fallback's see fewer frames, at least the two all-zero ones
+    spec = construct_frozen_bec(64, 48, 0.5)
+    llr = rng.normal(0.0, 2.0, (20, spec.n))
+    llr[[2, 9]] = 0.0
+    u_ref, c_ref = recursive_sc(kernel.from_llr(llr), spec.frozen_mask, kernel)
+    widths.clear()
+    u_hat, c_hat = decode_batch(llr, spec, kernel)
+    assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref)
+    assert widths.count(20) == reference._plan(spec, True)[0::4].count(reference._F)
+    fallback = [w for w in widths if w != 20]
+    assert fallback and all(2 <= w < 20 for w in fallback)
 
 
 def test_genie_counts_reproducible_and_sized():
@@ -331,22 +374,24 @@ def test_decode_batch_golden_digests(kernel, digests):
     assert _decode_digests(kernel) == digests
 
 
-def _plan_replay(ops, take_fallbacks):
+def _plan_replay(ops, take_fallbacks, shift=0):
     """The kernel steps ``(l, fn, i)`` and decisions ``("d", i)`` of a plan,
-    in the order it runs them: with every rate-1 node's tie fallback, or on
-    the tie-free path."""
+    in the order it runs them, with phases moved up by ``shift``: with each
+    rate-1 node ``(L, lo)`` expanded into its fallback, ``_unpruned_plan(L)``
+    moved up to ``lo``, or on the path that decides every node at once."""
     names = {reference._F: "f", reference._G: "g", reference._G0: "g"}
     out, pos = [], 0
     while pos < len(ops):
         op, a, b, c = ops[pos:pos + 4]
         pos += 4
         if op in names:
-            out.append((a, names[op], b))
+            out.append((a, names[op], b + shift))
         elif op == reference._DECIDE:
-            out.append(("d", a))
-        elif op == reference._RATE1 and not take_fallbacks:
-            out.append(("rate1", a, b))
-            pos += 4 * c
+            out.append(("d", a + shift))
+        elif op == reference._RATE1 and take_fallbacks:
+            out += _plan_replay(reference._unpruned_plan(a), False, b + shift)
+        elif op == reference._RATE1:
+            out.append(("rate1", a, b + shift))
     return out
 
 
@@ -393,8 +438,8 @@ def test_plan_replays_the_live_control_sequence(m):
         # run when every node falls back are the live steps, in order
         for rate1 in (False, True):
             assert _plan_replay(reference._lower(spec, rate1), True) == live
-        # the tie-free path decides each maximal rate-1 node at its first
-        # step below its root and runs none of the node's steps below it
+        # a frame with no fallback decides each maximal rate-1 node at its
+        # first step below its root and runs none of the node's steps below it
         nodes = _maximal_rate1_nodes(spec.frozen_mask, 0, m)
         assert _plan_replay(reference._lower(spec, True), False) == \
             _live_sequence(spec, nodes)
@@ -425,16 +470,13 @@ def test_g0_follows_exactly_the_rate0_siblings(m):
 
 
 def test_minsum_tie_free_mix_on_the_benchmark_code():
-    # the instructions the tie-free min-sum path runs on the benchmark code:
-    # 96 of its 191 g steps follow a rate-0 sibling
+    # the instructions a frame that takes no rate-1 fallback runs on the
+    # benchmark code, which are the whole plan: 96 of its 191 g steps
+    # follow a rate-0 sibling
     ops = reference._lower(construct_frozen_bec(1024, 512, 0.5), True)
-    mix, pos = Counter(), 0
-    while pos < len(ops):
-        op, _, _, c = ops[pos:pos + 4]
-        mix[op] += 1
-        pos += 4 + 4 * c * (op == reference._RATE1)
-    assert mix == {reference._F: 95, reference._G: 95, reference._G0: 96,
-                   reference._DECIDE: 42, reference._FOLD: 191, reference._RATE1: 54}
+    assert Counter(ops[0::4]) == {reference._F: 95, reference._G: 95, reference._G0: 96,
+                                  reference._DECIDE: 42, reference._FOLD: 191,
+                                  reference._RATE1: 54}
 
 
 def test_decoders_create_no_reference_cycles(monkeypatch):
