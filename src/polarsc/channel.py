@@ -43,11 +43,26 @@ def bpsk_modulate(bits) -> np.ndarray:
     return 1.0 - 2.0 * bits.astype(np.float64)
 
 
+def _ratios_overflow(sigma: float) -> bool:
+    """Whether a unit symbol's channel log-ratio 2 / sigma**2 overflows."""
+    return sigma * sigma * sys.float_info.max < 2.0
+
+
+def _as_sigma(name: str, value) -> float:
+    """``value`` as a noise sigma; ValueError naming ``name`` unless it is a
+    finite number > 0 whose channel log-ratios do not overflow."""
+    sigma = _as_finite(name, value)
+    if sigma <= 0:
+        raise ValueError(f"{name} must be > 0, got {sigma}")
+    if _ratios_overflow(sigma):
+        raise ValueError(f"{name} = {sigma} is too small: the channel log-ratios "
+                         f"2y / sigma**2 overflow")
+    return sigma
+
+
 def awgn_llr(y, sigma: float) -> np.ndarray:
     """Channel log-ratios for unit-energy antipodal symbols: 2*y / sigma**2."""
-    sigma = _as_finite("sigma", sigma)
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    sigma = _as_sigma("sigma", sigma)
     return 2.0 * np.asarray(y, dtype=np.float64) / (sigma * sigma)
 
 
@@ -70,7 +85,7 @@ def sigma_from_ebn0_db(ebn0_db: float, rate: float) -> float:
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"ebn0_db = {ebn0_db} gives noise sigma {sigma}, "
                          f"not a positive finite number")
-    if sigma * sigma * sys.float_info.max < 2.0:  # 2 / sigma**2 overflows
+    if _ratios_overflow(sigma):
         raise ValueError(f"ebn0_db = {ebn0_db} gives noise sigma {sigma}, "
                          f"whose channel log-ratios 2y / sigma**2 overflow")
     return sigma

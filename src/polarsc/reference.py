@@ -70,8 +70,8 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .channel import _RNG_BLOCK, _draw, _level_frames
-from .codespec import CodeSpec, _as_finite, _as_int, _as_seed, _fold, bit_reverse_permutation
+from .channel import _RNG_BLOCK, _as_sigma, _draw, _level_frames
+from .codespec import CodeSpec, _as_int, _as_seed, _fold, bit_reverse_permutation
 from .kernels import Kernel
 
 _GENIE_BLOCK = 512  # frames per random stream; part of the reproducibility contract
@@ -392,9 +392,7 @@ def genie_error_counts(n: int, noise_sigma: float, trials: int, seed: int) -> np
         raise ValueError(f"n must be a power of 2 >= 2, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    noise_sigma = _as_finite("noise_sigma", noise_sigma)
-    if noise_sigma <= 0:
-        raise ValueError(f"noise_sigma must be > 0, got {noise_sigma}")
+    noise_sigma = _as_sigma("noise_sigma", noise_sigma)
     spec = CodeSpec(m=n.bit_length() - 1, frozen=())
     counts = np.zeros(n, dtype=np.int64)
     for done in range(0, trials, _GENIE_BLOCK):

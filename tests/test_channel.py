@@ -103,6 +103,23 @@ def test_channel_rejects_a_non_finite_noise_level(bad, monkeypatch):
         run_campaign(construct_frozen_bec(16, 8, 0.5), Kernel.LLR_MINSUM, [1.0, bad])
 
 
+def test_a_sigma_whose_log_ratios_overflow_is_rejected():
+    # 1e-155 is positive and finite, but 2y / sigma**2 overflows: awgn_llr
+    # returned [inf] with a RuntimeWarning, and genie_error_counts failed in
+    # from_llr on "channel log-ratios must be finite", naming no argument
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^sigma = 1e-155 is too small: the channel "
+                                             r"log-ratios 2y / sigma\*\*2 overflow$"):
+            awgn_llr([1.0], 1e-155)
+        for construct in (genie_error_counts, lambda *a: construct_frozen_mc(a[0], 8, *a[1:])):
+            with pytest.raises(ValueError, match=r"^noise_sigma = 1e-155 is too small: "):
+                construct(16, 1e-155, 4, 0)
+        # just above the bound, a unit symbol's log-ratio is still finite
+        assert np.isfinite(awgn_llr([1.0, -1.0], 1.1e-154)).all()
+        assert genie_error_counts(16, 1.1e-154, 4, 0).sum() == 0
+
+
 def test_wilson_halfwidth_golden():
     # 10 errors in 100 trials, computed independently at high precision
     assert wilson_halfwidth(10, 100) == pytest.approx(0.05956826222211918, abs=1e-12)

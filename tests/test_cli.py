@@ -54,6 +54,19 @@ def test_construct_mc_nan_sigma_exits_2(tmp_path, capsys):
     assert "noise_sigma must be a finite number, got nan" in err
 
 
+def test_construct_mc_sigma_whose_log_ratios_overflow_exits_2(tmp_path, capsys):
+    # 1e-155 used to warn from the frame source and exit 2 with "channel
+    # log-ratios must be finite", naming no argument
+    out = tmp_path / "spec.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, "construct", "--n", "8", "--k", "4", "--method", "mc",
+                               "--sigma", "1e-155", "-o", str(out))
+    assert code == 2
+    assert not out.exists()
+    assert "noise_sigma = 1e-155 is too small" in err
+
+
 def test_encode_decode_round_trip_bytes(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec = construct_frozen_bec(8, 4, 0.5)
@@ -172,6 +185,38 @@ def test_complexity_text_and_json(tmp_path, capsys):
     rows = {r["kind"]: r for r in doc["rows"]}
     assert rows["tree"]["registers"] == 15
     assert_meta(doc)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_complexity_non_finite_price_exits_2(tmp_path, capsys, bad):
+    # --t-np nan used to print a column of nan and exit 0
+    code, out, err = run_cli(capsys, "complexity", "--n", "8", f"--t-np={bad}")
+    assert code == 2 and out == ""
+    assert "t_np must be a finite number" in err
+    costs = tmp_path / "costs.json"
+    costs.write_text(json.dumps({"c_mux": float(bad)}))
+    code, out, err = run_cli(capsys, "complexity", "--n", "8", "--costs", str(costs))
+    assert code == 2 and out == ""
+    assert "c_mux must be a finite number" in err
+
+
+@pytest.mark.parametrize("n, p, text_sha, json_sha", [
+    (8, 3, "b9d1ca65ff20363f", "9bff3d3af8dd9e31"),
+    (1024, 7, "6c9d3daf53479c07", "5c75f80b7def339b"),
+])
+def test_complexity_report_is_pinned(capsys, n, p, text_sha, json_sha):
+    # sha256 prefixes of the text report and of the JSON report without its
+    # _meta block (which names the numpy version), at the default prices
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    code, text, _ = run_cli(capsys, "complexity", "--n", str(n), "--P", str(p))
+    assert code == 0 and sha(text) == text_sha
+    code, out, _ = run_cli(capsys, "complexity", "--n", str(n), "--P", str(p),
+                           "--format", "json")
+    doc = json.loads(out)
+    del doc["_meta"]
+    assert code == 0 and sha(json.dumps(doc, indent=2)) == json_sha
 
 
 def test_ber_sweep_runs_and_is_deterministic(tmp_path, capsys):
