@@ -61,9 +61,19 @@ def _as_sigma(name: str, value) -> float:
 
 
 def awgn_llr(y, sigma: float) -> np.ndarray:
-    """Channel log-ratios for unit-energy antipodal symbols: 2*y / sigma**2."""
+    """Channel log-ratios for unit-energy antipodal symbols: 2*y / sigma**2.
+
+    Raises ValueError naming ``sigma`` when a log-ratio of a finite ``y``
+    overflows: ``_as_sigma`` bounds sigma for a unit symbol only, and a
+    received value ``|y| > 1`` can overflow just above that bound.
+    """
     sigma = _as_sigma("sigma", sigma)
-    return 2.0 * np.asarray(y, dtype=np.float64) / (sigma * sigma)
+    try:
+        with np.errstate(over="raise"):  # an infinite y does not overflow
+            return 2.0 * np.asarray(y, dtype=np.float64) / (sigma * sigma)
+    except FloatingPointError:
+        raise ValueError(f"sigma = {sigma} is too small: the channel log-ratios "
+                         f"2y / sigma**2 overflow") from None
 
 
 def sigma_from_ebn0_db(ebn0_db: float, rate: float) -> float:

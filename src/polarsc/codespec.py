@@ -53,18 +53,17 @@ def bit_reverse_permutation(m: int) -> np.ndarray:
     return perm
 
 
-def _fold(x: np.ndarray, stages=None) -> np.ndarray:
-    """Apply XOR butterfly stages in place to ``x``, a C-contiguous
+def _fold(x: np.ndarray) -> np.ndarray:
+    """Apply every XOR butterfly stage in place to ``x``, a C-contiguous
     ``(n, ...)`` array in block layout, and return it.
 
     The stage-``l`` fold XORs the second half of every block of
-    ``2**(l+1)`` rows into its first half.  ``stages`` is an iterable of
-    stage indices, every stage ``0..m-1`` by default.  The stages commute
-    and each is its own inverse, so folding every stage is the polar
-    transform and undoes itself.
+    ``2**(l+1)`` rows into its first half.  The stages commute and each is
+    its own inverse, so folding every stage is the polar transform and
+    undoes itself.
     """
     n = len(x)
-    for l in range(n.bit_length() - 1) if stages is None else stages:
+    for l in range(n.bit_length() - 1):
         # a view of x, as x is C-contiguous, so the XOR updates x
         blocks = x.reshape(n >> (l + 1), 2, 1 << l, *x.shape[1:])
         np.bitwise_xor(blocks[:, 0], blocks[:, 1], blocks[:, 0])  # not ^=, which copies back

@@ -269,7 +269,18 @@ class Kernel(Enum):
         can break the rule: a chain of ``L`` f steps on equal small values
         shrinks like ``x**(2**L)`` and rounds to 0, and the tie rule then
         decides 1.  The floors hold for this formula of f only, and must be
-        derived again if it changes.
+        derived again if it changes, for genie counting as well.
+
+        Genie corollary: genie decoding decides every phase, so to it every
+        node is a rate-1 node.  Take a node at level ``L >= 1`` whose values
+        all satisfy ``|v| > t_L`` and whose hard decisions equal the node's
+        true codeword (the true bits folded over stages ``0 ... L - 1``, in
+        storage order).  SC on the node decides that codeword, so each of
+        its decisions is the true bit.  By induction over the node's phases,
+        the partial sums the genie forces are SC's own, so its soft values
+        are SC's, and its hard decision at each phase is SC's decision, the
+        true bit: the node holds no genie error.  ``reference._genie_errors``
+        drops such nodes, so the floors now decide genie counts too.
 
         The ratio domain keeps no floor: its rate-1 subtrees run in full.
         Indexed by ``L``, for every level of every code.

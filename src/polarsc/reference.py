@@ -19,9 +19,10 @@ none of its partial sums, which are 0, and with a log-domain kernel, which
 has ``rate1_floors``, a subtree whose phases all carry information
 (rate-1) is decided at once by the hard decision of its soft values.
 Frames with a value at or below the kernel's floor for the node's level
-(for min-sum, an exact zero) are gathered and re-decoded through the
-node's full SC steps, ``_unpruned_plan(L)``, by the same loop.  Levels
-are laid out ``(2**l, batch)``: one kernel call serves every frame.
+(for min-sum, an exact zero) are gathered and re-decoded by the same loop
+one SC step down, ``_split_plan(L)``, where each child is again a rate-1
+node.  Levels are laid out ``(2**l, batch)``: one kernel call serves every
+frame.
 
 Like the paper's decoders, the loop updates O(n) memory in place and
 allocates nothing per step; only a rate-1 node's re-decode allocates, a
@@ -35,8 +36,9 @@ bit-reversed order, and one more pass of every fold (``codespec._fold``,
 the package's one butterfly) turns it back into the decided bits.
 
 ``_sc_decode`` and ``_genie_errors`` take level ``m`` as it is stored, an
-``(n, batch)`` array in bit-reversed order, and return ``(n, batch)``
-results; neither transposes nor gathers.  Campaign and genie frames are
+``(n, batch)`` array in bit-reversed order, with no transpose or gather of
+their input; ``_sc_decode`` returns ``(n, batch)`` rows, and
+``_genie_errors`` one count per position.  Campaign and genie frames are
 born in that layout (``channel._level_frames``).  The public entry points
 check the shape of their ``(batch, n)`` channel log-ratios and convert
 them once, in ``_kernel_frames``: through ``Kernel.from_llr`` into the
@@ -44,9 +46,12 @@ kernel's domain, then gathered into level ``m``.
 
 Genie-aided decoding, which forces every decision to the true bit, depends
 on no decision, so it needs no SC loop: ``_genie_errors`` evaluates the
-fully unrolled graph one stage at a time, each stage's ``n/2`` f nodes in
-one kernel call and its ``n/2`` g nodes in another, and compares the hard
-decision of every phase's root value with its true bit.
+fully unrolled graph one stage at a time, each stage's live f nodes in one
+kernel call and its live g nodes in another, and compares the hard
+decision of every phase's root value with its true bit.  A node whose
+values clear the kernel's floor with the signs of its true codeword is
+dropped, as SC decides it exactly as the genie does (the corollary in
+``Kernel.rate1_floors``).
 
 Frames share nothing, so independent frame blocks are decoded at once,
 up to ``_WORKERS`` of them: ``_run_jobs`` runs the first in the caller and
@@ -72,7 +77,7 @@ import numpy as np
 
 from .channel import _RNG_BLOCK, _as_sigma, _draw, _level_frames
 from .codespec import CodeSpec, _as_int, _as_seed, _fold, bit_reverse_permutation
-from .kernels import Kernel
+from .kernels import _SIGN_SHIFT, Kernel
 
 _GENIE_BLOCK = 512  # frames per random stream; part of the reproducibility contract
 
@@ -107,8 +112,8 @@ def _lower(spec: CodeSpec, rate1: bool) -> tuple:
     every phase an information bit, and not so for its parent) becomes one
     ``_RATE1`` instruction when its level-``L`` values are ready, in place
     of the node's steps, decisions and folds.  Its fallback is not in the
-    plan: the frames that need it run ``_unpruned_plan(L)``, the node's
-    full SC steps, on their own (see ``_run_plan``).
+    plan: the frames that need it run ``_split_plan(L)`` on their own (see
+    ``_run_plan``).
     """
     n = spec.n
     frozen_before = tuple(accumulate(spec.frozen_mask.tolist(), initial=0))
@@ -161,6 +166,18 @@ def _unpruned_plan(m: int) -> tuple:
     return _lower(CodeSpec(m=m, frozen=()), False)
 
 
+def _split_plan(L: int) -> tuple:
+    """The fallback of a rate-1 node at level ``L >= 1``, five instructions:
+    the node's f, its left child as a rate-1 node at level ``L - 1`` (a
+    decision at level 0), its g, its right child likewise, and the fold.
+    This is SC's own step down the node, so a frame whose children clear
+    their floors costs the node two kernel calls, and the rest go down again.
+    """
+    h = 1 << (L - 1)
+    left, right = ((_RATE1, L - 1, i, 0) if h > 1 else (_DECIDE, i, 0, 0) for i in (0, h))
+    return (_F, L - 1, 0, 0, *left, _G, L - 1, h, 0, *right, _FOLD, 0, h, 2 * h)
+
+
 def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel) -> tuple:
     """Run SC decoding over level ``m``, an ``(n, batch)`` array of
     kernel-domain values in bit-reversed order (see ``_kernel_frames``),
@@ -199,10 +216,11 @@ def _run_plan(plan: tuple, values: np.ndarray, kernel: Kernel) -> np.ndarray:
     the level's storage order wherever every ``|value|`` exceeds the
     kernel's floor ``rate1_floors[L]`` (see ``Kernel.rate1_floors``).  The
     frames with a value at or below it are gathered, their level-``L``
-    columns run through ``_unpruned_plan(L)``, the node's full SC steps,
-    by this same function, and their columns of ``x`` are overwritten with
-    its result.  So each frame's bits are SC's, and only the frames below
-    the floor pay for the node's steps.
+    columns run through ``_split_plan(L)``, the node's f, g and fold with
+    each child a rate-1 node again, by this same function, and their
+    columns of ``x`` are overwritten with its result.  So each frame's bits
+    are SC's, and a frame pays for the steps below a node only where it
+    fails that node's floor.
     """
     n, batch = values.shape
     top = n.bit_length() - 1
@@ -236,52 +254,106 @@ def _run_plan(plan: tuple, values: np.ndarray, kernel: Kernel) -> np.ndarray:
                 low = np.abs(level, out=scratch[:1 << a] if a < top else None).min(axis=0)
                 below = np.flatnonzero(low <= floors[a])
                 if below.size:
-                    x[node, below] = _run_plan(_unpruned_plan(a), level[:, below], kernel)
+                    x[node, below] = _run_plan(_split_plan(a), level[:, below], kernel)
     return x
 
 
 def _genie_errors(level: np.ndarray, forced: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Per-position error counts of genie-aided SC over level ``m``, an
-    ``(n, batch)`` C-contiguous array of kernel-domain values in
-    bit-reversed order, whose true input blocks are the ``(n, batch)``
-    uint8 message rows ``forced``.  Both arrays are used in place: the
-    values are overwritten, and ``forced`` is folded and ends as it began.
+    ``(n, batch)`` array of kernel-domain values in bit-reversed order,
+    whose true input blocks are the ``(n, batch)`` uint8 message rows
+    ``forced``, both C-contiguous.  Both arrays are overwritten: ``forced``
+    is folded in place into the true codewords, as a copy of it would
+    raise a genie block's peak memory.
 
     With every decision forced to its true bit, no soft value depends on a
     decision, so the decode is the fully unrolled graph, evaluated one
-    stage at a time.  ``level`` and one more ``(n, batch)`` array take
-    turns as input and output.  At stage ``l``, viewed as ``(n >> (l +
-    1), 2, 2**l, batch)``, each block's two halves feed one f call into the
-    left halves of the output and one g call into its right halves,
-    covering every node of the stage.  A g reads the left half of its block
-    in the partial-sum array ``x``: the true bits with the folds of stages
-    below ``l`` applied (see ``_sc_decode``).  ``x`` is folded up to stage
-    ``m - 1`` once, and each stage down undoes one fold, as a fold is its
-    own inverse, so ``x`` ends as the true bits.  Each f and g element gets
+    stage at a time.  Stage ``l`` holds level ``l + 1`` as ``(2**(l + 1),
+    cols)`` columns, one per live (node, frame) pair, each with the node's
+    true codeword ``c`` (the true bits with the folds of stages ``0 ... l``
+    applied; see ``_sc_decode``).  One f call over the top halves and the
+    bottom halves writes every left child, and one g call, whose partial
+    sums ``c[:h] ^ c[h:]`` are the left children's codewords, every right
+    child.  A child's codeword is ``(c[:h] ^ c[h:], c[h:])``, so ``forced``
+    is folded once, into level ``m``'s codewords, and each stage splits
+    them in place.  The children are then set side by side as ``2 * cols``
+    columns of level ``l``.  Each f and g element gets
     the operands it would get in the SC loop with every decision replaced
     by its true bit, so the counts are bit for bit those of that loop.
+
+    A child at level ``l >= 1`` whose values all clear the kernel's floor
+    ``t_l`` with the sign of its true codeword, ``(-1)**c * value > t_l``
+    (the sign flip of ``kernel._g_llr_into``), holds no error: SC on it
+    decides exactly its true bits (see ``Kernel.rate1_floors``), which is
+    what the genie decides.  Its column is dropped; the live ones are
+    gathered into the other level buffer, and only when some column was
+    dropped.  Columns stay in runs, one run per node, whose bounds and
+    first phases are kept, so each run of level 0 counts the misses of one
+    phase.  ``LR_EXACT`` has no floors and drops nothing.
     """
     n, batch = level.shape
-    m = n.bit_length() - 1
-    other = np.empty_like(level)
-    scratch = np.empty((n // 2, batch))
-    x = _fold(forced, range(m - 1))
+    x = _fold(forced).reshape(-1)  # the true codewords, in level m's order
+    vals, spare = level.reshape(-1), np.empty(n * batch)
     f_into, g_into = kernel.f_into, kernel.g_into
-
-    def halves(a: np.ndarray, l: int) -> np.ndarray:
-        return a.reshape(n >> (l + 1), 2, 1 << l, batch)
-
-    for l in range(m - 1, -1, -1):
-        src, out, xs = halves(level, l), halves(other, l), halves(x, l)
-        tmp = scratch.reshape(n >> (l + 1), 1 << l, batch)
-        f_into(src[:, 0], src[:, 1], out[:, 0], tmp)
-        g_into(src[:, 0], src[:, 1], xs[:, 0], out[:, 1], tmp)
-        level, other = other, level
-        if l:
-            _fold(x, (l - 1,))
-    missed = np.less_equal(level, kernel.threshold)  # Kernel.hard_decision
-    np.not_equal(missed, x.view(bool), out=missed)
-    return np.count_nonzero(missed, axis=1)
+    floors, cols = kernel.rate1_floors, batch
+    bounds, phases = np.array([0, batch]), np.zeros(1, dtype=np.intp)  # the runs
+    for l in range(n.bit_length() - 2, -1, -1):
+        h, size = 1 << l, cols << (l + 1)
+        halves, out, xs = (a[:size].reshape(2, h, cols) for a in (vals, spare, x))
+        np.bitwise_xor(xs[0], xs[1], out=xs[0])  # the children's codewords
+        tmp = np.empty((h, cols))
+        f_into(halves[0], halves[1], out[0], tmp)
+        g_into(halves[0], halves[1], xs[0], out[1], tmp)
+        del tmp
+        bounds = np.concatenate((bounds[:-1], bounds + cols))
+        phases = np.concatenate((phases, phases + h))
+        if not l:
+            break
+        keep = None
+        if floors is not None:
+            # Each column's least (-1)**c * value, reduced in place into its
+            # first row, with the mask of live columns in the bytes of the
+            # second: arrays allocated here would sit in the freed scratch,
+            # and the next stage's scratch would grow the heap.
+            flip = vals[:size].view(np.uint64).reshape(2, h, cols)
+            np.left_shift(xs, _SIGN_SHIFT, out=flip)
+            np.bitwise_xor(flip, out.view(np.uint64), out=flip)
+            low = flip.view(np.float64)
+            for rows in low:
+                k = h
+                while k > 1:
+                    k //= 2
+                    np.minimum(rows[:k], rows[k:2 * k], out=rows[:k])
+            live = low[0, 1].view(bool)[:2 * cols]
+            np.less_equal(low[:, 0], floors[l], out=live.reshape(2, cols))
+            if not live.all():
+                keep = np.flatnonzero(live)
+                run = np.add.reduceat(live, bounds[:-1], dtype=np.intp)
+        # The children side by side, (2, h, cols) -> (h, 2 * cols), so the
+        # kernels read and write only contiguous halves: numpy buffers each
+        # strided operand of a ufunc in 64 KiB of its own.
+        np.copyto(vals[:size].reshape(h, 2, cols), out.transpose(1, 0, 2))
+        side = spare.view(np.uint8)[:size].reshape(h, 2, cols)
+        np.copyto(side, xs.transpose(1, 0, 2))
+        cols *= 2
+        if keep is None:
+            x[:size] = side.reshape(-1)
+            continue
+        np.take(side.reshape(h, cols), keep, axis=1, out=x[:h * keep.size].reshape(h, -1),
+                mode="clip")
+        np.take(vals[:size].reshape(h, cols), keep, axis=1,
+                out=spare[:h * keep.size].reshape(h, -1), mode="clip")
+        vals, spare, cols = spare, vals, keep.size
+        del keep  # before the next stage's scratch, for the same reason
+        phases = phases[run > 0]
+        bounds = np.concatenate(([0], np.cumsum(run[run > 0])))
+        if not cols:
+            return np.zeros(n, dtype=np.int64)
+    missed = np.less_equal(spare[:size], kernel.threshold, out=vals.view(bool)[:size])
+    np.not_equal(missed, x[:size].view(bool), out=missed)  # Kernel.hard_decision
+    counts = np.zeros(n, dtype=np.int64)
+    counts[phases] = np.add.reduceat(missed, bounds[:-1], dtype=np.int64)
+    return counts
 
 
 def _genie_chunk(spec: CodeSpec, sigma: float, bits: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -319,10 +391,10 @@ _MAX_WORKERS = 2
 _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 # The fewest frames of a chunk a genie block is cut into, one campaign block.
-# Measured with _genie_errors at n = 1024 on two CPUs: 512 frames as 2 x 256
-# took 248-261 ms down to 123-139 ms, and 256 frames as 2 x 128 took 95-126
-# ms down to 57-67 ms.  A lower floor would pay too, but only on a last block
-# of 256 to 511 trials.
+# Measured with _genie_chunk at n = 1024 and sigma 0.794 on two CPUs
+# (quartiles of 9 runs): 512 frames as 2 x 256 took 111-116 ms down to 59-72
+# ms, and 256 frames as 2 x 128 took 53-56 ms down to 33-37 ms.  A lower
+# floor would pay too, but only on a last block of 256 to 511 trials.
 _MIN_CHUNK = _RNG_BLOCK
 _pools: dict = {}  # pid -> the worker threads' executor, made on first use
 

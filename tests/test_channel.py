@@ -120,6 +120,20 @@ def test_a_sigma_whose_log_ratios_overflow_is_rejected():
         assert genie_error_counts(16, 1.1e-154, 4, 0).sum() == 0
 
 
+def test_a_received_value_whose_log_ratio_overflows_names_sigma():
+    # the sigma bound covers a unit symbol; |y| = 2 just above it returned
+    # [inf] with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^sigma = 1.1e-154 is too small: the channel "
+                                             r"log-ratios 2y / sigma\*\*2 overflow$"):
+            awgn_llr([1.0, -2.0], 1.1e-154)
+        # a non-finite received value is the caller's, not sigma's, and
+        # from_llr rejects its log-ratio
+        assert np.isnan(awgn_llr([np.nan], 1.0)).all()
+        assert np.isneginf(awgn_llr([-np.inf], 1.1e-154)).all()
+
+
 def test_wilson_halfwidth_golden():
     # 10 errors in 100 trials, computed independently at high precision
     assert wilson_halfwidth(10, 100) == pytest.approx(0.05956826222211918, abs=1e-12)

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import re
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -110,7 +111,8 @@ def test_decode_batch_takes_one_frame_or_a_batch():
 
 def test_minsum_rate1_shortcut_is_taken(monkeypatch, rng):
     # a tie-free rate-1 code is decided by hard decision with no f call; one
-    # exact zero sends its frame through full SC, n - 1 f calls
+    # exact zero sends its frame one step down at each level on the zero's
+    # path (a zero f result keeps failing the floor), m f calls
     calls = []
     real_f = kernels._f_minsum_into
 
@@ -132,7 +134,7 @@ def test_minsum_rate1_shortcut_is_taken(monkeypatch, rng):
             llr[7, 40] = 0.0
             calls.clear()
             u_hat, c_hat = decode_batch(llr, spec, kernel)
-            assert len(calls) == spec.n - 1
+            assert len(calls) == spec.m
             u_ref, c_ref = recursive_sc(kernel.from_llr(llr), spec.frozen_mask, kernel)
             assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref)
 
@@ -142,8 +144,9 @@ def test_minsum_rate1_shortcut_is_taken(monkeypatch, rng):
 def test_rate1_fallback_decodes_only_the_frames_below_the_floor(monkeypatch, rng, kernel,
                                                                f_name):
     # a frame with a value at or below a rate-1 node's floor is re-decoded
-    # on its own: the node's f steps see only those frames, and the other
-    # frames keep the node's hard decision
+    # on its own, one SC step down with each child a rate-1 node again: the
+    # node's f steps see only those frames, and the other frames keep the
+    # node's hard decision
     widths = []
     real_f = getattr(kernels, f_name)
 
@@ -158,7 +161,10 @@ def test_rate1_fallback_decodes_only_the_frames_below_the_floor(monkeypatch, rng
     u_ref, c_ref = recursive_sc(kernel.from_llr(llr), spec.frozen_mask, kernel)
     monkeypatch.setattr(kernels, f_name, spy)
     u_hat, c_hat = decode_batch(llr, spec, kernel)
-    assert widths == [2] * (spec.n - 1)
+    # min-sum's floor is 0, so both frames hold a zero and every split on
+    # its path fails again; the exact kernel's frame at t_6 clears the
+    # floors of its children after one split, and only the -0.0 goes down
+    assert widths == ([2] * 6 if kernel is Kernel.LLR_MINSUM else [2] + [1] * 5)
     assert np.array_equal(u_hat, u_ref) and np.array_equal(c_hat, c_ref)
     keep = np.setdiff1d(np.arange(20), [3, 11])
     assert np.array_equal(c_hat[keep], kernel.hard_decision(llr[keep]))
@@ -287,12 +293,100 @@ def test_genie_mode_returns_the_forced_codeword(m, kernel, rng):
         values = kernel.from_llr(llr)
         decided, c_hat = recursive_sc(values, spec.frozen_mask, kernel, forced=u)
         assert np.array_equal(c_hat, encode(u, spec))
-        forced = np.ascontiguousarray(u.T)  # the message rows
+        forced = u.T.copy()  # the message rows, which the evaluator overwrites
         level = values.T[bit_reverse_permutation(m)]  # level m, a fresh C-ordered copy
         errs = reference._genie_errors(level, forced, kernel)
         assert errs.tolist() == np.count_nonzero(decided != u, axis=0).tolist()
-        assert np.array_equal(forced, u.T)  # folded in place, and unfolded again
     assert 0 < errs.sum() < u.size
+
+
+def _floor_edge_frames(kernel, m, batch, rng):
+    """Message rows and level ``m`` (bit-reversed order) of frames whose
+    right child of the root is placed exactly: every left value is +/-0.0,
+    so f gives the left child zeros and g gives the right child the right
+    values, which sit at, just above or just below the floor ``t_{m-1}`` or
+    far below it, carry a wrong hard decision above it, or a signed zero."""
+    n, h = 1 << m, 1 << (m - 1)
+    floor = (kernel.rate1_floors or kernels._EXACT_RATE1_FLOORS)[m - 1]
+    u = rng.integers(0, 2, size=(n, batch), dtype=np.uint8)
+    right = encode(u.T, CodeSpec(m=m, frozen=())).T[bit_reverse_permutation(m)][h:]
+    level = np.empty((n, batch))
+    level[:h] = rng.choice([0.0, -0.0], size=(h, batch))
+    for j in range(batch):
+        case = j % 7
+        mags = np.full(h, [floor, np.nextafter(floor, np.inf), np.nextafter(floor, 0.0),
+                           np.nextafter(floor, np.inf), 30.0, 1e-200, 0.0][case])
+        signs = 1.0 - 2.0 * right[:, j]  # the hard decision of the true codeword
+        if case == 3:
+            signs[rng.integers(h)] *= -1.0
+        if case == 4:
+            mags[rng.integers(h)] = 0.0  # a zero signed as its true bit
+        level[h:, j] = signs * mags
+        if case == 6:
+            level[:, j] = rng.normal(0.0, 2.0, n)
+    return u, level
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("m", range(1, 9))
+def test_genie_counts_equal_the_oracle_at_the_floors(m, kernel, rng):
+    # a child is dropped only where its values clear the floor with the
+    # signs of its true codeword; at the floor, below it, with a zero or
+    # with a wrong hard decision it is decoded down to its phases
+    u, level = _floor_edge_frames(kernel, m, 35, rng)
+    decided, _ = recursive_sc(kernel.from_llr(level[bit_reverse_permutation(m)].T),
+                              np.zeros(1 << m, dtype=bool), kernel, forced=u.T)
+    errs = reference._genie_errors(kernel.from_llr(level), u.copy(), kernel)
+    assert errs.tolist() == np.count_nonzero(decided != u.T, axis=0).tolist()
+
+
+@pytest.mark.parametrize("kernel, f_name", [(Kernel.LR_EXACT, "_f_lr_into"),
+                                            (Kernel.LLR_EXACT, "_f_llr_exact_into"),
+                                            (Kernel.LLR_MINSUM, "_f_minsum_into")])
+def test_genie_drops_the_children_decided_above_their_floors(monkeypatch, rng, kernel,
+                                                             f_name):
+    sizes = []
+    real_f = getattr(kernels, f_name)
+
+    def spy(a, b, out, scratch):
+        sizes.append(a.size)
+        real_f(a, b, out, scratch)
+
+    monkeypatch.setattr(kernels, f_name, spy)
+    m, batch = 10, 4
+    n = 1 << m
+    u = rng.integers(0, 2, size=(n, batch), dtype=np.uint8)
+    noiseless = 30.0 * (1.0 - 2.0 * encode(u.T, CodeSpec(m=m, frozen=())).T)
+    errs = reference._genie_errors(kernel.from_llr(noiseless[bit_reverse_permutation(m)]),
+                                   u.copy(), kernel)
+    assert not errs.any()
+    # both children of the root clear their floors at once; the ratio domain
+    # has no floors and evaluates every stage in full
+    assert sizes == [n // 2 * batch] * (m if kernel is Kernel.LR_EXACT else 1)
+    # values below every floor: every stage is evaluated in full, and every
+    # phase's root value is a tie, decided 1
+    sizes.clear()
+    errs = reference._genie_errors(kernel.from_llr(np.zeros((n, batch))), u.copy(), kernel)
+    assert sizes == [n // 2 * batch] * m
+    assert errs.tolist() == np.count_nonzero(u == 0, axis=1).tolist()
+
+
+def test_genie_errors_live_peak_stays_within_the_level_arrays():
+    # one block of the benchmark's genie point holds a second level array
+    # and one stage's scratch, and no array per column; the stage-wide
+    # evaluator this one replaced peaked at 3.32 MiB here
+    spec = CodeSpec(m=10, frozen=())
+    u, llr = channel._level_frames(spec, 0.794, *channel._draw(spec, 256, 0, 0))
+    level = Kernel.LLR_EXACT._from_llr_in_place(llr)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        reference._genie_errors(level, u, Kernel.LLR_EXACT)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.32 * 2**20
 
 
 def test_genie_counts_golden_n64():
@@ -377,8 +471,9 @@ def test_decode_batch_golden_digests(kernel, digests):
 def _plan_replay(ops, take_fallbacks, shift=0):
     """The kernel steps ``(l, fn, i)`` and decisions ``("d", i)`` of a plan,
     in the order it runs them, with phases moved up by ``shift``: with each
-    rate-1 node ``(L, lo)`` expanded into its fallback, ``_unpruned_plan(L)``
-    moved up to ``lo``, or on the path that decides every node at once."""
+    rate-1 node ``(L, lo)`` expanded into its fallback, ``_split_plan(L)``
+    moved up to ``lo``, whose own rate-1 nodes are expanded in turn, or on
+    the path that decides every node at once."""
     names = {reference._F: "f", reference._G: "g", reference._G0: "g"}
     out, pos = [], 0
     while pos < len(ops):
@@ -389,7 +484,7 @@ def _plan_replay(ops, take_fallbacks, shift=0):
         elif op == reference._DECIDE:
             out.append(("d", a + shift))
         elif op == reference._RATE1 and take_fallbacks:
-            out += _plan_replay(reference._unpruned_plan(a), False, b + shift)
+            out += _plan_replay(reference._split_plan(a), True, b + shift)
         elif op == reference._RATE1:
             out.append(("rate1", a, b + shift))
     return out
