@@ -34,10 +34,11 @@ The loop skips dead activations, those that feed only frozen phases, runs
 the g after a rate-0 sibling without reading its all-zero partial sums,
 and with a log-domain kernel it decides a rate-1 subtree by hard decision
 and skips the rest of its activations, in every frame whose values at the
-subtree's level lie above the kernel's floor (``Kernel.rate1_floors``);
-the other frames run the subtree's activations in full.  Skipped activations
-still take their cycles and PEs: cycle, PE and occupancy figures come from
-the schedule alone.  The decoded output of every machine is bit-identical
+subtree's level lie above the kernel's floor (see "Rate-1 floors" in
+``Kernel``); the other frames go one SC step down the subtree, whose
+children are rate-1 nodes again.  Skipped activations still take their
+cycles and PEs: cycle, PE and occupancy figures come from the schedule
+alone.  The decoded output of every machine is bit-identical
 to the reference decoder.
 """
 

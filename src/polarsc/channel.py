@@ -83,7 +83,7 @@ def sigma_from_ebn0_db(ebn0_db: float, rate: float) -> float:
     positive finite number, as at +/-4000 dB, or when the channel
     log-ratios ``2y / sigma**2`` it gives overflow, as at 3080 dB.
     """
-    if not 0 < rate <= 1:
+    if not 0 < _as_finite("rate", rate) <= 1:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     ebn0_db = _as_finite("ebn0_db", ebn0_db)
     try:
@@ -118,12 +118,14 @@ class CampaignStop:
 
 def wilson_halfwidth(errors: int, total: int) -> float:
     """Half-width of the Wilson 95% interval for a binomial proportion:
-    0.0 for no trials, and ValueError unless ``0 <= errors <= total``."""
-    if total <= 0:
-        return 0.0
-    if not 0 <= errors <= total:
+    0.0 for no trials, and ValueError unless ``0 <= errors <= total`` and
+    both counts are integers."""
+    if total > 0 and not 0 <= errors <= total:
         raise ValueError(f"errors must satisfy 0 <= errors <= total = {total}, "
                          f"got {errors}")
+    errors, total = _as_int("errors", errors), _as_int("total", total)
+    if total <= 0:
+        return 0.0
     p, z = errors / total, _WILSON_Z
     denom = 1.0 + z * z / total
     return float(z * np.sqrt(p * (1.0 - p) / total + z * z / (4.0 * total * total)) / denom)

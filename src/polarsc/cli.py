@@ -1,7 +1,9 @@
 """Command-line surface for batch experiments and golden-file generation.
 
-Every subcommand reads an optional JSON config document (``--config``);
-explicit flags override config values and ``--seed`` overrides any seed.
+Every subcommand reads an optional JSON config document (``--config``),
+whose keys are the subcommand's own flags other than its file paths;
+explicit flags override config values and ``--seed`` overrides any seed,
+which must be a non-negative integer.
 Machine-readable JSON outputs embed a ``_meta`` block echoing the sha256
 of the effective config and the polarsc and numpy versions, for
 reproducibility.  Schedule CSV output carries no metadata so it can be
@@ -60,12 +62,14 @@ def _fits(value, flag_type) -> bool:
     return isinstance(value, accepted) and not isinstance(value, bool)
 
 
-def _effective(args: argparse.Namespace, keys: list[str], required=()) -> dict:
-    """Merge config-file values and CLI flags; flags win, then --seed.
-    A config value must fit the ``type=`` of its flag, and every key in
-    ``required`` must end up with a value."""
-    cfg = _load_config(getattr(args, "config", None))
-    unknown = set(cfg) - set(keys)
+def _effective(args: argparse.Namespace, required=()) -> dict:
+    """Merge config-file values and CLI flags; flags win.  The config keys
+    are the subcommand's settings, ``args.keys`` (see ``_build_parser``).
+    A config value must fit the ``type=`` of its flag, a seed must be a
+    non-negative integer, and every key in ``required`` must end up with a
+    value."""
+    cfg = _load_config(args.config)
+    unknown = set(cfg) - set(args.keys)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in cfg.items():
@@ -74,12 +78,12 @@ def _effective(args: argparse.Namespace, keys: list[str], required=()) -> dict:
             raise ValueError(f"config key {key!r} must be {flag_type.__name__}, "
                              f"got {value!r}")
     merged = dict(cfg)
-    for key in keys:
-        val = getattr(args, key, None)
+    for key in args.keys:
+        val = getattr(args, key)
         if val is not None:
             merged[key] = val
-    if getattr(args, "seed", None) is not None:
-        merged["seed"] = args.seed
+    if "seed" in merged:
+        merged["seed"] = _as_seed(merged["seed"])
     for key in required:
         if merged.get(key) is None:
             raise ValueError(f"missing setting {key!r} "
@@ -161,8 +165,7 @@ def _bits_text(blocks: np.ndarray) -> str:
 
 
 def _cmd_construct(args) -> int:
-    cfg = _effective(args, ["n", "k", "method", "design_erasure", "sigma",
-                            "trials", "seed"], required=["n", "k"])
+    cfg = _effective(args, required=["n", "k"])
     method = cfg.get("method", "bec")
     if method == "bec":
         spec = construct_frozen_bec(cfg["n"], cfg["k"], cfg.get("design_erasure", 0.5))
@@ -177,6 +180,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    _effective(args)  # no setting but the seed, which encoding does not use
     spec = _load_spec(args.spec)
     u = _read_bit_lines(args.input, spec.n)
     _write(args.output, _bits_text(encode(u, spec)))
@@ -184,13 +188,17 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    cfg = _effective(args)
     spec = _load_spec(args.spec)
-    kernel = Kernel(args.kernel)
-    if args.input_format == "bits":
+    kernel = _choice(Kernel, "kernel", cfg.get("kernel", "llr_exact"))
+    input_format = cfg.get("input_format", "llr")
+    if input_format == "bits":
         c = _read_bit_lines(args.input, spec.n)
         llr = (1.0 - 2.0 * c.astype(np.float64)) * LLR_CLIP
-    else:
+    elif input_format == "llr":
         llr = _read_llr_lines(args.input, spec.n)
+    else:
+        raise ValueError(f"unknown input format {input_format!r} (choose one of: bits, llr)")
     u_hat, _ = decode_batch(llr, spec, kernel)
     _write(args.output, _bits_text(u_hat))
     return 0
@@ -209,7 +217,7 @@ def _make_arch_config(cfg: dict) -> ArchitectureConfig:
 
 
 def _cmd_schedule(args) -> int:
-    cfg = _effective(args, ["arch", "n", "P", "pe_count"], required=["arch", "n"])
+    cfg = _effective(args, required=["arch", "n"])
     sched = build_schedule(_make_arch_config(cfg))
     _write(args.output, sched.to_csv())
     print(f"config_sha256: {_config_hash(cfg)}", file=sys.stderr)
@@ -217,9 +225,7 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _effective(args, ["arch", "n", "P", "pe_count", "kernel", "frames",
-                            "random_frames", "ebn0_db", "seed"],
-                     required=["arch"] if args.spec else ["arch", "n"])
+    cfg = _effective(args, required=["arch"] if args.spec else ["arch", "n"])
     spec = _load_spec(args.spec) if args.spec else construct_frozen_bec(
         cfg["n"], cfg["n"] // 2, 0.5)
     if cfg.get("n") not in (None, spec.n):
@@ -237,7 +243,7 @@ def _cmd_simulate(args) -> int:
         count = cfg.get("random_frames", 1)
         if count < 1:
             raise ValueError(f"random_frames must be >= 1, got {count}")
-        message, llr = _noisy_frames(spec, sigma, count, _as_seed(cfg.get("seed", 0)))
+        message, llr = _noisy_frames(spec, sigma, count, cfg.get("seed", 0))
         message, llr = message.T, llr[bit_reverse_permutation(spec.m)].T  # to (count, n)
         if ebn0 is None:  # noiseless frames, unit-sigma log ratios
             llr = awgn_llr(bpsk_modulate(encode(message, spec)), 1.0)
@@ -269,7 +275,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    cfg = _effective(args, ["n", "P", "costs", "t_np", "format"], required=["n"])
+    cfg = _effective(args, required=["n"])
     costs = _load_costs(cfg["costs"]) if cfg.get("costs") else CostParams()
     if cfg.get("t_np") is not None:
         costs = dataclasses.replace(costs, t_np=cfg["t_np"])
@@ -282,8 +288,7 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_ber_sweep(args) -> int:
-    cfg = _effective(args, ["points_db", "kernels", "max_frames",
-                            "min_frame_errors", "seed", "format"], required=["points_db"])
+    cfg = _effective(args, required=["points_db"])
     spec = _load_spec(args.spec)
     points = cfg["points_db"]
     if isinstance(points, str):
@@ -310,6 +315,10 @@ def _cmd_ber_sweep(args) -> int:
         _write(args.output, "\n".join(lines) + "\n")
     print(f"config_sha256: {_config_hash(cfg)}", file=sys.stderr)
     return 0
+
+
+# Flags that name files to read or write, and help: no config key.
+_NOT_SETTINGS = {"help", "config", "output", "spec", "input", "trace"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -345,8 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--spec", required=True)
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--input-format", choices=["llr", "bits"], default="llr")
-    p.add_argument("--kernel", choices=_names(Kernel), default="llr_exact")
+    p.add_argument("--input-format", dest="input_format", choices=["llr", "bits"],
+                   help="default llr")
+    p.add_argument("--kernel", choices=_names(Kernel), help="default llr_exact")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_decode)
 
@@ -396,7 +406,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ber_sweep)
 
     for p in sub.choices.values():  # what _effective checks config values against
-        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type})
+        flags = [a for a in p._actions if a.dest not in _NOT_SETTINGS]
+        p.set_defaults(keys=[a.dest for a in flags],
+                       flag_types={a.dest: a.type for a in flags if a.type})
     return parser
 
 

@@ -74,14 +74,15 @@ def butterfly_transform(bits) -> np.ndarray:
     """Apply the m-stage XOR butterfly network along the last axis.
 
     No permutation is applied; the network is its own inverse over GF(2).
-    Accepts a single block or a batch of blocks.
+    Accepts a single block or a batch of blocks, every entry 0 or 1.
     """
     x = np.asarray(bits)
     n = x.shape[-1]
     if n < 2 or n & (n - 1):
         raise ValueError(f"block length must be a power of 2 >= 2, got {n}")
+    if np.any((x != 0) & (x != 1)):
+        raise ValueError("input bits must be 0 or 1")
     rows = np.array(x.reshape(-1, n).T, dtype=np.uint8, order="C")  # a copy: bits is kept
-    np.bitwise_and(rows, 1, out=rows)
     return np.ascontiguousarray(_fold(rows).T).reshape(x.shape)
 
 
@@ -192,13 +193,9 @@ def encode(u, spec: CodeSpec) -> np.ndarray:
     u = np.asarray(u)
     if u.shape[-1] != spec.n:
         raise ValueError(f"input length {u.shape[-1]} != code length {spec.n}")
-    if np.any((u != 0) & (u != 1)):
-        raise ValueError("input bits must be 0 or 1")
-    u = u.astype(np.uint8)
     if spec.frozen and np.any(u[..., list(spec.frozen)]):
         raise ValueError("frozen positions must be 0")
-    perm = bit_reverse_permutation(spec.m)
-    return butterfly_transform(u[..., perm])
+    return butterfly_transform(u[..., bit_reverse_permutation(spec.m)])  # checks 0 or 1
 
 
 def bec_erasure_profile(n: int, design_erasure: float) -> np.ndarray:
@@ -208,7 +205,8 @@ def bec_erasure_profile(n: int, design_erasure: float) -> np.ndarray:
     parameter z to the pair ``(2z - z**2, z**2)``.  Larger values mark less
     reliable inputs.
     """
-    if not 0.0 < design_erasure < 1.0:
+    n = _as_int("n", n)
+    if not 0.0 < _as_finite("design_erasure", design_erasure) < 1.0:
         raise ValueError(f"design erasure must be in (0, 1), got {design_erasure}")
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of 2 >= 2, got {n}")

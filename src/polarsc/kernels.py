@@ -91,7 +91,7 @@ def _f_llr_exact_into(la, lb, out, scratch):
 
 # A bound on |computed f - true f| for _f_llr_exact_into on [-LLR_CLIP,
 # LLR_CLIP]**2, from which the exact kernel's rate-1 floors are derived (see
-# Kernel.rate1_floors).
+# "Rate-1 floors" in the Kernel docstring).
 _F_EXACT_ERROR = 1e-13
 _FLOOR_LEVELS = 64  # more levels than any code has
 
@@ -148,6 +148,16 @@ def _apply(op, a, b, *us):
     return out[()]
 
 
+def _real_llr(llr) -> np.ndarray:
+    """``llr`` as an array; ValueError naming its dtype unless it holds
+    real numbers (bool, int or float), as a complex array would lose its
+    imaginary part in the cast to float and a string array be parsed."""
+    llr = np.asarray(llr)
+    if llr.dtype.kind not in "biuf":
+        raise ValueError(f"channel log-ratios must be real numbers, got dtype {llr.dtype}")
+    return llr
+
+
 def _positive_ratios(a, b) -> tuple[np.ndarray, np.ndarray]:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if np.any(a <= 0) or np.any(b <= 0):
@@ -186,113 +196,99 @@ def g_llr(la, lb, us):
 
 
 class Kernel(Enum):
-    """Arithmetic variant used by a decoder."""
+    """Arithmetic variant used by a decoder.
 
-    LR_EXACT = "lr_exact"
-    LLR_EXACT = "llr_exact"
-    LLR_MINSUM = "llr_minsum"
+    Each member is declared once, as its whole record: the value string,
+    then the stage ops ``f_into(a, b, out, scratch)``, ``g_into(a, b, us,
+    out, scratch)`` (``us`` a uint8 array of partial sums, each 0 or 1) and
+    ``g0_into(a, b, out, scratch)``, g after a rate-0 sibling, whose partial
+    sums are all 0, bit-identical to ``g_into`` with an all-zero ``us``;
+    the per-level ``rate1_floors`` (below); the 0-d decision ``threshold``,
+    ratio 1 or log-ratio 0; and the in-place map from clipped channel
+    log-ratios into the kernel's domain, ``np.exp`` or none.
+
+    Rate-1 floors
+    -------------
+    Per-level floors ``t_L`` above which SC on a rate-1 subtree is the
+    hard decision of its inputs, or None where no floor is known.
+
+    A frame's ``2**L`` values at level ``L`` of a rate-1 subtree are
+    decided by their hard decision, in storage order, when every
+    ``|value| > t_L``.  The argument is one induction over ``L``, given
+    two facts about the kernel's f and g:
+
+    - (f) ``|a|, |b| > t_L`` makes f's result non-zero, with the sign
+      product ``sign(a) * sign(b)``, and above ``t_{L-1}`` in magnitude;
+    - (g) given the left child's hard decision as its partial sum, g
+      is ``(-1)**(hd(a) ^ hd(b)) * a + b = sign(b) * (|a| + |b|)``, which
+      rounds and clips to at least ``|b|`` in magnitude.
+
+    So the left child's inputs are above ``t_{L-1}`` and decide
+    ``hd(a) ^ hd(b)``, the right child's are above ``t_L >= t_{L-1}``
+    and decide ``hd(b)``, and the fold gives ``(hd(a), hd(b))``.
+
+    Min-sum: every floor is 0, which means "no ``+/-0.0``".  Its f,
+    ``copysign(min(|a|, |b|), a*b)``, is the smaller magnitude with the
+    sign product, so (f) holds with ``t_L = 0``.
+
+    Exact log domain: the true f is ``2*atanh(tanh(a/2)*tanh(b/2))``,
+    whose magnitude is at least ``log cosh(s)`` for ``s = min(|a|, |b|)``.
+    On ``[-LLR_CLIP, LLR_CLIP]**2`` the computed f is within
+    ``_F_EXACT_ERROR`` (delta = 1e-13) of it: each of its operations
+    (``a + b``, two ``logaddexp``, the difference) rounds a value of at
+    most 80 by about one ulp, 1.4e-14, so the bound is about 5e-14, and
+    the largest error measured against a ``longdouble`` reference, on
+    2.6 million pairs, is 1.1e-14.  So where ``log cosh(s) > delta``, the
+    computed f has the sign product and ``|f| >= log cosh(s) - delta``.
+    (f) then holds with ``t_0 = 0`` and ``t_L`` the least ``t`` with
+    ``log cosh(t) - delta >= t_{L-1}``, as ``s > t_L`` gives ``|f| >
+    log cosh(t_L) - delta``: ``t_L`` is the smallest start of the chain
+    ``h <- log cosh(h) - delta`` that stays above 0 for ``L`` steps.
+    ``_exact_rate1_floors`` computes them, about 4.5e-7, 9e-4, 0.044,
+    0.30, 0.81, 1.45 and 2.13 for ``L = 1 ... 7``; delta's margin over
+    the bound absorbs their own rounding.  Below the floor, small inputs
+    can break the rule: a chain of ``L`` f steps on equal small values
+    shrinks like ``x**(2**L)`` and rounds to 0, and the tie rule then
+    decides 1.  The floors hold for this formula of f only, and must be
+    derived again if it changes, for genie counting as well.
+
+    Genie corollary: genie decoding decides every phase, so to it every
+    node is a rate-1 node.  Take a node at level ``L >= 1`` whose values
+    all satisfy ``|v| > t_L`` and whose hard decisions equal the node's
+    true codeword (the true bits folded over stages ``0 ... L - 1``, in
+    storage order).  SC on the node decides that codeword, so each of
+    its decisions is the true bit.  By induction over the node's phases,
+    the partial sums the genie forces are SC's own, so its soft values
+    are SC's, and its hard decision at each phase is SC's decision, the
+    true bit: the node holds no genie error.  ``reference._genie_errors``
+    drops such nodes, so the floors now decide genie counts too.
+
+    The ratio domain keeps no floor: its rate-1 subtrees run in full.
+    Indexed by ``L``, for every level of every code.
+    """
+
+    LR_EXACT = "lr_exact", _f_lr_into, _g_lr_into, _g0_lr_into, None, _ONE, np.exp
+    LLR_EXACT = ("llr_exact", _f_llr_exact_into, _g_llr_into, _g0_llr_into,
+                 _EXACT_RATE1_FLOORS, _ZERO, None)
+    LLR_MINSUM = ("llr_minsum", _f_minsum_into, _g_llr_into, _g0_llr_into,
+                  _MINSUM_RATE1_FLOORS, _ZERO, None)
+
+    def __new__(cls, value, f_into, g_into, g0_into, rate1_floors, threshold, to_domain):
+        member = object.__new__(cls)
+        member._value_ = value  # so Kernel("llr_exact") and pickling find the member
+        member.f_into, member.g_into, member.g0_into = f_into, g_into, g0_into
+        member.rate1_floors, member.threshold = rate1_floors, threshold
+        member._to_domain = to_domain
+        return member
 
     def f(self, a, b):
-        if self is Kernel.LR_EXACT:
-            return f_lr(a, b)
-        if self is Kernel.LLR_EXACT:
-            return f_llr_exact(a, b)
-        return f_minsum(a, b)
+        return _apply(self.f_into, *self._operands(a, b))
 
     def g(self, a, b, us):
-        if self is Kernel.LR_EXACT:
-            return g_lr(a, b, us)
-        return g_llr(a, b, us)
+        return _apply(self.g_into, *self._operands(a, b), us)
 
-    @property
-    def f_into(self):
-        """This kernel's in-place f, ``f_into(a, b, out, scratch)``."""
-        if self is Kernel.LR_EXACT:
-            return _f_lr_into
-        if self is Kernel.LLR_EXACT:
-            return _f_llr_exact_into
-        return _f_minsum_into
-
-    @property
-    def g_into(self):
-        """This kernel's in-place g, ``g_into(a, b, us, out, scratch)``; ``us``
-        is a uint8 array of partial sums, each 0 or 1."""
-        return _g_lr_into if self is Kernel.LR_EXACT else _g_llr_into
-
-    @property
-    def g0_into(self):
-        """This kernel's in-place g after a rate-0 sibling, whose partial sums
-        are all 0: ``g0_into(a, b, out, scratch)``, bit-identical to
-        ``g_into`` with an all-zero ``us``."""
-        return _g0_lr_into if self is Kernel.LR_EXACT else _g0_llr_into
-
-    @property
-    def rate1_floors(self) -> tuple | None:
-        """Per-level floors ``t_L`` above which SC on a rate-1 subtree is the
-        hard decision of its inputs, or None where no floor is known.
-
-        A frame's ``2**L`` values at level ``L`` of a rate-1 subtree are
-        decided by their hard decision, in storage order, when every
-        ``|value| > t_L``.  The argument is one induction over ``L``, given
-        two facts about the kernel's f and g:
-
-        - (f) ``|a|, |b| > t_L`` makes f's result non-zero, with the sign
-          product ``sign(a) * sign(b)``, and above ``t_{L-1}`` in magnitude;
-        - (g) given the left child's hard decision as its partial sum, g
-          is ``(-1)**(hd(a) ^ hd(b)) * a + b = sign(b) * (|a| + |b|)``, which
-          rounds and clips to at least ``|b|`` in magnitude.
-
-        So the left child's inputs are above ``t_{L-1}`` and decide
-        ``hd(a) ^ hd(b)``, the right child's are above ``t_L >= t_{L-1}``
-        and decide ``hd(b)``, and the fold gives ``(hd(a), hd(b))``.
-
-        Min-sum: every floor is 0, which means "no ``+/-0.0``".  Its f,
-        ``copysign(min(|a|, |b|), a*b)``, is the smaller magnitude with the
-        sign product, so (f) holds with ``t_L = 0``.
-
-        Exact log domain: the true f is ``2*atanh(tanh(a/2)*tanh(b/2))``,
-        whose magnitude is at least ``log cosh(s)`` for ``s = min(|a|, |b|)``.
-        On ``[-LLR_CLIP, LLR_CLIP]**2`` the computed f is within
-        ``_F_EXACT_ERROR`` (delta = 1e-13) of it: each of its operations
-        (``a + b``, two ``logaddexp``, the difference) rounds a value of at
-        most 80 by about one ulp, 1.4e-14, so the bound is about 5e-14, and
-        the largest error measured against a ``longdouble`` reference, on
-        2.6 million pairs, is 1.1e-14.  So where ``log cosh(s) > delta``, the
-        computed f has the sign product and ``|f| >= log cosh(s) - delta``.
-        (f) then holds with ``t_0 = 0`` and ``t_L`` the least ``t`` with
-        ``log cosh(t) - delta >= t_{L-1}``, as ``s > t_L`` gives ``|f| >
-        log cosh(t_L) - delta``: ``t_L`` is the smallest start of the chain
-        ``h <- log cosh(h) - delta`` that stays above 0 for ``L`` steps.
-        ``_exact_rate1_floors`` computes them, about 4.5e-7, 9e-4, 0.044,
-        0.30, 0.81, 1.45 and 2.13 for ``L = 1 ... 7``; delta's margin over
-        the bound absorbs their own rounding.  Below the floor, small inputs
-        can break the rule: a chain of ``L`` f steps on equal small values
-        shrinks like ``x**(2**L)`` and rounds to 0, and the tie rule then
-        decides 1.  The floors hold for this formula of f only, and must be
-        derived again if it changes, for genie counting as well.
-
-        Genie corollary: genie decoding decides every phase, so to it every
-        node is a rate-1 node.  Take a node at level ``L >= 1`` whose values
-        all satisfy ``|v| > t_L`` and whose hard decisions equal the node's
-        true codeword (the true bits folded over stages ``0 ... L - 1``, in
-        storage order).  SC on the node decides that codeword, so each of
-        its decisions is the true bit.  By induction over the node's phases,
-        the partial sums the genie forces are SC's own, so its soft values
-        are SC's, and its hard decision at each phase is SC's decision, the
-        true bit: the node holds no genie error.  ``reference._genie_errors``
-        drops such nodes, so the floors now decide genie counts too.
-
-        The ratio domain keeps no floor: its rate-1 subtrees run in full.
-        Indexed by ``L``, for every level of every code.
-        """
-        if self is Kernel.LR_EXACT:
-            return None
-        return _EXACT_RATE1_FLOORS if self is Kernel.LLR_EXACT else _MINSUM_RATE1_FLOORS
-
-    @property
-    def threshold(self) -> np.ndarray:
-        """The 0-d decision threshold: ratio 1, log-ratio 0."""
-        return _ONE if self is Kernel.LR_EXACT else _ZERO
+    def _operands(self, a, b) -> tuple:
+        return _positive_ratios(a, b) if self is Kernel.LR_EXACT else (a, b)
 
     def from_llr(self, llr) -> np.ndarray:
         """Convert channel log-ratios into this kernel's domain.
@@ -303,7 +299,7 @@ class Kernel(Enum):
         ValueError before the clip to ``+/-LLR_CLIP`` could hide it.
         """
         # [()]: a 0-d input comes back as a numpy scalar
-        return self._from_llr_in_place(np.array(llr, dtype=np.float64))[()]
+        return self._from_llr_in_place(np.array(_real_llr(llr), dtype=np.float64))[()]
 
     def _from_llr_in_place(self, llr: np.ndarray) -> np.ndarray:
         """``from_llr`` on a float64 array the caller owns, converted in
@@ -312,8 +308,8 @@ class Kernel(Enum):
         if not np.isfinite(llr).all():
             raise ValueError("channel log-ratios must be finite (no NaN or inf)")
         np.clip(llr, -LLR_CLIP, LLR_CLIP, out=llr)
-        if self is Kernel.LR_EXACT:
-            np.exp(llr, out=llr)
+        if self._to_domain is not None:
+            self._to_domain(llr, out=llr)
         return llr
 
     def hard_decision(self, value) -> np.ndarray:

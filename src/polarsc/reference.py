@@ -11,13 +11,14 @@ Polar Decoders*, 2014), kept to the nodes that give SC's own decisions.
 ``_lower_subtree`` is the package's one statement of the SC step order:
 every machine's schedule replays the f and g steps of the unpruned plan,
 the rate-1 code's (see ``schedule``).  Each kernel step covers a whole
-level; each stage-0 step is followed by that phase's decision and the
-folds that put it into the partial sums that g reads.  As in simplified
-SC, the plan is pruned by the frozen set: an activation whose phases are
-all frozen (a rate-0 subtree) is left out, the g that follows one reads
-none of its partial sums, which are 0, and with a log-domain kernel, which
-has ``rate1_floors``, a subtree whose phases all carry information
-(rate-1) is decided at once by the hard decision of its soft values.
+level; each stage-0 step is followed by that phase's decision, the hard
+decision of a rate-1 node at level 0, and the folds that put it into the
+partial sums that g reads.  As in simplified SC, the plan is pruned by
+the frozen set: an activation whose phases are all frozen (a rate-0
+subtree) is left out, the g that follows one reads none of its partial
+sums, which are 0, and with a log-domain kernel, which has
+``rate1_floors``, a subtree whose phases all carry information (rate-1)
+is decided at once by the hard decision of its soft values.
 Frames with a value at or below the kernel's floor for the node's level
 (for min-sum, an exact zero) are gathered and re-decoded by the same loop
 one SC step down, ``_split_plan(L)``, where each child is again a rate-1
@@ -50,8 +51,8 @@ fully unrolled graph one stage at a time, each stage's live f nodes in one
 kernel call and its live g nodes in another, and compares the hard
 decision of every phase's root value with its true bit.  A node whose
 values clear the kernel's floor with the signs of its true codeword is
-dropped, as SC decides it exactly as the genie does (the corollary in
-``Kernel.rate1_floors``).
+dropped, as SC decides it exactly as the genie does (the genie corollary
+under "Rate-1 floors" in ``Kernel``).
 
 Frames share nothing, so independent frame blocks are decoded at once,
 up to ``_WORKERS`` of them: ``_run_jobs`` runs the first in the caller and
@@ -77,7 +78,7 @@ import numpy as np
 
 from .channel import _RNG_BLOCK, _as_sigma, _draw, _level_frames
 from .codespec import CodeSpec, _as_int, _as_seed, _fold, bit_reverse_permutation
-from .kernels import _SIGN_SHIFT, Kernel
+from .kernels import _SIGN_SHIFT, Kernel, _real_llr
 
 _GENIE_BLOCK = 512  # frames per random stream; part of the reproducibility contract
 
@@ -86,11 +87,11 @@ _F = 0       # (_F, l, i, 0): f at stage l of phase i, level l + 1 into level l
 _G = 1       # (_G, l, i, i - 2**l): g likewise, with partial sums x[i - 2**l:i]
 _G0 = 5      # (_G0, l, i, 0): g whose left sibling [i - 2**l, i) is all frozen,
 #              so its partial sums are 0 and it reads none
-_DECIDE = 2  # (_DECIDE, i, 0, 0): hard decision of the root into x[i]
 _FOLD = 3    # (_FOLD, a, b, c): x[a:b] ^= x[b:c], b - a == c - b
 _RATE1 = 4   # (_RATE1, L, i, 0): decide x[i:i + 2**L] by the hard decision of
-#              level L; re-decode in full the frames with a value at or below
-#              the kernel's floor (see _run_plan)
+#              level L (at L = 0, phase i's decision); above level 0, send the
+#              frames with a value at or below the kernel's floor one SC step
+#              down (see _run_plan)
 
 
 def _lower(spec: CodeSpec, rate1: bool) -> tuple:
@@ -108,11 +109,13 @@ def _lower(spec: CodeSpec, rate1: bool) -> tuple:
     whose left sibling is dead becomes ``_G0``: its partial sums are the
     zeros ``x`` starts with, so it reads none.
 
-    With ``rate1``, each maximal rate-1 node ``[i, i + 2**L)`` (``L >= 1``,
-    every phase an information bit, and not so for its parent) becomes one
-    ``_RATE1`` instruction when its level-``L`` values are ready, in place
-    of the node's steps, decisions and folds.  Its fallback is not in the
-    plan: the frames that need it run ``_split_plan(L)`` on their own (see
+    A live leaf, phase ``i``, is a rate-1 node at level 0, ``(_RATE1, 0,
+    i, 0)``: the hard decision of the root, SC's decision.  With ``rate1``,
+    each maximal rate-1 node ``[i, i + 2**L)`` (``L >= 1``, every phase an
+    information bit, and not so for its parent) becomes one ``_RATE1``
+    instruction when its level-``L`` values are ready, in place of the
+    node's steps, decisions and folds.  Its fallback is not in the plan:
+    the frames that need it run ``_split_plan(L)`` on their own (see
     ``_run_plan``).
     """
     n = spec.n
@@ -128,11 +131,8 @@ def _lower_subtree(ops: list, frozen_before: tuple, lo: int, l: int, rate1: bool
     where its level-``l`` values are ready; ``frozen_before[i]`` counts the
     frozen phases below ``i``.  (A module-level function: a recursive
     closure would be a reference cycle.)"""
-    if rate1 and l and frozen_before[lo + (1 << l)] == frozen_before[lo]:
+    if not l or rate1 and frozen_before[lo + (1 << l)] == frozen_before[lo]:
         ops += (_RATE1, l, lo, 0)
-        return
-    if not l:
-        ops += (_DECIDE, lo, 0, 0)
         return
     h = 1 << (l - 1)
     mid = lo + h
@@ -168,14 +168,13 @@ def _unpruned_plan(m: int) -> tuple:
 
 def _split_plan(L: int) -> tuple:
     """The fallback of a rate-1 node at level ``L >= 1``, five instructions:
-    the node's f, its left child as a rate-1 node at level ``L - 1`` (a
-    decision at level 0), its g, its right child likewise, and the fold.
-    This is SC's own step down the node, so a frame whose children clear
-    their floors costs the node two kernel calls, and the rest go down again.
+    the node's f, its left child as a rate-1 node at level ``L - 1``, its
+    g, its right child likewise, and the fold.  This is SC's own step down
+    the node, so a frame whose children clear their floors costs the node
+    two kernel calls, and the rest go down again.
     """
-    h = 1 << (L - 1)
-    left, right = ((_RATE1, L - 1, i, 0) if h > 1 else (_DECIDE, i, 0, 0) for i in (0, h))
-    return (_F, L - 1, 0, 0, *left, _G, L - 1, h, 0, *right, _FOLD, 0, h, 2 * h)
+    l, h = L - 1, 1 << (L - 1)
+    return (_F, l, 0, 0, _RATE1, l, 0, 0, _G, l, h, 0, _RATE1, l, h, 0, _FOLD, 0, h, 2 * h)
 
 
 def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel) -> tuple:
@@ -212,10 +211,11 @@ def _run_plan(plan: tuple, values: np.ndarray, kernel: Kernel) -> np.ndarray:
     reads no partial sums.
 
     A ``_RATE1`` node ``[i, i + 2**L)`` writes the hard decision of level
-    ``L`` into ``x[i:i + 2**L]`` for every frame: the node's partial sum in
-    the level's storage order wherever every ``|value|`` exceeds the
-    kernel's floor ``rate1_floors[L]`` (see ``Kernel.rate1_floors``).  The
-    frames with a value at or below it are gathered, their level-``L``
+    ``L`` into ``x[i:i + 2**L]`` for every frame.  At ``L = 0`` that is
+    phase ``i``'s decision, SC's own.  Above it, it is the node's partial
+    sum in the level's storage order wherever every ``|value|`` exceeds the
+    kernel's floor ``rate1_floors[L]`` (see "Rate-1 floors" in ``Kernel``).
+    The frames with a value at or below it are gathered, their level-``L``
     columns run through ``_split_plan(L)``, the node's f, g and fold with
     each child a rate-1 node again, by this same function, and their
     columns of ``x`` are overwritten with its result.  So each frame's bits
@@ -229,7 +229,7 @@ def _run_plan(plan: tuple, values: np.ndarray, kernel: Kernel) -> np.ndarray:
     stages = [(soft[l + 1][:1 << l], soft[l + 1][1 << l:], soft[l], scratch[:1 << l])
               for l in range(top)]  # a stage op's inputs, output and scratch
     x = np.zeros((n, batch), dtype=np.uint8)
-    bits, root, threshold = x.view(bool), soft[0][0], kernel.threshold
+    bits, threshold = x.view(bool), kernel.threshold
     f_into, g_into, g0_into = kernel.f_into, kernel.g_into, kernel.g0_into
     floors = kernel.rate1_floors
 
@@ -245,12 +245,10 @@ def _run_plan(plan: tuple, values: np.ndarray, kernel: Kernel) -> np.ndarray:
         elif op == _FOLD:  # not x[a:b] ^= ..., which also copies the result back
             left = x[a:b]
             np.bitwise_xor(left, x[b:c], left)
-        elif op == _DECIDE:
-            np.less_equal(root, threshold, bits[a])  # Kernel.hard_decision
         else:  # _RATE1
             level, node = soft[a], slice(b, b + (1 << a))
-            np.less_equal(level, threshold, bits[node])
-            if floors[a] or not level.all():  # a floor of 0 fails only on a +/-0.0
+            np.less_equal(level, threshold, bits[node])  # Kernel.hard_decision
+            if a and (floors[a] or not level.all()):  # a floor of 0 fails only on +/-0.0
                 low = np.abs(level, out=scratch[:1 << a] if a < top else None).min(axis=0)
                 below = np.flatnonzero(low <= floors[a])
                 if below.size:
@@ -284,8 +282,8 @@ def _genie_errors(level: np.ndarray, forced: np.ndarray, kernel: Kernel) -> np.n
     A child at level ``l >= 1`` whose values all clear the kernel's floor
     ``t_l`` with the sign of its true codeword, ``(-1)**c * value > t_l``
     (the sign flip of ``kernel._g_llr_into``), holds no error: SC on it
-    decides exactly its true bits (see ``Kernel.rate1_floors``), which is
-    what the genie decides.  Its column is dropped; the live ones are
+    decides exactly its true bits (see "Rate-1 floors" in ``Kernel``),
+    which is what the genie decides.  Its column is dropped; the live ones are
     gathered into the other level buffer, and only when some column was
     dropped.  Columns stay in runs, one run per node, whose bounds and
     first phases are kept, so each run of level 0 counts the misses of one
@@ -369,9 +367,10 @@ def _kernel_frames(llr, spec: CodeSpec, kernel: Kernel, batch: bool = True) -> n
     kernel-domain values in bit-reversed order, the decoder's input.
 
     Accepts one frame, shape ``(n,)``, or when ``batch`` also a batch of
-    them, shape ``(batch, n)``; any other shape raises ValueError naming it.
+    them, shape ``(batch, n)``; any other shape, or a dtype other than
+    bool, int or float, raises ValueError naming it.
     """
-    llr = np.asarray(llr)
+    llr = _real_llr(llr)
     n = spec.n
     if llr.shape != (n,) and (not batch or llr.ndim != 2 or llr.shape[1] != n):
         expected = f"({n},) or (batch, {n})" if batch else f"({n},)"

@@ -289,3 +289,17 @@ def test_campaign_counts_golden_n64():
         report = run_campaign(spec, kernel, [1.0, 2.5], stop, seed=3)
         assert [(p.frames, p.bit_errors, p.frame_errors)
                 for p in report.points] == counts, kernel
+
+
+@pytest.mark.parametrize("rate", [True, "0.5", float("nan"), None])
+def test_sigma_from_ebn0_db_takes_a_real_rate(rate):
+    # True used to pass as rate 1, and "0.5" to raise TypeError
+    with pytest.raises(ValueError, match="rate must be a finite number"):
+        sigma_from_ebn0_db(1.0, rate)
+
+
+@pytest.mark.parametrize("errors, total, name", [(1.5, 3, "errors"), (1, 2.5, "total"),
+                                                 (True, 3, "errors"), (0, 0.0, "total")])
+def test_wilson_halfwidth_takes_integer_counts(errors, total, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        wilson_halfwidth(errors, total)

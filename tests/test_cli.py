@@ -307,10 +307,23 @@ def test_inf_line_exits_2(tmp_path, capsys, command):
     assert f"{llr_file}:2: values must be finite" in err
 
 
+COMMANDS = ["construct", "encode", "decode", "schedule", "simulate", "complexity",
+            "ber-sweep"]
+
+
+def _file_flags(command, spec_path, bits_path):
+    """The file flags a subcommand requires."""
+    if command in ("encode", "decode"):
+        return ["--spec", str(spec_path), "--in", str(bits_path)]
+    return ["--spec", str(spec_path)] if command in ("simulate", "ber-sweep") else []
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(construct_frozen_bec(8, 4, 0.5).to_json())
+    bits_path = tmp_path / "bits.txt"
+    bits_path.write_text("00000000\n")
     for command, doc, key in [
         ("schedule", {"arch": "tree", "n": 8, "bogus": 1}, "bogus"),
         # values of the wrong JSON type used to exit 1 with a TypeError traceback
@@ -322,12 +335,25 @@ def test_bad_config_exits_2(tmp_path, capsys):
         ("construct", {"n": 8, "k": 4, "design_erasure": None}, "'design_erasure'"),
         ("complexity", {"n": 8, "P": "3"}, "'P'"),
         ("ber-sweep", {"points_db": [2.0], "max_frames": "10"}, "'max_frames'"),
+        ("simulate", {"arch": "tree", "n": 8, "random_frames": 1.5}, "'random_frames'"),
+        # encode and decode used to ignore their config altogether
+        ("encode", {"bogus": 1}, "bogus"),
+        ("encode", {"seed": "1"}, "'seed'"),
+        ("decode", {"kernel": "nope"}, "kernel 'nope'"),
+        ("decode", {"input_format": "hex"}, "input format 'hex'"),
+        ("decode", {"spec": "other.json"}, "spec"),  # a path flag is no setting
     ]:
         cfg.write_text(json.dumps(doc))
-        extra = ["--spec", str(spec_path)] if command == "ber-sweep" else []
-        code, _, err = run_cli(capsys, command, "--config", str(cfg), *extra)
+        code, _, err = run_cli(capsys, command, "--config", str(cfg),
+                               *_file_flags(command, spec_path, bits_path))
         assert code == 2, doc
         assert err.startswith("error: ") and key in err, err
+    # and so does a config file that is not there, for every subcommand
+    for command in COMMANDS:
+        code, _, err = run_cli(capsys, command, "--config", str(tmp_path / "nope.json"),
+                               *_file_flags(command, spec_path, bits_path))
+        assert code == 2, command
+        assert err.startswith("error: ") and "nope.json" in err, err
     # so does a costs file with a string price, an unknown key or no object
     costs = tmp_path / "costs.json"
     for doc, key in [({"c_np": "2"}, "c_np"), ({"c_np": 2, "bogus": 1}, "bogus"),
@@ -479,12 +505,20 @@ def test_frame_count_below_one_exits_2(tmp_path, capsys, flag, value, name):
 
 @pytest.mark.parametrize("command", [["simulate", "--arch", "tree", "--random-frames", "2"],
                                      ["ber-sweep", "--points-db", "2.0"],
-                                     ["construct", "--method", "mc", "--k", "4"]])
+                                     ["construct", "--method", "mc", "--k", "4"],
+                                     # these used to exit 0, ignoring the seed
+                                     ["construct", "--method", "bec", "--k", "4"],
+                                     ["schedule", "--arch", "tree"],
+                                     ["complexity"],
+                                     ["encode"],
+                                     ["decode"]])
 def test_negative_seed_exits_2(tmp_path, capsys, command):
     # simulate used to fail inside numpy with "expected non-negative integer"
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(construct_frozen_bec(8, 4, 0.5).to_json())
-    where = ["--n", "8"] if command[0] == "construct" else ["--spec", str(spec_path)]
+    bits_path = tmp_path / "bits.txt"
+    bits_path.write_text("00000000\n")
+    where = _file_flags(command[0], spec_path, bits_path) or ["--n", "8"]
     code, out, err = run_cli(capsys, *command, *where, "--seed", "-1")
     assert code == 2
     assert out == ""

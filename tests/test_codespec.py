@@ -310,3 +310,19 @@ def test_codespec_invariants():
         CodeSpec(m=2, frozen=(4,))
     with pytest.raises(ValueError):
         CodeSpec(m=0, frozen=())
+
+
+@pytest.mark.parametrize("bits", [[2, 3], [0.5, 1], [[0, 1], [1, -1]]])
+def test_butterfly_transform_takes_only_zeros_and_ones(bits):
+    # [2, 3] used to come back as [1, 1], its low bits, and [0.5, 1] as [1, 1]
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        butterfly_transform(bits)
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        encode(bits, CodeSpec(m=1, frozen=()))
+
+
+def test_bec_erasure_profile_takes_an_integer_length():
+    with pytest.raises(ValueError, match="n must be an integer, got 8.0"):
+        bec_erasure_profile(8.0, 0.5)
+    with pytest.raises(ValueError, match="design_erasure must be a finite number"):
+        bec_erasure_profile(8, "0.5")

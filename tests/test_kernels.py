@@ -1,9 +1,12 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from polarsc import Kernel, f_llr_exact, f_lr, f_minsum, g_llr, g_lr, kernels
+from polarsc.cli import _build_parser
 from polarsc.kernels import LLR_CLIP, LR_MAX, LR_MIN
 
 
@@ -263,3 +266,38 @@ def test_rate1_floors():
                 out = f_llr_exact(sa * h, sb * h)
                 assert out != 0.0 and np.sign(out) == sa * sb, (L, sa, sb)
                 h = abs(out)
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_each_member_is_found_by_its_value_and_survives_copies(kernel):
+    assert Kernel(kernel.value) is kernel
+    assert pickle.loads(pickle.dumps(kernel)) is kernel
+    assert copy.deepcopy(kernel) is kernel
+    assert copy.copy(kernel) is kernel
+
+
+def test_kernel_values_are_the_cli_kernel_choices():
+    subcommands = _build_parser()._subparsers._group_actions[0].choices
+    for name in ("decode", "simulate"):
+        (flag,) = [a for a in subcommands[name]._actions if a.dest == "kernel"]
+        assert list(flag.choices) == sorted(k.value for k in Kernel)
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_only_the_ratio_kernel_rejects_non_positive_inputs(kernel):
+    for a, b in ((0.0, 2.0), (2.0, -1.0), (-0.0, 0.5)):
+        if kernel is Kernel.LR_EXACT:
+            with pytest.raises(ValueError, match="strictly positive"):
+                kernel.f(a, b)
+            with pytest.raises(ValueError, match="strictly positive"):
+                kernel.g(a, b, 1)
+        else:
+            assert np.isfinite(kernel.f(a, b)) and np.isfinite(kernel.g(a, b, 1))
+
+
+@pytest.mark.parametrize("llr", [np.array([1.0 + 2.0j, 3.0]), np.array(["1", "-2"]),
+                                 np.array([1.0, None], dtype=object)])
+def test_from_llr_rejects_arrays_of_no_real_dtype(llr):
+    for kernel in Kernel:
+        with pytest.raises(ValueError, match=f"got dtype {llr.dtype}"):
+            kernel.from_llr(llr)

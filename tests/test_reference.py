@@ -101,6 +101,18 @@ def test_decode_batch_rejects_bad_shapes(bad):
         decode_batch(bad, spec, Kernel.LLR_MINSUM)
 
 
+@pytest.mark.parametrize("dtype", [complex, str, object])
+def test_decoders_reject_log_ratios_of_no_real_dtype(dtype):
+    # complex input used to warn and lose its imaginary part, and "1" to
+    # decode as 1.0
+    spec = construct_frozen_bec(8, 4, 0.5)
+    llr = np.ones((2, 8)).astype(dtype)
+    for call in (lambda: decode_batch(llr, spec, Kernel.LLR_MINSUM),
+                 lambda: decode(llr[0], spec, Kernel.LLR_EXACT)):
+        with pytest.raises(ValueError, match=f"got dtype {llr.dtype}"):
+            call()
+
+
 def test_decode_batch_takes_one_frame_or_a_batch():
     spec = construct_frozen_bec(8, 4, 0.5)
     _, llr = random_frames(spec, 3, sigma=0.9, seed=4)
@@ -114,14 +126,14 @@ def test_minsum_rate1_shortcut_is_taken(monkeypatch, rng):
     # exact zero sends its frame one step down at each level on the zero's
     # path (a zero f result keeps failing the floor), m f calls
     calls = []
-    real_f = kernels._f_minsum_into
+    kernel = Kernel.LLR_MINSUM
+    real_f = kernel.f_into
 
     def counting_f(*args):
         calls.append(1)
         real_f(*args)
 
-    monkeypatch.setattr(kernels, "_f_minsum_into", counting_f)
-    kernel = Kernel.LLR_MINSUM
+    monkeypatch.setattr(kernel, "f_into", counting_f)
     for m in range(1, 9):
         spec = CodeSpec(m=m, frozen=())
         llr = rng.normal(0.0, 3.0, size=(20, spec.n))
@@ -148,7 +160,8 @@ def test_rate1_fallback_decodes_only_the_frames_below_the_floor(monkeypatch, rng
     # node's f steps see only those frames, and the other frames keep the
     # node's hard decision
     widths = []
-    real_f = getattr(kernels, f_name)
+    real_f = kernel.f_into
+    assert real_f is getattr(kernels, f_name)  # the member's record names its f
 
     def spy(a, b, out, scratch):
         widths.append(a.shape[1])
@@ -159,7 +172,7 @@ def test_rate1_fallback_decodes_only_the_frames_below_the_floor(monkeypatch, rng
     llr = rng.choice([-1.0, 1.0], (20, spec.n)) * (floor + 1.0 + rng.random((20, spec.n)))
     llr[3, 5], llr[11, 60] = floor, -0.0
     u_ref, c_ref = recursive_sc(kernel.from_llr(llr), spec.frozen_mask, kernel)
-    monkeypatch.setattr(kernels, f_name, spy)
+    monkeypatch.setattr(kernel, "f_into", spy)
     u_hat, c_hat = decode_batch(llr, spec, kernel)
     # min-sum's floor is 0, so both frames hold a zero and every split on
     # its path fails again; the exact kernel's frame at t_6 clears the
@@ -346,13 +359,14 @@ def test_genie_counts_equal_the_oracle_at_the_floors(m, kernel, rng):
 def test_genie_drops_the_children_decided_above_their_floors(monkeypatch, rng, kernel,
                                                              f_name):
     sizes = []
-    real_f = getattr(kernels, f_name)
+    real_f = kernel.f_into
+    assert real_f is getattr(kernels, f_name)  # the member's record names its f
 
     def spy(a, b, out, scratch):
         sizes.append(a.size)
         real_f(a, b, out, scratch)
 
-    monkeypatch.setattr(kernels, f_name, spy)
+    monkeypatch.setattr(kernel, "f_into", spy)
     m, batch = 10, 4
     n = 1 << m
     u = rng.integers(0, 2, size=(n, batch), dtype=np.uint8)
@@ -481,8 +495,8 @@ def _plan_replay(ops, take_fallbacks, shift=0):
         pos += 4
         if op in names:
             out.append((a, names[op], b + shift))
-        elif op == reference._DECIDE:
-            out.append(("d", a + shift))
+        elif op == reference._RATE1 and not a:  # a leaf: its phase's decision
+            out.append(("d", b + shift))
         elif op == reference._RATE1 and take_fallbacks:
             out += _plan_replay(reference._split_plan(a), True, b + shift)
         elif op == reference._RATE1:
@@ -570,8 +584,7 @@ def test_minsum_tie_free_mix_on_the_benchmark_code():
     # follow a rate-0 sibling
     ops = reference._lower(construct_frozen_bec(1024, 512, 0.5), True)
     assert Counter(ops[0::4]) == {reference._F: 95, reference._G: 95, reference._G0: 96,
-                                  reference._DECIDE: 42, reference._FOLD: 191,
-                                  reference._RATE1: 54}
+                                  reference._FOLD: 191, reference._RATE1: 96}
 
 
 def test_decoders_create_no_reference_cycles(monkeypatch):
