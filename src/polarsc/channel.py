@@ -27,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -120,6 +121,9 @@ def wilson_halfwidth(errors: int, total: int) -> float:
     """Half-width of the Wilson 95% interval for a binomial proportion:
     0.0 for no trials, and ValueError unless ``0 <= errors <= total`` and
     both counts are integers."""
+    for name, value in (("errors", errors), ("total", total)):
+        if not isinstance(value, Real):  # no order to check it against: reject now
+            _as_int(name, value)
     if total > 0 and not 0 <= errors <= total:
         raise ValueError(f"errors must satisfy 0 <= errors <= total = {total}, "
                          f"got {errors}")

@@ -2,8 +2,9 @@
 
 Every subcommand reads an optional JSON config document (``--config``),
 whose keys are the subcommand's own flags other than its file paths;
-explicit flags override config values and ``--seed`` overrides any seed,
-which must be a non-negative integer.
+explicit flags override config values.  The subcommands that draw random
+numbers (construct, simulate, ber-sweep) take a ``--seed``, which must be
+a non-negative integer.
 Machine-readable JSON outputs embed a ``_meta`` block echoing the sha256
 of the effective config and the polarsc and numpy versions, for
 reproducibility.  Schedule CSV output carries no metadata so it can be
@@ -65,9 +66,9 @@ def _fits(value, flag_type) -> bool:
 def _effective(args: argparse.Namespace, required=()) -> dict:
     """Merge config-file values and CLI flags; flags win.  The config keys
     are the subcommand's settings, ``args.keys`` (see ``_build_parser``).
-    A config value must fit the ``type=`` of its flag, a seed must be a
-    non-negative integer, and every key in ``required`` must end up with a
-    value."""
+    A config value must fit the ``type=`` and ``choices=`` of its flag, a
+    seed must be a non-negative integer, and every key in ``required`` must
+    end up with a value."""
     cfg = _load_config(args.config)
     unknown = set(cfg) - set(args.keys)
     if unknown:
@@ -77,6 +78,10 @@ def _effective(args: argparse.Namespace, required=()) -> dict:
         if flag_type and not _fits(value, flag_type):
             raise ValueError(f"config key {key!r} must be {flag_type.__name__}, "
                              f"got {value!r}")
+        choices = args.flag_choices.get(key)
+        if choices and value not in choices:
+            raise ValueError(f"unknown {key} {value!r} "
+                             f"(choose one of: {', '.join(sorted(choices))})")
     merged = dict(cfg)
     for key in args.keys:
         val = getattr(args, key)
@@ -166,21 +171,18 @@ def _bits_text(blocks: np.ndarray) -> str:
 
 def _cmd_construct(args) -> int:
     cfg = _effective(args, required=["n", "k"])
-    method = cfg.get("method", "bec")
-    if method == "bec":
+    if cfg.get("method", "bec") == "bec":
         spec = construct_frozen_bec(cfg["n"], cfg["k"], cfg.get("design_erasure", 0.5))
-    elif method == "mc":
+    else:
         spec = construct_frozen_mc(cfg["n"], cfg["k"], cfg.get("sigma", 1.0),
                                    cfg.get("trials", 2000), cfg.get("seed", 0))
-    else:
-        raise ValueError(f"unknown construction method {method!r}")
     _write(args.output, spec.to_json() + "\n")
     print(f"config_sha256: {_config_hash(cfg)}", file=sys.stderr)
     return 0
 
 
 def _cmd_encode(args) -> int:
-    _effective(args)  # no setting but the seed, which encoding does not use
+    _effective(args)  # encoding has no setting, but a config file is still checked
     spec = _load_spec(args.spec)
     u = _read_bit_lines(args.input, spec.n)
     _write(args.output, _bits_text(encode(u, spec)))
@@ -190,22 +192,19 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     cfg = _effective(args)
     spec = _load_spec(args.spec)
-    kernel = _choice(Kernel, "kernel", cfg.get("kernel", "llr_exact"))
-    input_format = cfg.get("input_format", "llr")
-    if input_format == "bits":
+    kernel = Kernel(cfg.get("kernel", "llr_exact"))
+    if cfg.get("input_format", "llr") == "bits":
         c = _read_bit_lines(args.input, spec.n)
         llr = (1.0 - 2.0 * c.astype(np.float64)) * LLR_CLIP
-    elif input_format == "llr":
-        llr = _read_llr_lines(args.input, spec.n)
     else:
-        raise ValueError(f"unknown input format {input_format!r} (choose one of: bits, llr)")
+        llr = _read_llr_lines(args.input, spec.n)
     u_hat, _ = decode_batch(llr, spec, kernel)
     _write(args.output, _bits_text(u_hat))
     return 0
 
 
 def _make_arch_config(cfg: dict) -> ArchitectureConfig:
-    kind = _choice(ArchKind, "arch", cfg["arch"])
+    kind = ArchKind(cfg["arch"])
     # Only an absent budget takes the default: an explicit one, even 0 or one
     # for another machine, goes to the config check.
     pe_count, p = cfg.get("pe_count"), cfg.get("P")
@@ -232,7 +231,7 @@ def _cmd_simulate(args) -> int:
         raise ValueError(f"n = {cfg['n']} does not match the spec's length {spec.n}")
     cfg["n"] = spec.n
     arch = _make_arch_config(cfg)
-    kernel = _choice(Kernel, "kernel", cfg.get("kernel", "llr_exact"))
+    kernel = Kernel(cfg.get("kernel", "llr_exact"))
 
     if cfg.get("frames"):
         llr = _read_llr_lines(cfg["frames"], spec.n)
@@ -328,12 +327,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=False):
         p.add_argument("--config", help="JSON config document")
-        p.add_argument("--seed", type=int, help="override any configured seed")
+        if seeded:
+            p.add_argument("--seed", type=int, help="override any configured seed")
 
     p = sub.add_parser("construct", help="emit a code definition as JSON")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--method", choices=["bec", "mc"])
@@ -370,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("simulate", help="run a cycle simulation")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--arch", choices=_names(ArchKind))
     p.add_argument("--n", type=int)
     p.add_argument("--P", type=int)
@@ -394,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_complexity)
 
     p = sub.add_parser("ber-sweep", help="run an error-rate campaign")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--points-db", dest="points_db",
                    help="comma-separated Eb/N0 values in dB")
@@ -408,7 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in sub.choices.values():  # what _effective checks config values against
         flags = [a for a in p._actions if a.dest not in _NOT_SETTINGS]
         p.set_defaults(keys=[a.dest for a in flags],
-                       flag_types={a.dest: a.type for a in flags if a.type})
+                       flag_types={a.dest: a.type for a in flags if a.type},
+                       flag_choices={a.dest: a.choices for a in flags if a.choices})
     return parser
 
 

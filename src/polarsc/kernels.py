@@ -318,6 +318,6 @@ class Kernel(Enum):
         The boundary itself decides 1.  The decoder loop applies the same
         rule in place, ``np.less_equal(value, threshold, out=bits)``, to
         each phase's root value, and to a whole tree level when a rate-1
-        subtree is decided at once (see ``rate1_floors``).
+        subtree is decided at once (see "Rate-1 floors" in ``Kernel``).
         """
         return np.less_equal(value, self.threshold).astype(np.uint8)

@@ -299,7 +299,9 @@ def test_sigma_from_ebn0_db_takes_a_real_rate(rate):
 
 
 @pytest.mark.parametrize("errors, total, name", [(1.5, 3, "errors"), (1, 2.5, "total"),
-                                                 (True, 3, "errors"), (0, 0.0, "total")])
+                                                 (True, 3, "errors"), (0, 0.0, "total"),
+                                                 # these used to raise a bare TypeError
+                                                 ("1", 3, "errors"), (1, "3", "total")])
 def test_wilson_halfwidth_takes_integer_counts(errors, total, name):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         wilson_halfwidth(errors, total)

@@ -338,10 +338,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
         ("simulate", {"arch": "tree", "n": 8, "random_frames": 1.5}, "'random_frames'"),
         # encode and decode used to ignore their config altogether
         ("encode", {"bogus": 1}, "bogus"),
-        ("encode", {"seed": "1"}, "'seed'"),
         ("decode", {"kernel": "nope"}, "kernel 'nope'"),
-        ("decode", {"input_format": "hex"}, "input format 'hex'"),
+        ("decode", {"input_format": "hex"}, "input_format 'hex'"),
         ("decode", {"spec": "other.json"}, "spec"),  # a path flag is no setting
+        # a choice in the config is checked like the flag's; formats used to pass
+        ("construct", {"n": 8, "k": 4, "method": "sc"}, "method 'sc'"),
+        ("complexity", {"n": 8, "format": "xml"}, "format 'xml'"),
+        ("ber-sweep", {"points_db": [2.0], "format": "xml"}, "format 'xml'"),
+        # a subcommand that draws no random numbers has no seed setting
+        ("schedule", {"arch": "tree", "n": 8, "seed": 1}, "seed"),
+        ("encode", {"seed": 1}, "seed"),
     ]:
         cfg.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, command, "--config", str(cfg),
@@ -506,12 +512,8 @@ def test_frame_count_below_one_exits_2(tmp_path, capsys, flag, value, name):
 @pytest.mark.parametrize("command", [["simulate", "--arch", "tree", "--random-frames", "2"],
                                      ["ber-sweep", "--points-db", "2.0"],
                                      ["construct", "--method", "mc", "--k", "4"],
-                                     # these used to exit 0, ignoring the seed
-                                     ["construct", "--method", "bec", "--k", "4"],
-                                     ["schedule", "--arch", "tree"],
-                                     ["complexity"],
-                                     ["encode"],
-                                     ["decode"]])
+                                     # this used to exit 0, ignoring the seed
+                                     ["construct", "--method", "bec", "--k", "4"]])
 def test_negative_seed_exits_2(tmp_path, capsys, command):
     # simulate used to fail inside numpy with "expected non-negative integer"
     spec_path = tmp_path / "spec.json"
@@ -523,6 +525,21 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert err.strip() == "error: seed must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("command", [["schedule", "--arch", "tree"], ["complexity"],
+                                     ["encode"], ["decode"]])
+def test_seed_is_no_flag_of_a_subcommand_without_randomness(tmp_path, capsys, command):
+    # these used to accept any --seed, even -1, and ignore it
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(construct_frozen_bec(8, 4, 0.5).to_json())
+    bits_path = tmp_path / "bits.txt"
+    bits_path.write_text("00000000\n")
+    where = _file_flags(command[0], spec_path, bits_path) or ["--n", "8"]
+    code, out, err = run_cli(capsys, *command, *where, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --seed 1" in err
 
 
 def test_zero_budget_in_config_exits_2(tmp_path, capsys):
