@@ -130,7 +130,7 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     spec : CodeSpec
         Code definition; must match the configured length.
     kernel : Kernel
-        Arithmetic variant for the processing elements.
+        Arithmetic variant for the processing elements, or its value string.
 
     Returns
     -------
@@ -142,6 +142,7 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
     """
     if cfg.n != spec.n:
         raise ValueError(f"config length {cfg.n} != code length {spec.n}")
+    kernel = Kernel(kernel)
     values = _kernel_frames(frames, spec, kernel)
 
     p = cfg.overlap_p or 1

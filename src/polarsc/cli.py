@@ -195,7 +195,7 @@ def _cmd_decode(args) -> int:
     kernel = Kernel(cfg.get("kernel", "llr_exact"))
     if cfg.get("input_format", "llr") == "bits":
         c = _read_bit_lines(args.input, spec.n)
-        llr = (1.0 - 2.0 * c.astype(np.float64)) * LLR_CLIP
+        llr = bpsk_modulate(c) * LLR_CLIP
     else:
         llr = _read_llr_lines(args.input, spec.n)
     u_hat, _ = decode_batch(llr, spec, kernel)

@@ -26,7 +26,6 @@ from numbers import Integral, Real
 import numpy as np
 
 
-@lru_cache(maxsize=32)
 def bit_reverse_permutation(m: int) -> np.ndarray:
     """Permutation array reversing the m-bit representation of each index.
 
@@ -44,6 +43,11 @@ def bit_reverse_permutation(m: int) -> np.ndarray:
         ``perm[i]`` is ``i`` with its m-bit representation reversed.  The
         permutation is an involution.
     """
+    return _bit_reverse_permutation(_as_int("m", m))  # checked first: True and 1 share a key
+
+
+@lru_cache(maxsize=32)
+def _bit_reverse_permutation(m: int) -> np.ndarray:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     perm = np.zeros(1, dtype=np.int64)
@@ -80,10 +84,16 @@ def butterfly_transform(bits) -> np.ndarray:
     n = x.shape[-1]
     if n < 2 or n & (n - 1):
         raise ValueError(f"block length must be a power of 2 >= 2, got {n}")
-    if np.any((x != 0) & (x != 1)):
-        raise ValueError("input bits must be 0 or 1")
-    rows = np.array(x.reshape(-1, n).T, dtype=np.uint8, order="C")  # a copy: bits is kept
+    rows = np.array(_as_bits(x).reshape(-1, n).T, dtype=np.uint8, order="C")  # bits is kept
     return np.ascontiguousarray(_fold(rows).T).reshape(x.shape)
+
+
+def _as_bits(bits) -> np.ndarray:
+    """``bits`` as an array; ValueError unless every entry is 0 or 1."""
+    bits = np.asarray(bits)
+    if np.any((bits != 0) & (bits != 1)):
+        raise ValueError("input bits must be 0 or 1")
+    return bits
 
 
 def _is_int(value) -> bool:

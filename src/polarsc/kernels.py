@@ -12,12 +12,15 @@ intermediate finite without moving any decision threshold.
 
 Each rule is written once, as an in-place stage op: ``f_into(a, b, out,
 scratch)`` or ``g_into(a, b, us, out, scratch)`` writes its result into
-``out`` through ufunc ``out=`` arguments, using ``scratch`` (a float array of
-``out``'s shape) for its one temporary.  ``out`` must not overlap the
-inputs.  A third op, ``g0_into(a, b, out, scratch)``, is g with all partial
-sums 0, as after a rate-0 sibling in simplified SC: the plain combine and
-the clip, with no partial-sum read, bit-identical to ``g_into`` on zeros.
-The log-domain ``g_into`` is its sign flip followed by that op.  The ops
+``out`` through ufunc ``out=`` arguments, using ``scratch`` (an array of the
+values' dtype and ``out``'s shape) for its one temporary.  ``out`` must not
+overlap the inputs.  A third op, ``g0_into(a, b, out, scratch)``, is g with
+all partial sums 0, as after a rate-0 sibling in simplified SC: the plain
+combine and the clip, with no partial-sum read, bit-identical to
+``g_into`` on zeros.  The log-domain ``g_into`` is the sign op
+``_signed_into(values, bits, out)``, ``(-1)**bits * values`` exactly,
+followed by that op; the genie evaluator's floor check calls the same sign
+op, so the float layout it relies on is stated here only.  The ops
 allocate nothing and check nothing: the decoder loop
 (``reference._sc_decode``) and the genie evaluator
 (``reference._genie_errors``) call them on preallocated level arrays
@@ -129,10 +132,20 @@ def _g0_llr_into(la, lb, out, scratch):
     np.maximum(out, _LLR_LO, out=out)
 
 
+def _signed_into(values, bits, out):
+    """``(-1)**bits * values`` into ``out``, exactly: each bit, 0 or 1, is
+    XORed into its value's sign bit.  ``out`` must not overlap ``values``.
+    The bits are widened by a copy into ``out`` and shifted there, as a
+    shift of uint8 bits into a uint64 output casts through a buffer of its
+    own."""
+    flip = out.view(np.uint64)
+    np.copyto(flip, bits)
+    np.left_shift(flip, _SIGN_SHIFT, out=flip)
+    np.bitwise_xor(flip, values.view(np.uint64), out=flip)
+
+
 def _g_llr_into(la, lb, us, out, scratch):
-    flip = scratch.view(np.uint64)
-    np.left_shift(us, _SIGN_SHIFT, out=flip)
-    np.bitwise_xor(flip, la.view(np.uint64), out=flip)  # (-1)**us * la, exactly
+    _signed_into(la, us, scratch)
     _g0_llr_into(scratch, lb, out, None)
 
 
@@ -205,7 +218,11 @@ class Kernel(Enum):
     sums are all 0, bit-identical to ``g_into`` with an all-zero ``us``;
     the per-level ``rate1_floors`` (below); the 0-d decision ``threshold``,
     ratio 1 or log-ratio 0; and the in-place map from clipped channel
-    log-ratios into the kernel's domain, ``np.exp`` or none.
+    log-ratios into the kernel's domain, ``np.exp`` or none.  The values
+    ``from_llr`` returns (float64 for every member) fix the dtype of every
+    buffer the decoder makes: its tree levels, its scratch and the genie
+    evaluator's levels and temporaries take the dtype of the values they
+    decode.
 
     Rate-1 floors
     -------------
@@ -299,12 +316,14 @@ class Kernel(Enum):
         ValueError before the clip to ``+/-LLR_CLIP`` could hide it.
         """
         # [()]: a 0-d input comes back as a numpy scalar
-        return self._from_llr_in_place(np.array(_real_llr(llr), dtype=np.float64))[()]
+        return self._from_llr_in_place(np.array(_real_llr(llr)))[()]
 
     def _from_llr_in_place(self, llr: np.ndarray) -> np.ndarray:
-        """``from_llr`` on a float64 array the caller owns, converted in
-        place and returned: the frame source and the decoder's entry points
-        convert their own copies without allocating another."""
+        """``from_llr`` on a real array the caller owns, converted in place
+        and returned, after a cast to float64 only where it holds another
+        dtype: the frame source and the decoder's entry points convert
+        their own copies without allocating another."""
+        llr = llr.astype(np.float64, copy=False)
         if not np.isfinite(llr).all():
             raise ValueError("channel log-ratios must be finite (no NaN or inf)")
         np.clip(llr, -LLR_CLIP, LLR_CLIP, out=llr)
@@ -315,9 +334,12 @@ class Kernel(Enum):
     def hard_decision(self, value) -> np.ndarray:
         """0 when the soft value is above ``threshold``, else 1.
 
-        The boundary itself decides 1.  The decoder loop applies the same
-        rule in place, ``np.less_equal(value, threshold, out=bits)``, to
-        each phase's root value, and to a whole tree level when a rate-1
-        subtree is decided at once (see "Rate-1 floors" in ``Kernel``).
+        The boundary itself decides 1, and a NaN raises ValueError.  The
+        decoder loop applies the same rule in place, ``np.less_equal(value,
+        threshold, out=bits)``, to each phase's root value, and to a whole
+        tree level when a rate-1 subtree is decided at once (see "Rate-1
+        floors" in ``Kernel``).
         """
+        if np.isnan(value).any():
+            raise ValueError("soft values must not be NaN")
         return np.less_equal(value, self.threshold).astype(np.uint8)

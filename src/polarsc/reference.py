@@ -13,37 +13,37 @@ every machine's schedule replays the f and g steps of the unpruned plan,
 the rate-1 code's (see ``schedule``).  Each kernel step covers a whole
 level; each stage-0 step is followed by that phase's decision, the hard
 decision of a rate-1 node at level 0, and the folds that put it into the
-partial sums that g reads.  As in simplified SC, the plan is pruned by
-the frozen set: an activation whose phases are all frozen (a rate-0
-subtree) is left out, the g that follows one reads none of its partial
-sums, which are 0, and with a log-domain kernel, which has
-``rate1_floors``, a subtree whose phases all carry information (rate-1)
-is decided at once by the hard decision of its soft values.
-Frames with a value at or below the kernel's floor for the node's level
-(for min-sum, an exact zero) are gathered and re-decoded by the same loop
-one SC step down, ``_split_plan(L)``, where each child is again a rate-1
-node.  Levels are laid out ``(2**l, batch)``: one kernel call serves every
-frame.
+partial sums that g reads.  As in simplified SC, the plan is pruned by the
+frozen set: an activation whose phases are all frozen (a rate-0 subtree) is
+left out, the g that follows one reads none of its partial sums, which are
+0, and with a log-domain kernel, which has ``rate1_floors``, a subtree
+whose phases all carry information (rate-1) is decided at once by the hard
+decision of its soft values.  Frames with a value at or below the kernel's
+floor for the node's level (for min-sum, an exact zero) are gathered and
+re-decoded by the same loop one SC step down, ``_split_plan(L)``, where
+each child is again a rate-1 node.  Levels are laid out ``(2**l, batch)``:
+one kernel call serves every frame.
 
 Like the paper's decoders, the loop updates O(n) memory in place and
 allocates nothing per step; only a rate-1 node's re-decode allocates, a
 tree of its own for its frames.  The kernels' in-place stage ops
 (``Kernel.f_into``/``g_into``/``g0_into``) write into the level arrays and
-share one ``(n/2, batch)`` scratch array.  All partial sums live in one
-``(n, batch)`` uint8 array in block layout: each decision goes into its
-phase's row, and each fold is an in-place XOR of a block's right half into
-its left half.  After the last phase that array is the codeword in
-bit-reversed order, and one more pass of every fold (``codespec._fold``,
-the package's one butterfly) turns it back into the decided bits.
+share one ``(n/2, batch)`` scratch array, all of the values' dtype.  All
+partial sums live in one ``(n, batch)`` uint8 array in block layout: each
+decision goes into its phase's row, and each fold is an in-place XOR of a
+block's right half into its left half.  After the last phase that array is
+the codeword in bit-reversed order, and one more pass of every fold
+(``codespec._fold``, the package's one butterfly) turns it back into the
+decided bits.
 
 ``_sc_decode`` and ``_genie_errors`` take level ``m`` as it is stored, an
 ``(n, batch)`` array in bit-reversed order, with no transpose or gather of
 their input; ``_sc_decode`` returns ``(n, batch)`` rows, and
 ``_genie_errors`` one count per position.  Campaign and genie frames are
 born in that layout (``channel._level_frames``).  The public entry points
-check the shape of their ``(batch, n)`` channel log-ratios and convert
-them once, in ``_kernel_frames``: through ``Kernel.from_llr`` into the
-kernel's domain, then gathered into level ``m``.
+check their spec and the shape of their ``(batch, n)`` channel log-ratios
+and convert them once, in ``_kernel_frames``: gathered into level ``m``,
+then mapped into the kernel's domain as ``Kernel.from_llr`` maps them.
 
 Genie-aided decoding, which forces every decision to the true bit, depends
 on no decision, so it needs no SC loop: ``_genie_errors`` evaluates the
@@ -61,10 +61,10 @@ interpreter lock.  ``channel.run_campaign`` hands it whole campaign blocks,
 drawn and counted in their jobs, and ``genie_error_counts`` cuts each
 block of ``_GENIE_BLOCK`` trials into chunks of at least ``_MIN_CHUNK``
 (256) frames, which build their frames from the block's draws and whose
-counts are summed.  The cut changes no count, as
-frames are independent.  ``decode_batch``, ``decode`` and the machines
-decode their frames in one piece, in the caller.  With one CPU, every job
-runs in the caller and no thread is started.
+counts are summed.  The cut changes no count, as frames are independent.
+``decode_batch``, ``decode`` and the machines decode their frames in one
+piece, in the caller.  With one CPU, every job runs in the caller and no
+thread is started.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ import numpy as np
 
 from .channel import _RNG_BLOCK, _as_sigma, _draw, _level_frames
 from .codespec import CodeSpec, _as_int, _as_seed, _fold, bit_reverse_permutation
-from .kernels import _SIGN_SHIFT, Kernel, _real_llr
+from .kernels import Kernel, _real_llr, _signed_into
 
 _GENIE_BLOCK = 512  # frames per random stream; part of the reproducibility contract
 
@@ -109,14 +109,13 @@ def _lower(spec: CodeSpec, rate1: bool) -> tuple:
     whose left sibling is dead becomes ``_G0``: its partial sums are the
     zeros ``x`` starts with, so it reads none.
 
-    A live leaf, phase ``i``, is a rate-1 node at level 0, ``(_RATE1, 0,
-    i, 0)``: the hard decision of the root, SC's decision.  With ``rate1``,
-    each maximal rate-1 node ``[i, i + 2**L)`` (``L >= 1``, every phase an
+    A live leaf, phase ``i``, is a rate-1 node at level 0, ``(_RATE1, 0, i,
+    0)``: the hard decision of the root, SC's decision.  With ``rate1``, each
+    maximal rate-1 node ``[i, i + 2**L)`` (``L >= 1``, every phase an
     information bit, and not so for its parent) becomes one ``_RATE1``
-    instruction when its level-``L`` values are ready, in place of the
-    node's steps, decisions and folds.  Its fallback is not in the plan:
-    the frames that need it run ``_split_plan(L)`` on their own (see
-    ``_run_plan``).
+    instruction when its level-``L`` values are ready, in place of the node's
+    steps, decisions and folds.  Its fallback is not in the plan: the frames
+    that need it run ``_split_plan(L)`` on their own (see ``_run_plan``).
     """
     n = spec.n
     frozen_before = tuple(accumulate(spec.frozen_mask.tolist(), initial=0))
@@ -211,21 +210,20 @@ def _run_plan(plan: tuple, values: np.ndarray, kernel: Kernel) -> np.ndarray:
     reads no partial sums.
 
     A ``_RATE1`` node ``[i, i + 2**L)`` writes the hard decision of level
-    ``L`` into ``x[i:i + 2**L]`` for every frame.  At ``L = 0`` that is
-    phase ``i``'s decision, SC's own.  Above it, it is the node's partial
-    sum in the level's storage order wherever every ``|value|`` exceeds the
-    kernel's floor ``rate1_floors[L]`` (see "Rate-1 floors" in ``Kernel``).
-    The frames with a value at or below it are gathered, their level-``L``
-    columns run through ``_split_plan(L)``, the node's f, g and fold with
-    each child a rate-1 node again, by this same function, and their
-    columns of ``x`` are overwritten with its result.  So each frame's bits
-    are SC's, and a frame pays for the steps below a node only where it
-    fails that node's floor.
+    ``L`` into ``x[i:i + 2**L]`` for every frame.  At ``L = 0`` that is phase
+    ``i``'s decision, SC's own.  Above it, it is the node's partial sum in the
+    level's storage order wherever every ``|value|`` exceeds the kernel's
+    floor ``rate1_floors[L]`` (see "Rate-1 floors" in ``Kernel``).  The frames
+    with a value at or below it are gathered, their level-``L`` columns run
+    through ``_split_plan(L)``, the node's f, g and fold with each child a
+    rate-1 node again, by this same function, and their columns of ``x`` are
+    overwritten with its result.  So each frame's bits are SC's, and a frame
+    pays for the steps below a node only where it fails that node's floor.
     """
     n, batch = values.shape
     top = n.bit_length() - 1
-    soft = [np.empty((1 << l, batch)) for l in range(top)] + [values]
-    scratch = np.empty((n // 2, batch))  # the stage ops' temporaries
+    soft = [np.empty((1 << l, batch), values.dtype) for l in range(top)] + [values]
+    scratch = np.empty((n // 2, batch), values.dtype)  # the stage ops' temporaries
     stages = [(soft[l + 1][:1 << l], soft[l + 1][1 << l:], soft[l], scratch[:1 << l])
               for l in range(top)]  # a stage op's inputs, output and scratch
     x = np.zeros((n, batch), dtype=np.uint8)
@@ -275,23 +273,23 @@ def _genie_errors(level: np.ndarray, forced: np.ndarray, kernel: Kernel) -> np.n
     child.  A child's codeword is ``(c[:h] ^ c[h:], c[h:])``, so ``forced``
     is folded once, into level ``m``'s codewords, and each stage splits
     them in place.  The children are then set side by side as ``2 * cols``
-    columns of level ``l``.  Each f and g element gets
-    the operands it would get in the SC loop with every decision replaced
-    by its true bit, so the counts are bit for bit those of that loop.
+    columns of level ``l``.  Each f and g element gets the operands it
+    would get in the SC loop with every decision replaced by its true bit,
+    so the counts are bit for bit those of that loop.
 
     A child at level ``l >= 1`` whose values all clear the kernel's floor
     ``t_l`` with the sign of its true codeword, ``(-1)**c * value > t_l``
-    (the sign flip of ``kernel._g_llr_into``), holds no error: SC on it
-    decides exactly its true bits (see "Rate-1 floors" in ``Kernel``),
-    which is what the genie decides.  Its column is dropped; the live ones are
-    gathered into the other level buffer, and only when some column was
+    (the sign op ``kernels._signed_into``, as in g), holds no error: SC on
+    it decides exactly its true bits (see "Rate-1 floors" in ``Kernel``),
+    which is what the genie decides.  Its column is dropped; the live ones
+    are gathered into the other level buffer, and only when some column was
     dropped.  Columns stay in runs, one run per node, whose bounds and
     first phases are kept, so each run of level 0 counts the misses of one
     phase.  ``LR_EXACT`` has no floors and drops nothing.
     """
     n, batch = level.shape
     x = _fold(forced).reshape(-1)  # the true codewords, in level m's order
-    vals, spare = level.reshape(-1), np.empty(n * batch)
+    vals, spare = level.reshape(-1), np.empty(n * batch, level.dtype)
     f_into, g_into = kernel.f_into, kernel.g_into
     floors, cols = kernel.rate1_floors, batch
     bounds, phases = np.array([0, batch]), np.zeros(1, dtype=np.intp)  # the runs
@@ -299,7 +297,7 @@ def _genie_errors(level: np.ndarray, forced: np.ndarray, kernel: Kernel) -> np.n
         h, size = 1 << l, cols << (l + 1)
         halves, out, xs = (a[:size].reshape(2, h, cols) for a in (vals, spare, x))
         np.bitwise_xor(xs[0], xs[1], out=xs[0])  # the children's codewords
-        tmp = np.empty((h, cols))
+        tmp = np.empty((h, cols), vals.dtype)
         f_into(halves[0], halves[1], out[0], tmp)
         g_into(halves[0], halves[1], xs[0], out[1], tmp)
         del tmp
@@ -313,10 +311,8 @@ def _genie_errors(level: np.ndarray, forced: np.ndarray, kernel: Kernel) -> np.n
             # first row, with the mask of live columns in the bytes of the
             # second: arrays allocated here would sit in the freed scratch,
             # and the next stage's scratch would grow the heap.
-            flip = vals[:size].view(np.uint64).reshape(2, h, cols)
-            np.left_shift(xs, _SIGN_SHIFT, out=flip)
-            np.bitwise_xor(flip, out.view(np.uint64), out=flip)
-            low = flip.view(np.float64)
+            low = vals[:size].reshape(2, h, cols)
+            _signed_into(out, xs, low)
             for rows in low:
                 k = h
                 while k > 1:
@@ -367,17 +363,19 @@ def _kernel_frames(llr, spec: CodeSpec, kernel: Kernel, batch: bool = True) -> n
     kernel-domain values in bit-reversed order, the decoder's input.
 
     Accepts one frame, shape ``(n,)``, or when ``batch`` also a batch of
-    them, shape ``(batch, n)``; any other shape, or a dtype other than
-    bool, int or float, raises ValueError naming it.
+    them, shape ``(batch, n)``; any other shape, a dtype other than bool,
+    int or float, or a ``spec`` that is no ``CodeSpec`` raises ValueError
+    naming it.
     """
-    llr = _real_llr(llr)
-    n = spec.n
+    if not isinstance(spec, CodeSpec):
+        raise ValueError(f"spec must be a CodeSpec, got {type(spec).__name__}")
+    llr, n = _real_llr(llr), spec.n
     if llr.shape != (n,) and (not batch or llr.ndim != 2 or llr.shape[1] != n):
         expected = f"({n},) or (batch, {n})" if batch else f"({n},)"
         raise ValueError(f"channel log-ratios must have shape {expected}, "
                          f"got shape {llr.shape}")
     level = np.atleast_2d(llr).T[bit_reverse_permutation(spec.m)]  # a fresh copy
-    return kernel._from_llr_in_place(level.astype(np.float64, copy=False))
+    return kernel._from_llr_in_place(level)
 
 
 # Independent frame blocks are decoded on up to this many threads at once
@@ -425,8 +423,8 @@ def decode_batch(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.nd
     """Decode a (batch, n) array of channel log-likelihood ratios.
 
     A single ``(n,)`` frame counts as a batch of one; any other shape
-    raises ValueError.  ``kernel.from_llr`` rejects NaN/inf and maps the
-    frames into the kernel's domain.
+    raises ValueError.  ``kernel`` may be a ``Kernel`` or its value string;
+    ``kernel.from_llr`` rejects NaN/inf and maps the frames into its domain.
 
     Returns
     -------
@@ -434,14 +432,15 @@ def decode_batch(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.nd
         Decided input blocks and the codewords they encode, both
         ``(batch, n)`` uint8 arrays.
     """
+    kernel = Kernel(kernel)
     u_hat, c_hat = _sc_decode(_kernel_frames(llr, spec, kernel), spec, kernel)
     return u_hat.T, c_hat.T
 
 
 def decode(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """Decode one ``(n,)`` frame of channel log-likelihood ratios."""
-    values = _kernel_frames(llr, spec, kernel, batch=False)
-    u_hat, c_hat = _sc_decode(values, spec, kernel)
+    kernel = Kernel(kernel)
+    u_hat, c_hat = _sc_decode(_kernel_frames(llr, spec, kernel, batch=False), spec, kernel)
     return u_hat[:, 0], c_hat[:, 0]
 
 

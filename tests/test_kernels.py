@@ -1,11 +1,13 @@
 import copy
+import inspect
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from polarsc import Kernel, f_llr_exact, f_lr, f_minsum, g_llr, g_lr, kernels
+from polarsc import Kernel, f_llr_exact, f_lr, f_minsum, g_llr, g_lr, kernels, reference
 from polarsc.cli import _build_parser
 from polarsc.kernels import LLR_CLIP, LR_MAX, LR_MIN
 
@@ -301,3 +303,31 @@ def test_from_llr_rejects_arrays_of_no_real_dtype(llr):
     for kernel in Kernel:
         with pytest.raises(ValueError, match=f"got dtype {llr.dtype}"):
             kernel.from_llr(llr)
+
+
+def test_a_log_domain_g_allocates_no_operand_buffer():
+    # the sign flip widens the uint8 partial sums inside its own output: a
+    # shift of uint8 into uint64 would cast through a 64 KiB buffer
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((2, 256, 256))
+    us = rng.integers(0, 2, size=(256, 256), dtype=np.uint8)
+    out, scratch = np.empty((256, 256)), np.empty((256, 256))
+    Kernel.LLR_MINSUM.g_into(a, b, us, out, scratch)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        Kernel.LLR_MINSUM.g_into(a, b, us, out, scratch)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**10
+    assert np.array_equal(out, np.clip(b + (1.0 - 2.0 * us) * a, -LLR_CLIP, LLR_CLIP))
+
+
+def test_the_value_format_is_stated_in_kernels_only():
+    # the decoder takes its buffers' dtype from the values it decodes and
+    # flips signs through kernels._signed_into, so it names no float layout
+    source = inspect.getsource(reference)
+    for word in ("float64", "uint64", "_SIGN_SHIFT"):
+        assert word not in source, word
