@@ -50,7 +50,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .codespec import CodeSpec
+from .codespec import CodeSpec, _as_spec
 from .kernels import Kernel
 from .reference import _kernel_frames, _sc_decode
 from .schedule import ArchitectureConfig, Schedule, build_schedule, check_no_conflict
@@ -140,9 +140,9 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
         which ``period_cycles`` and the ``occupancy`` trace are read.  The
         schedule is immutable and shared with the cache.
     """
+    spec, kernel = _as_spec(spec), Kernel(kernel)
     if cfg.n != spec.n:
         raise ValueError(f"config length {cfg.n} != code length {spec.n}")
-    kernel = Kernel(kernel)
     values = _kernel_frames(frames, spec, kernel)
 
     p = cfg.overlap_p or 1

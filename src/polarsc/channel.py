@@ -31,8 +31,8 @@ from numbers import Real
 
 import numpy as np
 
-from .codespec import (CodeSpec, _as_bits, _as_finite, _as_int, _as_seed, _fold,
-                       bit_reverse_permutation)
+from .codespec import (CodeSpec, _as_bits, _as_finite, _as_int, _as_real, _as_seed,
+                       _as_spec, _fold, bit_reverse_permutation)
 from .kernels import Kernel
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -69,14 +69,15 @@ def _as_sigma(name: str, value) -> float:
 def awgn_llr(y, sigma: float) -> np.ndarray:
     """Channel log-ratios for unit-energy antipodal symbols: 2*y / sigma**2.
 
-    Raises ValueError naming ``sigma`` when a log-ratio of a finite ``y``
-    overflows: ``_as_sigma`` bounds sigma for a unit symbol only, and a
-    received value ``|y| > 1`` can overflow just above that bound.
+    Raises ValueError naming ``y`` unless it holds real numbers, and naming
+    ``sigma`` when a log-ratio of a finite ``y`` overflows: ``_as_sigma``
+    bounds sigma for a unit symbol only, and a received value ``|y| > 1``
+    can overflow just above that bound.
     """
-    sigma = _as_sigma("sigma", sigma)
+    y, sigma = _as_real("y", y), _as_sigma("sigma", sigma)
     try:
         with np.errstate(over="raise"):  # an infinite y does not overflow
-            return 2.0 * np.asarray(y, dtype=np.float64) / (sigma * sigma)
+            return 2.0 * y.astype(np.float64, copy=False) / (sigma * sigma)
     except FloatingPointError:
         raise ValueError(f"sigma = {sigma} is too small: the channel log-ratios "
                          f"2y / sigma**2 overflow") from None
@@ -289,7 +290,7 @@ def run_campaign(spec: CodeSpec, kernel: Kernel, points_db, stop: CampaignStop |
     """
     from . import reference
 
-    kernel, seed = Kernel(kernel), _as_seed(seed)
+    spec, kernel, seed = _as_spec(spec), Kernel(kernel), _as_seed(seed)
     stop = stop or CampaignStop()
     report = BerReport(spec=spec, kernel=kernel, seed=seed)
     points_db = list(points_db)

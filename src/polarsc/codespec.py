@@ -81,9 +81,7 @@ def butterfly_transform(bits) -> np.ndarray:
     Accepts a single block or a batch of blocks, every entry 0 or 1.
     """
     x = np.asarray(bits)
-    n = x.shape[-1]
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"block length must be a power of 2 >= 2, got {n}")
+    n = _as_length("block length", x.shape[-1])
     rows = np.array(_as_bits(x).reshape(-1, n).T, dtype=np.uint8, order="C")  # bits is kept
     return np.ascontiguousarray(_fold(rows).T).reshape(x.shape)
 
@@ -107,6 +105,26 @@ def _as_int(name: str, value) -> int:
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_length(name: str, value) -> int:
+    """``value`` as an ``int``; ValueError naming ``name`` unless it is an
+    integer power of 2 >= 2."""
+    n = _as_int(name, value)
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"{name} must be a power of 2 >= 2, got {n}")
+    return n
+
+
+def _as_real(name: str, values) -> np.ndarray:
+    """``values`` as an array; ValueError naming ``name`` and its dtype
+    unless it holds real numbers (bool, int or float), as a complex array
+    would lose its imaginary part in a cast to float and a string array be
+    parsed."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {values.dtype}")
+    return values
 
 
 def _as_finite(name: str, value) -> float:
@@ -193,6 +211,13 @@ class CodeSpec:
         return cls(m=doc["m"], frozen=doc["frozen"])
 
 
+def _as_spec(spec) -> CodeSpec:
+    """``spec``; ValueError naming its type unless it is a ``CodeSpec``."""
+    if not isinstance(spec, CodeSpec):
+        raise ValueError(f"spec must be a CodeSpec, got {type(spec).__name__}")
+    return spec
+
+
 def encode(u, spec: CodeSpec) -> np.ndarray:
     """Encode input block(s) u into codeword block(s).
 
@@ -200,7 +225,7 @@ def encode(u, spec: CodeSpec) -> np.ndarray:
     XOR butterfly network.  Every entry of u must be 0 or 1, and its frozen
     positions 0.
     """
-    u = np.asarray(u)
+    spec, u = _as_spec(spec), np.asarray(u)
     if u.shape[-1] != spec.n:
         raise ValueError(f"input length {u.shape[-1]} != code length {spec.n}")
     if spec.frozen and np.any(u[..., list(spec.frozen)]):
@@ -215,11 +240,9 @@ def bec_erasure_profile(n: int, design_erasure: float) -> np.ndarray:
     parameter z to the pair ``(2z - z**2, z**2)``.  Larger values mark less
     reliable inputs.
     """
-    n = _as_int("n", n)
+    n = _as_length("n", n)
     if not 0.0 < _as_finite("design_erasure", design_erasure) < 1.0:
         raise ValueError(f"design erasure must be in (0, 1), got {design_erasure}")
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"n must be a power of 2 >= 2, got {n}")
     z = np.array([design_erasure], dtype=np.float64)
     while len(z) < n:
         worse = 2.0 * z - z * z

@@ -1,10 +1,13 @@
 """Closed-form hardware cost and throughput models.
 
-Each machine has one model record, ``model(cfg)``; every figure below is a
-view of it.  Cost is one formula over the record, in abstract unit prices
-for a node processor, a register, a 2-input mux and a partial-sum block.
-A configurable PE implements both update rules and counts as two node
-processors.  The semi-parallel machine has no cost model yet.
+Each machine has one model record, ``model(cfg)``, the public door to its
+figures: ``model(cfg).cost(p)``, ``.pes``, ``.throughput(t_np)`` and the
+rest.  The count, cycle and throughput functions below are views of it by
+machine kind and length.  Cost is one formula over the record, in abstract
+unit prices for a node processor, a register, a 2-input mux and a
+partial-sum block.  A configurable PE implements both update rules and
+counts as two node processors.  The semi-parallel machine has no cost
+model yet.
 """
 
 from __future__ import annotations
@@ -59,7 +62,16 @@ class MachineModel:
     period_cycles: int
 
     def cost(self, p: CostParams) -> float:
-        """Total cost at unit prices ``p``."""
+        """Total cost at unit prices ``p``.  Per machine, in the paper's
+        closed forms (the overlapped machine's in its continuous form):
+
+        - unrolled graph: ``(C_np + C_r) * n * log2(n) + n * C_r``;
+        - pipelined tree: ``(n-1) * (2*C_np + C_r) + n * C_r``;
+        - PE line: ``(n-1) * (C_r + C_us) + n * C_np + (n/2 - 1) * 3 * C_mux
+          + n * C_r``;
+        - overlapped machine at parallelism P: ``(n + (P+1)/2 *
+          (log2((P+1)/2) - 1)) * 2*C_np + P * (2n - 1) * C_r``.
+        """
         if self.node_processors is None:
             raise ValueError(f"no cost model for machine kind {self.cfg.kind.value!r}")
         return (self.node_processors * p.c_np + self.registers * p.c_r
@@ -106,32 +118,6 @@ def _model(kind, n: int, p_vectors: int = 1, pe_count=None) -> MachineModel:
     return model(ArchitectureConfig(
         kind=kind, n=n, pe_count=pe_count if kind is ArchKind.SEMI_PARALLEL else None,
         overlap_p=p_vectors if kind is ArchKind.VECTOR_OVERLAP else None))
-
-
-def complexity_fft_like(n: int, p: CostParams) -> float:
-    """Unrolled graph: (C_np + C_r) * n * log2(n) + n * C_r."""
-    return _model(ArchKind.FFT_LIKE, n).cost(p)
-
-
-def complexity_tree(n: int, p: CostParams) -> float:
-    """Pipelined tree: (n-1) * (2*C_np + C_r) + n * C_r."""
-    return _model(ArchKind.PIPELINED_TREE, n).cost(p)
-
-
-def complexity_line(n: int, p: CostParams) -> float:
-    """PE line: (n-1) * (C_r + C_us) + n * C_np + (n/2 - 1) * 3 * C_mux + n * C_r."""
-    return _model(ArchKind.LINE, n).cost(p)
-
-
-def complexity_overlap(n: int, p_vectors: int, p: CostParams) -> float:
-    """Overlapped machine at parallelism P, in the continuous form:
-    (n + (P+1)/2 * (log2((P+1)/2) - 1)) * 2*C_np + P * (2n - 1) * C_r."""
-    return _model(ArchKind.VECTOR_OVERLAP, n, p_vectors).cost(p)
-
-
-def overlap_structural_pe_count(n: int, p_vectors: int) -> int:
-    """PEs actually instantiated by the stage duplication rule."""
-    return _model(ArchKind.VECTOR_OVERLAP, n, p_vectors).pes
 
 
 def _budgetless(what: str, kind, n: int, p_vectors: int) -> MachineModel:

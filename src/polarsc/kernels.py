@@ -24,10 +24,10 @@ op, so the float layout it relies on is stated here only.  The ops
 allocate nothing and check nothing: the decoder loop
 (``reference._sc_decode``) and the genie evaluator
 (``reference._genie_errors``) call them on preallocated level arrays
-through ``Kernel.f_into``/``g_into``/``g0_into``.  The public
-functions ``f_lr``, ``g_lr``, ``f_llr_exact``, ``f_minsum`` and ``g_llr``
-are thin wrappers that convert their inputs, allocate ``out`` and call the
-same op; the ratio-domain wrappers reject non-positive ratios there.
+through ``Kernel.f_into``/``g_into``/``g0_into``.  The public doors
+to the rules are ``Kernel.f`` and ``Kernel.g``, which convert their
+inputs, allocate ``out`` and call the same op; the ratio-domain member
+rejects non-positive ratios there.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ import math
 from enum import Enum
 
 import numpy as np
+
+from .codespec import _as_real
 
 LLR_CLIP = 40.0
 LR_MAX = float(np.exp(LLR_CLIP))
@@ -161,51 +163,11 @@ def _apply(op, a, b, *us):
     return out[()]
 
 
-def _real_llr(llr) -> np.ndarray:
-    """``llr`` as an array; ValueError naming its dtype unless it holds
-    real numbers (bool, int or float), as a complex array would lose its
-    imaginary part in the cast to float and a string array be parsed."""
-    llr = np.asarray(llr)
-    if llr.dtype.kind not in "biuf":
-        raise ValueError(f"channel log-ratios must be real numbers, got dtype {llr.dtype}")
-    return llr
-
-
 def _positive_ratios(a, b) -> tuple[np.ndarray, np.ndarray]:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if np.any(a <= 0) or np.any(b <= 0):
         raise ValueError("likelihood ratios must be strictly positive")
     return a, b
-
-
-def f_lr(a, b):
-    """Ratio-domain pair combine: (1 + ab) / (a + b). Symmetric."""
-    return _apply(_f_lr_into, *_positive_ratios(a, b))
-
-
-def g_lr(a, b, us):
-    """Ratio-domain conditioned combine: a**(1 - 2*us) * b."""
-    return _apply(_g_lr_into, *_positive_ratios(a, b), us)
-
-
-def f_llr_exact(la, lb):
-    """Exact log-domain pair combine (boxplus).
-
-    Evaluates log((1 + e**(la+lb)) / (e**la + e**lb)), the log of the
-    ratio-domain f, which equals 2*atanh(tanh(la/2)*tanh(lb/2)) and stays
-    finite at saturated inputs.
-    """
-    return _apply(_f_llr_exact_into, la, lb)
-
-
-def f_minsum(la, lb):
-    """Min-sum approximation of the log-domain f: sign product, min magnitude."""
-    return _apply(_f_minsum_into, la, lb)
-
-
-def g_llr(la, lb, us):
-    """Log-domain conditioned combine: la * (-1)**us + lb."""
-    return _apply(_g_llr_into, la, lb, us)
 
 
 class Kernel(Enum):
@@ -223,6 +185,18 @@ class Kernel(Enum):
     buffer the decoder makes: its tree levels, its scratch and the genie
     evaluator's levels and temporaries take the dtype of the values they
     decode.
+
+    ``f(a, b)`` and ``g(a, b, us)`` are the public doors to the update
+    rules: each runs the member's stage op on fresh arrays.  The rules:
+
+    - ratio domain: f is ``(1 + ab) / (a + b)``, symmetric, and g is
+      ``a**(1 - 2*us) * b``;
+    - exact log domain: f (boxplus) is ``log((1 + e**(la+lb)) / (e**la +
+      e**lb))``, the log of the ratio-domain f, which equals
+      ``2*atanh(tanh(la/2)*tanh(lb/2))`` and stays finite at saturated
+      inputs; g is ``la * (-1)**us + lb``;
+    - min-sum: f is the sign product with the smaller magnitude; g is the
+      exact log domain's.
 
     Rate-1 floors
     -------------
@@ -316,7 +290,7 @@ class Kernel(Enum):
         ValueError before the clip to ``+/-LLR_CLIP`` could hide it.
         """
         # [()]: a 0-d input comes back as a numpy scalar
-        return self._from_llr_in_place(np.array(_real_llr(llr)))[()]
+        return self._from_llr_in_place(np.array(_as_real("channel log-ratios", llr)))[()]
 
     def _from_llr_in_place(self, llr: np.ndarray) -> np.ndarray:
         """``from_llr`` on a real array the caller owns, converted in place

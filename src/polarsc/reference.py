@@ -77,8 +77,9 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .channel import _RNG_BLOCK, _as_sigma, _draw, _level_frames
-from .codespec import CodeSpec, _as_int, _as_seed, _fold, bit_reverse_permutation
-from .kernels import Kernel, _real_llr, _signed_into
+from .codespec import (CodeSpec, _as_int, _as_length, _as_real, _as_seed, _as_spec, _fold,
+                       bit_reverse_permutation)
+from .kernels import Kernel, _signed_into
 
 _GENIE_BLOCK = 512  # frames per random stream; part of the reproducibility contract
 
@@ -363,13 +364,11 @@ def _kernel_frames(llr, spec: CodeSpec, kernel: Kernel, batch: bool = True) -> n
     kernel-domain values in bit-reversed order, the decoder's input.
 
     Accepts one frame, shape ``(n,)``, or when ``batch`` also a batch of
-    them, shape ``(batch, n)``; any other shape, a dtype other than bool,
-    int or float, or a ``spec`` that is no ``CodeSpec`` raises ValueError
-    naming it.
+    them, shape ``(batch, n)``; any other shape, or a dtype other than
+    bool, int or float, raises ValueError naming it.  ``spec`` is the
+    caller's, already checked by ``codespec._as_spec``.
     """
-    if not isinstance(spec, CodeSpec):
-        raise ValueError(f"spec must be a CodeSpec, got {type(spec).__name__}")
-    llr, n = _real_llr(llr), spec.n
+    llr, n = _as_real("channel log-ratios", llr), spec.n
     if llr.shape != (n,) and (not batch or llr.ndim != 2 or llr.shape[1] != n):
         expected = f"({n},) or (batch, {n})" if batch else f"({n},)"
         raise ValueError(f"channel log-ratios must have shape {expected}, "
@@ -432,14 +431,14 @@ def decode_batch(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.nd
         Decided input blocks and the codewords they encode, both
         ``(batch, n)`` uint8 arrays.
     """
-    kernel = Kernel(kernel)
+    spec, kernel = _as_spec(spec), Kernel(kernel)
     u_hat, c_hat = _sc_decode(_kernel_frames(llr, spec, kernel), spec, kernel)
     return u_hat.T, c_hat.T
 
 
 def decode(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """Decode one ``(n,)`` frame of channel log-likelihood ratios."""
-    kernel = Kernel(kernel)
+    spec, kernel = _as_spec(spec), Kernel(kernel)
     u_hat, c_hat = _sc_decode(_kernel_frames(llr, spec, kernel, batch=False), spec, kernel)
     return u_hat[:, 0], c_hat[:, 0]
 
@@ -457,9 +456,7 @@ def genie_error_counts(n: int, noise_sigma: float, trials: int, seed: int) -> np
     of the draws (``_genie_chunk``); their counts are summed.  Frames are
     independent, so the cut changes no count.
     """
-    n, trials, seed = _as_int("n", n), _as_int("trials", trials), _as_seed(seed)
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"n must be a power of 2 >= 2, got {n}")
+    n, trials, seed = _as_length("n", n), _as_int("trials", trials), _as_seed(seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     noise_sigma = _as_sigma("noise_sigma", noise_sigma)

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .codespec import _as_int, bit_reverse_permutation
+from .codespec import _as_int, _as_length, bit_reverse_permutation
 from .reference import _F, _G, _G0, _unpruned_plan
 
 
@@ -51,11 +51,10 @@ class ArchitectureConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ArchKind(self.kind))
-        for name in ("n", "pe_count", "overlap_p"):
+        object.__setattr__(self, "n", _as_length("n", self.n))
+        for name in ("pe_count", "overlap_p"):
             value = getattr(self, name)
             object.__setattr__(self, name, value if value is None else _as_int(name, value))
-        if self.n < 2 or self.n & (self.n - 1):
-            raise ValueError(f"n must be a power of 2 >= 2, got {self.n}")
         if self.kind is ArchKind.SEMI_PARALLEL:
             pe = self.pe_count
             if pe is None or not 1 <= pe <= self.n // 2 or pe & (pe - 1):
@@ -79,6 +78,7 @@ class ArchitectureConfig:
 
 def stage_duplication_count(l: int, p: int) -> int:
     """Copies of stage l needed to overlap p vectors: ceil((p+1) / 2**(l+1))."""
+    l, p = _as_int("l", l), _as_int("p", p)
     if l < 0:
         raise ValueError(f"stage index must be >= 0, got {l}")
     if p < 1:
@@ -267,7 +267,7 @@ def build_schedule(cfg: ArchitectureConfig, vectors: int | None = None) -> Sched
     oldest first, and a vector that finds every copy taken stalls a cycle.
     """
     p = cfg.overlap_p or 1
-    vectors = p if vectors is None else vectors
+    vectors = p if vectors is None else _as_int("vectors", vectors)
     if not 1 <= vectors <= p:
         raise ValueError(f"vectors must satisfy 1 <= v <= P = {p}, got {vectors}")
     stages = [l for l, *_ in _steps(cfg)]

@@ -2,25 +2,41 @@
 its arguments once, on entry, and raises ValueError with a message that
 starts as the row says."""
 
+import inspect
 import re
 
 import numpy as np
 import pytest
 
-from polarsc import (ArchitectureConfig, CampaignStop, Kernel, bit_reverse_permutation,
-                     bpsk_modulate, construct_frozen_bec, decode, decode_batch, run_campaign,
-                     simulate)
+import polarsc
+from polarsc import (ArchitectureConfig, CampaignStop, Kernel, awgn_llr,
+                     bit_reverse_permutation, bpsk_modulate, build_schedule,
+                     construct_frozen_bec, decode, decode_batch, encode, run_campaign, simulate,
+                     stage_duplication_count)
 
 SPEC = construct_frozen_bec(8, 4, 0.5)
 LLR = np.linspace(-3.0, 4.0, 8)
 BAD_KERNEL = "'llr_bogus' is not a valid Kernel"
+DICT_SPEC, NOT_A_SPEC = {"m": 3, "frozen": []}, "spec must be a CodeSpec, got dict"
+TREE = ArchitectureConfig(kind="tree", n=8)
+OVERLAP = ArchitectureConfig(kind="overlap", n=8, overlap_p=3)
 
 # (function, arguments, start of the ValueError message)
 ROWS = {
-    "decode_batch-spec-dict": (decode_batch, (LLR, {"m": 3, "frozen": []}, Kernel.LLR_EXACT),
-                               "spec must be a CodeSpec, got dict"),
+    "decode_batch-spec-dict": (decode_batch, (LLR, DICT_SPEC, Kernel.LLR_EXACT), NOT_A_SPEC),
+    "decode-spec-dict": (decode, (LLR, DICT_SPEC, Kernel.LLR_EXACT), NOT_A_SPEC),
     "decode-spec-str": (decode, (LLR, "spec", Kernel.LLR_EXACT),
                         "spec must be a CodeSpec, got str"),
+    "simulate-spec-dict": (simulate, (TREE, LLR, DICT_SPEC, Kernel.LLR_EXACT), NOT_A_SPEC),
+    "run_campaign-spec-dict": (run_campaign, (DICT_SPEC, Kernel.LLR_EXACT, [1.0]), NOT_A_SPEC),
+    "encode-spec-dict": (encode, (np.zeros(8, np.uint8), DICT_SPEC), NOT_A_SPEC),
+    "stage_duplication_count-float": (stage_duplication_count, (0.5, 3), "l must be an integer"),
+    "stage_duplication_count-bool": (stage_duplication_count, (0, True), "p must be an integer"),
+    "build_schedule-float": (build_schedule, (OVERLAP, 2.5), "vectors must be an integer"),
+    "build_schedule-bool": (build_schedule, (OVERLAP, True), "vectors must be an integer"),
+    "awgn_llr-complex": (awgn_llr, (np.array([1 + 1j, -1]), 1.0),
+                         "y must be real numbers, got dtype complex128"),
+    "awgn_llr-string": (awgn_llr, ("abc", 1.0), "y must be real numbers, got dtype <U3"),
     "bit_reverse_permutation-float": (bit_reverse_permutation, (3.5,), "m must be an integer"),
     "bit_reverse_permutation-bool": (bit_reverse_permutation, (True,), "m must be an integer"),
     "bpsk_modulate-two": (bpsk_modulate, ([2],), "input bits must be 0 or 1"),
@@ -29,8 +45,7 @@ ROWS = {
                           "soft values must not be NaN"),
     "decode-kernel-string": (decode, (LLR, SPEC, "llr_bogus"), BAD_KERNEL),
     "decode_batch-kernel-string": (decode_batch, (LLR, SPEC, "llr_bogus"), BAD_KERNEL),
-    "simulate-kernel-string": (simulate, (ArchitectureConfig(kind="tree", n=8), LLR, SPEC,
-                                          "llr_bogus"), BAD_KERNEL),
+    "simulate-kernel-string": (simulate, (TREE, LLR, SPEC, "llr_bogus"), BAD_KERNEL),
     "run_campaign-kernel-string": (run_campaign, (SPEC, "llr_bogus", [1.0]), BAD_KERNEL),
 }
 
@@ -59,3 +74,11 @@ def test_a_kernel_value_string_is_coerced_to_its_member(kernel):
     assert by_name.kernel is kernel
     assert by_name.points == run_campaign(SPEC, kernel, [1.0], stop, seed=3).points
 
+
+def test_all_names_each_public_name_once():
+    # a name removed from the package but left in __all__, or one added
+    # without it, breaks `from polarsc import *` or hides the name
+    public = {name for name, value in vars(polarsc).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert len(polarsc.__all__) == len(set(polarsc.__all__))
+    assert set(polarsc.__all__) == public

@@ -3,46 +3,47 @@ import json
 import numpy as np
 import pytest
 
-from polarsc import (CostParams, Kernel, build_schedule, complexity_fft_like,
-                     complexity_line, complexity_overlap, complexity_tree,
-                     construct_frozen_bec,
-                     cycles_per_vector, node_processor_count,
-                     overlap_structural_pe_count, register_count, simulate,
-                     table_report, throughput)
-from polarsc.complexity import model
+from polarsc import (CostParams, Kernel, build_schedule, construct_frozen_bec,
+                     cycles_per_vector, model, node_processor_count, register_count,
+                     simulate, table_report, throughput)
 from polarsc.schedule import ArchKind, ArchitectureConfig
 
 ZERO = CostParams(c_np=0, c_r=0, c_mux=0, c_us=0, t_np=1.0)
 UNIT = CostParams(c_np=1, c_r=1, c_mux=1, c_us=1, t_np=1.0)
 
 
+def machine(kind, n, overlap_p=None):
+    """The model record of machine ``kind`` at length ``n``."""
+    return model(ArchitectureConfig(kind=kind, n=n, overlap_p=overlap_p))
+
+
 def test_fft_like_closed_form():
-    assert complexity_fft_like(2, CostParams(c_np=1, c_r=1, t_np=1)) == 6
-    assert complexity_fft_like(8, ZERO) == 0
+    assert machine("fft", 2).cost(CostParams(c_np=1, c_r=1, t_np=1)) == 6
+    assert machine("fft", 8).cost(ZERO) == 0
     p = CostParams(c_np=3, c_r=2, t_np=1)
-    assert complexity_fft_like(8, p) == (3 + 2) * 8 * 3 + 8 * 2
+    assert machine("fft", 8).cost(p) == (3 + 2) * 8 * 3 + 8 * 2
 
 
 def test_tree_closed_form():
-    assert complexity_tree(4, CostParams(c_np=2, c_r=1, t_np=1)) == 19
-    assert complexity_tree(8, ZERO) == 0
+    assert machine("tree", 4).cost(CostParams(c_np=2, c_r=1, t_np=1)) == 19
+    assert machine("tree", 8).cost(ZERO) == 0
 
 
 def test_line_closed_form():
-    assert complexity_line(8, UNIT) == 7 * 2 + 8 + 3 * 3 + 8
-    assert complexity_line(8, ZERO) == 0
+    assert machine("line", 8).cost(UNIT) == 7 * 2 + 8 + 3 * 3 + 8
+    assert machine("line", 8).cost(ZERO) == 0
 
 
 def test_overlap_closed_form():
     p = CostParams(c_np=1, c_r=0, t_np=1)
-    assert complexity_overlap(8, 3, p) == pytest.approx(16.0)
+    assert machine("overlap", 8, 3).cost(p) == pytest.approx(16.0)
     # P = 1 collapses to the tree cost for any prices
     prices = CostParams(c_np=1.7, c_r=0.6, c_mux=0, c_us=0, t_np=1)
     for n in (4, 16, 128):
-        assert complexity_overlap(n, 1, prices) == pytest.approx(
-            complexity_tree(n, prices))
+        assert machine("overlap", n, 1).cost(prices) == pytest.approx(
+            machine("tree", n).cost(prices))
     with pytest.raises(ValueError):
-        complexity_overlap(8, 8, p)
+        machine("overlap", 8, 8).cost(p)
 
 
 def test_resource_counts_n8():
@@ -79,10 +80,10 @@ def test_resource_counts_n1024():
 
 def test_structural_pe_count_matches_closed_form_at_power_of_two():
     for n, p in ((8, 1), (8, 3), (64, 7), (1024, 7), (1024, 3)):
-        assert 2 * overlap_structural_pe_count(n, p) == pytest.approx(
+        assert 2 * machine("overlap", n, p).pes == pytest.approx(
             node_processor_count("overlap", n, p))
     # ceilings push the structural count above the continuous form otherwise
-    assert 2 * overlap_structural_pe_count(8, 4) > node_processor_count("overlap", 8, 4)
+    assert 2 * machine("overlap", 8, 4).pes > node_processor_count("overlap", 8, 4)
 
 
 def schedule_registers(s):
@@ -125,8 +126,8 @@ def test_model_pe_counts_equal_the_schedules_pes(n):
     assert 2 * tree == node_processor_count("tree", n)
     assert 2 * line == node_processor_count("line", n)
     for cfg in configs[3:]:
-        assert model(cfg).pes == (cfg.pe_count if cfg.pe_count else
-                                  overlap_structural_pe_count(n, cfg.overlap_p))
+        if cfg.pe_count:
+            assert model(cfg).pes == cfg.pe_count
 
 
 def test_semi_parallel_model_has_no_cost():
@@ -184,8 +185,7 @@ def test_overlap_models_reject_p_outside_one_to_n_minus_1(p_vectors):
     models = [lambda: throughput("overlap", 8, p_vectors=p_vectors),
               lambda: node_processor_count("overlap", 8, p_vectors),
               lambda: register_count("overlap", 8, p_vectors),
-              lambda: complexity_overlap(8, p_vectors, CostParams()),
-              lambda: overlap_structural_pe_count(8, p_vectors)]
+              lambda: machine("overlap", 8, p_vectors)]
     for model in models:
         with pytest.raises(ValueError, match="overlap_p must satisfy"):
             model()
@@ -211,9 +211,9 @@ def test_cost_ordering_when_pe_dominates():
         assert p.c_np >= 2 * (p.c_mux + p.c_us) or p is profiles[1]
     for n in (4, 8, 16, 64, 256, 1024):
         for p in profiles:
-            assert complexity_tree(n, p) < complexity_fft_like(n, p)
+            assert machine("tree", n).cost(p) < machine("fft", n).cost(p)
             if p.c_np >= 2 * (p.c_mux + p.c_us):
-                assert complexity_line(n, p) < complexity_tree(n, p)
+                assert machine("line", n).cost(p) < machine("tree", n).cost(p)
 
 
 def test_table_report_rows_and_serialization():

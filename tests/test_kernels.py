@@ -7,63 +7,61 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polarsc import Kernel, f_llr_exact, f_lr, f_minsum, g_llr, g_lr, kernels, reference
+from polarsc import Kernel, kernels, reference
 from polarsc.cli import _build_parser
 from polarsc.kernels import LLR_CLIP, LR_MAX, LR_MIN
 
 
 def test_f_lr_erasure_absorbs():
     for b in (0.1, 1.0, 7.0, 100.0):
-        assert f_lr(1.0, b) == pytest.approx(1.0)
+        assert Kernel.LR_EXACT.f(1.0, b) == pytest.approx(1.0)
 
 
 def test_f_lr_direct_value():
-    assert f_lr(2.0, 3.0) == pytest.approx(1.4)
+    assert Kernel.LR_EXACT.f(2.0, 3.0) == pytest.approx(1.4)
 
 
 def test_f_lr_symmetric(rng):
     a = np.exp(rng.normal(size=100))
     b = np.exp(rng.normal(size=100))
-    np.testing.assert_allclose(f_lr(a, b), f_lr(b, a))
+    np.testing.assert_allclose(Kernel.LR_EXACT.f(a, b), Kernel.LR_EXACT.f(b, a))
 
 
 def test_lr_domain_rejects_nonpositive():
     with pytest.raises(ValueError):
-        f_lr(-1.0, 2.0)
+        Kernel.LR_EXACT.f(-1.0, 2.0)
     with pytest.raises(ValueError):
-        g_lr(1.0, 0.0, 0)
+        Kernel.LR_EXACT.g(1.0, 0.0, 0)
     good = np.array([[0.5, 2.0], [1.0, 3.0]])
     for bad in (np.array([[0.5, 2.0], [1.0, 0.0]]), -good):
-        for f in (f_lr, Kernel.LR_EXACT.f):
-            for args in ((bad, good), (good, bad)):
-                with pytest.raises(ValueError, match="strictly positive"):
-                    f(*args)
-        for g in (g_lr, Kernel.LR_EXACT.g):
-            for args in ((bad, good, 1), (good, bad, 0)):
-                with pytest.raises(ValueError, match="strictly positive"):
-                    g(*args)
+        for args in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="strictly positive"):
+                Kernel.LR_EXACT.f(*args)
+        for args in ((bad, good, 1), (good, bad, 0)):
+            with pytest.raises(ValueError, match="strictly positive"):
+                Kernel.LR_EXACT.g(*args)
 
 
 def test_g_lr_multiply_or_divide():
-    assert g_lr(2.0, 3.0, 0) == pytest.approx(6.0)
-    assert g_lr(2.0, 3.0, 1) == pytest.approx(1.5)
+    assert Kernel.LR_EXACT.g(2.0, 3.0, 0) == pytest.approx(6.0)
+    assert Kernel.LR_EXACT.g(2.0, 3.0, 1) == pytest.approx(1.5)
     for b in (0.2, 1.0, 9.0):
-        assert g_lr(1.0, b, 0) == pytest.approx(b)
+        assert Kernel.LR_EXACT.g(1.0, b, 0) == pytest.approx(b)
 
 
 def test_f_llr_exact_zero_annihilates():
     for x in (-3.0, 0.0, 5.0):
-        assert f_llr_exact(0.0, x) == pytest.approx(0.0)
+        assert Kernel.LLR_EXACT.f(0.0, x) == pytest.approx(0.0)
 
 
 def test_f_llr_exact_saturates_to_other_argument():
-    assert f_llr_exact(39.0, 2.5) == pytest.approx(2.5, abs=1e-6)
-    assert f_llr_exact(-39.0, 2.5) == pytest.approx(-2.5, abs=1e-6)
+    assert Kernel.LLR_EXACT.f(39.0, 2.5) == pytest.approx(2.5, abs=1e-6)
+    assert Kernel.LLR_EXACT.f(-39.0, 2.5) == pytest.approx(-2.5, abs=1e-6)
 
 
 def test_f_llr_exact_cross_domain():
-    got = f_llr_exact(2.0, 3.0)
-    assert got == pytest.approx(np.log(f_lr(np.exp(2.0), np.exp(3.0))), abs=1e-12)
+    got = Kernel.LLR_EXACT.f(2.0, 3.0)
+    assert got == pytest.approx(np.log(Kernel.LR_EXACT.f(np.exp(2.0), np.exp(3.0))), abs=1e-12)
     assert got == pytest.approx(1.6934536609708952, abs=1e-12)
 
 
@@ -71,19 +69,19 @@ def test_f_llr_exact_equals_tanh_product_form(rng):
     a = rng.uniform(-8, 8, size=200)
     b = rng.uniform(-8, 8, size=200)
     tanh_form = 2.0 * np.arctanh(np.tanh(a / 2) * np.tanh(b / 2))
-    np.testing.assert_allclose(f_llr_exact(a, b), tanh_form, atol=1e-10)
+    np.testing.assert_allclose(Kernel.LLR_EXACT.f(a, b), tanh_form, atol=1e-10)
 
 
 def test_f_minsum_direct_values():
-    assert f_minsum(2.0, -3.0) == pytest.approx(-2.0)
-    assert f_minsum(0.0, 4.0) == pytest.approx(0.0)
+    assert Kernel.LLR_MINSUM.f(2.0, -3.0) == pytest.approx(-2.0)
+    assert Kernel.LLR_MINSUM.f(0.0, 4.0) == pytest.approx(0.0)
 
 
 def test_minsum_dominates_exact_on_grid():
     grid = np.linspace(-10, 10, 81)
     a, b = np.meshgrid(grid, grid)
-    exact = f_llr_exact(a, b)
-    approx = f_minsum(a, b)
+    exact = Kernel.LLR_EXACT.f(a, b)
+    approx = Kernel.LLR_MINSUM.f(a, b)
     assert np.all(np.abs(exact) <= np.abs(approx) + 1e-12)
     assert np.all(np.abs(approx) <= np.minimum(np.abs(a), np.abs(b)) + 1e-12)
     nz = (a != 0) & (b != 0)
@@ -91,14 +89,14 @@ def test_minsum_dominates_exact_on_grid():
 
 
 def test_g_llr_values_and_cross_domain(rng):
-    assert g_llr(0.0, 2.5, 0) == pytest.approx(2.5)
-    assert g_llr(0.0, 2.5, 1) == pytest.approx(2.5)
-    assert g_llr(1.5, 2.5, 0) == pytest.approx(4.0)
+    assert Kernel.LLR_EXACT.g(0.0, 2.5, 0) == pytest.approx(2.5)
+    assert Kernel.LLR_EXACT.g(0.0, 2.5, 1) == pytest.approx(2.5)
+    assert Kernel.LLR_EXACT.g(1.5, 2.5, 0) == pytest.approx(4.0)
     a = rng.uniform(-5, 5, size=50)
     b = rng.uniform(-5, 5, size=50)
     for us in (0, 1):
-        lhs = g_llr(a, b, us)
-        rhs = np.log(g_lr(np.exp(a), np.exp(b), us))
+        lhs = Kernel.LLR_EXACT.g(a, b, us)
+        rhs = np.log(Kernel.LR_EXACT.g(np.exp(a), np.exp(b), us))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -114,7 +112,7 @@ def test_g_llr_bit_identical_to_select_form(rng):
     lb[: 2 * k, :k] = np.tile(special, 2)[:, None]
     us[:k, :k], us[k: 2 * k, :k] = 0, 1
     select = np.clip(np.where(us == 0, la + lb, lb - la), -LLR_CLIP, LLR_CLIP)
-    got = g_llr(la, lb, us)
+    got = Kernel.LLR_EXACT.g(la, lb, us)
     assert np.array_equal(got.view(np.int64), select.view(np.int64))
 
 
@@ -138,9 +136,9 @@ def test_g0_into_is_g_into_with_zero_partial_sums(kernel, rng):
 
 
 def test_clipping_keeps_values_finite():
-    assert g_llr(LLR_CLIP, LLR_CLIP, 0) == LLR_CLIP
-    assert g_llr(LLR_CLIP, -LLR_CLIP, 1) == -LLR_CLIP
-    assert np.isfinite(f_llr_exact(LLR_CLIP, LLR_CLIP))
+    assert Kernel.LLR_EXACT.g(LLR_CLIP, LLR_CLIP, 0) == LLR_CLIP
+    assert Kernel.LLR_EXACT.g(LLR_CLIP, -LLR_CLIP, 1) == -LLR_CLIP
+    assert np.isfinite(Kernel.LLR_EXACT.f(LLR_CLIP, LLR_CLIP))
 
 
 def test_hard_decision_threshold_and_boundary():
@@ -241,7 +239,7 @@ def test_f_llr_exact_stays_within_the_floors_error_bound():
     a, b = np.meshgrid(vals, vals)
     la, lb = a.astype(np.longdouble), b.astype(np.longdouble)
     true = np.logaddexp(la + lb, np.longdouble(0)) - np.logaddexp(la, lb)
-    assert np.abs(f_llr_exact(a, b) - true).max() <= kernels._F_EXACT_ERROR
+    assert np.abs(Kernel.LLR_EXACT.f(a, b) - true).max() <= kernels._F_EXACT_ERROR
 
 
 def test_rate1_floors():
@@ -265,7 +263,7 @@ def test_rate1_floors():
         for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             h = np.float64(floors[L])
             for _ in range(L):
-                out = f_llr_exact(sa * h, sb * h)
+                out = Kernel.LLR_EXACT.f(sa * h, sb * h)
                 assert out != 0.0 and np.sign(out) == sa * sb, (L, sa, sb)
                 h = abs(out)
 

@@ -13,7 +13,6 @@ from polarsc import (ArchitectureConfig, ArchKind, CampaignStop, CodeSpec, Kerne
                      construct_frozen_bec, decode, decode_batch, encode,
                      genie_error_counts, run_campaign, simulate)
 from polarsc import channel, kernels, reference
-from polarsc.kernels import g_llr
 
 from conftest import (oracle_phase_decision, random_frames, recursive_sc,
                       single_vector_ops)
@@ -39,7 +38,7 @@ def test_n2_hand_traced_chain(rng):
     for _ in range(50):
         llr = rng.normal(size=2) * 3
         u_hat, _ = decode(llr, spec, Kernel.LLR_EXACT)
-        expected = 0 if g_llr(llr[0], llr[1], 0) > 0 else 1
+        expected = 0 if Kernel.LLR_EXACT.g(llr[0], llr[1], 0) > 0 else 1
         assert u_hat.tolist() == [0, expected]
 
 
