@@ -10,8 +10,9 @@ decoding several vectors on duplicated stage instances
 
 The machines run one data-independent SC control sequence on one tree of
 ``2n - 1`` registers: every vector slot of a schedule's step table runs
-one vector's steps, ``schedule._steps``, the f and g steps of the unpruned
-decode plan that the reference decoder lowers (``reference._lower``).
+one vector's steps, ``schedule._step_record``, the f and g steps of the
+unpruned decode plan that the reference decoder lowers
+(``reference._lower``), held as one array record per step shape.
 The machines differ only in the cycle and stage copy at which each step
 runs, so their datapath is the reference decoder's loop,
 ``reference._sc_decode``.  What ``schedule.check_no_conflict`` checks,
@@ -26,7 +27,9 @@ so neither does the interleaving of slots.
 
 Control never depends on the frames, so a schedule is built and checked
 once per ``(config, group size)`` and cached, with its PE names and one
-run's counts as an int array, for as long as its config lives.
+run's counts as an int array, for as long as its config lives.  The
+builder runs over the record's stage column, and the check and the PE
+count are array arithmetic over the table and the record's lane columns.
 ``simulate`` runs the SC loop once over all its frames and adds up the
 counts of the groups the frames fill, naming the sums once.
 

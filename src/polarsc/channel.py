@@ -327,6 +327,8 @@ def run_campaign(spec: CodeSpec, kernel: Kernel, points_db, stop: CampaignStop |
 def monotonicity_flags(report: BerReport) -> list[str]:
     """Flag error-rate increases between consecutive points beyond twice the
     combined interval half-widths.  Checks both FER and BER."""
+    if not isinstance(report, BerReport):
+        raise ValueError(f"report must be a BerReport, got {type(report).__name__}")
     flags = []
     k = report.spec.k
     pts = sorted(report.points, key=lambda p: p.ebn0_db)

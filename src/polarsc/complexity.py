@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .codespec import _as_finite
+from .codespec import _as_finite, _as_int
 from .schedule import ArchKind, ArchitectureConfig, stage_duplication_count
 
 
@@ -113,11 +113,20 @@ def model(cfg: ArchitectureConfig) -> MachineModel:
 
 
 def _model(kind, n: int, p_vectors: int = 1, pe_count=None) -> MachineModel:
-    """``model`` of ``kind``, each budget applied to its one machine."""
-    kind = ArchKind(kind)
-    return model(ArchitectureConfig(
-        kind=kind, n=n, pe_count=pe_count if kind is ArchKind.SEMI_PARALLEL else None,
-        overlap_p=p_vectors if kind is ArchKind.VECTOR_OVERLAP else None))
+    """``model`` of ``kind``.  As in ``ArchitectureConfig``, a budget given
+    to a machine without it raises: ``p_vectors`` other than 1 except on
+    the overlapped machine, and a ``pe_count`` except on the semi-parallel
+    one."""
+    kind, p_vectors = ArchKind(kind), _as_int("p_vectors", p_vectors)
+    overlap = kind is ArchKind.VECTOR_OVERLAP
+    if not overlap and p_vectors != 1:
+        raise ValueError(f"p_vectors only applies to the vector-overlap machine, "
+                         f"got {p_vectors} for {kind.value!r}")
+    if kind is not ArchKind.SEMI_PARALLEL and pe_count is not None:
+        raise ValueError(f"pe_count only applies to the semi-parallel machine, "
+                         f"got {pe_count!r} for {kind.value!r}")
+    return model(ArchitectureConfig(kind=kind, n=n, pe_count=pe_count,
+                                    overlap_p=p_vectors if overlap else None))
 
 
 def _budgetless(what: str, kind, n: int, p_vectors: int) -> MachineModel:
@@ -191,7 +200,7 @@ def table_report(n: int, p_vectors: int, p: CostParams | None = None) -> Complex
     rows = []
     for kind, label in ((ArchKind.FFT_LIKE, "FFT-like"), (ArchKind.PIPELINED_TREE, "Pipe. Tree"),
                         (ArchKind.LINE, "Line"), (ArchKind.VECTOR_OVERLAP, "Overlap.")):
-        rec = _model(kind, n, p_vectors)
+        rec = _model(kind, n, p_vectors if kind is ArchKind.VECTOR_OVERLAP else 1)
         t = rec.throughput(p.t_np)
         rows.append({"arch": label, "kind": kind.value,
                      "node_processors": rec.node_processors, "registers": rec.registers,

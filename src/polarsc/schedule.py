@@ -1,15 +1,21 @@
 """Clock-by-clock schedules for the decoder architectures.
 
 Every machine replays, per vector, the 2n - 2 f and g steps of the
-unpruned decode plan, the SC control sequence the reference decoder runs;
-``_steps`` turns them into one vector's clocked steps.  A schedule is a
+unpruned decode plan, the SC control sequence the reference decoder runs.
+``_step_record`` holds one vector's clocked steps as array columns: stage,
+f or g, phase, and the lane each step activates (start, stride, count).
+It is built once per step shape (graph rows or tree positions, n, lane
+width) from the plan, which is lowered once per ``m``.  A schedule is a
 step table: for each vector slot, the cycle of each step and the stage
-copy it runs on.  Every view is read from that table: ``entries`` indexes
-its steps in cycle order, the CSV, grids, occupancy and liveness read
-through that index, and the PE counts and the conflict check read the
-table directly.  One greedy builder fills it: the vector-overlapping
-machine staggers P vectors across duplicated stage copies, and the
-single-vector machines are the same builder at P = 1.
+copy it runs on.  Every view is read from the table and the record:
+``entries`` indexes the table's steps in cycle order, the CSV, grids,
+occupancy and liveness read through that index and emit the record's
+rows as ``(stage, fn, phase, active)`` tuples (``Schedule.steps``), and
+the PE counts and the conflict check are array arithmetic over the table
+and the record's columns.  One greedy builder fills the table from the
+record's stage column: the vector-overlapping machine staggers P vectors
+across duplicated stage copies, and the single-vector machines are the
+same builder at P = 1.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,18 +103,19 @@ def stage_instance_name(l: int, copy: int) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """One group's step table: every vector slot runs ``steps``, one
-    vector's ``_steps(cfg)``, and row ``v`` of ``cycles`` and ``copies``
-    holds the cycle and the stage copy of each step of slot ``v``.  The
-    rows are read-only, so a schedule shared through the simulator's cache
-    cannot be edited.  Every view and statistic is read from the table."""
+    """One group's step table: every vector slot runs one vector's steps,
+    the step record of ``cfg``'s shape (see ``_step_record``), and row ``v``
+    of ``cycles`` and ``copies`` holds the cycle and the stage copy of each
+    step of slot ``v``.  The rows are read-only, so a schedule shared
+    through the simulator's cache cannot be edited.  Every view and
+    statistic is read from the table and the record."""
 
     cfg: ArchitectureConfig
     cycles: np.ndarray
     copies: np.ndarray
 
     def __post_init__(self):
-        shape = (len(self.cycles) if np.ndim(self.cycles) else 0, len(self.steps))
+        shape = (len(self.cycles) if np.ndim(self.cycles) else 0, len(self._record.stage))
         for name in ("cycles", "copies"):
             given = np.asarray(getattr(self, name))
             with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
@@ -120,9 +128,15 @@ class Schedule:
             object.__setattr__(self, name, table)
 
     @property
+    def _record(self) -> _StepRecord:
+        """One vector's clocked steps as columns, ``_step_record``."""
+        return _step_record(*_shape(self.cfg))
+
+    @property
     def steps(self) -> tuple:
-        """One vector's clocked steps, ``_steps(cfg)``."""
-        return _steps(self.cfg)
+        """One vector's clocked steps ``(stage, fn, phase, active)``, read
+        from the record (see ``_lane_steps``)."""
+        return _lane_steps(*_shape(self.cfg))
 
     @property
     def vectors(self) -> int:
@@ -135,7 +149,7 @@ class Schedule:
     @property
     def _stages(self) -> np.ndarray:
         """The stage of each step of the table, in the table's shape."""
-        return np.broadcast_to([l for l, *_ in self.steps], self.cycles.shape)
+        return np.broadcast_to(self._record.stage, self.cycles.shape)
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -163,14 +177,18 @@ class Schedule:
         return {(inst, cycle): step[1] for cycle, inst, _, step in self._in_cycle_order()}
 
     def decision_cycles(self, vector: int = 0) -> dict:
-        """phase -> cycle at which that phase's bit is decided."""
-        return {phase: cycle for (l, _, phase, _), cycle
-                in zip(self.steps, self.cycles[vector].tolist()) if l == 0}
+        """phase -> cycle at which slot ``vector``'s bit of that phase is decided."""
+        vector = _as_int("vector", vector)
+        if not 0 <= vector < self.vectors:
+            raise ValueError(f"vector must satisfy 0 <= vector < {self.vectors}, got {vector}")
+        decided = self._record.stage == 0
+        return dict(zip(self._record.phase[decided].tolist(),
+                        self.cycles[vector, decided].tolist()))
 
     def stall_cycles(self) -> list:
         """Per vector, the cycles between its first and last step in which
         it ran no step (a slot runs one step per cycle)."""
-        return (self.cycles[:, -1] - self.cycles[:, 0] + 1 - len(self.steps)).tolist()
+        return (self.cycles[:, -1] - self.cycles[:, 0] + 1 - self.cycles.shape[1]).tolist()
 
     def occupancy(self) -> list:
         """Per cycle, the (stage instance, vector tag, active indices) it runs."""
@@ -186,23 +204,48 @@ class Schedule:
         (line), ``P_{q - q0}`` (semi-parallel lane, q0 the first active
         index) and ``<stage instance>:P_q`` (overlap, e.g. ``S_0d:P_0``), in
         the order in which the slots, taken in turn, first activate them, so
-        a shorter group's PEs are the first of the full group's.  Runs are
-        counted per (stage, copy, lane) and each name is formatted once.
+        a shorter group's PEs are the first of the full group's.  The
+        table's steps are counted as runs of one (name head, lane) each,
+        each run's lane becomes integer PE keys, ``head * n + index``, as
+        a ragged ``arange`` of the record's lane columns, one ``np.unique``
+        counts the keys, and each name is formatted once.
         """
-        kind = self.cfg.kind
+        kind, n, m, rec = self.cfg.kind, self.cfg.n, self.cfg.m, self._record
         prefix = {ArchKind.FFT_LIKE: "N_{l},", ArchKind.PIPELINED_TREE: "P_{l},",
                   ArchKind.VECTOR_OVERLAP: "{instance}:P_"}.get(kind, "P_")
-        lanes = [active for *_, active in self.steps] * self.vectors
-        runs = Counter(zip(self._stages.ravel().tolist(), self.copies.ravel().tolist(),
-                           lanes))  # (stage, copy, lane) -> runs, in table order
-        counts: dict = {}  # (name prefix, PE index) -> activations
-        for (l, copy, active), k in runs.items():
-            head = prefix.format(l=l, instance=stage_instance_name(l, copy))
-            offset = active[0] if kind is ArchKind.SEMI_PARALLEL else 0
-            for q in active:
-                pe = (head, q - offset)
-                counts[pe] = counts.get(pe, 0) + k
-        return Counter({f"{head}{q}": k for (head, q), k in counts.items()})
+        stages = np.tile(rec.stage, self.vectors)  # of the table's flat steps
+        copy_ids = np.zeros(1, np.int64)
+        if kind is ArchKind.VECTOR_OVERLAP:  # a name's head is its stage instance
+            copy_ids, copy_of = np.unique(self.copies, return_inverse=True)
+            heads = copy_of.ravel() * m + stages
+        elif kind in (ArchKind.LINE, ArchKind.SEMI_PARALLEL):  # one row of PEs
+            heads = np.zeros_like(stages)
+        else:  # its stage
+            heads = stages
+        # the table's (head, lane) runs, in table order of first appearance
+        lanes = np.tile(rec.stage * n + rec.start, self.vectors)
+        _, first, repeats = np.unique(heads * (m * n) + lanes, return_index=True,
+                                      return_counts=True)
+        order = np.argsort(first)
+        first, repeats = first[order], repeats[order]
+        step = first % len(rec.stage)
+        count = rec.count[step]
+        # each run's PEs in lane order, keyed head * n + index
+        run = np.repeat(np.arange(len(first)), count)
+        lane = np.arange(len(run)) - np.repeat(np.cumsum(count) - count, count)
+        index = lane if kind is ArchKind.SEMI_PARALLEL else (
+            rec.start[step][run] + lane * rec.stride[step][run])
+        pes, at, pe_of = np.unique(heads[first][run] * n + index, return_index=True,
+                                   return_inverse=True)
+        counts = np.bincount(pe_of.ravel(), repeats[run]).astype(np.int64)
+        order = np.argsort(at)  # the PEs in order of first activation
+        pe_heads, pe_index = divmod(pes[order], n)
+        head_names = np.array([prefix.format(l=l, instance=stage_instance_name(l, copy))
+                               for copy in copy_ids.tolist() for l in range(m)], object)
+        names = head_names[pe_heads] + np.array([str(q) for q in range(n)], object)[pe_index]
+        activations = Counter()  # filled by dict.update: Counter.update would count the pairs
+        dict.update(activations, zip(names.tolist(), counts[order].tolist()))
+        return activations
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -214,49 +257,83 @@ class Schedule:
         return buf.getvalue()
 
 
-def _steps(cfg: ArchitectureConfig) -> tuple:
-    return _lane_steps(cfg.kind is ArchKind.FFT_LIKE, cfg.n, cfg.pe_count or cfg.n)
+class _StepRecord(NamedTuple):
+    """One vector's clocked steps as read-only int64 columns, one row per
+    step, in order: the step's ``stage``, ``g`` (1 for a g step, 0 for an
+    f), its ``phase``, and its lane, the ``count`` positions ``start``,
+    ``start + stride``, ... that it activates."""
+
+    stage: np.ndarray
+    g: np.ndarray
+    phase: np.ndarray
+    start: np.ndarray
+    stride: np.ndarray
+    count: np.ndarray
+
+
+def _shape(cfg: ArchitectureConfig) -> tuple:
+    """The key of ``cfg``'s steps: graph rows or tree positions, ``n``, and
+    the lane width, the PE budget of the semi-parallel machine and ``n``
+    elsewhere."""
+    return cfg.kind is ArchKind.FFT_LIKE, cfg.n, cfg.pe_count or cfg.n
+
+
+@lru_cache(maxsize=32)
+def _plan_steps(m: int) -> tuple:
+    """The f and g instructions of the unpruned plan of length ``2**m``,
+    ``reference._unpruned_plan``, in its order (see ``reference._lower``),
+    as read-only ``(stage, g, phase)`` columns: the SC control sequence the
+    reference decoder runs.  A ``_G0``, the g after a rate-0 sibling, which
+    only a pruned plan holds, is a g step too.  The plan is lowered once
+    per ``m`` and dropped once these columns are built, so schedules keep
+    no plan of about ``16n`` ints alive."""
+    ops = np.array(_unpruned_plan(m), np.int64).reshape(-1, 4)
+    ops = ops[np.isin(ops[:, 0], (_F, _G, _G0))]
+    columns = ops[:, 1], (ops[:, 0] != _F).astype(np.int64), ops[:, 2]
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+@lru_cache(maxsize=32)
+def _step_record(fft: bool, n: int, width: int) -> _StepRecord:
+    """One vector's clocked steps, ``_plan_steps`` with their lanes,
+    computed once and shared by every schedule with the same arguments.
+
+    The semi-parallel machine splits a step wider than its PE budget into
+    ``width``-wide lanes (``width`` is ``n`` elsewhere).  The lanes name
+    tree positions, except in the unrolled graph (``fft``), whose steps
+    name graph rows: stage ``l`` pairs rows at stride ``2**(m - 1 - l)``,
+    its row ``fix + z * 2**(m - l)`` (``fix`` below ``2**(m - l)``) is
+    tree position ``z = row >> (m - l)``, and phase ``i`` activates the
+    rows with ``fix = bit_reverse(i >> l, m - l)``, which is
+    ``perm[i >> l] >> l`` for the ``m``-bit permutation.
+    """
+    m = n.bit_length() - 1
+    stage, g, phase = _plan_steps(m)
+    if fft:
+        start = bit_reverse_permutation(m)[phase >> stage] >> stage
+        stride, count = n >> stage, 1 << stage
+    else:
+        lanes = np.maximum((1 << stage) // width, 1)
+        stage, g, phase = (np.repeat(column, lanes) for column in (stage, g, phase))
+        start = (np.arange(len(stage)) - np.repeat(np.cumsum(lanes) - lanes, lanes)) * width
+        stride, count = np.ones_like(stage), np.minimum(1 << stage, width)
+    record = _StepRecord(stage, g, phase, start, stride, count)
+    for column in record:
+        column.flags.writeable = False
+    return record
 
 
 @lru_cache(maxsize=32)
 def _lane_steps(fft: bool, n: int, width: int) -> tuple:
-    """One vector's clocked steps ``(stage, fn, phase, active)``, in order,
-    computed once and shared by every schedule with the same arguments.
-
-    The steps are the f and g instructions of the unpruned decode plan,
-    ``reference._unpruned_plan``, in its order (see ``reference._lower``),
-    so a machine runs the SC control sequence the reference decoder runs;
-    a ``_G0``, the g after a rate-0 sibling, which only a pruned plan
-    holds, is a g step too.
-    The plan is dropped once these steps, which are cached, are built, so
-    schedules keep no plan of about ``16n`` ints alive.
-    The semi-parallel machine splits a step wider than its PE budget into
-    ``width``-wide steps (``width`` is ``n`` elsewhere).  The steps name
-    tree positions, except in the unrolled graph (``fft``), whose steps
-    name graph rows: stage ``l`` pairs rows at stride
-    ``2**(m - 1 - l)``, its row ``fix + z * 2**(m - l)`` (``fix`` below
-    ``2**(m - l)``) is tree position ``z = row >> (m - l)``, and phase
-    ``i`` activates the rows with ``fix = bit_reverse(i >> l, m - l)``,
-    which is ``perm[i >> l] >> l`` for the ``m``-bit permutation.
-    """
-    m = n.bit_length() - 1
-    perm = bit_reverse_permutation(m).tolist()
-    lanes = [[tuple(range(s, min(s + width, 1 << l))) for s in range(0, 1 << l, width)]
-             for l in range(m)]
-    rows = tuple(range(n))  # the row slices below share these int objects
-    steps = []
-    it = iter(_unpruned_plan(m))
-    for op, l, phase, _ in zip(it, it, it, it):
-        if op not in (_F, _G, _G0):
-            continue
-        fn = "f" if op == _F else "g"
-        if fft:
-            fix = perm[phase >> l] >> l
-            steps.append((l, fn, phase, rows[fix::1 << (m - l)]))
-        else:
-            for active in lanes[l]:
-                steps.append((l, fn, phase, active))
-    return tuple(steps)
+    """``_step_record(fft, n, width)`` as one vector's clocked steps
+    ``(stage, fn, phase, active)``, the form the CSV, grids, occupancy and
+    liveness emit, built on first use."""
+    rows = tuple(range(n))  # the lane slices below share these int objects
+    return tuple((l, "fg"[g], phase, rows[start:start + count * stride:stride])
+                 for l, g, phase, start, stride, count
+                 in zip(*(column.tolist() for column in _step_record(fft, n, width))))
 
 
 def build_schedule(cfg: ArchitectureConfig, vectors: int | None = None) -> Schedule:
@@ -265,32 +342,35 @@ def build_schedule(cfg: ArchitectureConfig, vectors: int | None = None) -> Sched
     Each cycle admits at most one new vector.  Vectors claim the
     ``stage_duplication_count(l, P)`` copies of their next step's stage
     oldest first, and a vector that finds every copy taken stalls a cycle.
+    So a younger vector never delays an older one, and the greedy fills
+    the table one slot at a time, oldest first: each slot tries its first
+    step from the cycle after the previous slot's first step, and each
+    step against the copies the older slots claimed.
     """
     p = cfg.overlap_p or 1
     vectors = p if vectors is None else _as_int("vectors", vectors)
     if not 1 <= vectors <= p:
         raise ValueError(f"vectors must satisfy 1 <= v <= P = {p}, got {vectors}")
-    stages = [l for l, *_ in _steps(cfg)]
-    last, m = len(stages), cfg.m
+    stages, m = _step_record(*_shape(cfg)).stage.tolist(), cfg.m
     have = [stage_duplication_count(l, p) for l in range(m)]
 
-    cycles = [[0] * last for _ in range(vectors)]
-    copies = [[0] * last for _ in range(vectors)]
-    pos = [0] * vectors
-    admitted = finished = cycle = 0
-    while finished < vectors:
-        cycle += 1
-        claimed = [0] * m
-        for v in range(min(admitted + 1, vectors)):
-            j = pos[v]
-            if j == last or claimed[stages[j]] == have[stages[j]]:
-                continue
-            cycles[v][j], copies[v][j] = cycle, claimed[stages[j]]
-            claimed[stages[j]] += 1
-            pos[v] += 1
-            admitted += v == admitted
-            finished += pos[v] == last
-    return Schedule(cfg=cfg, cycles=cycles, copies=copies)
+    claimed: dict = {}  # cycle * m + stage -> copies of it claimed by older slots
+    cycles, copies = [], []
+    first = 0  # the previous slot's first cycle
+    for _ in range(vectors):
+        row, taken, cycle = [], [], first
+        for l in stages:
+            cycle += 1
+            while (k := claimed.get(cycle * m + l, 0)) == have[l]:
+                cycle += 1  # every copy is taken: stall
+            claimed[cycle * m + l] = k + 1
+            row.append(cycle)
+            taken.append(k)
+        cycles.append(row)
+        copies.append(taken)
+        first = row[0]
+    return Schedule(cfg=cfg, cycles=np.array(cycles, np.int64),
+                    copies=np.array(copies, np.int64))
 
 
 def check_no_conflict(s: Schedule) -> list:
@@ -303,7 +383,7 @@ def check_no_conflict(s: Schedule) -> list:
     increase from cycle 1.  Returns a list of violation strings; empty
     means the schedule is clean.
     """
-    cfg, width = s.cfg, len(s.steps)
+    cfg, width = s.cfg, s.cycles.shape[1]
     have = np.array([stage_duplication_count(l, cfg.overlap_p or 1) for l in range(cfg.m)])
     cycles, copies, stages = s.cycles.ravel(), s.copies.ravel(), s._stages.ravel()
 
@@ -311,17 +391,19 @@ def check_no_conflict(s: Schedule) -> list:
         return f"CC{cycles[i]}: {stage_instance_name(stages[i], copies[i])}"
     violations = [f"{at(i)} is not a stage copy of the machine"
                   for i in np.flatnonzero((copies < 0) | (copies >= have[stages]))]
-    # the first step of the table to claim a (cycle, stage, copy) owns it
-    _, owner, claim = np.unique(np.column_stack((cycles, stages, copies)), axis=0,
-                                return_index=True, return_inverse=True)
+    # one integer key per (cycle, stage, copy), built from the ranks of the
+    # cycles and copies so that no table overflows it; the first step of the
+    # table to claim a key owns it
+    busy, cycle_of = np.unique(cycles, return_inverse=True)
+    copy_ids, copy_of = np.unique(copies, return_inverse=True)
+    key = (cycle_of.ravel() * cfg.m + stages) * len(copy_ids) + copy_of.ravel()
+    _, owner, claim = np.unique(key, return_index=True, return_inverse=True)
     owner = owner[claim.ravel()]
     violations += [f"{at(i)} claimed by y_{owner[i] // width + 1} and y_{i // width + 1}"
                    for i in np.flatnonzero(owner != np.arange(len(owner)))]
     if cfg.kind in (ArchKind.LINE, ArchKind.SEMI_PARALLEL):
         budget = cfg.n // 2 if cfg.kind is ArchKind.LINE else cfg.pe_count
-        busy, cycle_of = np.unique(cycles, return_inverse=True)
-        used = np.bincount(cycle_of.ravel(),
-                           np.tile([len(active) for *_, active in s.steps], s.vectors))
+        used = np.bincount(cycle_of.ravel(), np.tile(s._record.count, s.vectors))
         violations += [f"CC{cycle}: {int(k)} PEs used, budget {budget}"
                        for cycle, k in zip(busy.tolist(), used.tolist()) if k > budget]
     unordered = (np.diff(s.cycles, prepend=0) < 1).any(axis=1)

@@ -11,8 +11,9 @@ import pytest
 import polarsc
 from polarsc import (ArchitectureConfig, CampaignStop, Kernel, awgn_llr,
                      bit_reverse_permutation, bpsk_modulate, build_schedule,
-                     construct_frozen_bec, decode, decode_batch, encode, run_campaign, simulate,
-                     stage_duplication_count)
+                     construct_frozen_bec, decode, decode_batch, encode, monotonicity_flags,
+                     node_processor_count, register_count, run_campaign, simulate,
+                     stage_duplication_count, throughput)
 
 SPEC = construct_frozen_bec(8, 4, 0.5)
 LLR = np.linspace(-3.0, 4.0, 8)
@@ -47,6 +48,30 @@ ROWS = {
     "decode_batch-kernel-string": (decode_batch, (LLR, SPEC, "llr_bogus"), BAD_KERNEL),
     "simulate-kernel-string": (simulate, (TREE, LLR, SPEC, "llr_bogus"), BAD_KERNEL),
     "run_campaign-kernel-string": (run_campaign, (SPEC, "llr_bogus", [1.0]), BAD_KERNEL),
+    # a slot past the last used to raise IndexError, and -1 read the last slot
+    "decision_cycles-past-the-last-slot": (build_schedule(TREE).decision_cycles, (5,),
+                                           "vector must satisfy 0 <= vector < 1, got 5"),
+    "decision_cycles-negative": (build_schedule(OVERLAP).decision_cycles, (-1,),
+                                 "vector must satisfy 0 <= vector < 3, got -1"),
+    "decision_cycles-float": (build_schedule(TREE).decision_cycles, (0.5,),
+                              "vector must be an integer"),
+    # a budget the machine lacks used to be dropped without a word
+    "throughput-p_vectors-tree": (throughput, ("tree", 8, -3),
+                                  "p_vectors only applies to the vector-overlap machine"),
+    "throughput-pe_count-tree": (throughput, ("tree", 8, 1, 1.0, 2),
+                                 "pe_count only applies to the semi-parallel machine"),
+    "throughput-pe_count-overlap": (throughput, ("overlap", 8, 3, 1.0, 2),
+                                    "pe_count only applies to the semi-parallel machine"),
+    "throughput-p_vectors-semi": (throughput, ("semi", 8, 3, 1.0, 2),
+                                  "p_vectors only applies to the vector-overlap machine"),
+    "throughput-p_vectors-float": (throughput, ("overlap", 8, 2.5),
+                                   "p_vectors must be an integer"),
+    "node_processor_count-p_vectors-fft": (node_processor_count, ("fft", 8, 3),
+                                           "p_vectors only applies to the vector-overlap"),
+    "register_count-p_vectors-line": (register_count, ("line", 8, 2),
+                                      "p_vectors only applies to the vector-overlap machine"),
+    "monotonicity_flags-None": (monotonicity_flags, (None,),
+                                "report must be a BerReport, got NoneType"),
 }
 
 

@@ -166,9 +166,11 @@ def test_cycles_per_vector_model():
 
 
 def test_models_take_arch_kinds_and_reject_unknown_ones():
+    budgets = {ArchKind.VECTOR_OVERLAP: {"p_vectors": 3},
+               ArchKind.SEMI_PARALLEL: {"pe_count": 2}}
     for kind in ArchKind:
-        assert throughput(kind, 8, 3, pe_count=2) == throughput(kind.value, 8, 3,
-                                                                pe_count=2)
+        budget = budgets.get(kind, {})
+        assert throughput(kind, 8, **budget) == throughput(kind.value, 8, **budget)
     assert register_count(ArchKind.LINE, 8) == register_count("line", 8)
     assert node_processor_count(ArchKind.FFT_LIKE, 8) == node_processor_count("fft", 8)
     for model in (node_processor_count, register_count, cycles_per_vector):

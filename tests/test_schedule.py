@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarsc import cycles_per_vector
+from polarsc import bit_reverse_permutation, cycles_per_vector, reference
 from polarsc.schedule import (ArchKind, ArchitectureConfig, Schedule, build_schedule,
                               check_no_conflict, enabled_sites,
                               register_liveness, stage_duplication_count,
@@ -388,6 +388,59 @@ def test_check_no_conflict_matches_the_per_step_check(data):
         copies[v, j] = data.draw(st.integers(-1, 3))
     bad = Schedule(cfg=cfg, cycles=cycles, copies=copies)
     assert sorted(check_no_conflict(bad)) == sorted(check_no_conflict_oracle(bad))
+
+
+BENCHMARK_SHAPES = [
+    ArchitectureConfig(kind=ArchKind.FFT_LIKE, n=1024),
+    ArchitectureConfig(kind=ArchKind.PIPELINED_TREE, n=1024),
+    ArchitectureConfig(kind=ArchKind.LINE, n=1024),
+    ArchitectureConfig(kind=ArchKind.SEMI_PARALLEL, n=1024, pe_count=256),
+    ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=1024, overlap_p=3),
+]
+
+
+def lane_steps_oracle(cfg):
+    """One vector's steps ``(stage, fn, phase, active)``, lowered straight
+    from the unpruned plan's f and g instructions one at a time."""
+    m, n, width = cfg.m, cfg.n, cfg.pe_count or cfg.n
+    perm = bit_reverse_permutation(m).tolist()
+    steps = []
+    plan = iter(reference._unpruned_plan(m))
+    for op, l, phase, _ in zip(plan, plan, plan, plan):
+        if op not in (reference._F, reference._G, reference._G0):
+            continue
+        fn = "f" if op == reference._F else "g"
+        if cfg.kind is ArchKind.FFT_LIKE:  # the rows of one fix class
+            steps.append((l, fn, phase, tuple(range(perm[phase >> l] >> l, n, 1 << (m - l)))))
+        else:
+            steps += [(l, fn, phase, tuple(range(s, min(s + width, 1 << l))))
+                      for s in range(0, 1 << l, width)]
+    return tuple(steps)
+
+
+@pytest.mark.parametrize("cfg", BENCHMARK_SHAPES, ids=lambda cfg: cfg.kind.value)
+def test_schedules_at_the_benchmark_shapes_match_their_oracles(cfg):
+    sched = build_schedule(cfg)
+    assert sched.steps == lane_steps_oracle(cfg)
+    assert list(sched.pe_activations().items()) == \
+        list(pe_activations_oracle(sched).items())
+    # book the top stage's last step into its first step's cycle, which on
+    # the line and semi-parallel machines also overruns the PE budget, and
+    # move a few steps to drawn cycles and stage copies
+    cycles, copies = sched.cycles.copy(), sched.copies.copy()
+    top = [j for j, (l, *_) in enumerate(sched.steps) if l == cfg.m - 1]
+    cycles[-1, top[-1]] = cycles[-1, top[0]]
+    rng = np.random.default_rng(1024)
+    for _ in range(8):
+        v, j = rng.integers(sched.vectors), rng.integers(len(sched.steps))
+        cycles[v, j] = rng.integers(-1, sched.total_cycles + 2)
+        copies[v, j] = rng.integers(-1, 4)
+    bad = Schedule(cfg=cfg, cycles=cycles, copies=copies)
+    violations = check_no_conflict(bad)
+    assert any("claimed by" in v for v in violations)
+    overrun = cfg.kind in (ArchKind.LINE, ArchKind.SEMI_PARALLEL)
+    assert any("PEs used" in v for v in violations) == overrun
+    assert sorted(violations) == sorted(check_no_conflict_oracle(bad))
 
 
 def test_check_no_conflict_flags_double_booking():
