@@ -31,8 +31,8 @@ from numbers import Real
 
 import numpy as np
 
-from .codespec import (CodeSpec, _as_bits, _as_finite, _as_int, _as_real, _as_seed,
-                       _as_spec, _fold, bit_reverse_permutation)
+from .codespec import (CodeSpec, _as_bits, _as_finite, _as_instance, _as_int, _as_real,
+                       _as_seed, _as_spec, _fold, bit_reverse_permutation)
 from .kernels import Kernel
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -291,7 +291,7 @@ def run_campaign(spec: CodeSpec, kernel: Kernel, points_db, stop: CampaignStop |
     from . import reference
 
     spec, kernel, seed = _as_spec(spec), Kernel(kernel), _as_seed(seed)
-    stop = stop or CampaignStop()
+    stop = CampaignStop() if stop is None else _as_instance("stop", stop, CampaignStop)
     report = BerReport(spec=spec, kernel=kernel, seed=seed)
     points_db = list(points_db)
     sigmas = [sigma_from_ebn0_db(ebn0_db, spec.k / spec.n) for ebn0_db in points_db]
@@ -327,8 +327,7 @@ def run_campaign(spec: CodeSpec, kernel: Kernel, points_db, stop: CampaignStop |
 def monotonicity_flags(report: BerReport) -> list[str]:
     """Flag error-rate increases between consecutive points beyond twice the
     combined interval half-widths.  Checks both FER and BER."""
-    if not isinstance(report, BerReport):
-        raise ValueError(f"report must be a BerReport, got {type(report).__name__}")
+    _as_instance("report", report, BerReport)
     flags = []
     k = report.spec.k
     pts = sorted(report.points, key=lambda p: p.ebn0_db)

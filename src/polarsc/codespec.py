@@ -211,11 +211,19 @@ class CodeSpec:
         return cls(m=doc["m"], frozen=doc["frozen"])
 
 
+def _as_instance(name: str, value, cls: type):
+    """``value``; ValueError naming ``name`` and the type of ``value`` unless
+    it is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {cls.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 def _as_spec(spec) -> CodeSpec:
     """``spec``; ValueError naming its type unless it is a ``CodeSpec``."""
-    if not isinstance(spec, CodeSpec):
-        raise ValueError(f"spec must be a CodeSpec, got {type(spec).__name__}")
-    return spec
+    return _as_instance("spec", spec, CodeSpec)
 
 
 def encode(u, spec: CodeSpec) -> np.ndarray:

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .codespec import _as_finite, _as_int
+from .codespec import _as_finite, _as_instance, _as_int
 from .schedule import ArchKind, ArchitectureConfig, stage_duplication_count
 
 
@@ -92,6 +92,7 @@ def model(cfg: ArchitectureConfig) -> MachineModel:
     than its ``2**p`` PEs, so takes ``2n + (n / 2**p)(m - p - 2)`` cycles
     (Leroux et al., IEEE Trans. Signal Process. 2013).  The overlapped
     machine admits a vector a cycle and sustains P per ``2n - 2`` cycles."""
+    cfg = _as_instance("cfg", cfg, ArchitectureConfig)
     n, m, p = cfg.n, cfg.m, cfg.overlap_p or 1
     tree, steps = 2 * n - 1, 2 * n - 2  # registers of one tree; steps of one vector
     match cfg.kind:

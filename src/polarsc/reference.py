@@ -31,10 +31,14 @@ tree of its own for its frames.  The kernels' in-place stage ops
 share one ``(n/2, batch)`` scratch array, all of the values' dtype.  All
 partial sums live in one ``(n, batch)`` uint8 array in block layout: each
 decision goes into its phase's row, and each fold is an in-place XOR of a
-block's right half into its left half.  After the last phase that array is
-the codeword in bit-reversed order, and one more pass of every fold
-(``codespec._fold``, the package's one butterfly) turns it back into the
-decided bits.
+block's right half into its left half.  A fold into a dead left half, all
+frozen and so still 0, is a copy, and a chain of them, each into the
+parent's dead left half, is one ``_TILE``: one ``np.copyto`` that fills the
+chain's left halves with copies of its first right half.  After the last
+phase that array is the codeword in bit-reversed order, and one more pass
+of every fold (``codespec._fold``, the package's one butterfly) turns it
+back into the decided bits; only ``decode`` and ``decode_batch`` gather
+the codeword.
 
 ``_sc_decode`` and ``_genie_errors`` take level ``m`` as it is stored, an
 ``(n, batch)`` array in bit-reversed order, with no transpose or gather of
@@ -88,7 +92,11 @@ _F = 0       # (_F, l, i, 0): f at stage l of phase i, level l + 1 into level l
 _G = 1       # (_G, l, i, i - 2**l): g likewise, with partial sums x[i - 2**l:i]
 _G0 = 5      # (_G0, l, i, 0): g whose left sibling [i - 2**l, i) is all frozen,
 #              so its partial sums are 0 and it reads none
-_FOLD = 3    # (_FOLD, a, b, c): x[a:b] ^= x[b:c], b - a == c - b
+_FOLD = 3    # (_FOLD, a, b, c): x[a:b] ^= x[b:c], b - a == c - b, into a live
+#              left sibling
+_TILE = 2    # (_TILE, a, b, c): x[a:b] = copies of x[b:c], c - b dividing b - a:
+#              a chain of folds into dead left siblings, still all 0, each the
+#              parent of the one before
 _RATE1 = 4   # (_RATE1, L, i, 0): decide x[i:i + 2**L] by the hard decision of
 #              level L (at L = 0, phase i's decision); above level 0, send the
 #              frames with a value at or below the kernel's floor one SC step
@@ -108,7 +116,11 @@ def _lower(spec: CodeSpec, rate1: bool) -> tuple:
     decisions that ``x`` starts with), and so is a fold whose right half is
     all frozen, since it would XOR zeros.  The g of a live right child
     whose left sibling is dead becomes ``_G0``: its partial sums are the
-    zeros ``x`` starts with, so it reads none.
+    zeros ``x`` starts with, so it reads none, and the fold into that
+    sibling is a copy.  A chain of such folds, each node the right child
+    of the next, becomes one ``_TILE``: the first node's right child
+    copied into every left sibling of the chain.  The unpruned plan has no
+    dead node, so it holds no ``_G0`` and no ``_TILE``.
 
     A live leaf, phase ``i``, is a rate-1 node at level 0, ``(_RATE1, 0, i,
     0)``: the hard decision of the root, SC's decision.  With ``rate1``, each
@@ -143,7 +155,12 @@ def _lower_subtree(ops: list, frozen_before: tuple, lo: int, l: int, rate1: bool
     if frozen_before[mid + h] - frozen_before[mid] != h:  # the right child is live
         ops += (_G, l - 1, mid, lo) if left_live else (_G0, l - 1, mid, 0)
         _lower_subtree(ops, frozen_before, mid, l - 1, rate1)
-        ops += (_FOLD, lo, mid, mid + h)  # fold it into its left sibling
+        if left_live:  # fold it into its left sibling
+            ops += (_FOLD, lo, mid, mid + h)
+        elif ops[-4] == _TILE and ops[-3] == mid and ops[-1] == mid + h:
+            ops[-3] = lo  # the right child's own tile: x[mid:mid + h] is its copies
+        else:
+            ops += (_TILE, lo, mid, mid + h)
 
 
 # spec -> {rate1: plan}.  Weak keys free a code's plans with the code,
@@ -177,7 +194,8 @@ def _split_plan(L: int) -> tuple:
     return (_F, l, 0, 0, _RATE1, l, 0, 0, _G, l, h, 0, _RATE1, l, h, 0, _FOLD, 0, h, 2 * h)
 
 
-def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel) -> tuple:
+def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel,
+               codewords: bool = False) -> tuple:
     """Run SC decoding over level ``m``, an ``(n, batch)`` array of
     kernel-domain values in bit-reversed order (see ``_kernel_frames``),
     which the decoder reads and does not change.
@@ -187,12 +205,14 @@ def _sc_decode(values: np.ndarray, spec: CodeSpec, kernel: Kernel) -> tuple:
     the butterfly transform of the decided bits in block layout: gathered
     in bit-reversed order they are the codeword, and since the transform
     is its own inverse, ``m`` more passes of every fold (``codespec._fold``)
-    turn them back into the decided bits.  Returns the decided bits and
-    their codewords, as ``(n, batch)`` uint8 arrays in natural order.
+    turn them back into the decided bits.  Returns the decided bits and,
+    with ``codewords``, their codewords (else None), as ``(n, batch)``
+    uint8 arrays in natural order; only ``decode`` and ``decode_batch``
+    return codewords, so only they pay for the gather.
     """
     floors = kernel.rate1_floors
     x = _run_plan(_plan(spec, floors is not None), values, kernel)
-    c_hat = x[bit_reverse_permutation(spec.m)]
+    c_hat = x[bit_reverse_permutation(spec.m)] if codewords else None
     return _fold(x), c_hat
 
 
@@ -208,7 +228,8 @@ def _run_plan(plan: tuple, values: np.ndarray, kernel: Kernel) -> np.ndarray:
     turns the block into its level-``l + 1`` partial sum, so a g at stage
     ``l`` of phase ``i`` reads the left sibling block ``x[i-h:i]``; a
     ``_G0``, whose left sibling is all frozen, runs ``kernel.g0_into`` and
-    reads no partial sums.
+    reads no partial sums, and a ``_TILE`` writes the folds of a chain of
+    such siblings, which hold 0, as copies.
 
     A ``_RATE1`` node ``[i, i + 2**L)`` writes the hard decision of level
     ``L`` into ``x[i:i + 2**L]`` for every frame.  At ``L = 0`` that is phase
@@ -233,25 +254,29 @@ def _run_plan(plan: tuple, values: np.ndarray, kernel: Kernel) -> np.ndarray:
     floors = kernel.rate1_floors
 
     it = iter(plan)
-    for op, a, b, c in zip(it, it, it, it):
-        if op == _G:
-            left, right, out, tmp = stages[a]
-            g_into(left, right, x[c:b], out, tmp)
-        elif op == _F:
-            f_into(*stages[a])
-        elif op == _G0:
-            g0_into(*stages[a])
-        elif op == _FOLD:  # not x[a:b] ^= ..., which also copies the result back
+    for op, a, b, c in zip(it, it, it, it):  # the opcodes tested in plan frequency order
+        if op == _FOLD:  # not x[a:b] ^= ..., which also copies the result back
             left = x[a:b]
             np.bitwise_xor(left, x[b:c], left)
-        else:  # _RATE1
+        elif op == _G0:
+            g0_into(*stages[a])
+        elif op == _RATE1:
             level, node = soft[a], slice(b, b + (1 << a))
             np.less_equal(level, threshold, bits[node])  # Kernel.hard_decision
-            if a and (floors[a] or not level.all()):  # a floor of 0 fails only on +/-0.0
+            # a floor of 0 fails only on +/-0.0; on the small levels where most
+            # nodes sit, count_nonzero tests that faster than level.all()
+            if a and (floors[a] or np.count_nonzero(level) < level.size):
                 low = np.abs(level, out=scratch[:1 << a] if a < top else None).min(axis=0)
                 below = np.flatnonzero(low <= floors[a])
                 if below.size:
                     x[node, below] = _run_plan(_split_plan(a), level[:, below], kernel)
+        elif op == _F:
+            f_into(*stages[a])
+        elif op == _G:
+            left, right, out, tmp = stages[a]
+            g_into(left, right, x[c:b], out, tmp)
+        else:  # _TILE
+            np.copyto(x[a:b].reshape((b - a) // (c - b), c - b, batch), x[b:c])
     return x
 
 
@@ -432,14 +457,15 @@ def decode_batch(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.nd
         ``(batch, n)`` uint8 arrays.
     """
     spec, kernel = _as_spec(spec), Kernel(kernel)
-    u_hat, c_hat = _sc_decode(_kernel_frames(llr, spec, kernel), spec, kernel)
+    u_hat, c_hat = _sc_decode(_kernel_frames(llr, spec, kernel), spec, kernel, True)
     return u_hat.T, c_hat.T
 
 
 def decode(llr, spec: CodeSpec, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     """Decode one ``(n,)`` frame of channel log-likelihood ratios."""
     spec, kernel = _as_spec(spec), Kernel(kernel)
-    u_hat, c_hat = _sc_decode(_kernel_frames(llr, spec, kernel, batch=False), spec, kernel)
+    u_hat, c_hat = _sc_decode(_kernel_frames(llr, spec, kernel, batch=False), spec, kernel,
+                              True)
     return u_hat[:, 0], c_hat[:, 0]
 
 

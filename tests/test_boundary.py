@@ -10,10 +10,11 @@ import pytest
 
 import polarsc
 from polarsc import (ArchitectureConfig, CampaignStop, Kernel, awgn_llr,
-                     bit_reverse_permutation, bpsk_modulate, build_schedule,
-                     construct_frozen_bec, decode, decode_batch, encode, monotonicity_flags,
-                     node_processor_count, register_count, run_campaign, simulate,
-                     stage_duplication_count, throughput)
+                     bit_reverse_permutation, bpsk_modulate, build_schedule, check_no_conflict,
+                     construct_frozen_bec, decode, decode_batch, encode, model,
+                     monotonicity_flags, node_processor_count, register_count,
+                     register_liveness, run_campaign, simulate, stage_duplication_count,
+                     throughput)
 
 SPEC = construct_frozen_bec(8, 4, 0.5)
 LLR = np.linspace(-3.0, 4.0, 8)
@@ -21,6 +22,8 @@ BAD_KERNEL = "'llr_bogus' is not a valid Kernel"
 DICT_SPEC, NOT_A_SPEC = {"m": 3, "frozen": []}, "spec must be a CodeSpec, got dict"
 TREE = ArchitectureConfig(kind="tree", n=8)
 OVERLAP = ArchitectureConfig(kind="overlap", n=8, overlap_p=3)
+DICT_CFG, NOT_A_CFG = {"kind": "tree", "n": 8}, "cfg must be an ArchitectureConfig, got dict"
+NOT_A_SCHEDULE = "s must be a Schedule, got dict"
 
 # (function, arguments, start of the ValueError message)
 ROWS = {
@@ -72,6 +75,15 @@ ROWS = {
                                       "p_vectors only applies to the vector-overlap machine"),
     "monotonicity_flags-None": (monotonicity_flags, (None,),
                                 "report must be a BerReport, got NoneType"),
+    # each of these used to raise AttributeError on its first field read
+    "simulate-cfg-dict": (simulate, (DICT_CFG, LLR, SPEC, Kernel.LLR_EXACT), NOT_A_CFG),
+    "build_schedule-cfg-dict": (build_schedule, (DICT_CFG,), NOT_A_CFG),
+    "model-cfg-dict": (model, (DICT_CFG,), NOT_A_CFG),
+    "check_no_conflict-dict": (check_no_conflict, ({"cfg": TREE},), NOT_A_SCHEDULE),
+    "register_liveness-dict": (register_liveness, ({"cfg": TREE},), NOT_A_SCHEDULE),
+    "run_campaign-stop-dict": (run_campaign, (SPEC, Kernel.LLR_EXACT, [1.0],
+                                              {"max_frames": 256}),
+                               "stop must be a CampaignStop, got dict"),
 }
 
 

@@ -557,33 +557,89 @@ def test_plan_replays_the_live_control_sequence(m):
         _live_sequence(CodeSpec(m=m, frozen=()))
 
 
+def _structural_codes(m):
+    """The frozen sets the plan's structural tests run over, for length 2**m."""
+    n = 1 << m
+    rng = np.random.default_rng(5000 + m)
+    random = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
+    # the one information bit n - 3 ends a dead-left node's right child
+    # [n - 4, n) with the tile of its left child [n - 4, n - 2): a tile of
+    # its own, not one the parent's extends
+    for frozen in ((), construct_frozen_bec(n, max(1, n // 2), 0.5).frozen, random,
+                   range(n - 1), range(0, n, 2), range(n // 2),
+                   [i for i in range(n) if i != n - 3]):
+        yield CodeSpec(m=m, frozen=tuple(frozen))
+
+
+def _instructions(plan):
+    it = iter(plan)
+    return list(zip(it, it, it, it))
+
+
 @pytest.mark.parametrize("m", range(1, 11))
 def test_g0_follows_exactly_the_rate0_siblings(m):
     # a g whose left sibling is all frozen reads no partial sums (_G0); every
     # other g reads them, and the unpruned plan, which the machines'
     # schedules replay, holds no _G0
-    n = 1 << m
-    rng = np.random.default_rng(5000 + m)
-    random = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
-    for frozen in ((), construct_frozen_bec(n, max(1, n // 2), 0.5).frozen, random,
-                   range(n - 1), range(0, n, 2), range(n // 2)):
-        spec = CodeSpec(m=m, frozen=tuple(frozen))
+    for spec in _structural_codes(m):
         for rate1 in (False, True):
-            it = iter(reference._lower(spec, rate1))
-            for op, l, i, _ in zip(it, it, it, it):
+            for op, l, i, _ in _instructions(reference._lower(spec, rate1)):
                 if op in (reference._G, reference._G0):
                     rate0 = spec.frozen_mask[i - (1 << l):i].all()
-                    assert (op == reference._G0) == rate0, (frozen, l, i)
+                    assert (op == reference._G0) == rate0, (spec.frozen, l, i)
     assert reference._G0 not in reference._unpruned_plan(m)[0::4]
+
+
+def _dead_left_chains(frozen_mask):
+    """``(a, b, c)`` of each maximal chain of dead-left nodes: nodes whose
+    left child is all frozen and whose right child is not, each the right
+    child of the next.  Its folds copy the bottom node's right child
+    ``[b, c)`` into every left sibling of the chain, ``[a, b)``."""
+    n = len(frozen_mask)
+
+    def dead_left(lo, size):
+        h = size // 2
+        return size > 1 and frozen_mask[lo:lo + h].all() and not frozen_mask[lo + h:lo + size].all()
+
+    chains = []
+    size = 2
+    while size <= n:
+        for lo in range(0, n, size):
+            if dead_left(lo, size) and not dead_left(lo + size // 2, size // 2):
+                a, top = lo, size  # climb while the chain's top is a right child
+                while top < n and a & top and dead_left(a - top, 2 * top):
+                    a, top = a - top, 2 * top
+                chains.append((a, lo + size // 2, lo + size))
+        size *= 2
+    return sorted(chains)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_each_tile_is_one_dead_left_chain(m):
+    # a fold XORs into a live left sibling; the folds into dead left
+    # siblings, which still hold 0, are copies, and each maximal chain of
+    # them is one _TILE; the unpruned plan has no dead node, so no _TILE
+    for spec in _structural_codes(m):
+        mask = spec.frozen_mask
+        for rate1 in (False, True):
+            ops = _instructions(reference._lower(spec, rate1))
+            for op, a, b, c in ops:
+                if op == reference._FOLD:
+                    assert b - a == c - b and not mask[a:b].all() and not mask[b:c].all()
+            tiles = sorted((a, b, c) for op, a, b, c in ops if op == reference._TILE)
+            assert tiles == _dead_left_chains(mask), (spec.frozen, rate1)
+    assert reference._TILE not in reference._unpruned_plan(m)[0::4]
 
 
 def test_minsum_tie_free_mix_on_the_benchmark_code():
     # the instructions a frame that takes no rate-1 fallback runs on the
     # benchmark code, which are the whole plan: 96 of its 191 g steps
-    # follow a rate-0 sibling
+    # follow a rate-0 sibling, and the 96 folds into their dead left
+    # siblings are 49 tiles
     ops = reference._lower(construct_frozen_bec(1024, 512, 0.5), True)
     assert Counter(ops[0::4]) == {reference._F: 95, reference._G: 95, reference._G0: 96,
-                                  reference._FOLD: 191, reference._RATE1: 96}
+                                  reference._FOLD: 95, reference._TILE: 49,
+                                  reference._RATE1: 96}
 
 
 def test_decoders_create_no_reference_cycles(monkeypatch):
