@@ -26,15 +26,12 @@ positions are split among lanes changes no bit; slots share no registers,
 so neither does the interleaving of slots.
 
 Control never depends on the frames, so a schedule is built and checked
-once per ``(config, group size)`` and cached, with its PEs as integer keys
-and one run's counts (``Schedule._pe_counts``, the integer core of
-``Schedule.pe_activations``), for as long as its config lives.  The
+once per ``(config, group size)`` and cached, with its PE names and one
+run's counts as an int array, for as long as its config lives.  The
 builder runs over the record's stage column, and the check and the PE
 count are array arithmetic over the table and the record's lane columns.
 ``simulate`` runs the SC loop once over all its frames and adds up the
-counts of the groups the frames fill; the sums are named only when
-``SimResult.pe_activations`` is first read, from names each cached
-schedule formats once.  So a call spends its host time on the decode.
+counts of the groups the frames fill, naming the sums once.
 
 The loop skips dead activations, those that feed only frozen phases, runs
 the g after a rate-0 sibling without reading its all-zero partial sums,
@@ -51,8 +48,7 @@ to the reference decoder.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -60,26 +56,11 @@ import numpy as np
 from .codespec import CodeSpec, _as_instance, _as_spec
 from .kernels import Kernel
 from .reference import _kernel_frames, _sc_decode
-from .schedule import (ArchitectureConfig, Schedule, _named_counts, build_schedule,
-                       check_no_conflict)
+from .schedule import ArchitectureConfig, Schedule, build_schedule, check_no_conflict
 
 
 class SimulationError(RuntimeError):
     """A schedule/datapath inconsistency surfaced at run time."""
-
-
-class _Program:
-    """A cached schedule with its PEs' integer keys and one run's counts
-    (``Schedule._pe_counts``); the PEs' names are formatted on first use.
-    (A plain class: a dataclass would add a third of a millisecond to the
-    package's import.)"""
-
-    def __init__(self, schedule: Schedule, keys: np.ndarray, counts: np.ndarray):
-        self.schedule, self.keys, self.counts = schedule, keys, counts
-
-    @cached_property
-    def names(self) -> list:
-        return self.schedule._pe_names(self.keys)
 
 
 @dataclass
@@ -89,21 +70,13 @@ class SimResult:
     ``total_cycles`` covers the whole run; ``schedule`` is one period, one
     vector (or one full overlap group), whose occupancy trace repeats
     across the run.  ``pe_activations`` counts work done by each processing
-    resource over the entire run: a ``Counter`` keyed by the names of
-    ``Schedule.pe_activations``, built from the run's integer counts the
-    first time it is read and kept, so a run that never reads it names no
-    PE.
+    resource over the entire run.
     """
 
     decoded: np.ndarray
     total_cycles: int
+    pe_activations: Counter
     schedule: Schedule
-    _pe_counts: np.ndarray = field(repr=False)  # the run's counts, in _program's PE order
-    _program: _Program = field(repr=False)  # the period's, which names them
-
-    @cached_property
-    def pe_activations(self) -> Counter:
-        return _named_counts(self._program.names, self._pe_counts)
 
     @property
     def period_cycles(self) -> int:
@@ -114,24 +87,26 @@ class SimResult:
         return self.schedule.occupancy()
 
 
-# cfg -> {vectors: its _Program}.  Weak keys free a config's schedules with the
-# config, without waiting for the cycle collector to reclaim a dropped module.
+# cfg -> {vectors: (schedule, PE names, one run's activations per name)}.  Weak
+# keys free a config's schedules with the config, without waiting for the
+# cycle collector to reclaim a dropped module.
 _programs: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _program(cfg: ArchitectureConfig, vectors: int | None) -> _Program:
-    """``build_schedule(cfg, vectors)`` with its PEs' integer keys and one
-    run's counts, built and checked on first use and kept for as long as
-    ``cfg`` lives: the schedule holds a copy of ``cfg``, as holding the key
-    itself would keep the key alive.  Raises ``SimulationError`` if
-    ``check_no_conflict`` finds a violation."""
+def _program(cfg: ArchitectureConfig, vectors: int | None) -> tuple:
+    """``build_schedule(cfg, vectors)``, its PE names and one run's PE
+    activation counts as an int array, built and checked on first use and
+    kept for as long as ``cfg`` lives: the schedule holds a copy of ``cfg``,
+    as holding the key itself would keep the key alive.  Raises
+    ``SimulationError`` if ``check_no_conflict`` finds a violation."""
     programs = _programs.setdefault(cfg, {})
     if vectors not in programs:
         schedule = build_schedule(replace(cfg), vectors)
         violations = check_no_conflict(schedule)
         if violations:
             raise SimulationError("; ".join(violations))
-        programs[vectors] = _Program(schedule, *schedule._pe_counts())
+        pes = schedule.pe_activations()
+        programs[vectors] = schedule, tuple(pes), np.fromiter(pes.values(), np.int64)
     return programs[vectors]
 
 
@@ -176,13 +151,16 @@ def simulate(cfg: ArchitectureConfig, frames, spec: CodeSpec, kernel: Kernel) ->
 
     p = cfg.overlap_p or 1
     groups, tail = divmod(values.shape[1], p)
-    runs = [(count, _program(cfg, slots)) for count, slots in ((groups, p), (1, tail))
-            if count * slots]
-    total_cycles = sum(count * program.schedule.total_cycles for count, program in runs)
-    period = runs[0][1] if runs else _program(cfg, None)
-    pe_counts = np.zeros(len(period.counts) if runs else 0, np.int64)
-    for count, program in runs:  # the tail group's PEs are the first of the full's
-        pe_counts[:len(program.counts)] += count * program.counts
+    runs = [(count, *_program(cfg, slots))
+            for count, slots in ((groups, p), (1, tail)) if count * slots]
+    total_cycles = sum(count * sched.total_cycles for count, sched, _, _ in runs)
+    names = runs[0][2] if runs else ()
+    pe_counts = np.zeros(len(names), np.int64)
+    for count, _, _, counts in runs:  # the tail group's PEs are the first of the full's
+        pe_counts[:len(counts)] += count * counts
+    pe_activations = Counter()
+    dict.update(pe_activations, zip(names, pe_counts.tolist()))  # no intermediate dict
+    period = runs[0][1] if runs else _program(cfg, None)[0]
     decoded, _ = _sc_decode(values, spec, kernel)
-    return SimResult(decoded=decoded.T, total_cycles=total_cycles, schedule=period.schedule,
-                     _pe_counts=pe_counts, _program=period)
+    return SimResult(decoded=decoded.T, total_cycles=total_cycles,
+                     pe_activations=pe_activations, schedule=period)

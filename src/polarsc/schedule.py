@@ -204,25 +204,19 @@ class Schedule:
         (line), ``P_{q - q0}`` (semi-parallel lane, q0 the first active
         index) and ``<stage instance>:P_q`` (overlap, e.g. ``S_0d:P_0``), in
         the order in which the slots, taken in turn, first activate them, so
-        a shorter group's PEs are the first of the full group's.  The counts
-        are ``_pe_counts``, and each name is formatted once (``_pe_names``).
+        a shorter group's PEs are the first of the full group's.  The
+        table's steps are counted as runs of one (name head, lane) each,
+        each run's lane becomes integer PE keys, ``head * n + index``, as
+        a ragged ``arange`` of the record's lane columns, one ``np.unique``
+        counts the keys, and each name is formatted once.
         """
-        keys, counts = self._pe_counts()
-        return _named_counts(self._pe_names(keys), counts)
-
-    def _pe_counts(self) -> tuple:
-        """The integer core of ``pe_activations``: each PE's key ``head * n +
-        index`` and its activations over one run, as int64 arrays in order
-        of first activation.  A key's head is its stage, its stage
-        instance's rank in ``np.unique(copies)`` times ``m`` plus its stage
-        (overlap), or 0 (line and semi-parallel).  The table's steps are
-        counted as runs of one (head, lane) each, each run's lane becomes
-        keys as a ragged ``arange`` of the record's lane columns, and one
-        ``np.unique`` counts the keys."""
         kind, n, m, rec = self.cfg.kind, self.cfg.n, self.cfg.m, self._record
+        prefix = {ArchKind.FFT_LIKE: "N_{l},", ArchKind.PIPELINED_TREE: "P_{l},",
+                  ArchKind.VECTOR_OVERLAP: "{instance}:P_"}.get(kind, "P_")
         stages = np.tile(rec.stage, self.vectors)  # of the table's flat steps
+        copy_ids = np.zeros(1, np.int64)
         if kind is ArchKind.VECTOR_OVERLAP:  # a name's head is its stage instance
-            _, copy_of = np.unique(self.copies, return_inverse=True)
+            copy_ids, copy_of = np.unique(self.copies, return_inverse=True)
             heads = copy_of.ravel() * m + stages
         elif kind in (ArchKind.LINE, ArchKind.SEMI_PARALLEL):  # one row of PEs
             heads = np.zeros_like(stages)
@@ -236,7 +230,7 @@ class Schedule:
         first, repeats = first[order], repeats[order]
         step = first % len(rec.stage)
         count = rec.count[step]
-        # each run's PEs in lane order
+        # each run's PEs in lane order, keyed head * n + index
         run = np.repeat(np.arange(len(first)), count)
         lane = np.arange(len(run)) - np.repeat(np.cumsum(count) - count, count)
         index = lane if kind is ArchKind.SEMI_PARALLEL else (
@@ -245,20 +239,13 @@ class Schedule:
                                    return_inverse=True)
         counts = np.bincount(pe_of.ravel(), repeats[run]).astype(np.int64)
         order = np.argsort(at)  # the PEs in order of first activation
-        return pes[order], counts[order]
-
-    def _pe_names(self, keys: np.ndarray) -> list:
-        """The names of the PEs with ``_pe_counts`` keys ``keys``."""
-        kind, n, m = self.cfg.kind, self.cfg.n, self.cfg.m
-        prefix = {ArchKind.FFT_LIKE: "N_{l},", ArchKind.PIPELINED_TREE: "P_{l},",
-                  ArchKind.VECTOR_OVERLAP: "{instance}:P_"}.get(kind, "P_")
-        copy_ids = (np.unique(self.copies) if kind is ArchKind.VECTOR_OVERLAP
-                    else np.zeros(1, np.int64))
+        pe_heads, pe_index = divmod(pes[order], n)
         head_names = np.array([prefix.format(l=l, instance=stage_instance_name(l, copy))
                                for copy in copy_ids.tolist() for l in range(m)], object)
-        pe_heads, pe_index = divmod(keys, n)
         names = head_names[pe_heads] + np.array([str(q) for q in range(n)], object)[pe_index]
-        return names.tolist()
+        activations = Counter()  # filled by dict.update: Counter.update would count the pairs
+        dict.update(activations, zip(names.tolist(), counts[order].tolist()))
+        return activations
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -268,13 +255,6 @@ class Schedule:
         for cycle, instance, tag, (_, fn, _, active) in self._in_cycle_order():
             writer.writerow([cycle, instance, fn, tag, ";".join(map(str, active))])
         return buf.getvalue()
-
-
-def _named_counts(names: list, counts: np.ndarray) -> Counter:
-    """A ``Counter`` of each name in ``names`` to its entry of ``counts``."""
-    activations = Counter()  # filled by dict.update: Counter.update would count the pairs
-    dict.update(activations, zip(names, counts.tolist()))
-    return activations
 
 
 class _StepRecord(NamedTuple):

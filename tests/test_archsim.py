@@ -120,7 +120,7 @@ def test_simulate_compiles_each_group_schedule_once(monkeypatch):
     assert built == [p, 3]
 
 
-def test_cached_schedule_is_immutable_and_counts_are_fresh(monkeypatch):
+def test_cached_schedule_is_immutable_and_counts_are_fresh():
     spec = construct_frozen_bec(8, 4, 0.5)
     cfg = ArchitectureConfig(kind=ArchKind.VECTOR_OVERLAP, n=8, overlap_p=3)
     _, llr = random_frames(spec, 7, sigma=1.0, seed=9)
@@ -140,21 +140,6 @@ def test_cached_schedule_is_immutable_and_counts_are_fresh(monkeypatch):
     first.pe_activations["S_0:P_0"] += 1
     assert simulate(cfg, llr, spec, Kernel.LLR_MINSUM).pe_activations == \
         second.pe_activations
-    # a run names no PE until its pe_activations is read; each cached
-    # program formats its names once
-    monkeypatch.setattr(archsim, "_programs", type(archsim._programs)())  # none cached
-    named, pe_names = [], Schedule._pe_names
-    monkeypatch.setattr(Schedule, "_pe_names",
-                        lambda s, keys: named.append(s.cfg.kind) or pe_names(s, keys))
-    fft = ArchitectureConfig(kind=ArchKind.FFT_LIKE, n=8)
-    res, again = (simulate(fft, llr, spec, Kernel.LLR_MINSUM) for _ in range(2))
-    assert named == []
-    activations = res.pe_activations
-    assert named == [ArchKind.FFT_LIKE] and again.pe_activations == activations
-    assert named == [ArchKind.FFT_LIKE]
-    assert res.pe_activations is activations
-    assert activations == {pe: 7 * count  # 7 frames, one vector per group
-                           for pe, count in res.schedule.pe_activations().items()}
 
 
 def test_a_kind_given_by_its_value_simulates_that_machine():
