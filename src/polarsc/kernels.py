@@ -37,6 +37,11 @@ from enum import Enum
 
 import numpy as np
 
+try:  # the ufunc under np.clip, whose Python wrapper costs more than a small level's clip
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 from .codespec import _as_real
 
 LLR_CLIP = 40.0
@@ -62,14 +67,12 @@ def _f_lr_into(a, b, out, scratch):
     np.add(_ONE, out, out=out)
     np.add(a, b, out=scratch)
     np.divide(out, scratch, out=out)
-    np.minimum(out, _LR_HI, out=out)
-    np.maximum(out, _LR_LO, out=out)
+    _clip(out, _LR_LO, _LR_HI, out=out)
 
 
 def _g0_lr_into(a, b, out, scratch):
     np.multiply(a, b, out=out)  # us == 0
-    np.minimum(out, _LR_HI, out=out)
-    np.maximum(out, _LR_LO, out=out)
+    _clip(out, _LR_LO, _LR_HI, out=out)
 
 
 def _g_lr_into(a, b, us, out, scratch):
@@ -81,8 +84,7 @@ def _g_lr_into(a, b, us, out, scratch):
     np.bitwise_xor(d, o, out=d)
     np.multiply(d, us, out=d)
     np.bitwise_xor(o, d, out=o)
-    np.minimum(out, _LR_HI, out=out)
-    np.maximum(out, _LR_LO, out=out)
+    _clip(out, _LR_LO, _LR_HI, out=out)
 
 
 def _f_llr_exact_into(la, lb, out, scratch):
@@ -90,8 +92,7 @@ def _f_llr_exact_into(la, lb, out, scratch):
     np.logaddexp(out, _ZERO, out=out)
     np.logaddexp(la, lb, out=scratch)
     np.subtract(out, scratch, out=out)
-    np.minimum(out, _LLR_HI, out=out)
-    np.maximum(out, _LLR_LO, out=out)
+    _clip(out, _LLR_LO, _LLR_HI, out=out)
 
 
 # A bound on |computed f - true f| for _f_llr_exact_into on [-LLR_CLIP,
@@ -130,8 +131,7 @@ def _f_minsum_into(la, lb, out, scratch):
 
 def _g0_llr_into(la, lb, out, scratch):
     np.add(lb, la, out=out)
-    np.minimum(out, _LLR_HI, out=out)
-    np.maximum(out, _LLR_LO, out=out)
+    _clip(out, _LLR_LO, _LLR_HI, out=out)
 
 
 def _signed_into(values, bits, out):
@@ -300,7 +300,7 @@ class Kernel(Enum):
         llr = llr.astype(np.float64, copy=False)
         if not np.isfinite(llr).all():
             raise ValueError("channel log-ratios must be finite (no NaN or inf)")
-        np.clip(llr, -LLR_CLIP, LLR_CLIP, out=llr)
+        _clip(llr, _LLR_LO, _LLR_HI, out=llr)
         if self._to_domain is not None:
             self._to_domain(llr, out=llr)
         return llr
